@@ -34,13 +34,9 @@ on transported data.
 from __future__ import annotations
 
 from .forms import MixedForm
-from .linalg import mat_apply, mat_zero
+from .linalg import mat_apply
 from .model import Model
-from .multivector import (
-    MVElement,
-    bivector_matrix,
-    vector_components,
-)
+from .multivector import MVElement, bivector_matrix
 from .poly import Poly
 
 __all__ = [
@@ -58,12 +54,6 @@ __all__ = [
     "mc_residual_dgla",
     "unit_vector",
 ]
-
-
-def _leg_word(I, J, n):
-    """Ordered leg word of a monomial: vector legs (coded i) then bar legs
-    (coded n + j)."""
-    return tuple(I) + tuple(n + j for j in J)
 
 
 def dgla_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:

@@ -10,7 +10,6 @@ __all__ = [
     "SingularityError",
     "UnsupportedSceneError",
     "CertificateError",
-    "SceneFormatError",
 ]
 
 
@@ -42,6 +41,3 @@ class UnsupportedSceneError(GkdError):
 class CertificateError(GkdError):
     """An exactness certificate that should hold by construction failed."""
 
-
-class SceneFormatError(GkdError):
-    """A scene or fixture file does not match the documented JSON layout."""

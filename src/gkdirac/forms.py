@@ -14,6 +14,10 @@ dzbar leg at the front, which costs the sign (-1)^{r+p} to commute into
 storage position.  These placement conventions are load-bearing: the
 polyvector calculus in :mod:`gkdirac.brackets` is tuned against them.
 
+Storage, the linear structure, t-series helpers and rendering come from
+:class:`gkdirac._combinat.GradedTable`; this module holds only the key
+layout, the leg names and the sign conventions of forms.
+
 Key facts exercised by the test-suite: d^2 = 0 and its bigraded pieces,
 graded commutativity of the wedge, and the Euler homotopy identity
 ``partial_bar(h(a)) + h(partial_bar(a)) = a`` for (0, q>=1) forms.
@@ -22,10 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._combinat import insert_index, merge_indices, remove_index
+from ._combinat import GradedTable, insert_index, merge_indices, remove_index
 from .model import Model
 from .poly import Poly
-from .scalars import Scalar, ONE
+from .scalars import Scalar
 
 __all__ = [
     "MixedForm",
@@ -36,30 +40,11 @@ __all__ = [
 ]
 
 
-class MixedForm:
-    __slots__ = ("model", "comps")
+class MixedForm(GradedTable):
+    __slots__ = ()
 
-    def __init__(self, model: Model, comps=None):
-        self.model = model
-        # (p, q, r) -> {(I, J): Poly}
-        self.comps: dict = {}
-        if comps:
-            for key, table in comps.items():
-                clean = {ij: c for ij, c in table.items() if c}
-                if clean:
-                    self.comps[key] = clean
-
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def zero(cls, model):
-        return cls(model)
-
-    @classmethod
-    def function(cls, model, f: Poly):
-        out = cls(model)
-        if f:
-            out.comps[(0, 0, 0)] = {((), ()): f}
-        return out
+    # keys are (p, q, r): p dz legs, q dzbar legs, r dt legs
+    _ORIGIN = (0, 0, 0)
 
     @classmethod
     def monomial(cls, model, coeff: Poly, holo=(), anti=(), dt: bool = False):
@@ -70,106 +55,27 @@ class MixedForm:
         anti = tuple(anti)
         if tuple(sorted(holo)) != holo or tuple(sorted(anti)) != anti:
             raise ValueError("index tuples must be strictly increasing")
-        out = cls(model)
-        if coeff:
-            out.comps[(len(holo), len(anti), 1 if dt else 0)] = {(holo, anti): coeff}
-        return out
-
-    # -- bookkeeping -----------------------------------------------------
-    def _setterm(self, key, ij, c: Poly):
-        if not c:
-            return
-        table = self.comps.setdefault(key, {})
-        prev = table.get(ij)
-        tot = c if prev is None else prev + c
-        if tot:
-            table[ij] = tot
-        else:
-            table.pop(ij, None)
-            if not table:
-                self.comps.pop(key, None)
-
-    def terms(self):
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                yield key, ij, c
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __bool__(self):
-        return bool(self.comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedForm):
-            return NotImplemented
-        return self.model == other.model and not (self - other).comps
-
-    def degrees(self):
-        return sorted(self.comps.keys())
+        return cls(model, {(len(holo), len(anti), 1 if dt else 0):
+                           {(holo, anti): coeff}})
 
     def total_degrees(self):
         return sorted({p + q + r for (p, q, r) in self.comps})
 
     def component(self, p, q, r=0) -> "MixedForm":
-        out = MixedForm(self.model)
-        table = self.comps.get((p, q, r))
-        if table:
-            out.comps[(p, q, r)] = dict(table)
-        return out
-
-    def project_type(self, p, q) -> "MixedForm":
-        """The (p, q) piece (no dt leg)."""
-        return self.component(p, q, 0)
+        return self._component((p, q, r))
 
     def coefficient(self, holo=(), anti=(), dt=False) -> Poly:
         key = (len(holo), len(anti), 1 if dt else 0)
         table = self.comps.get(key, {})
         return table.get((tuple(holo), tuple(anti)), Poly.zero(self.model.n))
 
-    # -- linear structure ------------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, MixedForm):
-            return NotImplemented
-        if self.model != other.model:
-            raise ValueError("mixed models")
-        out = MixedForm(self.model)
-        out.comps = {k: dict(t) for k, t in self.comps.items()}
-        for key, table in other.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, c)
-        return out
-
-    def __neg__(self):
-        out = MixedForm(self.model)
-        out.comps = {
-            k: {ij: -c for ij, c in t.items()} for k, t in self.comps.items()
-        }
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "MixedForm":
-        if isinstance(c, (int, Fraction)):
-            c = Scalar(c)
-        out = MixedForm(self.model)
-        for k, t in self.comps.items():
-            table = {}
-            for ij, v in t.items():
-                w = v.scale(c)
-                if w:
-                    table[ij] = w
-            if table:
-                out.comps[k] = table
-        return out
+    @staticmethod
+    def _legs(key, I, J):
+        return ((["dt"] if key[2] else []) + [f"dz{i+1}" for i in I]
+                + [f"dzb{j+1}" for j in J])
 
     def poly_mul(self, f: Poly, tmax=None) -> "MixedForm":
-        out = MixedForm(self.model)
-        for k, t in self.comps.items():
-            for ij, v in t.items():
-                out._setterm(k, ij, v.mul(f, tmax=tmax))
-        return out
+        return self.map_coeffs(lambda v: v.mul(f, tmax=tmax))
 
     # -- wedge -----------------------------------------------------------
     def wedge(self, other: "MixedForm", tmax=None) -> "MixedForm":
@@ -323,59 +229,6 @@ class MixedForm:
                     cc = c.mul(v)
                     out._setterm((p, q - 1, r), (I, J2), cc if s == 1 else -cc)
         return out
-
-    # -- t-series helpers ------------------------------------------------
-    def t_coefficient(self, k: int) -> "MixedForm":
-        out = MixedForm(self.model)
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, c.t_coefficient(k))
-        return out
-
-    def t_truncate(self, tmax: int) -> "MixedForm":
-        out = MixedForm(self.model)
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, c.t_truncate(tmax))
-        return out
-
-    def t_degree(self) -> int:
-        return max((c.t_degree() for _, _, c in self.terms()), default=-1)
-
-    def substitute_t(self, value: Scalar) -> "MixedForm":
-        out = MixedForm(self.model)
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, c.substitute_t(value))
-        return out
-
-    def map_coeffs(self, fn) -> "MixedForm":
-        out = MixedForm(self.model)
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, fn(c))
-        return out
-
-    # -- rendering -------------------------------------------------------
-    def render(self) -> str:
-        if not self.comps:
-            return "0"
-        n = self.model.n
-        bits = []
-        for (p, q, r) in sorted(self.comps):
-            for (I, J) in sorted(self.comps[(p, q, r)]):
-                c = self.comps[(p, q, r)][(I, J)]
-                legs = []
-                if r:
-                    legs.append("dt")
-                legs += [f"dz{i+1}" for i in I]
-                legs += [f"dzb{j+1}" for j in J]
-                mono = "^".join(legs) if legs else "1"
-                bits.append(f"[{c.render()}] {mono}")
-        return "  +  ".join(bits)
-
-    def __repr__(self):
-        return f"MixedForm<{self.render()}>"
 
 
 # -- leg builders --------------------------------------------------------

@@ -24,7 +24,6 @@ which is the fibrewise sum L_1 + L_2 = {X + xi + eta}.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .forms import MixedForm
@@ -34,7 +33,6 @@ from .linalg import (
     generic_rank,
     scalar_kernel,
     scalar_rank,
-    scalar_solve,
     span_certificate,
 )
 from .model import Model, Point
@@ -47,7 +45,6 @@ __all__ = [
     "PointDirac",
     "covec_to_form",
     "form_to_covec",
-    "vec_to_form_components",
     "lie_bracket_components",
     "dorfman_bracket",
     "graph_two_form",
@@ -210,11 +207,6 @@ def form_to_covec(form: MixedForm):
             else:
                 out[n + J[0]] = out[n + J[0]] + c
     return out
-
-
-def vec_to_form_components(model: Model, vec):
-    """Identity reshuffle kept for call-site clarity."""
-    return list(vec)
 
 
 def _leg_derivative(model: Model, f: Poly, leg: int) -> Poly:
@@ -533,11 +525,6 @@ class PointDirac:
                 if pair:
                     return False
         return True
-
-    def contains(self, column) -> bool:
-        rows = [[col[i] for col in self.columns]
-                for i in range(2 * self.model.dim)]
-        return scalar_solve(rows, list(column)) is not None
 
     def equals(self, other: "PointDirac") -> bool:
         if self.rank() != other.rank():

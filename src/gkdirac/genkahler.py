@@ -24,14 +24,14 @@ from fractions import Fraction
 
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
-from .frames import (DiracFrame, PointDirac, conj_stack, dirac_scale,
+from .frames import (DiracFrame, conj_stack, dirac_scale,
                      dirac_sum, frames_equal, gauge_frame, graph_bivector,
                      involutivity_report, point_pairing)
 from .linalg import (generic_rank, poly_det, real_roots_in_interval,
                      scalar_det, scalar_rank, span_certificate)
 from .model import Model
 from .multivector import form_matrix
-from .poisson import (Bivector, HoloPoisson, RealPoisson, build_L_sigma,
+from .poisson import (Bivector, RealPoisson, build_L_sigma,
                       check_gauge_equiv, extract_holo_poisson,
                       gauge_real_poisson, imag_Q)
 from .poly import Poly
@@ -245,15 +245,6 @@ class GKCheckReport:
 
     def __bool__(self):
         return self.ok
-
-    def lines(self):
-        out = []
-        for name in ("transversality", "real_poisson_graphs",
-                     "holomorphic_poisson_pair", "positivity"):
-            flag = "pass" if self.conditions[name] else "FAIL"
-            out.append(f"  {name:28s} {flag}")
-        out.append(f"  verdict: {self.verdict}")
-        return out
 
     def __repr__(self):
         return f"GKCheckReport({self.verdict!r})"

@@ -37,7 +37,7 @@ from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm, euler_homotopy, dt_leg
 from .frames import (DiracFrame, GVField, dirac_scale, dirac_sum,
                      dorfman_bracket, frames_equal, gauge_frame,
-                     graph_bivector, tangent_frame)
+                     graph_bivector)
 from .linalg import (generic_rank, mat_add, mat_apply, mat_eval,
                      mat_identity, mat_is_zero, mat_mul, mat_neg, mat_scale,
                      mat_sub, mat_t_truncate, mat_transpose, mat_zero,
@@ -46,7 +46,7 @@ from .linalg import (generic_rank, mat_add, mat_apply, mat_eval,
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           form_from_matrix, mv_from_bivector_matrix,
-                          phi_geom_matrix, vector_components)
+                          phi_geom_matrix)
 from .poisson import (Bivector, HoloPoisson, RealPoisson, build_L_sigma,
                       _describe_zero_locus, _deformed_frame_change,
                       _holo_projector)
@@ -666,8 +666,11 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> MCComponentReport:
 
 def _conj_operator(model, M):
     """Matrix of the conjugated operator in the fixed frame: swap the
-    holomorphic and antiholomorphic blocks and conjugate entries."""
-    n, dim = model.n, model.dim
+    holomorphic and antiholomorphic blocks and conjugate entries.
+
+    Size and polynomial ring are read from ``M``, which may live over more
+    variables than ``model``; legs from 2n on stay in place."""
+    n, dim = model.n, len(M)
 
     def sw(k):
         if k < n:
@@ -676,7 +679,7 @@ def _conj_operator(model, M):
             return k - n
         return k
 
-    out = mat_zero(dim, dim, n)
+    out = mat_zero(dim, dim, M[0][0].n)
     for i in range(dim):
         for j in range(dim):
             if M[i][j]:
@@ -928,18 +931,8 @@ class HamiltonianFamilyReport:
         self.details = dict(details or {})
         self.ok = all(self.checks.values())
 
-    def lines(self):
-        return [f"  {k:24s} {'pass' if v else 'FAIL'}"
-                for k, v in self.checks.items()]
-
     def __repr__(self):
         return f"HamiltonianFamilyReport(mode={self.mode!r}, ok={self.ok})"
-
-
-def _unit_col(model, k):
-    col = [model.zero_poly() for _ in range(model.dim)]
-    col[k] = model.poly(1)
-    return col
 
 
 def _param_form(pm: Model, form: MixedForm) -> MixedForm:
@@ -1012,9 +1005,9 @@ def _ham_real(family, rng, tmax) -> HamiltonianFamilyReport:
     for i in range(dim):
         for j in range(dim):
             M3[i][j] = piv.mat[i][j]
-    gens = [GVField(pm, vec=_unit_col(pm, dim))]
+    gens = [GVField(pm, vec=unit_vector(pm, dim))]
     for a in range(dim):
-        xi = _unit_col(pm, a)
+        xi = unit_vector(pm, a)
         gens.append(GVField(pm, vec=[M3[k][a] for k in range(pdim)], cov=xi))
     D = DiracFrame(pm, gens, label="flow-span")
     Bdot = B.map_coeffs(lambda c: c.d_t())
@@ -1041,8 +1034,8 @@ def _ham_real(family, rng, tmax) -> HamiltonianFamilyReport:
         and generic_rank(rank_rows, pm, rng) == pdim)
     details["involutivity_failures"] = failures
 
-    fgens = [GVField(pm, vec=_unit_col(pm, k)) for k in range(dim)]
-    fgens.append(GVField(pm, cov=_unit_col(pm, dim)))
+    fgens = [GVField(pm, vec=unit_vector(pm, k)) for k in range(dim)]
+    fgens.append(GVField(pm, cov=unit_vector(pm, dim)))
     horizontal = DiracFrame(pm, fgens, label="tangent+dt")
     diff = dirac_sum(D, dirac_scale(horizontal, _MINUS_ONE), rng, tmax=tmax)
     checks["graph_recovered"] = frames_equal(
@@ -1065,22 +1058,6 @@ def _wcut_poly(p: Poly, bound: int, n1: int) -> Poly:
     keep = {e: c for e, c in p.terms.items()
             if e[wi] + e[n1 + wi] <= bound}
     return Poly(n1, keep)
-
-
-def _op_conj(M, n):
-    """Block-swap plus entrywise conjugation (operator conjugate)."""
-    dim = 2 * n
-    ring = M[0][0].n
-
-    def sw(k):
-        return k + n if k < n else k - n
-
-    out = [[Poly.zero(ring) for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if M[i][j]:
-                out[sw(i)][sw(j)] = M[i][j].conj()
-    return out
 
 
 def _ham_complex(ds: DeformSeries, tmax) -> HamiltonianFamilyReport:
@@ -1123,19 +1100,19 @@ def _ham_complex(ds: DeformSeries, tmax) -> HamiltonianFamilyReport:
     for i in range(n):
         proj[i][i] = Poly.const(n1, Scalar(1))
     P = wmul(wmul(A, proj), Ainv)
-    Pbar = _op_conj(P, n)
+    Pbar = _conj_operator(model, P)
     eye = mat_identity(dim, n1)
     I_t = mat_scale(mat_sub(mat_scale(P, Scalar(2)), eye), Scalar(0, 1))
     Msum = mat_add(lift_mat(_sigma_matrix(model, ds.background)),
                    lift_mat(bivector_matrix(ds.eps.rho, size=dim)))
     Mt = wmul(wmul(P, Msum), mat_transpose(P))
-    Mtbar = _op_conj(Mt, n)
+    Mtbar = _conj_operator(model, Mt)
     Wl = lift_mat(form_matrix(ds.beta_series()))
     Walpha = [[e.d_z(n) for e in row] for row in Wl]
     W20 = wmul(wmul(mat_transpose(P), Walpha), P)
     W11 = mat_add(wmul(wmul(mat_transpose(Pbar), Walpha), P),
                   wmul(wmul(mat_transpose(P), Walpha), Pbar))
-    W11bar = _op_conj(W11, n)
+    W11bar = _conj_operator(model, W11)
 
     checks = {}
     # signs below are pinned by the exactly-solvable constant family
@@ -1169,10 +1146,6 @@ class TwistorReport:
         self.omega_t = omega_t
         self.checks = dict(checks)
         self.ok = all(self.checks.values())
-
-    def lines(self):
-        return [f"  {k:24s} {'pass' if v else 'FAIL'}"
-                for k, v in self.checks.items()]
 
     def __repr__(self):
         return f"TwistorReport(ok={self.ok})"

@@ -45,11 +45,9 @@ __all__ = [
     "mat_eval",
     "mat_t_truncate",
     "mat_is_zero",
-    "mat_poly_scale",
     "poly_mat_inverse",
     "poly_det",
     "poly_adjugate",
-    "exact_inverse",
     "mat_div_right",
     "generic_rank",
     "span_certificate",
@@ -192,10 +190,6 @@ def mat_scale(A, c):
     return [[a.scale(c) for a in r] for r in A]
 
 
-def mat_poly_scale(A, f, tmax=None):
-    return [[a.mul(f, tmax=tmax) for a in r] for r in A]
-
-
 def mat_mul(A, B, tmax=None):
     rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
     n = A[0][0].n if rows and A[0] else (B[0][0].n if inner else 0)
@@ -311,30 +305,6 @@ def poly_det(A, tmax=None) -> Poly:
         return acc
 
     return det_of(full)
-
-
-def exact_inverse(A, tmax=None):
-    """Inverse of a square polynomial matrix, exact whenever representable.
-
-    With ``tmax`` the inverse is a t-series mod t^{tmax+1} (delegates to
-    :func:`poly_mat_inverse`).  Without it the adjugate/determinant route is
-    used: the determinant must be nonzero and must divide every entry of
-    ``adj(A)`` exactly, otherwise the inverse has no polynomial entries and
-    an :class:`UnsupportedSceneError` is raised.
-    """
-    from .errors import SingularityError, UnsupportedSceneError
-
-    if tmax is not None:
-        return poly_mat_inverse(A, tmax)
-    det = poly_det(A)
-    if not det:
-        raise SingularityError("matrix is singular", determinant="0")
-    adj = poly_adjugate(A)
-    try:
-        return [[entry.divexact(det) for entry in row] for row in adj]
-    except ArithmeticError:
-        raise UnsupportedSceneError(
-            "matrix inverse is not polynomial; determinant = " + det.render())
 
 
 def mat_div_right(Num, Den, tmax=None):

@@ -7,6 +7,10 @@ coordinate 1-forms dzbar_j.  The (p, q) component is a table
 
     f * (d/dz_I) ^ dzbar_J          (vector legs stored first)
 
+Storage, the linear structure, t-series helpers and rendering come from
+:class:`gkdirac._combinat.GradedTable`; this module holds only the key
+layout, the leg names and the sign conventions of polyvectors.
+
 Degree bookkeeping: an element concentrated in (p, q) has weight p + q - 1
 for the graded bracket in :mod:`gkdirac.brackets`.
 
@@ -30,13 +34,10 @@ operator strings like beta.sigma compositions plain matrix products.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ._combinat import insert_index, merge_indices, remove_index
-from .linalg import mat_mul, mat_zero
+from ._combinat import GradedTable, insert_index, merge_indices
+from .linalg import mat_zero
 from .model import Model
 from .poly import Poly
-from .scalars import Scalar
 
 __all__ = [
     "MVElement",
@@ -49,33 +50,14 @@ __all__ = [
     "form_matrix",
     "form_from_matrix",
     "vector_components",
-    "covector_components",
 ]
 
 
-class MVElement:
-    __slots__ = ("model", "comps")
+class MVElement(GradedTable):
+    __slots__ = ()
 
-    def __init__(self, model: Model, comps=None):
-        self.model = model
-        self.comps: dict = {}
-        if comps:
-            for key, table in comps.items():
-                clean = {ij: c for ij, c in table.items() if c}
-                if clean:
-                    self.comps[key] = clean
-
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def zero(cls, model):
-        return cls(model)
-
-    @classmethod
-    def function(cls, model, f: Poly):
-        out = cls(model)
-        if f:
-            out.comps[(0, 0)] = {((), ()): f}
-        return out
+    # keys are (p, q): p vector legs, q dzbar legs
+    _ORIGIN = (0, 0)
 
     @classmethod
     def monomial(cls, model, coeff: Poly, vecs=(), bars=()):
@@ -83,98 +65,22 @@ class MVElement:
         bars = tuple(bars)
         if tuple(sorted(vecs)) != vecs or tuple(sorted(bars)) != bars:
             raise ValueError("index tuples must be strictly increasing")
-        out = cls(model)
-        if coeff:
-            out.comps[(len(vecs), len(bars))] = {(vecs, bars): coeff}
-        return out
-
-    # -- bookkeeping -----------------------------------------------------
-    def _setterm(self, key, ij, c: Poly):
-        if not c:
-            return
-        table = self.comps.setdefault(key, {})
-        prev = table.get(ij)
-        tot = c if prev is None else prev + c
-        if tot:
-            table[ij] = tot
-        else:
-            table.pop(ij, None)
-            if not table:
-                self.comps.pop(key, None)
-
-    def terms(self):
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                yield key, ij, c
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __bool__(self):
-        return bool(self.comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, MVElement):
-            return NotImplemented
-        return self.model == other.model and not (self - other).comps
-
-    def degrees(self):
-        return sorted(self.comps.keys())
+        return cls(model, {(len(vecs), len(bars)): {(vecs, bars): coeff}})
 
     def component(self, p, q) -> "MVElement":
-        out = MVElement(self.model)
-        table = self.comps.get((p, q))
-        if table:
-            out.comps[(p, q)] = dict(table)
-        return out
+        return self._component((p, q))
 
     def coefficient(self, vecs=(), bars=()) -> Poly:
         key = (len(vecs), len(bars))
         return self.comps.get(key, {}).get(
             (tuple(vecs), tuple(bars)), Poly.zero(self.model.n))
 
-    # -- linear structure ------------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, MVElement):
-            return NotImplemented
-        if self.model != other.model:
-            raise ValueError("mixed models")
-        out = MVElement(self.model)
-        out.comps = {k: dict(t) for k, t in self.comps.items()}
-        for key, table in other.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, c)
-        return out
-
-    def __neg__(self):
-        out = MVElement(self.model)
-        out.comps = {k: {ij: -c for ij, c in t.items()}
-                     for k, t in self.comps.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "MVElement":
-        if isinstance(c, (int, Fraction)):
-            c = Scalar(c)
-        out = MVElement(self.model)
-        for k, t in self.comps.items():
-            table = {}
-            for ij, v in t.items():
-                w = v.scale(c)
-                if w:
-                    table[ij] = w
-            if table:
-                out.comps[k] = table
-        return out
+    @staticmethod
+    def _legs(key, I, J):
+        return [f"@z{i+1}" for i in I] + [f"dzb{j+1}" for j in J]
 
     def poly_mul(self, f: Poly, tmax=None) -> "MVElement":
-        out = MVElement(self.model)
-        for k, t in self.comps.items():
-            for ij, v in t.items():
-                out._setterm(k, ij, v.mul(f, tmax=tmax))
-        return out
+        return self.map_coeffs(lambda v: v.mul(f, tmax=tmax))
 
     # -- wedge -----------------------------------------------------------
     def wedge(self, other: "MVElement", tmax=None) -> "MVElement":
@@ -219,54 +125,6 @@ class MVElement:
                     s *= (-1) ** p
                     out._setterm((p, q + 1), (I, J2), dc if s == 1 else -dc)
         return out
-
-    # -- t-series helpers ------------------------------------------------
-    def t_coefficient(self, k: int) -> "MVElement":
-        out = MVElement(self.model)
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, c.t_coefficient(k))
-        return out
-
-    def t_truncate(self, tmax: int) -> "MVElement":
-        out = MVElement(self.model)
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, c.t_truncate(tmax))
-        return out
-
-    def t_degree(self) -> int:
-        return max((c.t_degree() for _, _, c in self.terms()), default=-1)
-
-    def substitute_t(self, value: Scalar) -> "MVElement":
-        out = MVElement(self.model)
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, c.substitute_t(value))
-        return out
-
-    def map_coeffs(self, fn) -> "MVElement":
-        out = MVElement(self.model)
-        for key, table in self.comps.items():
-            for ij, c in table.items():
-                out._setterm(key, ij, fn(c))
-        return out
-
-    # -- rendering -------------------------------------------------------
-    def render(self) -> str:
-        if not self.comps:
-            return "0"
-        bits = []
-        for (p, q) in sorted(self.comps):
-            for (I, J) in sorted(self.comps[(p, q)]):
-                c = self.comps[(p, q)][(I, J)]
-                legs = [f"@z{i+1}" for i in I] + [f"dzb{j+1}" for j in J]
-                mono = "^".join(legs) if legs else "1"
-                bits.append(f"[{c.render()}] {mono}")
-        return "  +  ".join(bits)
-
-    def __repr__(self):
-        return f"MVElement<{self.render()}>"
 
 
 # -- single-leg builders -------------------------------------------------
@@ -415,15 +273,3 @@ def vector_components(x: MVElement):
         out[i] = c
     return out
 
-
-def covector_components(x: MVElement):
-    """Frame components of a (0,1) element in the dzbar slots."""
-    model = x.model
-    n = model.n
-    for key in x.comps:
-        if key != (0, 1):
-            raise ValueError("input must be a dzbar-valued 1-form")
-    out = [Poly.zero(n) for _ in range(model.dim)]
-    for (_, (j,)), c in x.comps.get((0, 1), {}).items():
-        out[n + j] = c
-    return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .brackets import unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
 from .frames import (DiracFrame, GVField, _leg_derivative, graph_bivector,
@@ -341,18 +342,13 @@ class HoloPoisson:
         """n x n matrix of phi as a map from the dzbar frame to the dz frame."""
         return phi_geom_matrix(self.phi)
 
-    def _unit(self, k):
-        col = [self.model.zero_poly() for _ in range(self.model.dim)]
-        col[k] = self.model.poly(1)
-        return col
-
     def antiholo_frame_columns(self):
         """Columns spanning the deformed antiholomorphic tangent bundle."""
         n = self.model.n
         Phi = self.phi_matrix()
         cols = []
         for b in range(n):
-            col = self._unit(n + b)
+            col = unit_vector(self.model, n + b)
             for i in range(n):
                 if Phi[i][b]:
                     col[i] = col[i] + Phi[i][b]
@@ -365,7 +361,7 @@ class HoloPoisson:
         Phi = self.phi_matrix()
         cols = []
         for b in range(n):
-            col = self._unit(b)
+            col = unit_vector(self.model, b)
             for i in range(n):
                 if Phi[i][b]:
                     col[n + i] = col[n + i] + Phi[i][b].conj()
@@ -379,7 +375,7 @@ class HoloPoisson:
         Phi = self.phi_matrix()
         cols = []
         for a in range(n):
-            col = self._unit(a)
+            col = unit_vector(self.model, a)
             for b in range(n):
                 if Phi[a][b]:
                     col[n + b] = col[n + b] - Phi[a][b]
@@ -392,7 +388,7 @@ class HoloPoisson:
         Phi = self.phi_matrix()
         cols = []
         for a in range(n):
-            col = self._unit(n + a)
+            col = unit_vector(self.model, n + a)
             for b in range(n):
                 if Phi[a][b]:
                     col[b] = col[b] - Phi[a][b].conj()

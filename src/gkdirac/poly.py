@@ -298,9 +298,6 @@ class Poly:
             out.setdefault(m, Poly(n)).terms[e] = c
         return out
 
-    def total_degree(self) -> int:
-        return max((sum(e[:2 * self.n]) for e in self.terms), default=-1)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -200,3 +200,45 @@ def test_euler_homotopy_rejects_bad_input():
         euler_homotopy(MixedForm.function(M, M.z(0)))
     with pytest.raises(ValueError):
         euler_homotopy(dz(M, 0))
+
+
+# -- storage shared with MVElement ------------------------------------------
+
+def test_render_and_repr_with_dt_leg():
+    a = (MixedForm.monomial(MP, MP.z(0) * MP.t() + MP.poly(2), (1,), (0,),
+                            dt=True)
+         + MixedForm.function(MP, MP.zbar(1)))
+    expected = ("[(1+0 i)*zb2] 1  +  "
+                "[(2+0 i) + (1+0 i)*z1*t] dt^dz2^dzb1")
+    assert a.render() == expected
+    assert repr(a) == f"MixedForm<{expected}>"
+    assert MixedForm.zero(M).render() == "0"
+
+
+def test_form_never_equals_polyvector():
+    from gkdirac.multivector import MVElement
+
+    assert (MixedForm.zero(M) == MVElement.zero(M)) is False
+    assert (MixedForm.function(M, M.poly(1))
+            == MVElement.function(M, M.poly(1))) is False
+    with pytest.raises(TypeError):
+        MixedForm.zero(M) + MVElement.zero(M)
+
+
+def test_cancellation_leaves_no_empty_tables():
+    rng = random.Random(23)
+    x = rand_form(rng, MP, [(1, 0), (0, 1), (1, 1)], nterms=3)
+    assert x
+    s = x + (-x)
+    assert s.comps == {}
+    assert s.is_zero() and not s
+    d = dz(M, 0) + dz(M, 1)
+    assert (d - dz(M, 0)).comps == {(1, 0, 0): {((1,), ()): M.poly(1)}}
+
+
+def test_scale_accepts_int_and_fraction():
+    a = dz(M, 0).poly_mul(M.z(1)) + dzbar(M, 1)
+    assert a.scale(2) == a + a
+    assert a.scale(Fraction(1, 2)).scale(2) == a
+    assert a.scale(0).comps == {}
+    assert a.scale(Scalar(0, 1)).scale(Scalar(0, 1)) == -a

@@ -121,3 +121,55 @@ def test_type_guards():
         bivector_matrix(vec(M, 0))
     with pytest.raises(ValueError):
         vector_components(covec_bar(M, 0))
+
+
+# -- storage shared with MixedForm -------------------------------------------
+
+def _t_series():
+    t = MP.t()
+    return (MVElement.monomial(MP, t * t + MP.z(1), vecs=(0, 1))
+            + MVElement.monomial(MP, t - MP.poly(3), vecs=(0,), bars=(1,)))
+
+
+def test_render_and_repr_legs():
+    s = _t_series()
+    expected = ("[(-3+0 i) + (1+0 i)*t] @z1^dzb2  +  "
+                "[(1+0 i)*z2 + (1+0 i)*t^2] @z1^@z2")
+    assert s.render() == expected
+    assert repr(s) == f"MVElement<{expected}>"
+    assert MVElement.zero(M).render() == "0"
+
+
+def test_polyvector_never_equals_form():
+    assert (MVElement.zero(M) == MixedForm.zero(M)) is False
+    with pytest.raises(TypeError):
+        MVElement.zero(M) + MixedForm.zero(M)
+
+
+def test_cancellation_and_scale():
+    x = _t_series()
+    assert (x + (-x)).comps == {}
+    assert (x - x).is_zero() and not (x - x)
+    assert x.scale(2) == x + x
+    assert x.scale(Fraction(1, 3)).scale(3) == x
+    assert x.scale(0).comps == {}
+
+
+def test_t_series_helpers():
+    s = _t_series()
+    one = MP.poly(1)
+    assert s.t_degree() == 2
+    assert MVElement.zero(MP).t_degree() == -1
+    assert s.t_coefficient(1) == MVElement.monomial(MP, one, vecs=(0,),
+                                                    bars=(1,))
+    assert s.t_coefficient(0) == (
+        MVElement.monomial(MP, MP.z(1), vecs=(0, 1))
+        + MVElement.monomial(MP, MP.poly(-3), vecs=(0,), bars=(1,)))
+    assert s.t_coefficient(3).comps == {}
+    assert s.t_truncate(1) == s - MVElement.monomial(
+        MP, MP.t() * MP.t(), vecs=(0, 1))
+    assert s.t_truncate(0) == s.t_coefficient(0)
+    # t = 3 cancels the (1,1) piece entirely: no empty table is left
+    at3 = s.substitute_t(sc(3))
+    assert at3.comps == {(2, 0): {((0, 1), ()): MP.z(1) + MP.poly(9)}}
+    assert at3.render() == "[(9+0 i) + (1+0 i)*z2] @z1^@z2"
