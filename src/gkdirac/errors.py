@@ -1,8 +1,9 @@
 """Package-wide error types.
 
-Every operation either returns an exact result, returns a report with a
-witness, or raises one of these.  Nothing in the package silently degrades
-to floating point or drops a failed certificate.
+Every operation either returns an exact result, returns a
+:class:`gkdirac.report.Report` (named checks with their witnesses), or
+raises one of these.  Nothing in the package silently degrades to floating
+point or drops a failed certificate.
 """
 
 __all__ = [

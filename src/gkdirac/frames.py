@@ -37,6 +37,7 @@ from .linalg import (
 )
 from .model import Model, Point
 from .poly import Poly
+from .report import Report
 from .scalars import Scalar, ZERO
 
 __all__ = [
@@ -434,23 +435,16 @@ def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
 # ---------------------------------------------------------------------------
 
 class involutivity_report:
-    """Outcome of an involutivity check: per-pair certificates plus rank."""
+    """Involutivity of a Dirac frame: per-pair span certificates plus rank."""
 
-    __slots__ = ("ok", "rank", "expected_rank", "isotropic", "failures")
-
-    def __init__(self, ok, rank, expected_rank, isotropic, failures):
-        self.ok = ok
-        self.rank = rank
-        self.expected_rank = expected_rank
-        self.isotropic = isotropic
-        self.failures = failures
-
-    def __bool__(self):
-        return self.ok
-
+    # a namespace only: perfbench/tracer.py wraps involutivity_report.check
     @staticmethod
     def check(frame: DiracFrame, rng, H: MixedForm = None, tmax=None,
               require_rank=None):
+        """Checks ``rank`` (generic rank is ``require_rank``, default the
+        dimension), ``isotropic`` and ``involutive`` (every H-twisted
+        Dorfman bracket of generators lies in the span; the failing pairs
+        and their certificates are in ``witnesses["failures"]``)."""
         model = frame.model
         cols = [g.stack() for g in frame.gens]
         if tmax is not None:
@@ -473,8 +467,11 @@ class involutivity_report:
                 ok, cert = span_certificate(cols, w, model, rng, tmax=tmax)
                 if not ok:
                     failures.append((i, j, cert))
-        ok = (rank == expected) and isotropic and not failures
-        return involutivity_report(ok, rank, expected, isotropic, failures)
+        return Report("involutivity",
+                      {"rank": rank == expected, "isotropic": isotropic,
+                       "involutive": not failures},
+                      witnesses={"failures": failures},
+                      stats={"rank": rank, "expected_rank": expected})
 
 
 def frames_equal(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> bool:

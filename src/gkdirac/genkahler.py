@@ -35,12 +35,11 @@ from .poisson import (Bivector, RealPoisson, build_L_sigma,
                       check_gauge_equiv, extract_holo_poisson,
                       gauge_real_poisson, imag_Q)
 from .poly import Poly
+from .report import Report
 from .scalars import Scalar
 
 __all__ = [
     "GCStruct",
-    "GKCheckReport",
-    "GKFamilyReport",
     "GKPair",
     "gc_deform",
     "gc_from_dirac",
@@ -227,27 +226,13 @@ class GKPair:
         return f"GKPair(dim={self.model.dim})"
 
 
-class GKCheckReport:
-    """Verdict of the four-condition generalized Kahler check."""
-
-    __slots__ = ("model", "conditions", "verdict", "pair", "details")
-
-    def __init__(self, model, conditions, verdict, pair, details):
-        self.model = model
-        self.conditions = dict(conditions)
-        self.verdict = verdict
-        self.pair = pair
-        self.details = dict(details)
-
-    @property
-    def ok(self):
-        return self.verdict == "generalized kahler"
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return f"GKCheckReport({self.verdict!r})"
+def _gk_verdict(conditions) -> str:
+    """The verdict string of a four-condition dictionary."""
+    if all(conditions.values()):
+        return "generalized kahler"
+    if conditions["holomorphic_poisson_pair"]:
+        return "degenerate generalized kahler"
+    return "not generalized kahler"
 
 
 def _gram_matrix(model, columns):
@@ -270,7 +255,7 @@ def _sylvester_positive(G):
 
 
 def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
-             sample_count=5) -> GKCheckReport:
+             sample_count=5) -> Report:
     """Run the four-condition generalized Kahler check on a frame pair.
 
     Never raises for a mathematically meaningful failure -- each condition
@@ -284,7 +269,8 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
         raise ValueError("mixed models")
     conj1, conj2 = L1.conj(), L2.conj()
     conditions = {}
-    details = {}
+    witnesses = {}
+    stats = {}
 
     conditions["transversality"] = (_anchor_spans(L1, conj1, rng)
                                     and _anchor_spans(L2, conj2, rng))
@@ -302,7 +288,7 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
                     + ", ".join(str(k) for k in defect))
         except (SingularityError, UnsupportedSceneError,
                 CertificateError) as err:
-            details[f"real_structure_{tag}"] = str(err)
+            witnesses[f"real_structure_{tag}"] = str(err)
             cand = None
         if tag == "first":
             pi1 = cand
@@ -321,7 +307,7 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
                     f"extracted structure failed certificates: {certs!r}")
         except (SingularityError, UnsupportedSceneError,
                 CertificateError) as err:
-            details[f"holomorphic_{tag}"] = str(err)
+            witnesses[f"holomorphic_{tag}"] = str(err)
             hp = None
         if tag == "plus":
             hp_plus = hp
@@ -335,7 +321,7 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
             raise CertificateError(
                 "extracted structures do not share an imaginary part; this "
                 "contradicts the half-difference identities")
-        details["imaginary_parts_match"] = True
+        stats["imaginary_parts_match"] = True
         if conditions["real_poisson_graphs"] and not \
                 conditions["transversality"]:
             raise CertificateError(
@@ -367,7 +353,7 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
                     + [conj_stack(model, c) for c in ell_minus.columns])
             rows = [[c[i] for c in cols] for i in range(2 * model.dim)]
             spanning.append(scalar_rank(rows) == 2 * model.dim)
-    details["intersection_ranks"] = rank_trace
+    stats["intersection_ranks"] = rank_trace
     conditions["positivity"] = bool(positive_votes) and all(positive_votes)
     if conditions["holomorphic_poisson_pair"] and spanning \
             and not all(spanning):
@@ -375,20 +361,15 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
             "the four intersection subspaces fail to span the fibre at a "
             "generic sample point")
     if spanning:
-        details["fibre_splits"] = True
-
-    if all(conditions.values()):
-        verdict = "generalized kahler"
-    elif conditions["holomorphic_poisson_pair"]:
-        verdict = "degenerate generalized kahler"
-    else:
-        verdict = "not generalized kahler"
+        stats["fibre_splits"] = True
 
     pair = None
     if conditions["holomorphic_poisson_pair"]:
         pair = GKPair(model, L1, L2, hp_plus, hp_minus, pi1=pi1, pi2=pi2,
                       gram_samples=gram_samples)
-    return GKCheckReport(model, conditions, verdict, pair, details)
+    return Report("gk_check", conditions, witnesses=witnesses, stats=stats,
+                  model=model, conditions=dict(conditions),
+                  verdict=_gk_verdict(conditions), pair=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +377,7 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
 # ---------------------------------------------------------------------------
 
 def gk_lift(beta_plus: MixedForm, beta_minus: MixedForm, pair: GKPair,
-            rng, tmax=None) -> GKCheckReport:
+            rng, tmax=None) -> Report:
     """Lift a pair of gauge deformations of (sigma_+, sigma_-) to the pair.
 
     Given closed 2-forms with a shared imaginary part B, the frames are
@@ -468,57 +449,29 @@ def gk_lift(beta_plus: MixedForm, beta_minus: MixedForm, pair: GKPair,
 # One-parameter families
 # ---------------------------------------------------------------------------
 
-class GKFamilyReport:
-    """Deformation family outcome: deformed frames, certificates, and the
-    exact determinant root data bounding the validity region.
+def _t_window(det_roots) -> tuple:
+    """Conservative open parameter interval around 0 that avoids every
+    isolated determinant root; either side is None when unbounded.
 
-    ``checked`` holds one ``(t, conditions, verdict)`` triple per sampled
-    parameter value; ``conditions`` is the per-value condition dictionary
-    (or None when the value was skipped as degenerate)."""
-
-    __slots__ = ("model", "L1", "L2", "sigma_plus_family", "minus_fixed",
-                 "det_roots", "checked", "ok")
-
-    def __init__(self, model, L1, L2, sigma_plus_family, minus_fixed,
-                 det_roots, checked):
-        self.model = model
-        self.L1 = L1
-        self.L2 = L2
-        self.sigma_plus_family = sigma_plus_family
-        self.minus_fixed = minus_fixed
-        self.det_roots = det_roots
-        self.checked = checked
-        self.ok = minus_fixed and all(v == "generalized kahler"
-                                      for _t, _c, v in checked)
-
-    def t_window(self) -> tuple:
-        """Conservative open parameter interval around 0 that avoids every
-        isolated determinant root; either side is None when unbounded.
-
-        Each isolating interval is avoided wholesale, so the window can
-        only be narrower than the true root-free region."""
-        lo = hi = None
-        for roots in self.det_roots.values():
-            if roots is None:
-                continue
-            for per_point in roots:
-                for a, b in per_point:
-                    if a >= 0:
-                        hi = a if hi is None else min(hi, a)
-                    elif b <= 0:
-                        lo = b if lo is None else max(lo, b)
-                    else:
-                        # an isolating interval straddling 0 collapses the
-                        # window; the root itself cannot sit at 0 because
-                        # the pencil starts at the identity
-                        lo = Fraction(0) if lo is None else max(
-                            lo, Fraction(0))
-                        hi = Fraction(0) if hi is None else min(
-                            hi, Fraction(0))
-        return (lo, hi)
-
-    def __repr__(self):
-        return f"GKFamilyReport(ok={self.ok}, checked={self.checked!r})"
+    Each isolating interval is avoided wholesale, so the window can only
+    be narrower than the true root-free region."""
+    lo = hi = None
+    for roots in det_roots.values():
+        if roots is None:
+            continue
+        for per_point in roots:
+            for a, b in per_point:
+                if a >= 0:
+                    hi = a if hi is None else min(hi, a)
+                elif b <= 0:
+                    lo = b if lo is None else max(lo, b)
+                else:
+                    # an isolating interval straddling 0 collapses the
+                    # window; the root itself cannot sit at 0 because the
+                    # pencil starts at the identity
+                    lo = Fraction(0) if lo is None else max(lo, Fraction(0))
+                    hi = Fraction(0) if hi is None else min(hi, Fraction(0))
+    return (lo, hi)
 
 
 def _det_root_intervals(det: Poly, model, points):
@@ -569,7 +522,7 @@ def _real_graph_frame_certificate(f: DiracFrame, rng, tmax=None) -> bool:
 
 
 def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
-                     check_ts=None, sample_count=4) -> GKFamilyReport:
+                     check_ts=None, sample_count=4) -> Report:
     """Deform a pair by the family (e^{iF} L1, e^{-iF} L2) for a real
     closed t-dependent 2-form F with F(0) = 0.
 
@@ -579,10 +532,11 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
     pair condition for the whole family.  The open conditions --
     transversality, real Poisson graphs, positivity -- genuinely depend
     on the parameter value and are re-established at each entry of
-    ``check_ts``; ``checked`` records (t, conditions, verdict) triples.
+    ``check_ts``; ``checked`` records (t, conditions, verdict) triples,
+    with conditions None where a degenerate value was skipped.
     Determinant root intervals for both real pencils are isolated at
-    sample points to bound the parameter window where the open conditions
-    can persist.
+    sample points (``det_roots``) to bound the parameter window where the
+    open conditions can persist (``stats["t_window"]``).
     """
     model = pair.model
     if not F.t_truncate(0).is_zero():
@@ -664,13 +618,13 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
                 _gram_matrix(model, ell.columns))
             votes.append(okflag)
         conds["positivity"] = bool(votes) and all(votes)
-        if all(conds.values()):
-            verdict = "generalized kahler"
-        elif conds["holomorphic_poisson_pair"]:
-            verdict = "degenerate generalized kahler"
-        else:
-            verdict = "not generalized kahler"
-        checked.append((tv, conds, verdict))
+        checked.append((tv, conds, _gk_verdict(conds)))
 
-    return GKFamilyReport(model, L1t, L2t, hp_family, minus_fixed,
-                          det_roots, checked)
+    members_gk = all(v == "generalized kahler" for _t, _c, v in checked)
+    return Report("gk_deform_family",
+                  {"minus_fixed": minus_fixed,
+                   "members_generalized_kahler": members_gk},
+                  stats={"t_window": _t_window(det_roots)},
+                  model=model, L1=L1t, L2=L2t, sigma_plus_family=hp_family,
+                  minus_fixed=minus_fixed, det_roots=det_roots,
+                  checked=checked)

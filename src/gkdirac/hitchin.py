@@ -51,16 +51,12 @@ from .poisson import (Bivector, HoloPoisson, RealPoisson, build_L_sigma,
                       _describe_zero_locus, _deformed_frame_change,
                       _holo_projector)
 from .poly import Poly
+from .report import Report
 from .scalars import Scalar
 
 __all__ = [
     "DeformSeries",
     "MCElement",
-    "GraphIdentityReport",
-    "MCComponentReport",
-    "DeformedStructures",
-    "HamiltonianFamilyReport",
-    "TwistorReport",
     "deformation_frame",
     "deformed_holomorphic_lift",
     "deformed_structures",
@@ -367,29 +363,6 @@ def deformation_frame(hp: HoloPoisson, eps: MCElement, tmax=None) -> DiracFrame:
     return out.t_truncate(tmax) if tmax is not None else out
 
 
-class GraphIdentityReport:
-    """Pointwise (and optionally series-level) evidence that the gauge of
-    L_sigma by a two-form is its graph deformation by the transported
-    inverse series."""
-
-    __slots__ = ("model", "points", "series_order", "series_equal",
-                 "det_locus", "ok")
-
-    def __init__(self, model, points, series_order, series_equal, det_locus):
-        self.model = model
-        self.points = list(points)
-        self.series_order = series_order
-        self.series_equal = series_equal
-        self.det_locus = det_locus
-        self.ok = (bool(self.points)
-                   and all(flag for _pt, flag in self.points)
-                   and series_equal in (None, True))
-
-    def __repr__(self):
-        return (f"GraphIdentityReport(ok={self.ok}, "
-                f"points={len(self.points)}, series={self.series_equal})")
-
-
 def _const_matrix(model, rows):
     return [[Poly.const(model.n, v) for v in row] for row in rows]
 
@@ -399,7 +372,7 @@ def _matrix_uses_t(M) -> bool:
 
 
 def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
-                          order=None, sample_count=5) -> GraphIdentityReport:
+                          order=None, sample_count=5) -> Report:
     """Certify e^beta L_sigma = the graph deformation by the transported
     inverse series of beta.
 
@@ -407,7 +380,8 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
     inverse is a scalar matrix inverse over Q(i), so no truncation enters
     -- and, when ``order`` is given and beta vanishes at t = 0, once more
     at series level mod t^{order+1}.  Points on the degeneracy locus of
-    1 + beta sigma are skipped; the locus itself is reported.
+    1 + beta sigma are skipped; the locus itself is reported.  The
+    sampled ``(point, agrees)`` pairs are in ``witnesses["points"]``.
     """
     model = beta.model
     hp = _background(model, hp)
@@ -422,9 +396,9 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
     locus = _describe_zero_locus(det, model)
     moved = gauge_frame(build_L_sigma(hp, check=False), beta)
     with_t = _matrix_uses_t(W) or _matrix_uses_t(M)
-    checks = []
+    points = []
     attempts = 0
-    while len(checks) < sample_count and attempts < 10 * sample_count:
+    while len(points) < sample_count and attempts < 10 * sample_count:
         attempts += 1
         pt = model.sample_point(rng, with_t=with_t)
         if det.eval(pt).is_zero():
@@ -448,8 +422,8 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
             form_from_matrix(model, _const_matrix(model, psi_p)), hp_p)
         right = deformation_frame(hp_p, eps_p).eval_point(pt)
         left = moved.eval_point(pt)
-        checks.append((pt, left.equals(right)))
-    if len(checks) < sample_count:
+        points.append((pt, left.equals(right)))
+    if len(points) < sample_count:
         raise SingularityError(
             "could not sample enough points off the degeneracy locus; the "
             "determinant vanishes on: " + locus)
@@ -461,7 +435,13 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
         series_equal = frames_equal(moved.t_truncate(order),
                                     deformation_frame(hp, eps, tmax=order),
                                     rng, tmax=order)
-    return GraphIdentityReport(model, checks, order, series_equal, locus)
+    return Report("graph_identity",
+                  {"points_sampled": bool(points),
+                   "points_agree": all(flag for _pt, flag in points),
+                   "series": series_equal in (None, True)},
+                  witnesses={"points": points, "det_locus": locus},
+                  stats={"series_order": order},
+                  model=model, series_equal=series_equal)
 
 
 # ---------------------------------------------------------------------------
@@ -592,26 +572,7 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
 # Componentwise flatness
 # ---------------------------------------------------------------------------
 
-class MCComponentReport:
-    """Componentwise flatness residuals of a transported element."""
-
-    __slots__ = ("components", "linear", "ok", "linear_ok")
-
-    def __init__(self, components, linear):
-        self.components = dict(components)
-        self.linear = linear
-        self.ok = all(v.is_zero() for v in self.components.values())
-        self.linear_ok = linear.is_zero()
-
-    def __repr__(self):
-        bad = sorted(k for k, v in self.components.items()
-                     if not v.is_zero())
-        extra = f", nonzero={bad}" if bad else ""
-        return (f"MCComponentReport(ok={self.ok}, "
-                f"linear_ok={self.linear_ok}{extra})")
-
-
-def mc_component_check(eps: MCElement, sigma, tmax=None) -> MCComponentReport:
+def mc_component_check(eps: MCElement, sigma, tmax=None) -> Report:
     """Evaluate the flatness equation of ``eps`` componentwise.
 
     The named residuals are the graded pieces of ``partial_bar(eps) +
@@ -625,7 +586,7 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> MCComponentReport:
     Their sum is compared against the one-shot residual (a consistency
     check of the bracket bookkeeping, raising on mismatch), and the
     t-linear part is additionally evaluated against the linearised
-    equation alone.
+    equation alone (``stats["linear_ok"]``; it does not enter ``ok``).
     """
     model = eps.model
     sig = _sigma_element(model, sigma)
@@ -657,7 +618,10 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> MCComponentReport:
             "component split disagrees with the one-shot flatness residual")
     eps1 = eps.polyvector().t_coefficient(1)
     linear = eps1.partial_bar() + dgla_bracket(sig, eps1)
-    return MCComponentReport(comps, linear)
+    return Report("mc_components",
+                  {k: v.is_zero() for k, v in comps.items()},
+                  witnesses={"residuals": comps, "linear_residual": linear},
+                  stats={"linear_ok": linear.is_zero()})
 
 
 # ---------------------------------------------------------------------------
@@ -770,35 +734,6 @@ def deformed_holomorphic_lift(f: Poly, eps: MCElement, order: int) -> Poly:
     return h
 
 
-class DeformedStructures:
-    """Deformed projector, Poisson structure, and the triangular block map,
-    with the criteria exercised on test functions and fields."""
-
-    __slots__ = ("model", "projector", "poisson", "psi_blocks",
-                 "frame_match", "certificates", "holomorphic_functions",
-                 "poisson_fields", "ok")
-
-    def __init__(self, model, projector, poisson, psi_blocks, frame_match,
-                 certificates, holomorphic_functions, poisson_fields):
-        self.model = model
-        self.projector = projector
-        self.poisson = poisson
-        self.psi_blocks = psi_blocks
-        self.frame_match = frame_match
-        self.certificates = certificates
-        self.holomorphic_functions = list(holomorphic_functions)
-        self.poisson_fields = list(poisson_fields)
-        self.ok = (frame_match and bool(certificates.ok)
-                   and all(f[1] for f in self.holomorphic_functions)
-                   and all(ok for _lbl, qual, ok in self.poisson_fields
-                           if qual))
-
-    def __repr__(self):
-        return (f"DeformedStructures(ok={self.ok}, "
-                f"functions={len(self.holomorphic_functions)}, "
-                f"fields={len(self.poisson_fields)})")
-
-
 def _criterion_functions(model):
     n = model.n
     out = [model.z(0), model.zbar(0), model.z(0) * model.zbar(0)]
@@ -808,7 +743,7 @@ def _criterion_functions(model):
 
 
 def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
-                        tmax=None) -> DeformedStructures:
+                        tmax=None) -> Report:
     """Build the complex structure and bivector deformed by ``eps``.
 
     The projector onto the deformed holomorphic bundle conjugates
@@ -912,28 +847,21 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
                     f"field {label} is flat for the deformation but does "
                     "not preserve the deformed bivector")
         fields.append((label, qualified, verdict))
-    return DeformedStructures(model, P, hp_new, psi_blocks, frame_match,
-                              certs, functions, fields)
+    return Report("deformed_structures",
+                  {"frame_match": frame_match, "certificates": certs.ok,
+                   "holomorphic_functions": all(f[1] for f in functions),
+                   "poisson_fields": all(ok for _lbl, qual, ok in fields
+                                         if qual)},
+                  witnesses={"holomorphic_functions": functions,
+                             "poisson_fields": fields},
+                  model=model, projector=P, poisson=hp_new,
+                  psi_blocks=psi_blocks, frame_match=frame_match,
+                  certificates=certs)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian families
 # ---------------------------------------------------------------------------
-
-class HamiltonianFamilyReport:
-    """Outcome of the velocity/involutivity identities for a family."""
-
-    __slots__ = ("mode", "checks", "details", "ok")
-
-    def __init__(self, mode, checks, details=None):
-        self.mode = mode
-        self.checks = dict(checks)
-        self.details = dict(details or {})
-        self.ok = all(self.checks.values())
-
-    def __repr__(self):
-        return f"HamiltonianFamilyReport(mode={self.mode!r}, ok={self.ok})"
-
 
 def _param_form(pm: Model, form: MixedForm) -> MixedForm:
     """Reread a dt-free form over the parameter-extended frame."""
@@ -947,7 +875,7 @@ def _param_form(pm: Model, form: MixedForm) -> MixedForm:
 
 
 def hamiltonian_family_check(family, rng, mode: str = "real",
-                             tmax=None) -> HamiltonianFamilyReport:
+                             tmax=None) -> Report:
     """Certify the Hamiltonian-flow identities of a one-parameter family.
 
     ``mode='real'`` takes ``family = (pi_t, B_t)`` -- a bivector family
@@ -968,7 +896,7 @@ def hamiltonian_family_check(family, rng, mode: str = "real",
     raise ValueError("mode must be 'real' or 'complex'")
 
 
-def _ham_real(family, rng, tmax) -> HamiltonianFamilyReport:
+def _ham_real(family, rng, tmax) -> Report:
     pi, B = family
     if isinstance(pi, RealPoisson):
         piv = pi.pi
@@ -988,7 +916,6 @@ def _ham_real(family, rng, tmax) -> HamiltonianFamilyReport:
     n, dim = model.n, model.dim
     cut = None if tmax is None else tmax - 1
     checks = {}
-    details = {}
     FB = form_matrix(B)
     Fdot = [[e.d_t() for e in row] for row in FB]
     Mdot = [[e.d_t() for e in row] for row in piv.mat]
@@ -1032,7 +959,6 @@ def _ham_real(family, rng, tmax) -> HamiltonianFamilyReport:
     checks["twisted_involutivity"] = (
         not failures and D.is_isotropic()
         and generic_rank(rank_rows, pm, rng) == pdim)
-    details["involutivity_failures"] = failures
 
     fgens = [GVField(pm, vec=unit_vector(pm, k)) for k in range(dim)]
     fgens.append(GVField(pm, cov=unit_vector(pm, dim)))
@@ -1040,8 +966,9 @@ def _ham_real(family, rng, tmax) -> HamiltonianFamilyReport:
     diff = dirac_sum(D, dirac_scale(horizontal, _MINUS_ONE), rng, tmax=tmax)
     checks["graph_recovered"] = frames_equal(
         diff, graph_bivector(pm, M3), rng, tmax=tmax)
-    details["certified_order"] = cut
-    return HamiltonianFamilyReport("real", checks, details)
+    return Report("hamiltonian_family", checks,
+                  witnesses={"involutivity_failures": failures},
+                  stats={"mode": "real", "certified_order": cut})
 
 
 def _lift_parameter(p: Poly, n: int) -> Poly:
@@ -1060,7 +987,7 @@ def _wcut_poly(p: Poly, bound: int, n1: int) -> Poly:
     return Poly(n1, keep)
 
 
-def _ham_complex(ds: DeformSeries, tmax) -> HamiltonianFamilyReport:
+def _ham_complex(ds: DeformSeries, tmax) -> Report:
     if not isinstance(ds, DeformSeries):
         raise TypeError("complex mode takes a DeformSeries")
     model = ds.model
@@ -1126,30 +1053,13 @@ def _ham_complex(ds: DeformSeries, tmax) -> HamiltonianFamilyReport:
     resid3 = mat_add(Mbardot, mat_add(wmul(wmul(Mtbar, W11bar), Mt),
                                       wmul(wmul(Mt, W11bar), Mtbar)))
     checks["conjugate_velocity"] = mat_is_zero(wcut(resid3))
-    return HamiltonianFamilyReport("complex", checks,
-                                   {"certified_order": cut})
+    return Report("hamiltonian_family", checks,
+                  stats={"mode": "complex", "certified_order": cut})
 
 
 # ---------------------------------------------------------------------------
 # The flat four-dimensional demonstration family
 # ---------------------------------------------------------------------------
-
-class TwistorReport:
-    """Every certified fact about the flat four-dimensional family."""
-
-    __slots__ = ("model", "sigma1", "series", "omega_t", "checks", "ok")
-
-    def __init__(self, model, sigma1, series, omega_t, checks):
-        self.model = model
-        self.sigma1 = sigma1
-        self.series = series
-        self.omega_t = omega_t
-        self.checks = dict(checks)
-        self.ok = all(self.checks.values())
-
-    def __repr__(self):
-        return f"TwistorReport(ok={self.ok})"
-
 
 def _constant_form_inverse(model, form: MixedForm):
     """Bivector matrix inverting a constant nondegenerate two-form."""
@@ -1159,7 +1069,7 @@ def _constant_form_inverse(model, form: MixedForm):
     return _const_matrix(model, inv)
 
 
-def twistor_demo(order: int = 2, rng=None) -> TwistorReport:
+def twistor_demo(order: int = 2, rng=None) -> Report:
     """Flat four-dimensional scene with three constant symplectic forms.
 
     Pins the complex structures by the quaternion relations from
@@ -1253,7 +1163,8 @@ def twistor_demo(order: int = 2, rng=None) -> TwistorReport:
         if not mat_is_zero(mat_sub(mat_mul(Ev, Mtv), Mtv)):
             inverse_ok = False
     checks["family_inverse"] = inverse_ok
-    report = TwistorReport(model, sigma1, series, omega_t, checks)
+    report = Report("twistor_demo", checks, model=model, sigma1=sigma1,
+                    series=series, omega_t=omega_t)
     if not report.ok:
         bad = sorted(k for k, v in checks.items() if not v)
         raise CertificateError("flat-family assertions failed: "

@@ -33,14 +33,13 @@ from .multivector import (MVElement, bivector_matrix, form_matrix,
                           mv_from_bivector_matrix, mv_from_endo,
                           phi_geom_matrix)
 from .poly import Poly
+from .report import Report
 from .scalars import Scalar, ONE
 
 __all__ = [
     "Bivector",
     "RealPoisson",
     "HoloPoisson",
-    "PoissonCertificates",
-    "GaugeReport",
     "schouten_defect",
     "complex_structure_matrix",
     "gauge_real_poisson",
@@ -286,29 +285,6 @@ class RealPoisson:
 # Holomorphic Poisson structures
 # ---------------------------------------------------------------------------
 
-class PoissonCertificates:
-    __slots__ = ("mc_phi", "type_20", "closure", "closure_method", "details")
-
-    def __init__(self, mc_phi, type_20, closure, closure_method, details=None):
-        self.mc_phi = mc_phi
-        self.type_20 = type_20
-        self.closure = closure
-        self.closure_method = closure_method
-        self.details = details or {}
-
-    @property
-    def ok(self):
-        return self.mc_phi and self.type_20 and self.closure
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return (f"PoissonCertificates(mc_phi={self.mc_phi}, "
-                f"type_20={self.type_20}, closure={self.closure}, "
-                f"method={self.closure_method!r})")
-
-
 class HoloPoisson:
     """A deformed complex structure with a compatible holomorphic bivector.
 
@@ -420,12 +396,17 @@ class HoloPoisson:
                 out.append(img)
         return out
 
-    def certificates(self, rng, tmax=None) -> PoissonCertificates:
+    def certificates(self, rng, tmax=None) -> Report:
+        """Checks ``mc_phi`` (phi is flat), ``type_20`` (sigma has no
+        deformed antiholomorphic legs) and ``closure`` (sigma is a
+        holomorphic Poisson bivector, by the method in
+        ``stats["closure_method"]``)."""
         mc_ok = self.mc_phi_residual(tmax=tmax).is_zero()
         type_ok = not self.type_defects(tmax=tmax)
-        details = {}
+        witnesses = {}
+        stats = {}
         if self.phi.is_zero():
-            method = "direct"
+            stats["closure_method"] = "direct"
             n = self.model.n
             holostep = True
             for i in range(n):
@@ -434,16 +415,19 @@ class HoloPoisson:
                     if any(sum(e[n:2 * n]) for e in entry.terms):
                         holostep = False
             jac = schouten_defect(self.sigma, tmax=tmax)
-            details["antiholomorphic_dependence"] = not holostep
-            details["jacobiator_entries"] = sorted(jac)
+            stats["antiholomorphic_dependence"] = not holostep
+            witnesses["jacobiator_entries"] = sorted(jac)
             closure = holostep and not jac and self.sigma.is_pure_holo()
         else:
-            method = "frame"
+            stats["closure_method"] = "frame"
             rep = involutivity_report.check(
                 build_L_sigma(self, tmax=tmax, check=False), rng, tmax=tmax)
-            details["involutivity"] = rep
-            closure = bool(rep)
-        return PoissonCertificates(mc_ok, type_ok, closure, method, details)
+            witnesses["involutivity"] = rep
+            closure = rep.ok
+        return Report("poisson_certificates",
+                      {"mc_phi": mc_ok, "type_20": type_ok,
+                       "closure": closure},
+                      witnesses=witnesses, stats=stats)
 
     def frame(self, tmax=None, check=True) -> DiracFrame:
         return build_L_sigma(self, tmax=tmax, check=check)
@@ -749,52 +733,15 @@ def _conj_column(model, col):
 # Gauge equivalence of holomorphic Poisson structures
 # ---------------------------------------------------------------------------
 
-class GaugeReport:
-    """Outcome of a gauge-equivalence check.
-
-    ``conditions`` holds the four exact containment verdicts; ``frame_ok``
-    the independent graph identity; in real mode ``real_checks`` holds the
-    shared-imaginary-part and intertwining identities.  Construction fails
-    if the conditions and the frame identity disagree.
-    """
-
-    __slots__ = ("mode", "conditions", "witnesses", "frame_ok", "real_checks")
-
-    def __init__(self, mode, conditions, witnesses, frame_ok, real_checks):
-        self.mode = mode
-        self.conditions = conditions
-        self.witnesses = witnesses
-        self.frame_ok = frame_ok
-        self.real_checks = real_checks
-        if all(conditions.values()) != frame_ok:
-            raise CertificateError(
-                "containment conditions and the frame identity disagree: "
-                f"{conditions} vs frame_ok={frame_ok}")
-
-    @property
-    def ok(self):
-        base = all(self.conditions.values()) and self.frame_ok
-        if self.real_checks is not None:
-            base = base and all(self.real_checks.values())
-        return base
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return (f"GaugeReport(mode={self.mode!r}, conditions={self.conditions},"
-                f" frame_ok={self.frame_ok}, real_checks={self.real_checks})")
-
-
 def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
-                      mode="complex", rng=None, tmax=None) -> GaugeReport:
+                      mode="complex", rng=None, tmax=None) -> Report:
     """Decide gauge equivalence of two holomorphic Poisson structures.
 
     Four exact containment conditions characterise the equivalence; each is
     certified (or refuted with a witness point) independently of the graph
-    identity e^beta L_0 = L_1, and the report asserts the two verdicts
-    agree.  In real mode the shared imaginary part and its intertwining
-    identities are checked as exact matrix identities on top.
+    identity e^beta L_0 = L_1, and CertificateError is raised if the two
+    verdicts disagree.  In real mode the shared imaginary part and its
+    intertwining identities are checked as exact matrix identities on top.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for certificates")
@@ -843,7 +790,7 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
     frame_ok = frames_equal(gauge_frame(L0, beta, tmax=tmax), L1, rng,
                             tmax=tmax)
 
-    real_checks = None
+    checks = dict(conditions, frame_identity=frame_ok)
     if mode == "real":
         if not beta.is_real():
             raise CertificateError("real mode requires a real 2-form")
@@ -857,7 +804,7 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
                 mat = mat_t_truncate(mat, tmax)
             return mat_is_zero(mat)
 
-        real_checks = {
+        checks.update({
             "shared_imaginary_part": Q0 == Q1,
             "form_intertwines": z(mat_add(mat_mul(F, I0, tmax=tmax),
                                           mat_mul(mat_transpose(I1), F,
@@ -868,10 +815,15 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
                 mat_add(mat_mul(F, I0, tmax=tmax),
                         mat_mul(mat_transpose(I0), F, tmax=tmax)),
                 mat_mul(mat_mul(F, Q0.mat, tmax=tmax), F, tmax=tmax))),
-        }
+        })
     elif mode != "complex":
         raise ValueError(f"unknown mode {mode!r}")
-    return GaugeReport(mode, conditions, witnesses, frame_ok, real_checks)
+    if all(conditions.values()) != frame_ok:
+        raise CertificateError(
+            "containment conditions and the frame identity disagree: "
+            f"{conditions} vs frame_ok={frame_ok}")
+    return Report("gauge_equivalence", checks, witnesses=witnesses,
+                  stats={"mode": mode})
 
 
 def imag_Q(hp: HoloPoisson, tmax=None) -> Bivector:

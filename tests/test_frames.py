@@ -109,7 +109,7 @@ def test_tangent_and_cotangent_frames():
     c = cotangent_frame(M)
     assert t.is_isotropic() and c.is_isotropic()
     rep = involutivity_report.check(t, rng)
-    assert rep.ok and rep.rank == M.dim
+    assert rep.ok and rep.stats["rank"] == M.dim
     rep2 = involutivity_report.check(c, rng)
     assert rep2.ok
 
@@ -128,7 +128,7 @@ def test_graph_nonclosed_two_form_obstructed():
     B = MixedForm.monomial(M, M.zbar(0), (0, 1), ())
     assert not B.d().is_zero()
     rep = involutivity_report.check(graph_two_form(B), rng)
-    assert not rep.ok and rep.failures
+    assert not rep.ok and rep.witnesses["failures"]
 
 
 def test_gauge_by_closed_form_preserves_involutivity():

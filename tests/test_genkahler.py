@@ -134,7 +134,7 @@ def test_gk_check_flat_kahler_scene():
     expected_pi2 = (Bivector.wedge_pair(M2, 0, 2, sc(0, 2))
                     + Bivector.wedge_pair(M2, 1, 3, sc(0, 2)))
     assert pair.pi2.pi == expected_pi2
-    assert report.details.get("fibre_splits")
+    assert report.stats.get("fibre_splits")
 
 
 def test_gk_check_sign_flip_fails_only_positivity():
@@ -268,7 +268,7 @@ def test_gk_deform_family_zero_form():
     assert all(not roots for roots in fam.det_roots["second"])
     assert all(v == "generalized kahler" for _t, _c, v in fam.checked)
     assert all(conds and all(conds.values()) for _t, conds, _v in fam.checked)
-    assert fam.t_window() == (None, None)
+    assert fam.stats["t_window"] == (None, None)
 
 
 def test_gk_deform_family_linear_hermitian():
@@ -287,7 +287,7 @@ def test_gk_deform_family_linear_hermitian():
         assert a <= -1 <= b
     assert all(not roots for roots in fam.det_roots["first"])
     assert all(v == "generalized kahler" for _t, _c, v in fam.checked)
-    lo, hi = fam.t_window()
+    lo, hi = fam.stats["t_window"]
     # conservative: the window stops at the near edge of the isolating
     # interval around the root at -1
     assert hi is None and lo is not None and -1 <= lo < 0

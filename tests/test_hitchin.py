@@ -231,7 +231,7 @@ def test_solve_c2_complex_mode_differs_from_real():
 def test_graph_identity_zero_form():
     rng = random.Random(31)
     rep = verify_graph_identity(MixedForm.zero(M2), c2_background(), rng)
-    assert rep.ok and len(rep.points) == 5
+    assert rep.ok and len(rep.witnesses["points"]) == 5
 
 
 def test_graph_identity_constant_scene():
@@ -243,7 +243,7 @@ def test_graph_identity_constant_scene():
             + mono(M2, sc(0, 2), (0,), (0,)))
     assert beta.d().is_zero()
     rep = verify_graph_identity(beta, hp, rng, sample_count=6)
-    assert rep.ok and all(flag for _p, flag in rep.points)
+    assert rep.ok and all(flag for _p, flag in rep.witnesses["points"])
 
 
 def test_graph_identity_series_level():
@@ -260,16 +260,16 @@ def test_graph_identity_series_level():
 
 def test_mc_components_zero_element():
     rep = mc_component_check(MCElement.zero(M2), c2_background())
-    assert rep.ok and rep.linear_ok
+    assert rep.ok and rep.stats["linear_ok"]
 
 
 def test_mc_components_of_solved_series():
     hp = c2_background()
     ds = solve_hitchin(hp, fubini_seed(), 4, mode="real")
     rep = mc_component_check(ds.eps, hp, tmax=4)
-    assert rep.ok and rep.linear_ok
-    assert set(rep.components) == {"complex_structure", "holomorphicity",
-                                   "jacobi", "form_part"}
+    assert rep.ok and rep.stats["linear_ok"]
+    assert set(rep.witnesses["residuals"]) == {
+        "complex_structure", "holomorphicity", "jacobi", "form_part"}
 
 
 def test_mc_components_flag_violations():
@@ -277,7 +277,7 @@ def test_mc_components_flag_violations():
                                  vecs=(0,), bars=(0,))
     rep = mc_component_check(MCElement(M2, phi=phi_bad), c2_background())
     assert not rep.ok
-    assert not rep.components["complex_structure"].is_zero()
+    assert not rep.witnesses["residuals"]["complex_structure"].is_zero()
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -294,8 +294,8 @@ def test_mc_component_sum_consistency(a, b, c):
     gamma = MixedForm.monomial(M2, M2.z(1).scale(Scalar(c)), anti=(0, 1))
     eps = MCElement(M2, rho=rho, phi=phi, gamma=gamma)
     rep = mc_component_check(eps, c2_background())
-    assert set(rep.components) == {"complex_structure", "holomorphicity",
-                                   "jacobi", "form_part"}
+    assert set(rep.witnesses["residuals"]) == {
+        "complex_structure", "holomorphicity", "jacobi", "form_part"}
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +331,9 @@ def test_deformed_structures_solved_series():
     ds = solve_hitchin(hp, fubini_seed(), 4, mode="real")
     st_ = deformed_structures(ds.eps, hp, rng, tmax=4)
     assert st_.ok and st_.frame_match
-    assert all(agree for _f, agree, _h in st_.holomorphic_functions)
-    qualified = [lbl for lbl, q, _ok in st_.poisson_fields if q]
+    assert all(agree for _f, agree, _h in
+               st_.witnesses["holomorphic_functions"])
+    qualified = [lbl for lbl, q, _ok in st_.witnesses["poisson_fields"] if q]
     assert qualified  # the corrected coordinate hamiltonians make the cut
     assert frames_equal(
         deformation_frame(hp, ds.eps, tmax=4),

@@ -1,11 +1,13 @@
 """Packaging metadata and public names point at code that exists."""
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import gkdirac
+from gkdirac.report import Report
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -44,3 +46,16 @@ def test_all_names_exist():
         mod = importlib.import_module(f"gkdirac.{name}")
         for export in getattr(mod, "__all__", ()):
             assert hasattr(mod, export), f"gkdirac.{name}.{export} is missing"
+
+
+def test_only_report_defines_ok():
+    # every verdict comes back as a gkdirac.report.Report; a class of its
+    # own with an ``ok`` is a second result type
+    offenders = []
+    for info in pkgutil.iter_modules(gkdirac.__path__):
+        mod = importlib.import_module(f"gkdirac.{info.name}")
+        for obj in vars(mod).values():
+            if (inspect.isclass(obj) and obj.__module__ == mod.__name__
+                    and obj is not Report and "ok" in vars(obj)):
+                offenders.append(f"{mod.__name__}.{obj.__qualname__}")
+    assert not offenders, offenders

@@ -231,7 +231,7 @@ def test_certificates_linear_sigma_flat_background():
     hp = HoloPoisson(M2, sigma=MVElement.monomial(M2, M2.z(0), vecs=(0, 1)))
     certs = hp.certificates(rng)
     assert certs.ok
-    assert certs.closure_method == "direct"
+    assert certs.stats["closure_method"] == "direct"
     # cross-check the direct closure verdict against the frame machinery
     assert involutivity_report.check(build_L_sigma(hp), rng).ok
 
@@ -241,8 +241,8 @@ def test_certificates_fail_for_antiholomorphic_coefficient():
     hp = HoloPoisson(M2, sigma=MVElement.monomial(M2, M2.zbar(0),
                                                   vecs=(0, 1)))
     certs = hp.certificates(rng)
-    assert not certs.closure
-    assert certs.details["antiholomorphic_dependence"]
+    assert not certs.checks["closure"]
+    assert certs.stats["antiholomorphic_dependence"]
     # the frame characterisation agrees with the direct verdict
     assert not involutivity_report.check(build_L_sigma(hp), rng).ok
 
@@ -272,7 +272,7 @@ def test_constant_phi_is_flat_and_certified():
     hp = HoloPoisson(M2, phi=phi)
     certs = hp.certificates(rng)
     assert certs.ok
-    assert certs.closure_method == "frame"
+    assert certs.stats["closure_method"] == "frame"
 
 
 def test_complex_structure_matrix_background():
@@ -365,7 +365,7 @@ def test_gauge_equiv_trivial():
     hp = HoloPoisson(M2, sigma=MVElement.monomial(M2, M2.z(0), vecs=(0, 1)))
     report = check_gauge_equiv(hp, hp, MixedForm.zero(M2), rng=rng)
     assert report.ok
-    assert report.frame_ok
+    assert report.checks["frame_identity"]
 
 
 def test_gauge_equiv_violated_by_antiholomorphic_form():
@@ -375,8 +375,8 @@ def test_gauge_equiv_violated_by_antiholomorphic_form():
     beta = MixedForm.monomial(M2, M2.poly(Fraction(1, 3)), anti=(0, 1))
     report = check_gauge_equiv(hp, hp, beta, rng=rng)
     assert not report.ok
-    assert not report.conditions["covector_type"]
-    assert not report.frame_ok
+    assert not report.checks["covector_type"]
+    assert not report.checks["frame_identity"]
 
 
 def test_gauge_equiv_real_mode_area_form():
@@ -385,8 +385,8 @@ def test_gauge_equiv_real_mode_area_form():
     F = area_form(M1, Fraction(2, 7))
     report = check_gauge_equiv(hp, hp, F, mode="real", rng=rng)
     assert report.ok
-    assert report.real_checks["shared_imaginary_part"]
-    assert report.real_checks["single_structure"]
+    assert report.checks["shared_imaginary_part"]
+    assert report.checks["single_structure"]
 
 
 def test_gauge_equiv_real_mode_rejects_complex_form():
@@ -403,6 +403,25 @@ def test_gauge_equiv_rejects_nonclosed_form():
     beta = MixedForm.monomial(M2, M2.zbar(0), holo=(0, 1))
     with pytest.raises(CertificateError):
         check_gauge_equiv(hp, hp, beta, rng=rng)
+
+
+@pytest.mark.parametrize("coeff, beta, seed", [
+    (M2.z(0), MixedForm.zero(M2), 40),
+    (M2.poly(1), MixedForm.monomial(M2, M2.poly(Fraction(1, 3)), anti=(0, 1)),
+     41),
+], ids=["equivalent", "violated"])
+def test_gauge_equiv_raises_when_frame_identity_disagrees(monkeypatch, coeff,
+                                                          beta, seed):
+    # the scenes of test_gauge_equiv_trivial and
+    # test_gauge_equiv_violated_by_antiholomorphic_form, with the frame
+    # identity's verdict flipped against the containment conditions
+    import gkdirac.poisson as poisson
+    real_frames_equal = poisson.frames_equal
+    monkeypatch.setattr(poisson, "frames_equal",
+                        lambda *a, **k: not real_frames_equal(*a, **k))
+    hp = HoloPoisson(M2, sigma=MVElement.monomial(M2, coeff, vecs=(0, 1)))
+    with pytest.raises(CertificateError, match="disagree"):
+        check_gauge_equiv(hp, hp, beta, rng=random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
