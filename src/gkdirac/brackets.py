@@ -61,43 +61,55 @@ def dgla_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:
         raise ValueError("mixed models")
     model = a.model
     out = MVElement(model)
+    # d/dz_leg of each coefficient, computed once per call and keyed by the
+    # monomial (I, J) and the leg; one cache per operand, since ``a`` and
+    # ``b`` may hold different coefficients on the same monomial
+    da, db = {}, {}
     for (p1, q1), t1 in a.comps.items():
         lenA = p1 + q1
         for (I1, J1), f in t1.items():
+            other_a = MVElement.monomial(
+                model, model.poly(1), vecs=I1, bars=J1)
             for (p2, q2), t2 in b.comps.items():
                 lenB = p2 + q2
                 for (I2, J2), g in t2.items():
                     other_b = MVElement.monomial(
                         model, model.poly(1), vecs=I2, bars=J2)
-                    other_a = MVElement.monomial(
-                        model, model.poly(1), vecs=I1, bars=J1)
                     # legs of A differentiate g; only vector legs (which
                     # occupy the first p1 positions of the word) survive
                     for k, i in enumerate(I1, start=1):
-                        dg = g.d_z(i)
+                        dg = db.get((I2, J2, i))
+                        if dg is None:
+                            dg = db[(I2, J2, i)] = g.d_z(i)
                         if not dg:
                             continue
-                        sign = (-1) ** (lenA - k)
                         rest = MVElement.monomial(
                             model, model.poly(1),
                             vecs=I1[:k - 1] + I1[k:], bars=J1)
                         term = rest.wedge(other_b, tmax=tmax).poly_mul(
                             f.mul(dg, tmax=tmax), tmax=tmax)
-                        out = out + (term if sign == 1 else -term)
+                        _add_signed(out, term, (-1) ** (lenA - k))
                     # legs of B differentiate f, target word theta_{B\b_k}^theta_A
                     pre = (lenB - 1) * lenA
                     for k, j in enumerate(I2, start=1):
-                        df = f.d_z(j)
+                        df = da.get((I1, J1, j))
+                        if df is None:
+                            df = da[(I1, J1, j)] = f.d_z(j)
                         if not df:
                             continue
-                        sign = (-1) ** (pre + k)
                         rest = MVElement.monomial(
                             model, model.poly(1),
                             vecs=I2[:k - 1] + I2[k:], bars=J2)
                         term = rest.wedge(other_a, tmax=tmax).poly_mul(
                             g.mul(df, tmax=tmax), tmax=tmax)
-                        out = out + (term if sign == 1 else -term)
+                        _add_signed(out, term, (-1) ** (pre + k))
     return out
+
+
+def _add_signed(out: MVElement, term: MVElement, sign: int):
+    """``out += sign * term`` in place."""
+    for key, ij, c in term.terms():
+        out._setterm(key, ij, c if sign == 1 else -c)
 
 
 def schouten_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:

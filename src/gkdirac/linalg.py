@@ -261,10 +261,11 @@ def poly_mat_inverse(A, tmax):
     # A = A0 (I + A0^{-1} R) with R = A - A0 of t-order >= 1
     R = mat_sub(A, [[Poly.const(n, c) for c in row] for row in A0])
     N = mat_mul(A0inv, R, tmax=tmax)
-    # X = (I + N)^{-1} via fixed point X = I - N X
+    # X = (I + N)^{-1} via fixed point X = I - N X.  N has t-order >= 1, so
+    # pass k fixes X mod t^{k+1} and needs the product only to that order
     X = mat_identity(size, n)
-    for _ in range(tmax + 1):
-        X = mat_sub(mat_identity(size, n), mat_mul(N, X, tmax=tmax))
+    for k in range(tmax + 1):
+        X = mat_sub(mat_identity(size, n), mat_mul(N, X, tmax=k))
     out = mat_mul(X, A0inv, tmax=tmax)
     # exact check mod t^{tmax+1}
     err = mat_sub(mat_t_truncate(mat_mul(A, out, tmax=tmax), tmax),

@@ -6,12 +6,15 @@ tuples of length ``2n+1`` in that order.  ``t`` is a real parameter:
 conjugation fixes it while swapping the z / zbar blocks and conjugating
 coefficients.
 
-All arithmetic is exact.  Multiplication accepts an optional ``tmax``
-so series work can drop monomials beyond a t-truncation order early.
+All arithmetic is exact.  Multiplication accepts an optional ``tmax``:
+``a.mul(b, tmax=k)`` is exactly ``(a * b).t_truncate(k)``, the product
+mod t^{k+1}, computed without visiting any term pair whose t-degrees sum
+beyond ``k``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .scalars import Scalar, ZERO, ONE
 
@@ -109,22 +112,39 @@ class Poly:
         return p
 
     def mul(self, other: "Poly", tmax: int | None = None) -> "Poly":
+        """The product; with ``tmax``, exactly the product mod t^{tmax+1}.
+
+        A truncated product pairs each left term only with the right terms
+        whose t-degree keeps the sum within ``tmax``, so the pairs beyond
+        ``tmax`` are never visited.  The right terms are walked in their
+        own order either way, so the result holds its terms in the order
+        the full product holds those of t-degree at most ``tmax``.
+        """
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         self._check(other)
+        right = other.terms.items()
         ti = 2 * self.n
+        # left t-degree -> the right terms a left term of that degree reaches
+        reach = None if tmax is None else {}
         out: dict = {}
         for e1, c1 in self.terms.items():
-            t1 = e1[ti]
-            for e2, c2 in other.terms.items():
-                if tmax is not None and t1 + e2[ti] > tmax:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+            row = right
+            if reach is not None:
+                t1 = e1[ti]
+                row = reach.get(t1)
+                if row is None:
+                    row = reach[t1] = [(e2, c2) for e2, c2 in right
+                                       if t1 + e2[ti] <= tmax]
+            for e2, c2 in row:
+                e = tuple(map(add, e1, e2))
                 s = out.get(e)
-                s = c if s is None else s + c
+                if s is None:
+                    out[e] = c1 * c2  # nonzero: both factors are
+                    continue
+                s = s + c1 * c2
                 if s.is_zero():
-                    out.pop(e, None)
+                    del out[e]
                 else:
                     out[e] = s
         p = Poly(self.n)

@@ -84,13 +84,15 @@ class Scalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return ONE
+        # binary powering from the top bit down: bit_length - 1 squarings
+        # and popcount - 1 further products, none of them by one
+        out = self
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     # -- involutions and predicates -------------------------------------

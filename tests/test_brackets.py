@@ -125,6 +125,86 @@ def test_odd_leibniz_wedge():
         assert (lhs - rhs).is_zero()
 
 
+def _dgla_bracket_reference(a, b, tmax=None):
+    """The former loop: each derivative taken afresh for every pair of
+    monomials, and every term added into a new copy of the result."""
+    model = a.model
+    out = MVElement(model)
+    for (p1, q1), t1 in a.comps.items():
+        lenA = p1 + q1
+        for (I1, J1), f in t1.items():
+            for (p2, q2), t2 in b.comps.items():
+                lenB = p2 + q2
+                for (I2, J2), g in t2.items():
+                    other_b = MVElement.monomial(
+                        model, model.poly(1), vecs=I2, bars=J2)
+                    other_a = MVElement.monomial(
+                        model, model.poly(1), vecs=I1, bars=J1)
+                    for k, i in enumerate(I1, start=1):
+                        dg = g.d_z(i)
+                        if not dg:
+                            continue
+                        sign = (-1) ** (lenA - k)
+                        rest = MVElement.monomial(
+                            model, model.poly(1),
+                            vecs=I1[:k - 1] + I1[k:], bars=J1)
+                        term = rest.wedge(other_b, tmax=tmax).poly_mul(
+                            f.mul(dg, tmax=tmax), tmax=tmax)
+                        out = out + (term if sign == 1 else -term)
+                    pre = (lenB - 1) * lenA
+                    for k, j in enumerate(I2, start=1):
+                        df = f.d_z(j)
+                        if not df:
+                            continue
+                        sign = (-1) ** (pre + k)
+                        rest = MVElement.monomial(
+                            model, model.poly(1),
+                            vecs=I2[:k - 1] + I2[k:], bars=J2)
+                        term = rest.wedge(other_a, tmax=tmax).poly_mul(
+                            g.mul(df, tmax=tmax), tmax=tmax)
+                        out = out + (term if sign == 1 else -term)
+    return out
+
+
+def _pooled_mv(rng, model, pool):
+    """A polyvector of mixed degree whose coefficients come from ``pool``:
+    the same Poly object, or an equal copy, sits on several monomials."""
+    out = MVElement.zero(model)
+    n = model.n
+    for p, q in TYPES:
+        for I in itertools.combinations(range(n), p):
+            for J in itertools.combinations(range(n), q):
+                if rng.random() < 0.6:
+                    c = rng.choice(pool)
+                    if rng.random() < 0.5:
+                        c = Poly(c.n, c.terms)
+                    out = out + MVElement.monomial(model, c, I, J)
+    return out
+
+
+def _same_table(x, y):
+    """Equal coefficients, stored under the same keys in the same order."""
+    return x.comps == y.comps and \
+        [(key, ij) for key, ij, _ in x.terms()] == \
+        [(key, ij) for key, ij, _ in y.terms()]
+
+
+def test_dgla_bracket_matches_accumulating_reference():
+    rng = random.Random(131)
+    t = M.t()
+    for _ in range(4):
+        pool = [rand_poly(rng, M) + rand_poly(rng, M) * t
+                + rand_poly(rng, M, nterms=1) * t * t for _ in range(3)]
+        a, b = _pooled_mv(rng, M, pool), _pooled_mv(rng, M, pool)
+        for x, y in ((a, b), (b, a), (a, a)):
+            full = dgla_bracket(x, y)
+            assert _same_table(full, _dgla_bracket_reference(x, y))
+            for k in range(4):
+                cut = dgla_bracket(x, y, tmax=k)
+                assert _same_table(cut, _dgla_bracket_reference(x, y, k))
+                assert cut.comps == full.t_truncate(k).comps
+
+
 def test_vector_fields_give_lie_bracket():
     rng = random.Random(113)
     f = rand_poly(rng, M)

@@ -155,6 +155,43 @@ def test_poly_mat_inverse_rejects_z_dependent_pivot():
         poly_mat_inverse(A, 3)
 
 
+def _poly_mat_inverse_reference(A, tmax):
+    """The former iteration: tmax + 1 Neumann passes, each kept to the full
+    order tmax."""
+    size, n = len(A), A[0][0].n
+    A0 = [[a.t_coefficient(0).constant_value() for a in row] for row in A]
+    A0inv = [[Poly.const(n, c) for c in row] for row in scalar_inverse(A0)]
+    R = mat_sub(A, [[Poly.const(n, c) for c in row] for row in A0])
+    N = mat_mul(A0inv, R, tmax=tmax)
+    X = mat_identity(size, n)
+    for _ in range(tmax + 1):
+        X = mat_sub(mat_identity(size, n), mat_mul(N, X, tmax=tmax))
+    return mat_mul(X, A0inv, tmax=tmax)
+
+
+def test_poly_mat_inverse_matches_full_order_passes():
+    rng = random.Random(229)
+    M1 = Model(1)
+    t2 = M1.t().mul(M1.t())
+    for size in range(1, 5):
+        for tmax in range(7):
+            base = rand_smat(rng, size, size)
+            while not scalar_det(base):
+                base = rand_smat(rng, size, size)
+            # t-degrees 1 and 2, so N has terms past t^1
+            A = [[Poly.const(M1.n, base[i][j])
+                  + rand_poly(rng, M1, nterms=1).mul(M1.t())
+                  + rand_poly(rng, M1, nterms=1, maxdeg=0).mul(t2)
+                  for j in range(size)] for i in range(size)]
+            assert poly_mat_inverse(A, tmax) == \
+                _poly_mat_inverse_reference(A, tmax)
+    # a z-dependent t^0 block is still refused, at every order
+    A = [[M.poly(1) + M.z(0), M.t()], [M.t(), M.poly(1)]]
+    for tmax in range(7):
+        with pytest.raises(ArithmeticError):
+            poly_mat_inverse(A, tmax)
+
+
 def test_generic_rank():
     rng = random.Random(219)
     # rank drops only at z1 = 0

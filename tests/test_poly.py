@@ -1,9 +1,10 @@
 """Polynomial ring in z, zbar, t over exact Gaussian rationals."""
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkdirac.model import Model
 from gkdirac.poly import Poly
@@ -84,6 +85,40 @@ def test_truncated_mul_matches_full():
         a, b = random_poly(rng), random_poly(rng)
         full = (a * b).t_truncate(3)
         assert a.mul(b, tmax=3).t_truncate(3) == full
+
+
+# exponents in (z1, z2, zb1, zb2, t); t-degrees reach past every tmax tried
+exponents = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 8))
+coeffs = st.builds(
+    lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+    st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 6),
+).filter(lambda c: not c.is_zero())
+polys = st.dictionaries(exponents, coeffs, max_size=6).map(
+    lambda terms: Poly(2, terms))
+
+EMPTY = Poly.zero(2)
+CONST = Poly.const(2, sc(Fraction(-2, 3), 1))
+HIGH_T = Poly(2, {(1, 0, 0, 1, 7): sc(1, -1), (0, 0, 0, 0, 8): sc(3)})
+LOW_T = Poly(2, {(0, 0, 0, 0, 0): sc(1), (1, 0, 0, 0, 1): sc(0, 2),
+                 (0, 1, 1, 0, 2): sc(Fraction(1, 2))})
+
+
+@given(polys, polys, st.integers(0, 6))
+@example(EMPTY, LOW_T, 3)
+@example(LOW_T, EMPTY, 0)
+@example(CONST, LOW_T, 1)
+@example(LOW_T, CONST, 0)
+@example(HIGH_T, LOW_T, 6)
+@example(LOW_T, HIGH_T, 2)
+@example(HIGH_T, HIGH_T, 6)
+def test_truncated_mul_is_the_product_mod_t(a, b, k):
+    got = a.mul(b, tmax=k)
+    want = (a * b).t_truncate(k)
+    assert got == want
+    # the same terms in the same order as the full product's
+    assert list(got.terms) == list(want.terms)
+    for c in got.terms.values():
+        assert not c.is_zero() and c.d > 0 and gcd(c.a, c.b, c.d) == 1
 
 
 def test_inverse_t_series():

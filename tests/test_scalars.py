@@ -160,7 +160,7 @@ def test_differential_binary_ops(x, y):
         assert agrees(s / k, r * Ref(k).inverse())
 
 
-@given(pairs, st.integers(-4, 4))
+@given(pairs, st.integers(-8, 16))
 def test_differential_unary_ops(x, k):
     s, r = Scalar(*x), Ref(*x)
     assert agrees(-s, Ref(0) - r)
@@ -172,9 +172,17 @@ def test_differential_unary_ops(x, k):
             s.inverse()
         with pytest.raises(ZeroDivisionError):
             s ** -1
+        if k >= 0:
+            assert agrees(s ** k, r ** k)
     else:
         assert agrees(s.inverse(), r.inverse())
         assert agrees(s ** k, r ** k)
+
+
+def test_power_every_exponent_against_repeated_multiplication():
+    for x in [(2, 0), (Fraction(1, 3), -1), (0, Fraction(5, 7)), (-1, 1)]:
+        for k in range(-8, 17):
+            assert agrees(Scalar(*x) ** k, Ref(*x) ** k)
 
 
 @given(pairs, pairs)
