@@ -141,12 +141,22 @@ class GVField:
 
 
 def _conj_components(model, comps):
+    """Conjugate a column of leg components: swap the z and zbar legs and
+    conjugate each entry; legs from 2n on (the t leg) stay in place."""
     n = model.n
     out = [c.conj() for c in comps]
-    swapped = out[n:2 * n] + out[:n]
-    if model.param:
-        swapped.append(out[2 * n])
-    return swapped
+    return out[n:2 * n] + out[:n] + out[2 * n:]
+
+
+def _conj_operator(model, M):
+    """Matrix of the conjugated operator in the fixed frame: the leg rule
+    of :func:`_conj_components` applied to rows and columns.
+
+    The size and the polynomial ring are read from ``M``, which may live
+    over more variables than ``model``."""
+    n = model.n
+    rows = [_conj_components(model, row) for row in M]
+    return rows[n:2 * n] + rows[:n] + rows[2 * n:]
 
 
 def conj_stack(model, column):
@@ -155,16 +165,9 @@ def conj_stack(model, column):
     Valid at real base points, where the zbar coordinates are the honest
     conjugates of the z coordinates.
     """
-    n, dim = model.n, model.dim
-
-    def block(vals):
-        out = [c.conj() for c in vals]
-        swapped = out[n:2 * n] + out[:n]
-        if model.param:
-            swapped.append(out[2 * n])
-        return swapped
-
-    return block(column[:dim]) + block(column[dim:])
+    dim = model.dim
+    return (_conj_components(model, column[:dim])
+            + _conj_components(model, column[dim:]))
 
 
 def point_pairing(model, a, b) -> Scalar:

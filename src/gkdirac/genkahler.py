@@ -27,8 +27,9 @@ from .forms import MixedForm
 from .frames import (DiracFrame, conj_stack, dirac_scale,
                      dirac_sum, frames_equal, gauge_frame, graph_bivector,
                      involutivity_report, point_pairing)
-from .linalg import (generic_rank, poly_det, real_roots_in_interval,
-                     scalar_det, scalar_rank, span_certificate)
+from .linalg import (generic_rank, mat_div_right, mat_mul, mat_transpose,
+                     poly_det, real_roots_in_interval, scalar_det,
+                     scalar_rank, span_certificate)
 from .model import Model
 from .multivector import form_matrix
 from .poisson import (Bivector, RealPoisson, build_L_sigma,
@@ -68,17 +69,6 @@ def _sample_points(model, rng, frames, count):
     return model.sample_points(rng, count=count, with_t=with_t)
 
 
-def _divide_out(model, X, den, tmax, what):
-    if tmax is not None:
-        inv = den.inverse_t_series(tmax)
-        return [x.mul(inv, tmax=tmax).t_truncate(tmax) for x in X]
-    try:
-        return [x.divexact(den) for x in X]
-    except ArithmeticError:
-        raise UnsupportedSceneError(
-            f"{what} requires a non-polynomial division by " + den.render())
-
-
 def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
     """Recognize a frame as the graph {P xi + xi} of a bivector.
 
@@ -91,6 +81,7 @@ def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
     model = frame.model
     dim = model.dim
     ccols = [list(g.cov) for g in frame.gens]
+    vecs = mat_transpose([g.vec for g in frame.gens])
     cols = []
     for a in range(dim):
         w = [model.zero_poly() for _ in range(dim)]
@@ -102,13 +93,8 @@ def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
                 f"outside the covector span (witness point {cert})",
                 point=cert)
         den, nums = cert
-        X = [model.zero_poly() for _ in range(dim)]
-        for j, g in enumerate(frame.gens):
-            if nums[j]:
-                for i in range(dim):
-                    if g.vec[i]:
-                        X[i] = X[i] + nums[j].mul(g.vec[i], tmax=tmax)
-        cols.append(_divide_out(model, X, den, tmax, "graph recognition"))
+        lift = mat_mul(vecs, [[c] for c in nums], tmax=tmax)
+        cols.append([x for [x] in mat_div_right(lift, [[den]], tmax=tmax)])
     P = [[cols[a][i] for a in range(dim)] for i in range(dim)]
     try:
         bi = Bivector.from_matrix(model, P)

@@ -35,8 +35,8 @@ from .brackets import dgla_bracket, mc_residual_dgla, mc_residual_koszul, \
     pi_star, unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm, euler_homotopy, dt_leg
-from .frames import (DiracFrame, GVField, dirac_scale, dirac_sum,
-                     dorfman_bracket, frames_equal, gauge_frame,
+from .frames import (DiracFrame, GVField, _conj_operator, dirac_scale,
+                     dirac_sum, dorfman_bracket, frames_equal, gauge_frame,
                      graph_bivector)
 from .linalg import (generic_rank, mat_add, mat_apply, mat_eval,
                      mat_identity, mat_is_zero, mat_mul, mat_neg, mat_scale,
@@ -246,8 +246,7 @@ def _inverse_series_matrix(model, beta: MixedForm, M, tmax):
     dim = model.dim
     W = form_matrix(beta)
     den = mat_add(mat_identity(dim, model.n), mat_mul(M, W, tmax=tmax))
-    out = mat_div_right(W, den, tmax=tmax)
-    return W, mat_t_truncate(out, tmax)
+    return W, mat_div_right(W, den, tmax=tmax)
 
 
 def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
@@ -627,29 +626,6 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> Report:
 # ---------------------------------------------------------------------------
 # The deformed complex structure and bivector
 # ---------------------------------------------------------------------------
-
-def _conj_operator(model, M):
-    """Matrix of the conjugated operator in the fixed frame: swap the
-    holomorphic and antiholomorphic blocks and conjugate entries.
-
-    Size and polynomial ring are read from ``M``, which may live over more
-    variables than ``model``; legs from 2n on stay in place."""
-    n, dim = model.n, len(M)
-
-    def sw(k):
-        if k < n:
-            return k + n
-        if k < 2 * n:
-            return k - n
-        return k
-
-    out = mat_zero(dim, dim, M[0][0].n)
-    for i in range(dim):
-        for j in range(dim):
-            if M[i][j]:
-                out[sw(i)][sw(j)] = M[i][j].conj()
-    return out
-
 
 def _direction(model, col, f: Poly) -> Poly:
     acc = Poly.zero(model.n)

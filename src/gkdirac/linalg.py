@@ -7,12 +7,16 @@ Two layers:
   inverse and determinant with no rounding anywhere.
 
 * Polynomial matrices (lists of lists of :class:`~gkdirac.poly.Poly`):
-  arithmetic helpers, truncated t-series inverses, determinants by
-  memoised Laplace expansion, generic rank via random evaluation, and
-  symbolic span/kernel certificates built from Cramer-style maximal
-  minors.  A certificate is an exact polynomial identity, so a positive
-  answer never depends on the sampled points; sampling is only used to
-  locate a well-conditioned pivot block quickly.
+  arithmetic helpers, truncated t-series inverses, generic rank via random
+  evaluation, and exact solves.  Every exact solve reads one minor table
+  (:class:`_Minors`): the memoised Laplace expansion of a square block,
+  keyed by a row mask and a column mask.  The determinant, each cofactor
+  of the adjugate and each Cramer numerator ``sum_i b_i cof(i, j)`` of the
+  span and kernel certificates share its sub-minors.  Every division by a
+  polynomial or t-series denominator goes through :func:`mat_div_right`.
+  A certificate is an exact polynomial identity, so a positive answer
+  never depends on the sampled points; sampling is only used to locate a
+  well-conditioned pivot block quickly.
 
 The univariate Sturm-chain utilities at the bottom isolate real roots of
 exact rational polynomials; they drive the validity-interval reports for
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import (CertificateError, SingularityError,
+                     UnsupportedSceneError)
 from .model import Point
 from .poly import Poly
 from .scalars import Scalar, ZERO, ONE
@@ -242,7 +248,8 @@ def poly_mat_inverse(A, tmax):
 
     Requires the t-degree-0 part to be a constant (z-independent) invertible
     matrix; the rest is handled by a Neumann fixed point.  Raises
-    ArithmeticError otherwise.
+    ArithmeticError when that block is not constant, ZeroDivisionError when
+    it is singular, and CertificateError if the result fails ``A out = I``.
     """
     size = len(A)
     n = A[0][0].n
@@ -271,58 +278,109 @@ def poly_mat_inverse(A, tmax):
     err = mat_sub(mat_t_truncate(mat_mul(A, out, tmax=tmax), tmax),
                   mat_identity(size, n))
     if not mat_is_zero(err):
-        raise ArithmeticError("series inverse did not converge at this order")
+        raise CertificateError("series inverse did not converge at this order")
     return out
 
 
-def poly_det(A, tmax=None) -> Poly:
-    """Determinant by Laplace expansion memoised over row subsets."""
-    size = len(A)
-    n = A[0][0].n if size else 0
-    if size == 0:
-        return Poly.const(n, ONE)
-    memo = {0: Poly.const(n, ONE)}
+class _Minors:
+    """The minor table of one square polynomial matrix.
 
-    full = (1 << size) - 1
+    ``minor(R, C)`` is det(A[R, C]) for a row mask R and a column mask C
+    with as many bits, expanded along the lowest column of C and memoised
+    on (R, C), so the determinant, the cofactors and the Cramer numerators
+    of one matrix share every sub-minor.  With ``tmax`` the products are
+    kept mod t^{tmax+1}; truncation is a ring map, so each minor is the
+    truncation of the exact one.
+    """
 
-    def det_of(mask):
-        # determinant of the submatrix with rows = set bits of mask,
-        # columns = first popcount(mask) columns
-        if mask in memo:
-            return memo[mask]
-        col = bin(mask).count("1") - 1
-        acc = Poly.zero(n)
-        pos = 0  # position of row i among the set bits
-        for i in range(size):
-            if not (mask >> i) & 1:
+    __slots__ = ("A", "n", "tmax", "full", "memo")
+
+    def __init__(self, A, n, tmax=None):
+        self.A = A
+        self.n = n
+        self.tmax = tmax
+        self.full = (1 << len(A)) - 1
+        self.memo = {(0, 0): Poly.const(n, ONE)}
+
+    def minor(self, R, C):
+        got = self.memo.get((R, C))
+        if got is not None:
+            return got
+        low = C & -C
+        col = low.bit_length() - 1
+        acc = Poly.zero(self.n)
+        odd = False
+        for i, row in enumerate(self.A):
+            if not (R >> i) & 1:
                 continue
-            a = A[i][col]
+            a = row[col]
             if a:
-                sub = det_of(mask & ~(1 << i))
-                term = a.mul(sub, tmax=tmax)
-                acc = acc + (term if (pos + col) % 2 == 0 else -term)
-            pos += 1
-        memo[mask] = acc
+                sub = self.minor(R ^ (1 << i), C ^ low)
+                if sub:
+                    term = a.mul(sub, tmax=self.tmax)
+                    acc = acc - term if odd else acc + term
+            odd = not odd
+        self.memo[R, C] = acc
         return acc
 
-    return det_of(full)
+    def det(self) -> Poly:
+        return self.minor(self.full, self.full)
+
+    def cofactor(self, i, j) -> Poly:
+        """(-1)^{i+j} det(A with row i and column j removed)."""
+        d = self.minor(self.full ^ (1 << i), self.full ^ (1 << j))
+        return -d if (i + j) % 2 else d
+
+    def numerators(self, b):
+        """Cramer numerators of A x = b: ``nums[j] = sum_i b_i cof(i, j)``,
+        so that A nums = det(A) b.  Only the nonzero b_i are visited."""
+        support = [(i, bi) for i, bi in enumerate(b) if bi]
+        nums = []
+        for j in range(len(self.A)):
+            acc = Poly.zero(self.n)
+            for i, bi in support:
+                acc = acc + bi.mul(self.cofactor(i, j), tmax=self.tmax)
+            nums.append(acc)
+        return nums
+
+
+def poly_det(A, tmax=None) -> Poly:
+    """Determinant, read from the minor table of ``A``."""
+    return _Minors(A, A[0][0].n if A else 0, tmax).det()
+
+
+def poly_adjugate(A, tmax=None):
+    """Adjugate matrix: adj(A)[j][i] = (-1)^{i+j} det(A with row i, col j removed).
+
+    Satisfies A * adj(A) = det(A) * Id exactly, which lets callers invert a
+    polynomial matrix whenever they can divide by its determinant.  Every
+    cofactor is read from one minor table.
+    """
+    size = len(A)
+    table = _Minors(A, A[0][0].n if size else 0, tmax)
+    return [[table.cofactor(i, j) for i in range(size)] for j in range(size)]
 
 
 def mat_div_right(Num, Den, tmax=None):
     """Num * Den^{-1} for polynomial matrices, exact or raising.
 
-    The division happens after forming Num * adj(Den), so scalings of the
-    columns of ``Den`` (matched in ``Num``) cancel before any divisibility
-    question arises.  With ``tmax`` a series inverse is tried first and the
-    adjugate route is the fallback.
+    This is the one division path: a scalar denominator is a 1 x 1 ``Den``.
+    With ``tmax`` the t-series inverse of ``Den`` is used when its t^0
+    block is constant and invertible; otherwise the division happens after
+    forming Num * adj(Den), so scalings of the columns of ``Den`` (matched
+    in ``Num``) cancel before any divisibility question arises.  With
+    ``tmax`` the result is kept mod t^{tmax+1}.  Raises SingularityError
+    when det(Den) is zero, UnsupportedSceneError when the quotient is not
+    polynomial, and CertificateError when the series inverse fails its
+    check.
     """
-    from .errors import SingularityError, UnsupportedSceneError
-
     if tmax is not None:
         try:
-            return mat_mul(Num, poly_mat_inverse(Den, tmax), tmax=tmax)
+            inv = poly_mat_inverse(Den, tmax)
         except ArithmeticError:
-            pass
+            pass  # the t^0 block is not constant, or is singular
+        else:
+            return mat_mul(Num, inv, tmax=tmax)
     det = poly_det(Den)
     if not det:
         raise SingularityError("matrix is singular", determinant="0")
@@ -335,26 +393,6 @@ def mat_div_right(Num, Den, tmax=None):
     if tmax is not None:
         out = mat_t_truncate(out, tmax)
     return out
-
-
-def poly_adjugate(A, tmax=None):
-    """Adjugate matrix: adj(A)[j][i] = (-1)^{i+j} det(A with row i, col j removed).
-
-    Satisfies A * adj(A) = det(A) * Id exactly, which lets callers invert a
-    polynomial matrix whenever they can divide by its determinant.
-    """
-    size = len(A)
-    n = A[0][0].n if size else 0
-    adj = [[Poly.zero(n) for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [
-                [A[r][c] for c in range(size) if c != j]
-                for r in range(size) if r != i
-            ]
-            d = poly_det(minor, tmax=tmax)
-            adj[j][i] = d if (i + j) % 2 == 0 else -d
-    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +464,6 @@ def span_certificate(generators, w, model, rng, tmax=None, attempts=4):
                                       t_zero=(tmax is not None))
         r = len(rows)
         if r == 0:
-            rows_all = list(range(len(w)))
             # all generators vanish generically; w must vanish too
             if all(not x for x in w):
                 return True, (Poly.const(n, ONE), [Poly.zero(n)] * len(generators))
@@ -436,20 +473,16 @@ def span_certificate(generators, w, model, rng, tmax=None, attempts=4):
             continue
         sel_gens = [generators[j] for j in cols_sel]
         D = [[sel_gens[j][i] for j in range(r)] for i in rows]
-        den = poly_det(D, tmax=tmax)
+        table = _Minors(D, n, tmax)
+        den = table.det()
         if not den:
             continue
         if tmax is not None:
             c0 = den.t_coefficient(0)
             if not c0:
                 continue  # pivot block not invertible as a series; retry
-        # Cramer: num_j = det with column j replaced by w (restricted rows)
-        nums = []
-        for j in range(r):
-            Dj = [row[:] for row in D]
-            for i, ri in enumerate(rows):
-                Dj[i][j] = w[ri]
-            nums.append(poly_det(Dj, tmax=tmax))
+        # Cramer numerators of D x = w[rows]
+        nums = table.numerators([w[ri] for ri in rows])
         # verify den*w = sum nums_j * g_j on every coordinate
         ok = True
         for i in range(len(w)):
@@ -475,8 +508,8 @@ def span_certificate(generators, w, model, rng, tmax=None, attempts=4):
             b = [x.eval(pt) for x in w]
             if scalar_solve(M, b) is None:
                 return False, pt
-    raise ArithmeticError("could not settle span membership; matrix may be "
-                          "rank-degenerate along the sampled locus")
+    raise SingularityError("could not settle span membership; matrix may be "
+                           "rank-degenerate along the sampled locus")
 
 
 def kernel_certificate(A, model, rng, tmax=None, attempts=4):
@@ -494,33 +527,30 @@ def kernel_certificate(A, model, rng, tmax=None, attempts=4):
     cols = [[A[i][j] for i in range(nrows)] for j in range(ncols)]
     for _ in range(attempts):
         rows_sel, cols_sel = _pivot_block(cols, model, rng)
-        r = len(rows_sel)
         free = [j for j in range(ncols) if j not in cols_sel]
+        if not free:
+            return []
+        # Cramer solve D x = -A[:, fc] on the pivot rows; the kernel vector
+        # is den * e_fc + sum_j x_j e_{cols_sel[j]} with x_j the numerators.
+        # Minors are taken untruncated so the residual check is an exact
+        # polynomial identity.
+        D = [[A[i][j] for j in cols_sel] for i in rows_sel]
+        table = _Minors(D, n)
+        den = table.det()
+        if not den:
+            continue
         basis = []
-        ok_all = True
         for fc in free:
-            # Cramer solve D x = -A[:, fc] on the pivot rows; kernel vector
-            # is den * e_fc + sum_j x_j e_{cols_sel[j]} with x_j the
-            # numerators.  Dets are taken untruncated so the residual check
-            # is an exact polynomial identity.
-            D = [[A[i][cols_sel[j]] for j in range(r)] for i in rows_sel]
-            den = poly_det(D) if r else Poly.const(n, 1)
-            if not den:
-                ok_all = False
-                break
             v = [Poly.zero(n)] * ncols
             v[fc] = den
-            for j in range(r):
-                Dj = [row[:] for row in D]
-                for i, ri in enumerate(rows_sel):
-                    Dj[i][j] = A[ri][fc]
-                v[cols_sel[j]] = -poly_det(Dj)
+            nums = table.numerators([A[ri][fc] for ri in rows_sel])
+            for j, cj in enumerate(cols_sel):
+                v[cj] = -nums[j]
             # verify A v = 0
             resid = mat_apply(A, v, tmax=tmax)
             if tmax is not None:
                 resid = [x.t_truncate(tmax) for x in resid]
             if any(resid):
-                ok_all = False
                 break
             # strip a common t-power so the generator survives t-series use
             val = min((x.t_valuation() for x in v if x), default=0)
@@ -529,10 +559,10 @@ def kernel_certificate(A, model, rng, tmax=None, attempts=4):
             if tmax is not None:
                 v = [x.t_truncate(tmax) for x in v]
             basis.append(v)
-        if ok_all:
+        else:
             return basis
-    raise ArithmeticError("kernel certificate failed; matrix rank may drop "
-                          "on the sampled locus")
+    raise SingularityError("kernel certificate failed; matrix rank may drop "
+                           "on the sampled locus")
 
 
 # ---------------------------------------------------------------------------

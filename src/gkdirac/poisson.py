@@ -21,13 +21,14 @@ from fractions import Fraction
 from .brackets import unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
-from .frames import (DiracFrame, GVField, _leg_derivative, graph_bivector,
-                     gauge_frame, frames_equal, involutivity_report)
+from .frames import (DiracFrame, GVField, _conj_components, _conj_operator,
+                     _leg_derivative, graph_bivector, gauge_frame,
+                     frames_equal, involutivity_report)
 from .linalg import (mat_add, mat_apply, mat_div_right, mat_identity,
                      mat_is_zero, mat_mul, mat_scale, mat_sub, mat_transpose,
-                     mat_t_truncate, mat_zero, poly_adjugate, poly_det,
-                     poly_mat_inverse, real_roots_in_interval, span_certificate,
-                     kernel_certificate, _pivot_block, generic_rank)
+                     mat_t_truncate, mat_zero, poly_det, real_roots_in_interval,
+                     span_certificate, kernel_certificate, _pivot_block,
+                     generic_rank)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           mv_from_bivector_matrix, mv_from_endo,
@@ -148,22 +149,8 @@ class Bivector:
         return acc
 
     # -- reality and type ------------------------------------------------
-    def _swap(self, i):
-        n = self.model.n
-        if i < n:
-            return n + i
-        if i < 2 * n:
-            return i - n
-        return i
-
     def conj(self) -> "Bivector":
-        dim = self.model.dim
-        out = mat_zero(dim, dim, self.model.n)
-        for i in range(dim):
-            for j in range(dim):
-                if self.mat[i][j]:
-                    out[self._swap(i)][self._swap(j)] = self.mat[i][j].conj()
-        return Bivector(self.model, out)
+        return Bivector(self.model, _conj_operator(self.model, self.mat))
 
     def is_real(self) -> bool:
         return self.conj() == self
@@ -529,9 +516,10 @@ def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
                        tmax=None, points=None) -> RealPoisson:
     """Gauge-transform a real Poisson structure by a real closed 2-form.
 
-    Computes pi1 = pi0 (1 + B pi0)^{-1} exactly (polynomial inverse, or a
-    t-series inverse when ``tmax`` is given) and verifies independently that
-    the graph of pi1 equals the 2-form gauge action on the graph of pi0.
+    Computes pi1 = pi0 (1 + B pi0)^{-1} exactly (an exact polynomial
+    quotient, or a t-series when ``tmax`` is given) and verifies
+    independently that the graph of pi1 equals the 2-form gauge action on
+    the graph of pi0.
     ``points``, when given, are checked against the zero locus of
     det(1 + B pi0) and trigger a :class:`SingularityError` when hit.
     """
@@ -557,21 +545,12 @@ def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
                 f"1 + B pi degenerates at the requested point {pt}; "
                 f"det = {det.render()}; vanishes on: {locus}",
                 determinant=det.render(), point=pt)
-    Einv = None
-    if tmax is not None:
-        try:
-            Einv = poly_mat_inverse(E, tmax)
-        except ArithmeticError:
-            Einv = None
-    if Einv is None:
-        try:
-            adj = poly_adjugate(E)
-            Einv = [[entry.divexact(det) for entry in row] for row in adj]
-        except ArithmeticError:
-            raise UnsupportedSceneError(
-                "(1 + B pi)^{-1} is not polynomial; det = "
-                f"{det.render()}; vanishes on: {locus}")
-    M1 = mat_mul(P, Einv, tmax=tmax)
+    try:
+        M1 = mat_div_right(P, E, tmax=tmax)
+    except UnsupportedSceneError:
+        raise UnsupportedSceneError(
+            "(1 + B pi)^{-1} is not polynomial; det = "
+            f"{det.render()}; vanishes on: {locus}")
     check = mat_sub(mat_mul(M1, E, tmax=tmax), P)
     if tmax is not None:
         check = mat_t_truncate(check, tmax)
@@ -657,7 +636,7 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
             f"tangent intersection has rank {len(vcols)}, expected {n}")
     # splitting condition: deformed bundle and its conjugate span the fibre
     spanmat = [[c[i] for c in vcols] for i in range(dim)]
-    conj_cols = [_conj_column(model, c) for c in vcols]
+    conj_cols = [_conj_components(model, c) for c in vcols]
     both = [row[:] + [c[i] for c in conj_cols]
             for i, row in enumerate(spanmat)]
     if generic_rank(both, model, rng) != dim:
@@ -672,6 +651,7 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     thetas = hp_shape.antiholo_covector_columns()
     # covector lifts: den * eta_a = sum num_j cov_j, exact identities
     ccols = [[C[i][j] for i in range(dim)] for j in range(r)]
+    vecs = mat_transpose([g.vec for g in L.gens])
     lifted = []
     for eta in etas:
         okflag, cert = span_certificate(ccols, eta, model, rng, tmax=tmax)
@@ -680,23 +660,8 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
                 "a deformed covector is outside the covector span of the "
                 f"frame (witness point {cert})")
         den, nums = cert
-        X = [model.zero_poly() for _ in range(dim)]
-        for j in range(r):
-            if nums[j]:
-                for i in range(dim):
-                    if L.gens[j].vec[i]:
-                        X[i] = X[i] + nums[j].mul(L.gens[j].vec[i], tmax=tmax)
-        if tmax is not None:
-            den_inv = den.inverse_t_series(tmax)
-            X = [x.mul(den_inv, tmax=tmax).t_truncate(tmax) for x in X]
-        else:
-            try:
-                X = [x.divexact(den) for x in X]
-            except ArithmeticError:
-                raise UnsupportedSceneError(
-                    "covector lift requires a non-polynomial division by "
-                    + den.render())
-        lifted.append(X)
+        lift = mat_mul(vecs, [[c] for c in nums], tmax=tmax)
+        lifted.append([x for [x] in mat_div_right(lift, [[den]], tmax=tmax)])
     # project the lifts onto the deformed holomorphic bundle
     P10 = _holo_projector(model, Phi, tmax=tmax)
     outs = [mat_apply(P10, X, tmax=tmax) for X in lifted]
@@ -705,8 +670,6 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     Mout = [[outs[j][i] if j < n else model.zero_poly()
              for j in range(dim)] for i in range(dim)]
     S = mat_div_right(Mout, Cbasis, tmax=tmax)
-    if tmax is not None:
-        S = mat_t_truncate(S, tmax)
     try:
         sigma = Bivector.from_matrix(model, S)
     except ValueError:
@@ -718,15 +681,6 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
                         rng, tmax=tmax):
         raise CertificateError("extraction failed its round-trip identity")
     return result
-
-
-def _conj_column(model, col):
-    n = model.n
-    out = [c.conj() for c in col]
-    swapped = out[n:2 * n] + out[:n]
-    if model.param:
-        swapped.append(out[2 * n])
-    return swapped
 
 
 # ---------------------------------------------------------------------------

@@ -245,26 +245,6 @@ class Poly:
             out = out + piece
         return out
 
-    def inverse_t_series(self, tmax: int) -> "Poly":
-        """Inverse in the ring Q(i)[z,zbar][t]/t^{tmax+1}.
-
-        Requires the t^0 part to be a nonzero constant; anything else has no
-        polynomial inverse and is a hard error.
-        """
-        c0 = self.t_coefficient(0)
-        if len(c0.terms) != 1 or (0,) * (2 * self.n + 1) not in c0.terms:
-            raise ValueError("series inverse needs a nonzero constant t^0 term")
-        a0 = c0.terms[(0,) * (2 * self.n + 1)]
-        out = Poly.const(self.n, a0.inverse())
-        err = (Poly.const(self.n, ONE) - self.mul(out, tmax=tmax)).t_truncate(tmax)
-        while err.terms:  # Newton-style fixed point; err gains a t-order each pass
-            out = (out + out.mul(err, tmax=tmax)).t_truncate(tmax)
-            new_err = (Poly.const(self.n, ONE) - self.mul(out, tmax=tmax)).t_truncate(tmax)
-            if new_err.terms == err.terms:
-                raise ArithmeticError("series inversion did not converge")
-            err = new_err
-        return out
-
     def divexact(self, den: "Poly") -> "Poly":
         """Exact polynomial division: the quotient q with q * den == self.
 

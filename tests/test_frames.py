@@ -6,10 +6,13 @@ import pytest
 
 from gkdirac.forms import MixedForm, dz, dzbar
 from gkdirac.frames import (
+    _conj_components,
+    _conj_operator,
     DiracFrame,
     GVField,
     PointDirac,
     conjugate_frame,
+    conj_stack,
     cotangent_frame,
     covec_to_form,
     dirac_scale,
@@ -269,3 +272,58 @@ def test_point_conjugation_fixes_real_graphs():
     for pt in M.sample_points(rng, count=3):
         pd = L.eval_point(pt)
         assert pd.conj().equals(pd)
+
+
+def _conj_operator_reference(model, M):
+    """The former operator conjugation: an index swap and a fresh zero
+    matrix over the ring of ``M``."""
+    n, dim = model.n, len(M)
+
+    def sw(k):
+        if k < n:
+            return k + n
+        if k < 2 * n:
+            return k - n
+        return k
+
+    out = [[Poly.zero(M[0][0].n) for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            if M[i][j]:
+                out[sw(i)][sw(j)] = M[i][j].conj()
+    return out
+
+
+def _conj_components_reference(model, comps):
+    n = model.n
+    out = [c.conj() for c in comps]
+    swapped = out[n:2 * n] + out[:n]
+    if model.param:
+        swapped.append(out[2 * n])
+    return swapped
+
+
+@pytest.mark.parametrize("param", [False, True])
+def test_leg_conjugation_keeps_its_former_outputs(param):
+    rng = random.Random(71)
+    model = Model(2, param=param)
+    dim = model.dim
+    for _ in range(4):
+        col = [rand_poly(rng, model) + model.t() * rand_poly(rng, model)
+               for _ in range(dim)]
+        assert _conj_components(model, col) == \
+            _conj_components_reference(model, col)
+        mat = [[rand_poly(rng, model) for _ in range(dim)]
+               for _ in range(dim)]
+        assert _conj_operator(model, mat) == \
+            _conj_operator_reference(model, mat)
+        # an operator over more variables than the model keeps its ring
+        wide = [[rand_poly(rng, Model(3)) for _ in range(dim)]
+                for _ in range(dim)]
+        assert _conj_operator(model, wide) == \
+            _conj_operator_reference(model, wide)
+    pt = model.sample_point(rng)
+    stack = [c.eval(pt) for c in col + col[::-1]]
+    assert conj_stack(model, stack) == (
+        _conj_components_reference(model, stack[:dim])
+        + _conj_components_reference(model, stack[dim:]))

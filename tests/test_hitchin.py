@@ -396,7 +396,7 @@ def test_real_family_solved_c2_scene():
     sig_mat = bivector_matrix(MVElement.monomial(M2, M2.z(0), vecs=(0, 1)),
                               size=4)
     # the real bivector sigma + conj(sigma)
-    from gkdirac.hitchin import _conj_operator
+    from gkdirac.frames import _conj_operator
     Q = Bivector(M2, mat_add(sig_mat, _conj_operator(M2, sig_mat)))
     assert Q.is_real() and RealPoisson(M2, Q).is_poisson()
     ds = solve_hitchin(hp, fubini_seed(), 3, mode="real")

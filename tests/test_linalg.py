@@ -4,17 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from gkdirac import linalg
+from gkdirac.errors import (CertificateError, SingularityError,
+                            UnsupportedSceneError)
 from gkdirac.linalg import (
+    _pivot_block,
     count_real_roots,
     generic_rank,
     kernel_certificate,
     mat_apply,
+    mat_div_right,
     mat_eval,
     mat_identity,
     mat_is_zero,
     mat_mul,
     mat_sub,
     mat_t_truncate,
+    poly_adjugate,
     poly_det,
     poly_mat_inverse,
     real_roots_in_interval,
@@ -255,3 +261,321 @@ def test_sturm_repeated_root():
     # (x-1)^2: Sturm counts distinct roots
     coeffs = [Fraction(1), Fraction(-2), Fraction(1)]
     assert count_real_roots(coeffs, Fraction(0), Fraction(2)) == 1
+
+
+# ---------------------------------------------------------------------------
+# The minor table against the former per-minor code
+# ---------------------------------------------------------------------------
+
+def _poly_det_reference(A, tmax=None):
+    """The former determinant: Laplace expansion along the last of the
+    leading columns, memoised over row subsets."""
+    size = len(A)
+    n = A[0][0].n if size else 0
+    if size == 0:
+        return Poly.const(n, ONE)
+    memo = {0: Poly.const(n, ONE)}
+
+    def det_of(mask):
+        if mask in memo:
+            return memo[mask]
+        col = bin(mask).count("1") - 1
+        acc = Poly.zero(n)
+        pos = 0
+        for i in range(size):
+            if not (mask >> i) & 1:
+                continue
+            a = A[i][col]
+            if a:
+                term = a.mul(det_of(mask & ~(1 << i)), tmax=tmax)
+                acc = acc + (term if (pos + col) % 2 == 0 else -term)
+            pos += 1
+        memo[mask] = acc
+        return acc
+
+    return det_of((1 << size) - 1)
+
+
+def _poly_adjugate_reference(A, tmax=None):
+    """The former adjugate: one independent determinant per minor."""
+    size = len(A)
+    n = A[0][0].n if size else 0
+    adj = [[Poly.zero(n) for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            minor = [[A[r][c] for c in range(size) if c != j]
+                     for r in range(size) if r != i]
+            d = _poly_det_reference(minor, tmax=tmax)
+            adj[j][i] = d if (i + j) % 2 == 0 else -d
+    return adj
+
+
+M1 = Model(1)
+
+
+def _rand_t_matrix(rng, size, model=M1):
+    return [[rand_poly(rng, model, nterms=rng.randrange(0, 3), with_t=True)
+             for _ in range(size)] for _ in range(size)]
+
+
+@pytest.mark.parametrize("tmax", [None, 0, 2])
+def test_poly_adjugate_matches_per_minor_determinants(tmax):
+    rng = random.Random(233)
+    for size in range(6):
+        for _ in range(3 if size < 5 else 1):
+            A = _rand_t_matrix(rng, size)
+            adj = poly_adjugate(A, tmax=tmax)
+            ref = _poly_adjugate_reference(A, tmax=tmax)
+            if size == 1:
+                # the former code took the empty minor as the constant 1
+                # over the ring with n = 0; the table keeps A's own ring
+                assert ref[0][0].n == 0 and ref[0][0].constant_value() == ONE
+                assert adj == [[M1.poly(1)]]
+            else:
+                assert adj == ref
+            det = poly_det(A, tmax=tmax)
+            assert det == _poly_det_reference(A, tmax=tmax)
+            if size:
+                prod = mat_mul(A, adj, tmax=tmax)
+                want = [[det if i == j else M1.zero_poly()
+                         for j in range(size)] for i in range(size)]
+                assert prod == want
+
+
+def _span_certificate_reference(generators, w, model, rng, tmax=None,
+                                attempts=4):
+    """The former span certificate: a column-replaced determinant per
+    Cramer numerator."""
+    if not generators:
+        if all(not x for x in w):
+            return True, (Poly.const(model.n, ONE), [])
+        return False, model.sample_point(rng, with_t=True)
+    n = model.n
+    for _ in range(attempts):
+        rows, cols_sel = _pivot_block(generators, model, rng,
+                                      t_zero=(tmax is not None))
+        r = len(rows)
+        if r == 0:
+            if all(not x for x in w):
+                return True, (Poly.const(n, ONE),
+                              [Poly.zero(n)] * len(generators))
+            pt = model.sample_point(rng, with_t=True)
+            if any(x.eval(pt) for x in w):
+                return False, pt
+            continue
+        sel_gens = [generators[j] for j in cols_sel]
+        D = [[sel_gens[j][i] for j in range(r)] for i in rows]
+        den = _poly_det_reference(D, tmax=tmax)
+        if not den:
+            continue
+        if tmax is not None and not den.t_coefficient(0):
+            continue
+        nums = []
+        for j in range(r):
+            Dj = [row[:] for row in D]
+            for i, ri in enumerate(rows):
+                Dj[i][j] = w[ri]
+            nums.append(_poly_det_reference(Dj, tmax=tmax))
+        ok = True
+        for i in range(len(w)):
+            diff = den.mul(w[i], tmax=tmax)
+            for j, g in enumerate(sel_gens):
+                diff = diff - nums[j].mul(g[i], tmax=tmax)
+            if tmax is not None:
+                diff = diff.t_truncate(tmax)
+            if diff:
+                ok = False
+                break
+        if ok:
+            full_nums = [Poly.zero(n)] * len(generators)
+            for j, cj in enumerate(cols_sel):
+                full_nums[cj] = nums[j]
+            return True, (den, full_nums)
+        for _ in range(16):
+            pt = model.sample_point(rng, with_t=True)
+            Mp = [[g[i].eval(pt) for g in generators] for i in range(len(w))]
+            if scalar_solve(Mp, [x.eval(pt) for x in w]) is None:
+                return False, pt
+    raise ArithmeticError("could not settle span membership")
+
+
+def _kernel_certificate_reference(A, model, rng, tmax=None, attempts=4):
+    """The former kernel certificate: D, den and r column-replaced
+    determinants rebuilt for every free column."""
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    n = model.n
+    if ncols == 0:
+        return []
+    cols = [[A[i][j] for i in range(nrows)] for j in range(ncols)]
+    for _ in range(attempts):
+        rows_sel, cols_sel = _pivot_block(cols, model, rng)
+        r = len(rows_sel)
+        free = [j for j in range(ncols) if j not in cols_sel]
+        basis = []
+        ok_all = True
+        for fc in free:
+            D = [[A[i][cols_sel[j]] for j in range(r)] for i in rows_sel]
+            den = _poly_det_reference(D) if r else Poly.const(n, 1)
+            if not den:
+                ok_all = False
+                break
+            v = [Poly.zero(n)] * ncols
+            v[fc] = den
+            for j in range(r):
+                Dj = [row[:] for row in D]
+                for i, ri in enumerate(rows_sel):
+                    Dj[i][j] = A[ri][fc]
+                v[cols_sel[j]] = -_poly_det_reference(Dj)
+            resid = mat_apply(A, v, tmax=tmax)
+            if tmax is not None:
+                resid = [x.t_truncate(tmax) for x in resid]
+            if any(resid):
+                ok_all = False
+                break
+            val = min((x.t_valuation() for x in v if x), default=0)
+            if val > 0:
+                v = [x.t_shift_down(val) if x else x for x in v]
+            if tmax is not None:
+                v = [x.t_truncate(tmax) for x in v]
+            basis.append(v)
+        if ok_all:
+            return basis
+    raise ArithmeticError("kernel certificate failed")
+
+
+def _span_scenes(rng, with_t):
+    """Generator sets with a member, a non-member and coordinate
+    vectors as targets."""
+    for _ in range(6):
+        dim = rng.randrange(2, 5)
+        k = rng.randrange(1, dim + 1)
+        gens = [[rand_poly(rng, M, with_t=with_t) for _ in range(dim)]
+                for _ in range(k)]
+        if with_t:
+            # constant t^0 diagonal, so t = 0 pivot blocks exist
+            for j, g in enumerate(gens):
+                g[j] = g[j] + M.poly(1)
+        coeffs = [rand_poly(rng, M, nterms=1, with_t=with_t) for _ in gens]
+        member = [sum((c * g[i] for c, g in zip(coeffs, gens)),
+                      M.zero_poly()) for i in range(dim)]
+        yield gens, member
+        yield gens, [rand_poly(rng, M, with_t=with_t) for _ in range(dim)]
+        for a in range(dim):
+            yield gens, [M.poly(1) if i == a else M.zero_poly()
+                         for i in range(dim)]
+
+
+def _same_verdict(got, want):
+    assert got[0] == want[0]
+    if got[0]:
+        assert got[1][0] == want[1][0]
+        assert got[1][1] == want[1][1]
+    else:
+        assert repr(got[1]) == repr(want[1])
+
+
+@pytest.mark.parametrize("tmax", [None, 2])
+def test_span_certificate_matches_column_replacement(tmax):
+    rng = random.Random(239)
+    members = 0
+    for gens, w in _span_scenes(rng, with_t=tmax is not None):
+        seed = rng.randrange(10 ** 6)
+        got = span_certificate(gens, w, M, random.Random(seed), tmax=tmax)
+        want = _span_certificate_reference(gens, w, M, random.Random(seed),
+                                           tmax=tmax)
+        _same_verdict(got, want)
+        members += got[0]
+    assert members
+
+
+@pytest.mark.parametrize("tmax", [None, 2])
+def test_kernel_certificate_matches_per_column_rebuild(tmax):
+    rng = random.Random(241)
+    for _ in range(8):
+        nrows = rng.randrange(1, 4)
+        ncols = rng.randrange(nrows, 6)
+        A = [[rand_poly(rng, M, with_t=tmax is not None)
+              for _ in range(ncols)] for _ in range(nrows)]
+        seed = rng.randrange(10 ** 6)
+        got = kernel_certificate(A, M, random.Random(seed), tmax=tmax)
+        want = _kernel_certificate_reference(A, M, random.Random(seed),
+                                             tmax=tmax)
+        assert got == want
+        assert len(got) >= ncols - nrows
+
+
+def test_certificates_that_cannot_settle_raise_singularity_error():
+    rng = random.Random(251)
+    g = [M.z(0), M.poly(1)]
+    with pytest.raises(SingularityError):
+        span_certificate([g], [M.poly(1), M.zero_poly()], M, rng, attempts=0)
+    with pytest.raises(SingularityError):
+        kernel_certificate([[M.z(0), M.z(1)]], M, rng, attempts=0)
+
+
+# ---------------------------------------------------------------------------
+# The one division path
+# ---------------------------------------------------------------------------
+
+def _series_den(rng, size):
+    """A matrix with a constant invertible t^0 block."""
+    base = rand_smat(rng, size, size)
+    while not scalar_det(base):
+        base = rand_smat(rng, size, size)
+    return [[Poly.const(M.n, base[i][j]) + rand_poly(rng, M).mul(M.t())
+             for j in range(size)] for i in range(size)]
+
+
+def test_mat_div_right_series_path():
+    rng = random.Random(257)
+    for size in (1, 2, 3):
+        Den = _series_den(rng, size)
+        Num = [[rand_poly(rng, M, with_t=True) for _ in range(size)]
+               for _ in range(2)]
+        for tmax in (0, 3):
+            out = mat_div_right(Num, Den, tmax=tmax)
+            assert out == mat_mul(Num, poly_mat_inverse(Den, tmax),
+                                  tmax=tmax)
+            back = mat_t_truncate(mat_mul(out, Den, tmax=tmax), tmax)
+            assert back == mat_t_truncate(Num, tmax)
+
+
+def test_mat_div_right_divides_a_z_dependent_t0_block_exactly():
+    rng = random.Random(263)
+    one_plus_z = M.poly(1) + M.z(0)
+    # 1 x 1: the t^0 part 1 + z1 has no series inverse, the quotient is
+    # still a polynomial
+    q = rand_poly(rng, M, with_t=True)
+    for tmax in (None, 0, 2):
+        out = mat_div_right([[q * one_plus_z]], [[one_plus_z]], tmax=tmax)
+        want = q if tmax is None else q.t_truncate(tmax)
+        assert out == [[want]]
+    # 2 x 2: Num = Q Den, so Num Den^{-1} = Q
+    Den = [[one_plus_z, M.t()], [M.z(1), M.poly(1)]]
+    Q = [[rand_poly(rng, M, with_t=True) for _ in range(2)]
+         for _ in range(2)]
+    Num = mat_mul(Q, Den)
+    with pytest.raises(ArithmeticError):
+        poly_mat_inverse(Den, 2)
+    assert mat_div_right(Num, Den) == Q
+    assert mat_div_right(Num, Den, tmax=2) == mat_t_truncate(Q, 2)
+
+
+def test_mat_div_right_refuses_a_non_polynomial_quotient():
+    one_plus_z = M.poly(1) + M.z(0)
+    for tmax in (None, 2):
+        with pytest.raises(UnsupportedSceneError):
+            mat_div_right([[M.poly(1)]], [[one_plus_z]], tmax=tmax)
+        with pytest.raises(SingularityError):
+            mat_div_right([[M.poly(1)]], [[M.zero_poly()]], tmax=tmax)
+
+
+def test_mat_div_right_does_not_swallow_a_failed_series_check(monkeypatch):
+    rng = random.Random(269)
+    Den = _series_den(rng, 2)
+    Num = [[M.poly(1), M.z(0)]]
+    monkeypatch.setattr(linalg, "mat_is_zero", lambda A: False)
+    for tmax in (0, 3):
+        with pytest.raises(CertificateError):
+            mat_div_right(Num, Den, tmax=tmax)

@@ -1,4 +1,5 @@
 """Packaging metadata and public names point at code that exists."""
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -59,3 +60,45 @@ def test_only_report_defines_ok():
                     and obj is not Report and "ok" in vars(obj)):
                 offenders.append(f"{mod.__name__}.{obj.__qualname__}")
     assert not offenders, offenders
+
+
+def _unused_imports(source):
+    """Names a module imports but never reads and does not export."""
+    tree = ast.parse(source)
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+def test_no_unused_imports():
+    # no linter runs on this package, so an import left behind by a
+    # deletion is caught here
+    offenders = {}
+    for path in sorted((ROOT / "src" / "gkdirac").glob("*.py")):
+        unused = _unused_imports(path.read_text())
+        if unused:
+            offenders[path.name] = unused
+    assert not offenders, offenders
+
+
+def test_unused_import_check_sees_a_stale_name():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "from .linalg import mat_mul, poly_det as det\n"
+              "__all__ = ['mat_mul']\n"
+              "def f():\n"
+              "    return os.sep\n")
+    assert _unused_imports(source) == ["det (line 3)"]

@@ -6,6 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gkdirac.errors import GkdError
+from gkdirac.linalg import mat_div_right
 from gkdirac.model import Model
 from gkdirac.poly import Poly
 from gkdirac.scalars import Scalar, sc
@@ -121,6 +123,13 @@ def test_truncated_mul_is_the_product_mod_t(a, b, k):
         assert not c.is_zero() and c.d > 0 and gcd(c.a, c.b, c.d) == 1
 
 
+def _series_inverse(a, tmax):
+    """1/a mod t^{tmax+1}, through the one division path (a 1 x 1
+    denominator)."""
+    one = Poly.const(a.n, Scalar(1))
+    return mat_div_right([[one]], [[a]], tmax=tmax)[0][0]
+
+
 def test_inverse_t_series():
     rng = random.Random(23)
     for _ in range(10):
@@ -132,8 +141,8 @@ def test_inverse_t_series():
             if not (c0.is_constant() and c0.constant_value()):
                 continue
         try:
-            inv = a.inverse_t_series(6)
-        except (ArithmeticError, ValueError):
+            inv = _series_inverse(a, 6)
+        except (ArithmeticError, ValueError, GkdError):
             continue
         assert (a.mul(inv, tmax=6)).t_truncate(6) == Poly.const(2, Scalar(1))
 
@@ -142,7 +151,7 @@ def test_inverse_t_series_simple():
     # 1/(1 - t) = 1 + t + t^2 + ...
     one = Poly.const(1, Scalar(1))
     a = one - Poly.t(1)
-    inv = a.inverse_t_series(4)
+    inv = _series_inverse(a, 4)
     expect = one
     tk = one
     for _ in range(4):
