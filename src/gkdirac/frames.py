@@ -245,10 +245,13 @@ def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
     X, xi = u.vec, covec_to_form(model, u.cov)
     Y, eta = v.vec, covec_to_form(model, v.cov)
     vec_part = lie_bracket_components(model, X, Y, tmax=tmax)
+    # d(eta(X)) differentiates in t on a parameter model, so eta(X) is
+    # kept one order further there
+    etmax = tmax + 1 if tmax is not None and model.param else tmax
     eta_X = model.zero_poly()
     for a, b in zip(v.cov, X):
         if a and b:
-            eta_X = eta_X + a.mul(b, tmax=tmax)
+            eta_X = eta_X + a.mul(b, tmax=etmax)
     cov_form = eta.d().contract_vector(X) \
         + MixedForm.function(model, eta_X).d() \
         - xi.d().contract_vector(Y)

@@ -24,7 +24,9 @@ parameter-extended model is involutive for the Courant bracket twisted by
 ``dt ^ B_dot``.  For a complex parameter, the deformed complex structure
 and bivector obey three coupled derivative identities, checked in matrix
 form after substituting the parameter for a fresh holomorphic coordinate
-(so that conjugation produces honest antiholomorphic dependence).
+s (so that conjugation produces honest antiholomorphic dependence).  The
+lifted parameter keeps t as the total (s, sbar) degree: t^k becomes
+t^k s^k, so every t-truncation of the lifted family is its weight cut.
 """
 from __future__ import annotations
 
@@ -36,13 +38,12 @@ from .brackets import dgla_bracket, mc_residual_dgla, mc_residual_koszul, \
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm, euler_homotopy, dt_leg
 from .frames import (DiracFrame, GVField, _conj_operator, dirac_scale,
-                     dirac_sum, dorfman_bracket, frames_equal, gauge_frame,
-                     graph_bivector)
-from .linalg import (generic_rank, mat_add, mat_apply, mat_eval,
-                     mat_identity, mat_is_zero, mat_mul, mat_neg, mat_scale,
-                     mat_sub, mat_t_truncate, mat_transpose, mat_zero,
-                     mat_div_right, poly_det, scalar_inverse, scalar_rank,
-                     span_certificate)
+                     dirac_sum, frames_equal, gauge_frame, graph_bivector,
+                     involutivity_report)
+from .linalg import (mat_add, mat_apply, mat_eval, mat_identity,
+                     mat_is_zero, mat_mul, mat_neg, mat_scale, mat_sub,
+                     mat_t_truncate, mat_transpose, mat_zero, mat_div_right,
+                     poly_det, scalar_inverse, scalar_rank)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           form_from_matrix, mv_from_bivector_matrix,
@@ -328,16 +329,10 @@ def deformation_frame(hp: HoloPoisson, eps: MCElement, tmax=None) -> DiracFrame:
         raise UnsupportedSceneError(
             "the base frame must sit over the undeformed complex structure")
     n, dim = model.n, model.dim
-    Phi = None if eps.phi.is_zero() else phi_geom_matrix(eps.phi)
+    shape = HoloPoisson(model, phi=eps.phi)
     Mrho = bivector_matrix(eps.rho, size=dim)
     gens = []
-    for b in range(n):
-        v = [model.zero_poly() for _ in range(dim)]
-        v[n + b] = model.poly(1)
-        if Phi is not None:
-            for i in range(n):
-                if Phi[i][b]:
-                    v[i] = v[i] + Phi[i][b]
+    for b, v in enumerate(shape.antiholo_frame_columns()):
         cov = [model.zero_poly() for _ in range(dim)]
         if not eps.gamma.is_zero():
             inner = eps.gamma.contract_vector(unit_vector(model, n + b))
@@ -345,18 +340,11 @@ def deformation_frame(hp: HoloPoisson, eps: MCElement, tmax=None) -> DiracFrame:
                 for (_i, (j,)), c in table.items():
                     cov[n + j] = cov[n + j] + c
         gens.append(GVField(model, vec=v, cov=cov))
-    for a in range(n):
-        zeta = [model.zero_poly() for _ in range(dim)]
-        zeta[a] = model.poly(1)
-        v = hp.sigma.apply(zeta, tmax=tmax)
+    for a, cov in enumerate(shape.holo_covector_columns()):
+        v = hp.sigma.apply(unit_vector(model, a), tmax=tmax)
         for k in range(dim):
             if Mrho[k][a]:
                 v[k] = v[k] + Mrho[k][a]
-        cov = list(zeta)
-        if Phi is not None:
-            for b in range(n):
-                if Phi[a][b]:
-                    cov[n + b] = cov[n + b] - Phi[a][b]
         gens.append(GVField(model, vec=v, cov=cov))
     out = DiracFrame(model, gens, label="deformed")
     return out.t_truncate(tmax) if tmax is not None else out
@@ -392,7 +380,7 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
     if not det:
         raise SingularityError("1 + beta sigma is everywhere degenerate",
                                determinant="0")
-    locus = _describe_zero_locus(det, model)
+    locus = _describe_zero_locus(det)
     moved = gauge_frame(build_L_sigma(hp, check=False), beta)
     with_t = _matrix_uses_t(W) or _matrix_uses_t(M)
     points = []
@@ -690,9 +678,8 @@ def deformed_holomorphic_lift(f: Poly, eps: MCElement, order: int) -> Poly:
     """
     model = eps.model
     n = model.n
-    for e in f.terms:
-        if any(e[n:2 * n]) or e[2 * n]:
-            raise ValueError("seed function must be holomorphic and t-free")
+    if set(f.zbar_degree_split()) - {0} or f.t_degree() > 0:
+        raise ValueError("seed function must be holomorphic and t-free")
     h = f
     for k in range(order):
         resid = _deformed_dbar_function(model, h, eps, tmax=order)
@@ -746,7 +733,7 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
         return mat_t_truncate(Mx, tmax) if tmax is not None else Mx
 
     Phi = phi_geom_matrix(eps.phi)
-    P = cut(_holo_projector(model, Phi, tmax=tmax))
+    P = cut(_holo_projector(Phi, tmax=tmax))
     Msum = mat_add(_sigma_matrix(model, hp),
                    bivector_matrix(eps.rho, size=dim))
     newmat = cut(mat_mul(mat_mul(P, Msum, tmax=tmax), mat_transpose(P),
@@ -772,15 +759,14 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
     upper_right = cut(mat_mul(mat_mul(P, Msum, tmax=tmax),
                               mat_transpose(Pbar), tmax=tmax))
     psi_blocks = (P, upper_right, mat_transpose(Pbar))
-    A = _deformed_frame_change(model, Phi)
-    holo_cols = [[A[i][b] for b in range(n)] for i in range(dim)]
+    A = _deformed_frame_change(Phi)
+    holo_cols = [row[:n] for row in A]
     if not mat_is_zero(cut(mat_sub(mat_mul(P, holo_cols, tmax=tmax),
                                    holo_cols))):
         raise CertificateError(
             "projector does not fix the deformed holomorphic frame")
 
-    shape = HoloPoisson(model, phi=eps.phi)
-    cols = shape.antiholo_frame_columns()
+    cols = [[row[n + b] for row in A] for b in range(n)]
     functions = []
     for f in _criterion_functions(model):
         lhs = _deformed_dbar_function(model, f, eps, tmax=tmax)
@@ -916,25 +902,10 @@ def _ham_real(family, rng, tmax) -> Report:
     Bdot = B.map_coeffs(lambda c: c.d_t())
     # contraction order in the twisted bracket fixes the sign of the twist
     H = dt_leg(pm).wedge(_param_form(pm, Bdot)).scale(_MINUS_ONE)
-    # brackets are taken exactly and only the result truncated: one d/dt
-    # inside the bracket costs one certified order
-    dcols = [g.stack() for g in D.gens]
-    failures = []
-    for i, u in enumerate(D.gens):
-        for j in range(i, len(D.gens)):
-            br = dorfman_bracket(u, D.gens[j], H=H)
-            w = br.stack()
-            if cut is not None:
-                w = [c.t_truncate(cut) for c in w]
-            if all(not c for c in w):
-                continue
-            ok, _cert = span_certificate(dcols, w, pm, rng, tmax=cut)
-            if not ok:
-                failures.append((i, j))
-    rank_rows = [[col[i] for col in dcols] for i in range(2 * pdim)]
-    checks["twisted_involutivity"] = (
-        not failures and D.is_isotropic()
-        and generic_rank(rank_rows, pm, rng) == pdim)
+    # one d/dt inside the bracket costs one certified order
+    inv = involutivity_report.check(D, rng, H=H, tmax=cut, require_rank=pdim)
+    checks["twisted_involutivity"] = inv.ok
+    failures = [(i, j) for i, j, _cert in inv.witnesses["failures"]]
 
     fgens = [GVField(pm, vec=unit_vector(pm, k)) for k in range(dim)]
     fgens.append(GVField(pm, cov=unit_vector(pm, dim)))
@@ -947,88 +918,57 @@ def _ham_real(family, rng, tmax) -> Report:
                   stats={"mode": "real", "certified_order": cut})
 
 
-def _lift_parameter(p: Poly, n: int) -> Poly:
-    """Reread a t-series over C^n as a polynomial over C^{n+1} with the
-    parameter as the last holomorphic coordinate."""
-    out = {}
-    for e, c in p.terms.items():
-        out[e[:n] + (e[2 * n],) + e[n:2 * n] + (0, 0)] = c
-    return Poly(n + 1, out)
-
-
-def _wcut_poly(p: Poly, bound: int, n1: int) -> Poly:
-    wi = n1 - 1
-    keep = {e: c for e, c in p.terms.items()
-            if e[wi] + e[n1 + wi] <= bound}
-    return Poly(n1, keep)
-
-
 def _ham_complex(ds: DeformSeries, tmax) -> Report:
     if not isinstance(ds, DeformSeries):
         raise TypeError("complex mode takes a DeformSeries")
     model = ds.model
     n = model.n
-    n1 = n + 1
     order = ds.order if tmax is None else min(tmax, ds.order)
     cut = order - 1
     dim = 2 * n
 
-    def lift_mat(Mx):
-        return [[_lift_parameter(e, n) for e in row] for row in Mx]
+    def lift(Mx):
+        return [[e.lift_parameter() for e in row] for row in Mx]
 
-    def wcut(Mx, bound=cut):
-        return [[_wcut_poly(e, bound, n1) for e in row] for row in Mx]
+    def mul(*factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = mat_mul(out, f, tmax=order)
+        return out
 
-    def wmul(A, B, bound=order):
-        return wcut(mat_mul(A, B), bound)
+    def dot(Mx, index):
+        # d/ds and d/dsbar lower t, the (s, sbar) degree, by one
+        return [[e.derivative(index).t_shift_down(1) for e in row]
+                for row in Mx]
 
-    Phi = lift_mat(phi_geom_matrix(ds.eps.phi))
-    Phibar = [[e.conj() for e in row] for row in Phi]
-    A = mat_identity(dim, n1)
-    for b in range(n):
-        for i in range(n):
-            if Phi[i][b]:
-                A[i][n + b] = Phi[i][b]
-            if Phibar[i][b]:
-                A[n + i][b] = Phibar[i][b]
-    N = mat_sub(A, mat_identity(dim, n1))
-    X = mat_identity(dim, n1)
-    for _ in range(order + 1):
-        X = wcut(mat_sub(mat_identity(dim, n1), mat_mul(N, X)), order)
-    Ainv = X
-    if not mat_is_zero(wcut(mat_sub(wmul(A, Ainv), mat_identity(dim, n1)),
-                            order)):
-        raise CertificateError("frame change failed to invert at this order")
-    proj = mat_zero(dim, dim, n1)
-    for i in range(n):
-        proj[i][i] = Poly.const(n1, Scalar(1))
-    P = wmul(wmul(A, proj), Ainv)
+    def vanishes(Mx):
+        return mat_is_zero(mat_t_truncate(Mx, cut))
+
+    s_leg, sbar_leg = n, 2 * n + 1
+    P = _holo_projector(lift(phi_geom_matrix(ds.eps.phi)), tmax=order)
     Pbar = _conj_operator(model, P)
-    eye = mat_identity(dim, n1)
-    I_t = mat_scale(mat_sub(mat_scale(P, Scalar(2)), eye), Scalar(0, 1))
-    Msum = mat_add(lift_mat(_sigma_matrix(model, ds.background)),
-                   lift_mat(bivector_matrix(ds.eps.rho, size=dim)))
-    Mt = wmul(wmul(P, Msum), mat_transpose(P))
+    I_t = mat_scale(mat_sub(mat_scale(P, Scalar(2)), mat_identity(dim, n + 1)),
+                    Scalar(0, 1))
+    Msum = lift(mat_add(_sigma_matrix(model, ds.background),
+                        bivector_matrix(ds.eps.rho, size=dim)))
+    Mt = mul(P, Msum, mat_transpose(P))
     Mtbar = _conj_operator(model, Mt)
-    Wl = lift_mat(form_matrix(ds.beta_series()))
-    Walpha = [[e.d_z(n) for e in row] for row in Wl]
-    W20 = wmul(wmul(mat_transpose(P), Walpha), P)
-    W11 = mat_add(wmul(wmul(mat_transpose(Pbar), Walpha), P),
-                  wmul(wmul(mat_transpose(P), Walpha), Pbar))
+    Walpha = dot(lift(form_matrix(ds.beta_series())), s_leg)
+    W20 = mul(mat_transpose(P), Walpha, P)
+    W11 = mat_add(mul(mat_transpose(Pbar), Walpha, P),
+                  mul(mat_transpose(P), Walpha, Pbar))
     W11bar = _conj_operator(model, W11)
 
-    checks = {}
     # signs below are pinned by the exactly-solvable constant family
-    Idot = [[e.d_z(n) for e in row] for row in I_t]
-    resid1 = mat_sub(Idot, mat_scale(wmul(Mt, W11), Scalar(0, 2)))
-    checks["structure_velocity"] = mat_is_zero(wcut(resid1))
-    Mdot = [[e.d_z(n) for e in row] for row in Mt]
-    resid2 = mat_add(Mdot, wmul(wmul(Mt, W20), Mt))
-    checks["bivector_velocity"] = mat_is_zero(wcut(resid2))
-    Mbardot = [[e.d_zbar(n) for e in row] for row in Mt]
-    resid3 = mat_add(Mbardot, mat_add(wmul(wmul(Mtbar, W11bar), Mt),
-                                      wmul(wmul(Mt, W11bar), Mtbar)))
-    checks["conjugate_velocity"] = mat_is_zero(wcut(resid3))
+    checks = {
+        "structure_velocity": vanishes(mat_sub(
+            dot(I_t, s_leg), mat_scale(mul(Mt, W11), Scalar(0, 2)))),
+        "bivector_velocity": vanishes(mat_add(
+            dot(Mt, s_leg), mul(Mt, W20, Mt))),
+        "conjugate_velocity": vanishes(mat_add(
+            dot(Mt, sbar_leg),
+            mat_add(mul(Mtbar, W11bar, Mt), mul(Mt, W11bar, Mtbar)))),
+    }
     return Report("hamiltonian_family", checks,
                   stats={"mode": "complex", "certified_order": cut})
 

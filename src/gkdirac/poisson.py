@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .brackets import unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
 from .frames import (DiracFrame, GVField, _conj_components, _conj_operator,
@@ -305,58 +304,39 @@ class HoloPoisson:
         """n x n matrix of phi as a map from the dzbar frame to the dz frame."""
         return phi_geom_matrix(self.phi)
 
+    def _legs(self, first, covectors=False):
+        """n deformed frame vectors, the columns of A = I + N from column
+        ``first`` (see :func:`_deformed_frame_change`), or with
+        ``covectors`` n deformed covectors, the rows of I - N from row
+        ``first``; a parameter model's t leg is zero."""
+        n = self.model.n
+        A = _deformed_frame_change(self.phi_matrix())
+        if covectors:
+            legs = [[x if j == i else -x for j, x in enumerate(A[i])]
+                    for i in range(first, first + n)]
+        else:
+            legs = [[row[j] for row in A] for j in range(first, first + n)]
+        for leg in legs:
+            leg.extend(self.model.zero_poly()
+                       for _ in range(self.model.dim - 2 * n))
+        return legs
+
     def antiholo_frame_columns(self):
         """Columns spanning the deformed antiholomorphic tangent bundle."""
-        n = self.model.n
-        Phi = self.phi_matrix()
-        cols = []
-        for b in range(n):
-            col = unit_vector(self.model, n + b)
-            for i in range(n):
-                if Phi[i][b]:
-                    col[i] = col[i] + Phi[i][b]
-            cols.append(col)
-        return cols
+        return self._legs(self.model.n)
 
     def holo_frame_columns(self):
         """Columns spanning the deformed holomorphic tangent bundle."""
-        n = self.model.n
-        Phi = self.phi_matrix()
-        cols = []
-        for b in range(n):
-            col = unit_vector(self.model, b)
-            for i in range(n):
-                if Phi[i][b]:
-                    col[n + i] = col[n + i] + Phi[i][b].conj()
-            cols.append(col)
-        return cols
+        return self._legs(0)
 
     def holo_covector_columns(self):
         """Columns spanning the annihilator of the deformed antiholomorphic
         tangent bundle (the deformed (1,0)-covectors)."""
-        n = self.model.n
-        Phi = self.phi_matrix()
-        cols = []
-        for a in range(n):
-            col = unit_vector(self.model, a)
-            for b in range(n):
-                if Phi[a][b]:
-                    col[n + b] = col[n + b] - Phi[a][b]
-            cols.append(col)
-        return cols
+        return self._legs(0, covectors=True)
 
     def antiholo_covector_columns(self):
         """Columns spanning the deformed (0,1)-covectors."""
-        n = self.model.n
-        Phi = self.phi_matrix()
-        cols = []
-        for a in range(n):
-            col = unit_vector(self.model, n + a)
-            for b in range(n):
-                if Phi[a][b]:
-                    col[b] = col[b] - Phi[a][b].conj()
-            cols.append(col)
-        return cols
+        return self._legs(self.model.n, covectors=True)
 
     def complex_structure(self, tmax=None):
         """The deformed complex structure as a frame endomorphism matrix."""
@@ -395,12 +375,8 @@ class HoloPoisson:
         if self.phi.is_zero():
             stats["closure_method"] = "direct"
             n = self.model.n
-            holostep = True
-            for i in range(n):
-                for j in range(n):
-                    entry = self.sigma.mat[i][j]
-                    if any(sum(e[n:2 * n]) for e in entry.terms):
-                        holostep = False
+            holostep = all(set(self.sigma.mat[i][j].zbar_degree_split()) <= {0}
+                           for i in range(n) for j in range(n))
             jac = schouten_defect(self.sigma, tmax=tmax)
             stats["antiholomorphic_dependence"] = not holostep
             witnesses["jacobiator_entries"] = sorted(jac)
@@ -446,7 +422,7 @@ def complex_structure_matrix(model: Model, phi: MVElement, tmax=None):
             M[n + i][n + i] = Poly.const(n, -eye)
         return M
     Phi = phi_geom_matrix(phi)
-    P10 = _holo_projector(model, Phi, tmax=tmax)
+    P10 = _holo_projector(Phi, tmax=tmax)
     out = mat_scale(mat_sub(mat_scale(P10, Scalar(2)), mat_identity(dim, n)),
                     eye)
     if tmax is not None:
@@ -454,15 +430,17 @@ def complex_structure_matrix(model: Model, phi: MVElement, tmax=None):
     return out
 
 
-def _deformed_frame_change(model, Phi):
-    """Block matrix with columns the deformed holomorphic then
-    antiholomorphic frame vectors."""
-    n = model.n
-    dim = model.dim
-    A = mat_zero(dim, dim, n)
+def _deformed_frame_change(Phi):
+    """The deformed frame change A = I + N with N = [[0, Phi], [conj Phi, 0]].
+
+    The columns of A are the deformed holomorphic then antiholomorphic
+    frame vectors; the rows of I - N are the deformed (1,0) then (0,1)
+    covectors.  The frame size is ``len(Phi)`` and the polynomial ring that
+    of Phi's entries, which may have more variables than the frame.
+    """
+    n = len(Phi)
+    A = mat_identity(2 * n, Phi[0][0].n)
     for b in range(n):
-        A[b][b] = Poly.const(n, ONE)
-        A[n + b][n + b] = Poly.const(n, ONE)
         for i in range(n):
             if Phi[i][b]:
                 A[i][n + b] = Phi[i][b]
@@ -470,15 +448,14 @@ def _deformed_frame_change(model, Phi):
     return A
 
 
-def _holo_projector(model, Phi, tmax=None):
+def _holo_projector(Phi, tmax=None):
     """Projector onto the deformed holomorphic bundle along the
-    antiholomorphic one."""
-    n = model.n
-    dim = model.dim
-    A = _deformed_frame_change(model, Phi)
-    proj = mat_zero(dim, dim, n)
+    antiholomorphic one: A diag(1, 0) A^{-1}, mod t^{tmax+1} with ``tmax``."""
+    n, ring = len(Phi), Phi[0][0].n
+    A = _deformed_frame_change(Phi)
+    proj = mat_zero(2 * n, 2 * n, ring)
     for i in range(n):
-        proj[i][i] = Poly.const(n, ONE)
+        proj[i][i] = Poly.const(ring, ONE)
     return mat_div_right(mat_mul(A, proj, tmax=tmax), A, tmax=tmax)
 
 
@@ -486,29 +463,26 @@ def _holo_projector(model, Phi, tmax=None):
 # Gauge action on real Poisson structures
 # ---------------------------------------------------------------------------
 
-def _describe_zero_locus(det: Poly, model: Model) -> str:
+def _describe_zero_locus(det: Poly) -> str:
     """Human-readable account of where a determinant polynomial vanishes."""
-    n = model.n
-    tvar = 2 * n
     if det.is_constant():
         return "nowhere" if det else "everywhere"
-    if all(not any(e[:tvar]) for e in det.terms):
+    coeffs = []
+    for k in range(det.t_degree() + 1):
+        c = det.t_coefficient(k)
+        if not c.is_constant():
+            return "the zero set of the displayed determinant"
+        coeffs.append(c.constant_value())
+    if all(c.is_real() for c in coeffs):
         # univariate in t with rational coefficients: isolate real roots
-        coeffs = [Fraction(0)] * (det.t_degree() + 1)
-        realform = True
-        for e, c in det.terms.items():
-            if not c.is_real():
-                realform = False
-                break
-            coeffs[e[tvar]] = c.re
-        if realform:
-            lead = abs(coeffs[-1])
-            bound = 1 + max(abs(c) for c in coeffs) / lead
-            roots = real_roots_in_interval(coeffs, -bound, bound)
-            if not roots:
-                return "no real t"
-            spans = ", ".join(f"t in ({a}, {b})" for a, b in roots)
-            return f"real roots isolated in: {spans}"
+        coeffs = [c.re for c in coeffs]
+        lead = abs(coeffs[-1])
+        bound = 1 + max(abs(c) for c in coeffs) / lead
+        roots = real_roots_in_interval(coeffs, -bound, bound)
+        if not roots:
+            return "no real t"
+        spans = ", ".join(f"t in ({a}, {b})" for a, b in roots)
+        return f"real roots isolated in: {spans}"
     return "the zero set of the displayed determinant"
 
 
@@ -534,23 +508,26 @@ def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
     P = pi0.pi.mat
     F = form_matrix(B)
     E = mat_add(mat_identity(dim, model.n), mat_mul(F, P, tmax=tmax))
-    det = poly_det(E)
-    if not det:
-        raise SingularityError(
-            "1 + B pi is everywhere degenerate", determinant="0")
-    locus = _describe_zero_locus(det, model)
-    for pt in points or ():
-        if det.eval(pt).is_zero():
-            raise SingularityError(
-                f"1 + B pi degenerates at the requested point {pt}; "
-                f"det = {det.render()}; vanishes on: {locus}",
-                determinant=det.render(), point=pt)
+    # det(E) feeds only the point checks and the error texts
+    det = poly_det(E) if points else None
+    if det:
+        locus = _describe_zero_locus(det)
+        for pt in points:
+            if det.eval(pt).is_zero():
+                raise SingularityError(
+                    f"1 + B pi degenerates at the requested point {pt}; "
+                    f"det = {det.render()}; vanishes on: {locus}",
+                    determinant=det.render(), point=pt)
     try:
         M1 = mat_div_right(P, E, tmax=tmax)
+    except SingularityError:
+        raise SingularityError(
+            "1 + B pi is everywhere degenerate", determinant="0")
     except UnsupportedSceneError:
+        det = det or poly_det(E)
         raise UnsupportedSceneError(
             "(1 + B pi)^{-1} is not polynomial; det = "
-            f"{det.render()}; vanishes on: {locus}")
+            f"{det.render()}; vanishes on: {_describe_zero_locus(det)}")
     check = mat_sub(mat_mul(M1, E, tmax=tmax), P)
     if tmax is not None:
         check = mat_t_truncate(check, tmax)
@@ -663,7 +640,7 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
         lift = mat_mul(vecs, [[c] for c in nums], tmax=tmax)
         lifted.append([x for [x] in mat_div_right(lift, [[den]], tmax=tmax)])
     # project the lifts onto the deformed holomorphic bundle
-    P10 = _holo_projector(model, Phi, tmax=tmax)
+    P10 = _holo_projector(Phi, tmax=tmax)
     outs = [mat_apply(P10, X, tmax=tmax) for X in lifted]
     # solve S [eta | theta] = [outs | 0]
     Cbasis = [[(etas + thetas)[j][i] for j in range(dim)] for i in range(dim)]

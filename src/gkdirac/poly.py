@@ -237,6 +237,21 @@ class Poly:
             out.terms[e[:ti] + (e[ti] - k,)] = c
         return out
 
+    def lift_parameter(self) -> "Poly":
+        """Reread a t-series over C^n over C^{n+1}, with the parameter as
+        the new last holomorphic coordinate s: t^k becomes t^k s^k.
+
+        t then counts the total (s, sbar) degree, and keeps doing so under
+        products and conjugation, so a ``tmax`` truncation is a cut in that
+        degree.  A derivative in s or sbar lowers the degree by one; follow
+        it with ``t_shift_down(1)``.
+        """
+        n = self.n
+        p = Poly(n + 1)
+        p.terms = {e[:n] + (e[2 * n],) + e[n:2 * n] + (0, e[2 * n]): c
+                   for e, c in self.terms.items()}
+        return p
+
     def substitute_t(self, value: Scalar) -> "Poly":
         ti = 2 * self.n
         out = Poly(self.n)

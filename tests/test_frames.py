@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkdirac.forms import MixedForm, dz, dzbar
+from gkdirac.forms import MixedForm, dt_leg, dz, dzbar
 from gkdirac.frames import (
     _conj_components,
     _conj_operator,
@@ -225,6 +225,41 @@ def test_dorfman_leibniz_rule():
                     Xf = Xf + u.vec[l] * d
         rhs = dorfman_bracket(u, v).poly_mul(f) + v.poly_mul(Xf)
         assert (lhs - rhs).is_zero()
+
+
+def test_dorfman_bracket_on_a_parameter_model_keeps_the_dt_slot():
+    pm = Model(1, param=True)
+    t = pm.t()
+    zero = pm.zero_poly()
+    u = GVField(pm, vec=[zero, zero, t * t])          # t^2 d/dt
+    v = GVField(pm, cov=[zero, zero, t])              # t dt
+    # d(v(u)) = d(t^3) = 3 t^2 dt
+    assert dorfman_bracket(u, v, tmax=2).cov[2] == t * t * Scalar(3)
+
+
+@pytest.mark.parametrize("param", [False, True])
+def test_truncated_dorfman_bracket_is_the_exact_one_truncated(param):
+    rng = random.Random(353)
+    model = Model(1, param=param)
+    dim = model.dim
+
+    def series():
+        return (rand_poly(rng, model) + model.t() * rand_poly(rng, model)
+                + model.t() * model.t() * rand_poly(rng, model))
+
+    H = None
+    if param:
+        H = dt_leg(model).wedge(MixedForm.monomial(
+            model, series(), holo=(0,), anti=(0,)))
+    for _ in range(3):
+        u = GVField(model, [series() for _ in range(dim)],
+                    [series() for _ in range(dim)])
+        v = GVField(model, [series() for _ in range(dim)],
+                    [series() for _ in range(dim)])
+        exact = dorfman_bracket(u, v, H=H)
+        for k in range(5):
+            got = dorfman_bracket(u, v, H=H, tmax=k)
+            assert (got - exact.t_truncate(k)).is_zero(), k
 
 
 def std_hermitian_form(model):

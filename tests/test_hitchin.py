@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gkdirac.errors import CertificateError
 from gkdirac.forms import MixedForm
 from gkdirac.frames import frames_equal
-from gkdirac.hitchin import (MCElement, deformation_frame,
+from gkdirac.hitchin import (DeformSeries, MCElement, deformation_frame,
                              deformed_holomorphic_lift, deformed_structures,
                              formality_psi, hamiltonian_family_check,
                              mc_component_check, pi_star_transport,
@@ -228,6 +228,49 @@ def test_solve_c2_complex_mode_differs_from_real():
 # Gauge identity
 # ---------------------------------------------------------------------------
 
+def _random_phi(rng, model, with_t):
+    phi = MVElement.zero(model)
+    for i in range(model.n):
+        for b in range(model.n):
+            c = model.poly(Scalar(Fraction(rng.randrange(-3, 4), 2),
+                                  rng.randrange(-1, 2)))
+            for leg in range(2 * model.n):
+                if rng.random() < 0.3:
+                    c = c * Poly.var(model.n, leg)
+            if with_t:
+                c = c * model.t()
+            phi = phi + MVElement.monomial(model, c, vecs=(i,), bars=(b,))
+    return phi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("with_t", [False, True])
+def test_deformation_frame_keeps_its_former_columns(n, with_t):
+    from gkdirac.multivector import phi_geom_matrix
+    rng = random.Random(10 * n + with_t)
+    model = Model(n)
+    dim = model.dim
+    for _ in range(3):
+        eps = MCElement(model, phi=_random_phi(rng, model, with_t))
+        gens = deformation_frame(HoloPoisson(model), eps).gens
+        # the columns as deformation_frame built them inline before
+        Phi = phi_geom_matrix(eps.phi)
+        for b in range(n):
+            v = [model.zero_poly() for _ in range(dim)]
+            v[n + b] = model.poly(1)
+            for i in range(n):
+                if Phi[i][b]:
+                    v[i] = v[i] + Phi[i][b]
+            assert gens[b].vec == v
+        for a in range(n):
+            cov = [model.zero_poly() for _ in range(dim)]
+            cov[a] = model.poly(1)
+            for b in range(n):
+                if Phi[a][b]:
+                    cov[n + b] = cov[n + b] - Phi[a][b]
+            assert gens[n + a].cov == cov
+
+
 def test_graph_identity_zero_form():
     rng = random.Random(31)
     rep = verify_graph_identity(MixedForm.zero(M2), c2_background(), rng)
@@ -421,6 +464,129 @@ def test_complex_family_identities():
     assert ham.ok, ham.checks
     assert set(ham.checks) == {"structure_velocity", "bivector_velocity",
                                "conjugate_velocity"}
+
+
+def _former_lift_parameter(p, n):
+    out = {}
+    for e, c in p.terms.items():
+        out[e[:n] + (e[2 * n],) + e[n:2 * n] + (0, 0)] = c
+    return Poly(n + 1, out)
+
+
+def _former_wcut_poly(p, bound, n1):
+    wi = n1 - 1
+    keep = {e: c for e, c in p.terms.items()
+            if e[wi] + e[n1 + wi] <= bound}
+    return Poly(n1, keep)
+
+
+def _former_ham_complex(ds, tmax):
+    """The complex-mode check as it was before it shared the deformed
+    splitting: a weight cut on the lifted ring and its own Neumann loop."""
+    from gkdirac.frames import _conj_operator
+    from gkdirac.hitchin import _sigma_matrix
+    from gkdirac.linalg import (mat_identity, mat_is_zero, mat_mul,
+                                mat_scale, mat_sub, mat_transpose, mat_zero)
+    from gkdirac.multivector import form_matrix, phi_geom_matrix
+    model = ds.model
+    n = model.n
+    n1 = n + 1
+    order = ds.order if tmax is None else min(tmax, ds.order)
+    cut = order - 1
+    dim = 2 * n
+
+    def lift_mat(Mx):
+        return [[_former_lift_parameter(e, n) for e in row] for row in Mx]
+
+    def wcut(Mx, bound=cut):
+        return [[_former_wcut_poly(e, bound, n1) for e in row] for row in Mx]
+
+    def wmul(A, B, bound=order):
+        return wcut(mat_mul(A, B), bound)
+
+    Phi = lift_mat(phi_geom_matrix(ds.eps.phi))
+    Phibar = [[e.conj() for e in row] for row in Phi]
+    A = mat_identity(dim, n1)
+    for b in range(n):
+        for i in range(n):
+            if Phi[i][b]:
+                A[i][n + b] = Phi[i][b]
+            if Phibar[i][b]:
+                A[n + i][b] = Phibar[i][b]
+    N = mat_sub(A, mat_identity(dim, n1))
+    X = mat_identity(dim, n1)
+    for _ in range(order + 1):
+        X = wcut(mat_sub(mat_identity(dim, n1), mat_mul(N, X)), order)
+    Ainv = X
+    if not mat_is_zero(wcut(mat_sub(wmul(A, Ainv), mat_identity(dim, n1)),
+                            order)):
+        raise CertificateError("frame change failed to invert at this order")
+    proj = mat_zero(dim, dim, n1)
+    for i in range(n):
+        proj[i][i] = Poly.const(n1, Scalar(1))
+    P = wmul(wmul(A, proj), Ainv)
+    Pbar = _conj_operator(model, P)
+    eye = mat_identity(dim, n1)
+    I_t = mat_scale(mat_sub(mat_scale(P, Scalar(2)), eye), Scalar(0, 1))
+    Msum = mat_add(lift_mat(_sigma_matrix(model, ds.background)),
+                   lift_mat(bivector_matrix(ds.eps.rho, size=dim)))
+    Mt = wmul(wmul(P, Msum), mat_transpose(P))
+    Mtbar = _conj_operator(model, Mt)
+    Wl = lift_mat(form_matrix(ds.beta_series()))
+    Walpha = [[e.d_z(n) for e in row] for row in Wl]
+    W20 = wmul(wmul(mat_transpose(P), Walpha), P)
+    W11 = mat_add(wmul(wmul(mat_transpose(Pbar), Walpha), P),
+                  wmul(wmul(mat_transpose(P), Walpha), Pbar))
+    W11bar = _conj_operator(model, W11)
+    checks = {}
+    Idot = [[e.d_z(n) for e in row] for row in I_t]
+    resid1 = mat_sub(Idot, mat_scale(wmul(Mt, W11), Scalar(0, 2)))
+    checks["structure_velocity"] = mat_is_zero(wcut(resid1))
+    Mdot = [[e.d_z(n) for e in row] for row in Mt]
+    resid2 = mat_add(Mdot, wmul(wmul(Mt, W20), Mt))
+    checks["bivector_velocity"] = mat_is_zero(wcut(resid2))
+    Mbardot = [[e.d_zbar(n) for e in row] for row in Mt]
+    resid3 = mat_add(Mbardot, mat_add(wmul(wmul(Mtbar, W11bar), Mt),
+                                      wmul(wmul(Mt, W11bar), Mtbar)))
+    checks["conjugate_velocity"] = mat_is_zero(wcut(resid3))
+    return checks, {"mode": "complex", "certified_order": cut}
+
+
+def _perturbed(ds):
+    """The same series with beta_1 doubled, so its eps no longer matches."""
+    return DeformSeries(ds.model, ds.background, ds.mode, ds.order,
+                        [ds.betas[0].scale(2)] + ds.betas[1:], ds.residuals,
+                        ds.gammas, ds.omega, ds.eps)
+
+
+def test_complex_family_keeps_its_former_verdicts():
+    cases = []
+    for order in (2, 3, 4, 6):
+        ds = twistor_demo(order=order).series
+        for tmax in (None, order - 1, order):
+            cases += [(ds, tmax), (_perturbed(ds), tmax)]
+    for order in (2, 3):
+        for mode in ("real", "complex"):
+            ds = solve_hitchin(c2_background(), fubini_seed(), order,
+                               mode=mode)
+            cases += [(ds, None), (_perturbed(ds), order - 1)]
+    failing = 0
+    for ds, tmax in cases:
+        rep = hamiltonian_family_check(ds, random.Random(0), mode="complex",
+                                       tmax=tmax)
+        assert (rep.checks, rep.stats) == _former_ham_complex(ds, tmax), (
+            ds, tmax)
+        failing += not rep.ok
+    assert 0 < failing < len(cases)
+
+
+def test_complex_family_raises_when_the_frame_change_does_not_invert(
+        monkeypatch):
+    from gkdirac import linalg
+    ds = twistor_demo(order=3).series
+    monkeypatch.setattr(linalg, "mat_is_zero", lambda A: False)
+    with pytest.raises(CertificateError):
+        hamiltonian_family_check(ds, random.Random(0), mode="complex")
 
 
 # ---------------------------------------------------------------------------

@@ -102,3 +102,48 @@ def test_unused_import_check_sees_a_stale_name():
               "def f():\n"
               "    return os.sep\n")
     assert _unused_imports(source) == ["det (line 3)"]
+
+
+def _unused_private_helpers(sources):
+    """Private module-level functions and classes of ``sources`` (module
+    name -> source) that no code reads outside their own definition."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = {}
+    for module, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                reads.setdefault(name, set()).add((module, id(top)))
+    offenders = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_")
+                    and not top.name.startswith("__")
+                    and not reads.get(top.name, set()) - {(module, id(top))}):
+                offenders.append(f"{module}.{top.name}")
+    return sorted(offenders)
+
+
+def test_no_unused_private_helpers():
+    # a private helper left behind by a deletion is caught here
+    sources = {path.stem: path.read_text()
+               for path in (ROOT / "src" / "gkdirac").glob("*.py")}
+    assert not _unused_private_helpers(sources)
+
+
+def test_unused_helper_check_sees_a_stale_helper():
+    sources = {
+        "a": ("def _used():\n    return 1\n"
+              "def _recursive(k):\n    return _recursive(k - 1)\n"
+              "class _Stale:\n    pass\n"),
+        "b": ("from .a import _used, _Stale\n"
+              "def f(m):\n    return _used() + m._attr()\n"
+              "def _attr():\n    return 0\n"),
+    }
+    assert _unused_private_helpers(sources) == ["a._Stale", "a._recursive"]

@@ -222,6 +222,27 @@ def test_gauge_additivity_of_constant_forms():
         assert once.pi == both.pi
 
 
+def test_gauge_takes_the_determinant_only_where_needed(monkeypatch):
+    # det(1 + B pi) feeds the point checks and the error texts; on the
+    # series route the division needs no determinant at all
+    from gkdirac import linalg, poisson
+    calls = []
+
+    def counted(A, tmax=None):
+        calls.append(len(A))
+        return real_det(A, tmax)
+
+    real_det = linalg.poly_det
+    monkeypatch.setattr(linalg, "poly_det", counted)
+    monkeypatch.setattr(poisson, "poly_det", counted)
+    B = area_form(M1, Fraction(1, 3))
+    for tmax, want in ((None, 1), (4, 0)):
+        del calls[:]
+        gauge_real_poisson(planar_poisson(M1), B, random.Random(19),
+                           tmax=tmax)
+        assert len(calls) == want, tmax
+
+
 # ---------------------------------------------------------------------------
 # Holomorphic Poisson structures and their frames
 # ---------------------------------------------------------------------------
@@ -273,6 +294,86 @@ def test_constant_phi_is_flat_and_certified():
     certs = hp.certificates(rng)
     assert certs.ok
     assert certs.stats["closure_method"] == "frame"
+
+
+def _rand_series(rng, model, with_t):
+    n = model.n
+    terms = {}
+    for _ in range(rng.randrange(0, 3)):
+        e = [rng.randrange(0, 3) if rng.random() < 0.4 else 0
+             for _ in range(2 * n)]
+        e.append(rng.randrange(0, 3) if with_t else 0)
+        terms[tuple(e)] = Scalar(Fraction(rng.randrange(-3, 4),
+                                          rng.randrange(1, 3)),
+                                 rng.randrange(-2, 3))
+    return Poly(n, terms)
+
+
+def _rand_phi(rng, model, with_t):
+    phi = MVElement.zero(model)
+    for i in range(model.n):
+        for b in range(model.n):
+            phi = phi + MVElement.monomial(
+                model, _rand_series(rng, model, with_t), vecs=(i,), bars=(b,))
+    return phi
+
+
+def _former_columns(hp):
+    """The four column families as HoloPoisson built them before they were
+    read off the deformed frame change."""
+    from gkdirac.brackets import unit_vector
+    model = hp.model
+    n = model.n
+    Phi = hp.phi_matrix()
+    antiholo, holo, holo_cov, antiholo_cov = [], [], [], []
+    for b in range(n):
+        col = unit_vector(model, n + b)
+        for i in range(n):
+            if Phi[i][b]:
+                col[i] = col[i] + Phi[i][b]
+        antiholo.append(col)
+    for b in range(n):
+        col = unit_vector(model, b)
+        for i in range(n):
+            if Phi[i][b]:
+                col[n + i] = col[n + i] + Phi[i][b].conj()
+        holo.append(col)
+    for a in range(n):
+        col = unit_vector(model, a)
+        for b in range(n):
+            if Phi[a][b]:
+                col[n + b] = col[n + b] - Phi[a][b]
+        holo_cov.append(col)
+    for a in range(n):
+        col = unit_vector(model, n + a)
+        for b in range(n):
+            if Phi[a][b]:
+                col[b] = col[b] - Phi[a][b].conj()
+        antiholo_cov.append(col)
+    return antiholo, holo, holo_cov, antiholo_cov
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("with_t", [False, True])
+def test_frame_columns_keep_their_former_outputs(n, with_t):
+    from gkdirac.poisson import _deformed_frame_change
+    rng = random.Random(100 * n + with_t)
+    for param in (False, True):
+        model = Model(n, param=param)
+        for _ in range(3):
+            hp = HoloPoisson(model, phi=_rand_phi(rng, model, with_t))
+            new = (hp.antiholo_frame_columns(), hp.holo_frame_columns(),
+                   hp.holo_covector_columns(),
+                   hp.antiholo_covector_columns())
+            assert new == _former_columns(hp)
+            # vectors are the columns of A, covectors the rows of 2I - A
+            A = _deformed_frame_change(hp.phi_matrix())
+            pad = [model.zero_poly()] * (model.dim - 2 * n)
+            cols = [[row[j] for row in A] + pad for j in range(2 * n)]
+            rows = [[(2 if i == j else 0) - x for j, x in enumerate(A[i])]
+                    + pad for i in range(2 * n)]
+            assert new[1] + new[0] == cols
+            assert new[2] + new[3] == rows
 
 
 def test_complex_structure_matrix_background():
