@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .forms import MixedForm
 from .linalg import (
+    Span,
     kernel_certificate,
     mat_apply,
     generic_rank,
@@ -459,6 +460,7 @@ class involutivity_report:
         rank = generic_rank(A, model, rng)
         expected = model.dim if require_rank is None else require_rank
         isotropic = frame.is_isotropic()
+        span = Span(cols, model, tmax)
         failures = []
         for i, u in enumerate(frame.gens):
             for j, v in enumerate(frame.gens):
@@ -470,7 +472,7 @@ class involutivity_report:
                     w = [c.t_truncate(tmax) for c in w]
                 if all(not c for c in w):
                     continue
-                ok, cert = span_certificate(cols, w, model, rng, tmax=tmax)
+                ok, cert = span_certificate(span, w, rng)
                 if not ok:
                     failures.append((i, j, cert))
         return Report("involutivity",
@@ -488,14 +490,12 @@ def frames_equal(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> bool:
     if tmax is not None:
         cols1 = [[c.t_truncate(tmax) for c in col] for col in cols1]
         cols2 = [[c.t_truncate(tmax) for c in col] for col in cols2]
-    for w in cols2:
-        ok, _ = span_certificate(cols1, w, model, rng, tmax=tmax)
-        if not ok:
-            return False
-    for w in cols1:
-        ok, _ = span_certificate(cols2, w, model, rng, tmax=tmax)
-        if not ok:
-            return False
+    for gens, targets in ((cols1, cols2), (cols2, cols1)):
+        span = Span(gens, model, tmax)
+        for w in targets:
+            ok, _ = span_certificate(span, w, rng)
+            if not ok:
+                return False
     return True
 
 

@@ -27,9 +27,9 @@ from .forms import MixedForm
 from .frames import (DiracFrame, conj_stack, dirac_scale,
                      dirac_sum, frames_equal, gauge_frame, graph_bivector,
                      involutivity_report, point_pairing)
-from .linalg import (generic_rank, mat_div_right, mat_mul, mat_transpose,
-                     poly_det, real_roots_in_interval, scalar_det,
-                     scalar_rank, span_certificate)
+from .linalg import (Span, generic_rank, mat_div_right, mat_mul,
+                     mat_transpose, poly_det, real_roots_in_interval,
+                     scalar_det, scalar_rank, span_certificate)
 from .model import Model
 from .multivector import form_matrix
 from .poisson import (Bivector, RealPoisson, build_L_sigma,
@@ -80,13 +80,13 @@ def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
     """
     model = frame.model
     dim = model.dim
-    ccols = [list(g.cov) for g in frame.gens]
+    span = Span([list(g.cov) for g in frame.gens], model, tmax)
     vecs = mat_transpose([g.vec for g in frame.gens])
     cols = []
     for a in range(dim):
         w = [model.zero_poly() for _ in range(dim)]
         w[a] = model.poly(1)
-        okflag, cert = span_certificate(ccols, w, model, rng, tmax=tmax)
+        okflag, cert = span_certificate(span, w, rng)
         if not okflag:
             raise SingularityError(
                 "frame is not a bivector graph: a coordinate covector is "

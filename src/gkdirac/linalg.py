@@ -1,6 +1,6 @@
 """Exact linear algebra over Q(i) scalars and polynomial matrices.
 
-Two layers:
+Three layers:
 
 * Scalar matrices (lists of lists of :class:`~gkdirac.scalars.Scalar`):
   Gauss-Jordan reduction with exact pivots, giving rank, solve, kernel,
@@ -17,6 +17,15 @@ Two layers:
   A certificate is an exact polynomial identity, so a positive answer
   never depends on the sampled points; sampling is only used to locate a
   well-conditioned pivot block quickly.
+
+* Prepared spans: a :class:`Span` is one generator set, built once and
+  queried many times through :func:`span_certificate`.  The first query
+  finds its pivot block and keeps the block's rows, its minor table and
+  ``den = det(D)``; every later query reads the Cramer numerators
+  ``nums = table.numerators(w[rows])`` from cofactors earlier queries
+  memoised, and still checks ``den*w = sum nums_j g_j`` on every
+  coordinate.  A failed identity with no witness point among 16 samples
+  drops the block, and the next attempt searches afresh.
 
 The univariate Sturm-chain utilities at the bottom isolate real roots of
 exact rational polynomials; they drive the validity-interval reports for
@@ -56,6 +65,7 @@ __all__ = [
     "poly_adjugate",
     "mat_div_right",
     "generic_rank",
+    "Span",
     "span_certificate",
     "kernel_certificate",
     "sturm_chain",
@@ -199,19 +209,12 @@ def mat_scale(A, c):
 def mat_mul(A, B, tmax=None):
     rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
     n = A[0][0].n if rows and A[0] else (B[0][0].n if inner else 0)
-    out = mat_zero(rows, cols, n)
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k]
-            if not a:
-                continue
-            Bk = B[k]
-            row = out[i]
-            for j in range(cols):
-                b = Bk[j]
-                if b:
-                    row[j] = row[j] + a.mul(b, tmax=tmax)
+    out = []
+    for Ai in A:
+        support = [(a, B[k]) for k, a in enumerate(Ai[:inner]) if a]
+        out.append([Poly.sum(n, (a.mul(Bk[j], tmax=tmax)
+                                 for a, Bk in support if Bk[j]))
+                    for j in range(cols)])
     return out
 
 
@@ -220,15 +223,9 @@ def mat_transpose(A):
 
 
 def mat_apply(A, vec, tmax=None):
-    out = []
-    for row in A:
-        n = row[0].n
-        acc = Poly.zero(n)
-        for a, v in zip(row, vec):
-            if a and v:
-                acc = acc + a.mul(v, tmax=tmax)
-        out.append(acc)
-    return out
+    return [Poly.sum(row[0].n, (a.mul(v, tmax=tmax)
+                                for a, v in zip(row, vec) if a and v))
+            for row in A]
 
 
 def mat_eval(A, point):
@@ -308,7 +305,7 @@ class _Minors:
             return got
         low = C & -C
         col = low.bit_length() - 1
-        acc = Poly.zero(self.n)
+        terms = []
         odd = False
         for i, row in enumerate(self.A):
             if not (R >> i) & 1:
@@ -317,10 +314,9 @@ class _Minors:
             if a:
                 sub = self.minor(R ^ (1 << i), C ^ low)
                 if sub:
-                    term = a.mul(sub, tmax=self.tmax)
-                    acc = acc - term if odd else acc + term
+                    terms.append((-a if odd else a).mul(sub, tmax=self.tmax))
             odd = not odd
-        self.memo[R, C] = acc
+        acc = self.memo[R, C] = Poly.sum(self.n, terms)
         return acc
 
     def det(self) -> Poly:
@@ -335,13 +331,9 @@ class _Minors:
         """Cramer numerators of A x = b: ``nums[j] = sum_i b_i cof(i, j)``,
         so that A nums = det(A) b.  Only the nonzero b_i are visited."""
         support = [(i, bi) for i, bi in enumerate(b) if bi]
-        nums = []
-        for j in range(len(self.A)):
-            acc = Poly.zero(self.n)
-            for i, bi in support:
-                acc = acc + bi.mul(self.cofactor(i, j), tmax=self.tmax)
-            nums.append(acc)
-        return nums
+        return [Poly.sum(self.n, (bi.mul(self.cofactor(i, j), tmax=self.tmax)
+                                  for i, bi in support))
+                for j in range(len(self.A))]
 
 
 def poly_det(A, tmax=None) -> Poly:
@@ -416,81 +408,132 @@ def _pivot_block(cols, model, rng, samples=8, t_zero=False):
     invertible, using evaluation at random points to pick the block.
     With ``t_zero`` the sample points sit on the t = 0 slice, so the
     block's determinant has a nonzero leading series coefficient.
+
+    At each point one forward elimination with row swaps picks the first
+    independent columns, and the original row of each pivot; the rows
+    and columns found form a block that is invertible at that point.
     """
     nrows = len(cols[0]) if cols else 0
-    best = (0, [], [])
+    ncols = len(cols)
+    best = ([], [])
     for _ in range(samples):
         pt = model.sample_point(rng, with_t=True)
         if t_zero:
             pt = Point(pt.z, ZERO)
         M = [[c[i].eval(pt) for c in cols] for i in range(nrows)]
-        red, piv_cols = scalar_rref(mat_transpose(M))
-        # piv_cols of the transpose are pivot *rows* of M
-        rowsel = piv_cols
-        Msub = [[M[i][j] for j in range(len(cols))] for i in rowsel]
-        red2, piv2 = scalar_rref(Msub)
-        r = len(piv2)
-        if r > best[0]:
-            best = (r, list(rowsel)[:r], piv2)
-        if r == min(nrows, len(cols)):
+        order = list(range(nrows))  # original index of each working row
+        rows, piv = [], []
+        for c in range(ncols):
+            r = len(piv)
+            p = next((i for i in range(r, nrows) if M[i][c]), None)
+            if p is None:
+                continue
+            M[r], M[p] = M[p], M[r]
+            order[r], order[p] = order[p], order[r]
+            top = M[r]
+            inv = top[c].inverse()
+            for i in range(r + 1, nrows):
+                row = M[i]
+                if row[c]:
+                    f = row[c] * inv
+                    for j in range(c + 1, ncols):
+                        if top[j]:
+                            row[j] = row[j] - f * top[j]
+            rows.append(order[r])
+            piv.append(c)
+            if r + 1 == nrows:
+                break
+        if len(piv) > len(best[1]):
+            best = (rows, piv)
+        if len(piv) == min(nrows, ncols):
             break
-    return best[1], best[2]
+    return best
 
 
-def span_certificate(generators, w, model, rng, tmax=None, attempts=4):
-    """Decide whether w lies in the span of the generators over the
-    rational-function field (or the t-series ring when ``tmax`` is given).
+class Span:
+    """The span of one list of generator columns, prepared for many
+    membership queries (see :func:`span_certificate`).
 
-    ``generators`` and ``w`` are column vectors of Poly.  Returns
-    ``(True, (den, nums))`` with the exact identity den*w = sum nums[i]*g_i
-    (den a Poly, checked symbolically; mod t^{tmax+1} when truncating), or
+    It holds the generators, the model and ``tmax``.  The first query
+    that needs it runs the pivot search and keeps the pivot rows, the
+    selected generators, the minor table of the pivot block ``D`` and
+    ``den = det(D)``; later queries read the cofactors that earlier ones
+    memoised in that table.  A query whose identity fails and finds no
+    witness point drops the block, so the next attempt searches afresh.
+    """
+
+    __slots__ = ("generators", "model", "tmax", "_block")
+
+    def __init__(self, generators, model, tmax=None):
+        self.generators = generators
+        self.model = model
+        self.tmax = tmax
+        self._block = None
+
+    def _pivot(self, rng):
+        """The kept block ``(rows, cols, sel_gens, table, den)``, searched
+        for when there is none; None (and nothing kept) when the block
+        found is singular, or with ``tmax`` not a t-series unit."""
+        if self._block is not None:
+            return self._block
+        # with truncation the denominator must be a series unit, so pick
+        # the pivot block on the t = 0 slice
+        rows, cols_sel = _pivot_block(self.generators, self.model, rng,
+                                      t_zero=(self.tmax is not None))
+        n = self.model.n
+        sel_gens = [self.generators[j] for j in cols_sel]
+        D = [[g[i] for g in sel_gens] for i in rows]
+        table = _Minors(D, n, self.tmax)
+        den = table.det()  # the constant 1 when the block is empty
+        if not den or (self.tmax is not None and not den.t_coefficient(0)):
+            return None
+        self._block = (rows, cols_sel, sel_gens, table, den)
+        return self._block
+
+
+def span_certificate(span, w, rng, attempts=4):
+    """Decide whether w lies in a :class:`Span` over the rational-function
+    field (or the t-series ring when the span has a ``tmax``).
+
+    ``w`` is a column vector of Poly.  Returns ``(True, (den, nums))``
+    with the exact identity den*w = sum nums[i]*g_i (den a Poly, checked
+    symbolically on every coordinate; mod t^{tmax+1} when truncating), or
     ``(False, witness_point)`` where evaluation shows w outside the span.
 
     When ``tmax`` is set the denominator must be invertible as a t-series
     (nonzero constant coefficient), so the identity certifies membership
     over exact series, not just generically.
     """
+    generators, model, tmax = span.generators, span.model, span.tmax
+    n = model.n
     if not generators:
         if all(not x for x in w):
-            n = model.n
             return True, (Poly.const(n, ONE), [])
         pt = model.sample_point(rng, with_t=True)
         return False, pt
-    n = model.n
     for _ in range(attempts):
-        # with truncation the denominator must be a series unit, so pick
-        # the pivot block on the t = 0 slice
-        rows, cols_sel = _pivot_block(generators, model, rng,
-                                      t_zero=(tmax is not None))
-        r = len(rows)
-        if r == 0:
+        block = span._pivot(rng)
+        if block is None:
+            continue  # singular pivot block; search again
+        rows, cols_sel, sel_gens, table, den = block
+        if not rows:
             # all generators vanish generically; w must vanish too
             if all(not x for x in w):
-                return True, (Poly.const(n, ONE), [Poly.zero(n)] * len(generators))
+                return True, (den, [Poly.zero(n)] * len(generators))
             pt = model.sample_point(rng, with_t=True)
             if any(x.eval(pt) for x in w):
                 return False, pt
+            span._block = None
             continue
-        sel_gens = [generators[j] for j in cols_sel]
-        D = [[sel_gens[j][i] for j in range(r)] for i in rows]
-        table = _Minors(D, n, tmax)
-        den = table.det()
-        if not den:
-            continue
-        if tmax is not None:
-            c0 = den.t_coefficient(0)
-            if not c0:
-                continue  # pivot block not invertible as a series; retry
         # Cramer numerators of D x = w[rows]
         nums = table.numerators([w[ri] for ri in rows])
         # verify den*w = sum nums_j * g_j on every coordinate
         ok = True
         for i in range(len(w)):
-            lhs = den.mul(w[i], tmax=tmax)
-            rhs = Poly.zero(n)
-            for j, g in enumerate(sel_gens):
-                rhs = rhs + nums[j].mul(g[i], tmax=tmax)
-            diff = lhs - rhs
+            rhs = Poly.sum(n, (x.mul(g[i], tmax=tmax)
+                               for x, g in zip(nums, sel_gens)
+                               if x and g[i]))
+            diff = den.mul(w[i], tmax=tmax) - rhs
             if tmax is not None:
                 diff = diff.t_truncate(tmax)
             if diff:
@@ -508,6 +551,7 @@ def span_certificate(generators, w, model, rng, tmax=None, attempts=4):
             b = [x.eval(pt) for x in w]
             if scalar_solve(M, b) is None:
                 return False, pt
+        span._block = None  # the block may be too small: search again
     raise SingularityError("could not settle span membership; matrix may be "
                            "rank-degenerate along the sampled locus")
 

@@ -23,7 +23,7 @@ from .forms import MixedForm
 from .frames import (DiracFrame, GVField, _conj_components, _conj_operator,
                      _leg_derivative, graph_bivector, gauge_frame,
                      frames_equal, involutivity_report)
-from .linalg import (mat_add, mat_apply, mat_div_right, mat_identity,
+from .linalg import (Span, mat_add, mat_apply, mat_div_right, mat_identity,
                      mat_is_zero, mat_mul, mat_scale, mat_sub, mat_transpose,
                      mat_t_truncate, mat_zero, poly_det, real_roots_in_interval,
                      span_certificate, kernel_certificate, _pivot_block,
@@ -627,11 +627,12 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     etas = hp_shape.holo_covector_columns()
     thetas = hp_shape.antiholo_covector_columns()
     # covector lifts: den * eta_a = sum num_j cov_j, exact identities
-    ccols = [[C[i][j] for i in range(dim)] for j in range(r)]
+    span = Span([[C[i][j] for i in range(dim)] for j in range(r)], model,
+                tmax)
     vecs = mat_transpose([g.vec for g in L.gens])
     lifted = []
     for eta in etas:
-        okflag, cert = span_certificate(ccols, eta, model, rng, tmax=tmax)
+        okflag, cert = span_certificate(span, eta, rng)
         if not okflag:
             raise SingularityError(
                 "a deformed covector is outside the covector span of the "
@@ -688,33 +689,36 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
     eta0 = hp0.holo_covector_columns()
     eta1 = hp1.holo_covector_columns()
 
-    def contained(cols, targets):
+    def contained(span, targets):
         for w in targets:
             if tmax is not None:
                 w = [x.t_truncate(tmax) for x in w]
-            okflag, cert = span_certificate(cols, w, model, rng, tmax=tmax)
+            okflag, cert = span_certificate(span, w, rng)
             if not okflag:
                 return False, cert
         return True, None
+
+    span_eta1, span_v0, span_v1 = (Span(cols, model, tmax)
+                                   for cols in (eta1, v0, v1))
 
     conditions = {}
     witnesses = {}
     # the 2-form sends the old antiholomorphic bundle into new (1,0)-covectors
     conditions["covector_type"], witnesses["covector_type"] = contained(
-        eta1, [mat_apply(F, x, tmax=tmax) for x in v0])
+        span_eta1, [mat_apply(F, x, tmax=tmax) for x in v0])
     # corrected old antiholomorphic vectors land in the new bundle
     conditions["forward_tangent"], witnesses["forward_tangent"] = contained(
-        v1, [[a - b for a, b in zip(x, mat_apply(
+        span_v1, [[a - b for a, b in zip(x, mat_apply(
             mat_mul(S1, F, tmax=tmax), x, tmax=tmax))] for x in v0])
     # corrected new antiholomorphic vectors land in the old bundle
     conditions["backward_tangent"], witnesses["backward_tangent"] = contained(
-        v0, [[a + b for a, b in zip(y, mat_apply(
+        span_v0, [[a + b for a, b in zip(y, mat_apply(
             mat_mul(S0, F, tmax=tmax), y, tmax=tmax))] for y in v1])
     # the bivector discrepancy on old (1,0)-covectors is antiholomorphic
     D = mat_add(mat_sub(S1, S0),
                 mat_mul(mat_mul(S1, F, tmax=tmax), S0, tmax=tmax))
     conditions["bivector_match"], witnesses["bivector_match"] = contained(
-        v1, [mat_apply(D, a, tmax=tmax) for a in eta0])
+        span_v1, [mat_apply(D, a, tmax=tmax) for a in eta0])
 
     L0 = build_L_sigma(hp0, tmax=tmax, check=False)
     L1 = build_L_sigma(hp1, tmax=tmax, check=False)

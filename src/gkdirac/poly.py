@@ -72,20 +72,11 @@ class Poly:
             raise ValueError(f"mixed model dimensions {self.n} != {other.n}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        # Fraction is an ABC, so the isinstance test is the slow path
+        if type(other) is not Poly and isinstance(other,
+                                                  (int, Fraction, Scalar)):
             other = Poly.const(self.n, other)
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        p = Poly(self.n)
-        p.terms = out
-        return p
+        return Poly.sum(self.n, (self, other))
 
     __radd__ = __add__
 
@@ -95,7 +86,8 @@ class Poly:
         return p
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if type(other) is not Poly and isinstance(other,
+                                                  (int, Fraction, Scalar)):
             other = Poly.const(self.n, other)
         return self + (-other)
 
@@ -120,7 +112,8 @@ class Poly:
         own order either way, so the result holds its terms in the order
         the full product holds those of t-degree at most ``tmax``.
         """
-        if isinstance(other, (int, Fraction, Scalar)):
+        if type(other) is not Poly and isinstance(other,
+                                                  (int, Fraction, Scalar)):
             return self.scale(other)
         self._check(other)
         right = other.terms.items()
@@ -148,6 +141,32 @@ class Poly:
                 else:
                     out[e] = s
         p = Poly(self.n)
+        p.terms = out
+        return p
+
+    @classmethod
+    def sum(cls, n, polys) -> "Poly":
+        """The sum of an iterable of polynomials in ``n`` variables, built
+        in one dict, so a long sum copies no running total.  The terms come
+        out in the order a chain of ``+`` gives them."""
+        out: dict = {}
+        for p in polys:
+            if p.n != n:
+                raise ValueError(f"mixed model dimensions {n} != {p.n}")
+            if not out:
+                out = dict(p.terms)
+                continue
+            for e, c in p.terms.items():
+                s = out.get(e)
+                if s is None:
+                    out[e] = c
+                    continue
+                s = s + c
+                if s.is_zero():
+                    del out[e]
+                else:
+                    out[e] = s
+        p = cls(n)
         p.terms = out
         return p
 
@@ -331,6 +350,8 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if type(other) is Poly:
+            return self.n == other.n and self.terms == other.terms
         if isinstance(other, (int, Fraction, Scalar)):
             other = Poly.const(self.n, other)
         if not isinstance(other, Poly):

@@ -62,6 +62,8 @@ class Scalar:
 
     def __mul__(self, other):
         if type(other) is not Scalar:
+            if type(other) is int:  # e.g. an exponent in Poly.derivative
+                return _new(self.a * other, self.b * other, self.d)
             other = _coerce(other)
         a, b, x, y = self.a, self.b, other.a, other.b
         return _new(a * x - b * y, a * y + b * x, self.d * other.d)

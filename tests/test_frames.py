@@ -28,6 +28,7 @@ from gkdirac.frames import (
     lie_bracket_components,
     tangent_frame,
 )
+from gkdirac import linalg
 from gkdirac.linalg import mat_apply
 from gkdirac.model import Model
 from gkdirac.multivector import MVElement, bivector_matrix, form_matrix
@@ -162,6 +163,26 @@ def test_gauge_composes_additively():
     once = gauge_frame(gauge_frame(fr, B1), B2)
     both = gauge_frame(fr, B1 + B2)
     assert frames_equal(once, both, rng)
+
+
+def test_frames_equal_searches_one_pivot_block_per_side(monkeypatch):
+    rng = random.Random(349)
+    B1 = rand_two_form(rng, M)
+    B2 = rand_two_form(rng, M)
+    once = gauge_frame(gauge_frame(tangent_frame(M), B1), B2)
+    both = gauge_frame(tangent_frame(M), B1 + B2)
+    searches = []
+    search = linalg._pivot_block
+
+    def counted(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_pivot_block", counted)
+    assert frames_equal(once, both, rng)
+    # one prepared span per side answers all 2 x 4 membership queries
+    assert len(once) + len(both) == 8
+    assert len(searches) == 2
 
 
 def test_dirac_scale_and_conjugate():

@@ -149,6 +149,29 @@ def test_gk_check_sign_flip_fails_only_positivity():
     assert report.verdict == "degenerate generalized kahler"
 
 
+def _gk_outcome(report):
+    """The verdict, the conditions and the extracted bivectors, rendered."""
+    out = [report.verdict, sorted(report.conditions.items())]
+    pair = report.pair
+    if pair is not None:
+        out += [pair.sigma_plus.sigma.render(), pair.sigma_minus.sigma.render(),
+                pair.sigma_plus.phi.render()]
+        out += [rp.pi.render() if rp is not None else "none"
+                for rp in (pair.pi1, pair.pi2)]
+    return out
+
+
+@pytest.mark.parametrize("signs", [[1, 1], [1, -1]])
+def test_gk_check_outcome_does_not_depend_on_the_seed(signs):
+    L1, L2 = kahler_pair(M2, signs=signs)
+    outcomes = [_gk_outcome(gk_check(L1, L2, random.Random(seed)))
+                for seed in range(63, 68)]
+    assert all(o == outcomes[0] for o in outcomes)
+    assert outcomes[0][0] == ("generalized kahler" if signs == [1, 1]
+                              else "degenerate generalized kahler")
+    assert len(outcomes[0]) == 7
+
+
 def test_gk_check_degenerate_scaled_pair():
     rng = random.Random(62)
     sigma = MVElement.monomial(M2, M2.z(0) * Poly.t(2), vecs=(0, 1))

@@ -8,6 +8,7 @@ from gkdirac import linalg
 from gkdirac.errors import (CertificateError, SingularityError,
                             UnsupportedSceneError)
 from gkdirac.linalg import (
+    Span,
     _pivot_block,
     count_real_roots,
     generic_rank,
@@ -33,7 +34,7 @@ from gkdirac.linalg import (
     span_certificate,
     sturm_chain,
 )
-from gkdirac.model import Model
+from gkdirac.model import Model, Point
 from gkdirac.poly import Poly
 from gkdirac.scalars import Scalar, ZERO, ONE, sc
 
@@ -213,7 +214,7 @@ def test_span_certificate_positive():
     w = [M.z(0) * M.z(1),
          M.z(1) * M.poly(1) + M.poly(3) * M.z(1),
          M.poly(3)]
-    ok, cert = span_certificate([g1, g2], w, M, rng)
+    ok, cert = span_certificate(Span([g1, g2], M), w, rng)
     assert ok
     den, nums = cert
     # exact identity: den*w == nums[0]*g1 + nums[1]*g2
@@ -225,7 +226,7 @@ def test_span_certificate_negative():
     rng = random.Random(227)
     g1 = [M.poly(1), M.zero_poly()]
     w = [M.zero_poly(), M.poly(1)]
-    ok, witness = span_certificate([g1], w, M, rng)
+    ok, witness = span_certificate(Span([g1], M), w, rng)
     assert not ok
 
 
@@ -466,6 +467,16 @@ def _span_scenes(rng, with_t):
                          for i in range(dim)]
 
 
+def _span_target_sets(rng, with_t):
+    """The scenes of :func:`_span_scenes`, grouped by generator set."""
+    groups = []
+    for gens, w in _span_scenes(rng, with_t):
+        if not groups or groups[-1][0] is not gens:
+            groups.append((gens, []))
+        groups[-1][1].append(w)
+    return groups
+
+
 def _same_verdict(got, want):
     assert got[0] == want[0]
     if got[0]:
@@ -481,12 +492,138 @@ def test_span_certificate_matches_column_replacement(tmax):
     members = 0
     for gens, w in _span_scenes(rng, with_t=tmax is not None):
         seed = rng.randrange(10 ** 6)
-        got = span_certificate(gens, w, M, random.Random(seed), tmax=tmax)
+        got = span_certificate(Span(gens, M, tmax), w, random.Random(seed))
         want = _span_certificate_reference(gens, w, M, random.Random(seed),
                                            tmax=tmax)
         _same_verdict(got, want)
         members += got[0]
     assert members
+
+
+def _pivot_block_reference(cols, model, rng, samples=8, t_zero=False):
+    """The former pivot search: the rows from an RREF of M^T, then the
+    columns from an RREF of the selected rows of M."""
+    nrows = len(cols[0]) if cols else 0
+    best = (0, [], [])
+    for _ in range(samples):
+        pt = model.sample_point(rng, with_t=True)
+        if t_zero:
+            pt = Point(pt.z, ZERO)
+        Mp = [[c[i].eval(pt) for c in cols] for i in range(nrows)]
+        _red, rowsel = scalar_rref([list(r) for r in zip(*Mp)])
+        _red2, piv2 = scalar_rref([Mp[i] for i in rowsel])
+        r = len(piv2)
+        if r > best[0]:
+            best = (r, list(rowsel)[:r], piv2)
+        if r == min(nrows, len(cols)):
+            break
+    return best[1], best[2]
+
+
+class _RecordingModel:
+    """A model that keeps every point it samples."""
+
+    def __init__(self, model):
+        self.model = model
+        self.points = []
+
+    def sample_point(self, rng, with_t=False):
+        pt = self.model.sample_point(rng, with_t=with_t)
+        self.points.append(pt)
+        return pt
+
+
+def _pivot_scenes(rng):
+    """Column sets of full and of deficient rank, some with a zero row
+    and a column that repeats a combination of the others."""
+    for _ in range(12):
+        nrows = rng.randrange(1, 6)
+        k = rng.randrange(1, 6)
+        cols = [[rand_poly(rng, M, with_t=True) for _ in range(nrows)]
+                for _ in range(k)]
+        if k > 1 and rng.random() < 0.5:
+            a, b = rand_poly(rng, M, nterms=1), rand_poly(rng, M, nterms=1)
+            cols[-1] = [a * x + b * y for x, y in zip(cols[0], cols[1 % k])]
+        if nrows > 1 and rng.random() < 0.5:
+            for c in cols:
+                c[rng.randrange(nrows)] = M.zero_poly()
+        yield cols
+
+
+@pytest.mark.parametrize("t_zero", [False, True])
+def test_pivot_block_single_elimination_matches_two_rrefs(t_zero):
+    rng = random.Random(243)
+    for cols in _pivot_scenes(rng):
+        seed = rng.randrange(10 ** 6)
+        model = _RecordingModel(M)
+        rows, piv = _pivot_block(cols, model, random.Random(seed),
+                                 t_zero=t_zero)
+        ref_rows, ref_piv = _pivot_block_reference(
+            cols, M, random.Random(seed), t_zero=t_zero)
+        assert piv == ref_piv
+        assert len(rows) == len(ref_rows) == len(piv)
+        assert len(set(rows)) == len(rows)
+        # the block is invertible at the point where its rank was found
+        points = [Point(p.z, ZERO) if t_zero else p for p in model.points]
+        ranks = [scalar_rank([[c[i].eval(p) for c in cols]
+                              for i in range(len(cols[0]))]) for p in points]
+        at = points[ranks.index(len(piv))]
+        block = [[cols[j][i].eval(at) for j in piv] for i in rows]
+        assert scalar_det(block) if piv else not any(ranks)
+
+
+def test_prepared_span_searches_again_when_its_block_is_too_small(
+        monkeypatch):
+    rng = random.Random(247)
+    g1 = [M.z(0), M.poly(1), M.zero_poly()]
+    g2 = [M.zero_poly(), M.z(1), M.poly(1)]
+    searches = []
+    search = linalg._pivot_block
+
+    def first_block_too_small(*args, **kwargs):
+        rows, cols = search(*args, **kwargs)
+        searches.append(len(rows))
+        return (rows[:1], cols[:1]) if len(searches) == 1 else (rows, cols)
+
+    monkeypatch.setattr(linalg, "_pivot_block", first_block_too_small)
+    span = Span([g1, g2], M)
+    # g2 alone: outside the span of g1, so the one-column block fails it
+    for coeffs in ((M.poly(0), M.poly(1)), (M.z(1), M.poly(3)),
+                   (M.poly(2), M.z(0))):
+        w = [coeffs[0] * a + coeffs[1] * b for a, b in zip(g1, g2)]
+        ok, (den, nums) = span_certificate(span, w, rng)
+        assert ok
+        for i in range(3):
+            assert den * w[i] == nums[0] * g1[i] + nums[1] * g2[i]
+    # the second search replaced the first block and served every later
+    # query
+    assert searches == [2, 2]
+    ok, _witness = span_certificate(span, [M.poly(0), M.poly(0), M.z(0)],
+                                    rng)
+    assert not ok
+    assert len(searches) == 2
+
+
+@pytest.mark.parametrize("tmax", [None, 2])
+def test_prepared_span_answers_like_one_span_per_query(tmax):
+    rng = random.Random(249)
+    for gens, targets in _span_target_sets(rng, with_t=tmax is not None):
+        span = Span(gens, M, tmax)
+        for w in targets:
+            seed = rng.randrange(10 ** 6)
+            got = span_certificate(span, w, random.Random(seed))
+            want = span_certificate(Span(gens, M, tmax), w,
+                                    random.Random(seed))
+            assert got[0] == want[0]
+            if got[0]:
+                den, nums = got[1]
+                for i in range(len(w)):
+                    lhs = den.mul(w[i], tmax=tmax)
+                    rhs = sum((x.mul(g[i], tmax=tmax)
+                               for x, g in zip(nums, gens)), M.zero_poly())
+                    if tmax is not None:
+                        lhs, rhs = lhs.t_truncate(tmax), rhs.t_truncate(tmax)
+                    assert lhs == rhs
 
 
 @pytest.mark.parametrize("tmax", [None, 2])
@@ -509,7 +646,8 @@ def test_certificates_that_cannot_settle_raise_singularity_error():
     rng = random.Random(251)
     g = [M.z(0), M.poly(1)]
     with pytest.raises(SingularityError):
-        span_certificate([g], [M.poly(1), M.zero_poly()], M, rng, attempts=0)
+        span_certificate(Span([g], M), [M.poly(1), M.zero_poly()], rng,
+                         attempts=0)
     with pytest.raises(SingularityError):
         kernel_certificate([[M.z(0), M.z(1)]], M, rng, attempts=0)
 
