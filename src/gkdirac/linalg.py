@@ -109,7 +109,42 @@ def scalar_rref(rows):
 
 
 def scalar_rank(rows) -> int:
-    return len(scalar_rref(rows)[1])
+    """The rank, by one forward elimination (no back substitution)."""
+    return len(_forward_pivots([list(r) for r in rows])[1])
+
+
+def _forward_pivots(M):
+    """Forward elimination with row swaps, in place on the rows ``M``.
+
+    Returns (rows, cols): the original row index of each pivot, and the
+    pivot columns, the first independent ones.  The block they select is
+    invertible.
+    """
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    order = list(range(nrows))  # original index of each working row
+    rows, piv = [], []
+    for c in range(ncols):
+        r = len(piv)
+        p = next((i for i in range(r, nrows) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        order[r], order[p] = order[p], order[r]
+        top = M[r]
+        inv = top[c].inverse()
+        for i in range(r + 1, nrows):
+            row = M[i]
+            if row[c]:
+                f = row[c] * inv
+                for j in range(c + 1, ncols):
+                    if top[j]:
+                        row[j] = row[j] - f * top[j]
+        rows.append(order[r])
+        piv.append(c)
+        if r + 1 == nrows:
+            break
+    return rows, piv
 
 
 def scalar_solve(rows, rhs):
@@ -409,9 +444,10 @@ def _pivot_block(cols, model, rng, samples=8, t_zero=False):
     With ``t_zero`` the sample points sit on the t = 0 slice, so the
     block's determinant has a nonzero leading series coefficient.
 
-    At each point one forward elimination with row swaps picks the first
-    independent columns, and the original row of each pivot; the rows
-    and columns found form a block that is invertible at that point.
+    At each point one forward elimination (:func:`_forward_pivots`)
+    picks the first independent columns, and the original row of each
+    pivot; the rows and columns found form a block that is invertible at
+    that point.
     """
     nrows = len(cols[0]) if cols else 0
     ncols = len(cols)
@@ -421,28 +457,7 @@ def _pivot_block(cols, model, rng, samples=8, t_zero=False):
         if t_zero:
             pt = Point(pt.z, ZERO)
         M = [[c[i].eval(pt) for c in cols] for i in range(nrows)]
-        order = list(range(nrows))  # original index of each working row
-        rows, piv = [], []
-        for c in range(ncols):
-            r = len(piv)
-            p = next((i for i in range(r, nrows) if M[i][c]), None)
-            if p is None:
-                continue
-            M[r], M[p] = M[p], M[r]
-            order[r], order[p] = order[p], order[r]
-            top = M[r]
-            inv = top[c].inverse()
-            for i in range(r + 1, nrows):
-                row = M[i]
-                if row[c]:
-                    f = row[c] * inv
-                    for j in range(c + 1, ncols):
-                        if top[j]:
-                            row[j] = row[j] - f * top[j]
-            rows.append(order[r])
-            piv.append(c)
-            if r + 1 == nrows:
-                break
+        rows, piv = _forward_pivots(M)
         if len(piv) > len(best[1]):
             best = (rows, piv)
         if len(piv) == min(nrows, ncols):

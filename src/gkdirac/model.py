@@ -12,12 +12,14 @@ locus of the complexified picture.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .poly import Poly
-from .scalars import Scalar, ZERO
+from .scalars import ZERO, _new
 
 __all__ = ["Model", "Point"]
+
+# the numerators a sample coordinate is drawn from
+_NUMERATORS = (-4, -3, -2, -1, 1, 2, 3, 4)
 
 
 class Point:
@@ -94,16 +96,19 @@ class Model:
 
     # sampling ------------------------------------------------------------
     def sample_point(self, rng: random.Random, with_t: bool = False) -> Point:
-        """A random point with small nonzero rational coordinates."""
-
-        def frac():
-            num = rng.choice([x for x in range(-4, 5) if x != 0])
-            den = rng.randint(1, 4)
-            return Fraction(num, den)
-
-        zs = [Scalar(frac(), frac()) for _ in range(self.n)]
-        tval = Scalar(frac(), 0) if (with_t or self.param) else ZERO
-        return Point(zs, tval)
+        """A random point with small nonzero rational coordinates: each
+        real coordinate is ``num / den``, ``num`` drawn from
+        ``_NUMERATORS`` and ``den`` from 1..4, in that order."""
+        choice, randint = rng.choice, rng.randint
+        zs = []
+        for _ in range(self.n):
+            x, p = choice(_NUMERATORS), randint(1, 4)
+            y, q = choice(_NUMERATORS), randint(1, 4)
+            zs.append(_new(x * q, y * p, p * q))
+        if with_t or self.param:
+            x, p = choice(_NUMERATORS), randint(1, 4)
+            return Point(zs, _new(x, 0, p))
+        return Point(zs, ZERO)
 
     def sample_points(self, rng, count=5, with_t=False):
         return [self.sample_point(rng, with_t=with_t) for _ in range(count)]

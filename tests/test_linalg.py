@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gkdirac import linalg
 from gkdirac.errors import (CertificateError, SingularityError,
@@ -63,6 +64,41 @@ def test_rref_rank_kernel_consistency():
         for v in ker:
             out = [sum((a * x for a, x in zip(row, v)), ZERO) for row in A]
             assert all(not o for o in out)
+
+
+small_scalars = st.builds(
+    lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+    st.sampled_from([0, 0, 0, 1, -1, 2, -3]), st.sampled_from([0, 0, 1, -2]),
+    st.integers(1, 3))
+
+
+@st.composite
+def scalar_matrices(draw):
+    """Matrices up to 5 x 5, dense, sparse, zero or of low rank (a product
+    of an r x k and a k x c factor)."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(small_scalars, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+    k = draw(st.integers(0, 3))
+    U = draw(st.lists(st.lists(small_scalars, min_size=k, max_size=k),
+                      min_size=r, max_size=r))
+    V = draw(st.lists(st.lists(small_scalars, min_size=c, max_size=c),
+                      min_size=k, max_size=k))
+    return [[sum((U[i][m] * V[m][j] for m in range(k)), ZERO)
+             for j in range(c)] for i in range(r)]
+
+
+@given(scalar_matrices())
+@example([])
+@example([[], []])
+@example([[ZERO] * 3] * 2)
+@example([[ONE, sc(2)], [sc(2), sc(4)], [sc(0, 1), sc(0, 2)]])
+def test_scalar_rank_is_the_rref_pivot_count(A):
+    assert scalar_rank(A) == len(scalar_rref(A)[1])
+    # the rank of the transpose is the same
+    if A and A[0]:
+        assert scalar_rank([list(r) for r in zip(*A)]) == scalar_rank(A)
 
 
 def test_solve_roundtrip():
