@@ -26,11 +26,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import SingularityError
 from .forms import MixedForm
 from .linalg import (
     Span,
     kernel_certificate,
     mat_apply,
+    mat_div_right,
+    mat_mul,
+    mat_transpose,
     generic_rank,
     scalar_kernel,
     scalar_rank,
@@ -435,6 +439,29 @@ def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
         if not g.is_zero():
             gens.append(g)
     return DiracFrame(model, gens, label=f"{f1.label}+{f2.label}")
+
+
+def _covector_lifts(frame: DiracFrame, targets, rng, message, tmax=None):
+    """The vector parts X with X + eta in ``frame``, one per target
+    covector eta.
+
+    Each target gets a span certificate ``den*eta = sum nums_j cov_j``
+    over the frame's covector block, and its lift ``sum nums_j vec_j`` is
+    divided by ``den``.  A target outside the span raises
+    SingularityError at the witness point, with ``message``.
+    """
+    span = Span([list(g.cov) for g in frame.gens], frame.model, tmax)
+    vecs = mat_transpose([g.vec for g in frame.gens])
+    lifts = []
+    for eta in targets:
+        okflag, cert = span_certificate(span, eta, rng)
+        if not okflag:
+            raise SingularityError(f"{message} (witness point {cert})",
+                                   point=cert)
+        den, nums = cert
+        lift = mat_mul(vecs, [[c] for c in nums], tmax=tmax)
+        lifts.append([x for [x] in mat_div_right(lift, [[den]], tmax=tmax)])
+    return lifts
 
 
 # ---------------------------------------------------------------------------

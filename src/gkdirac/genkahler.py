@@ -24,12 +24,11 @@ from fractions import Fraction
 
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
-from .frames import (DiracFrame, conj_stack, dirac_scale,
+from .frames import (DiracFrame, _covector_lifts, conj_stack, dirac_scale,
                      dirac_sum, frames_equal, gauge_frame, graph_bivector,
                      involutivity_report, point_pairing)
-from .linalg import (Span, generic_rank, mat_div_right, mat_mul,
-                     mat_transpose, poly_det, real_roots_in_interval,
-                     scalar_det, scalar_rank, span_certificate)
+from .linalg import (generic_rank, mat_add, mat_identity, mat_mul, poly_det,
+                     real_roots_in_interval, scalar_det, scalar_rank)
 from .model import Model
 from .multivector import form_matrix
 from .poisson import (Bivector, RealPoisson, build_L_sigma,
@@ -80,21 +79,11 @@ def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
     """
     model = frame.model
     dim = model.dim
-    span = Span([list(g.cov) for g in frame.gens], model, tmax)
-    vecs = mat_transpose([g.vec for g in frame.gens])
-    cols = []
-    for a in range(dim):
-        w = [model.zero_poly() for _ in range(dim)]
-        w[a] = model.poly(1)
-        okflag, cert = span_certificate(span, w, rng)
-        if not okflag:
-            raise SingularityError(
-                "frame is not a bivector graph: a coordinate covector is "
-                f"outside the covector span (witness point {cert})",
-                point=cert)
-        den, nums = cert
-        lift = mat_mul(vecs, [[c] for c in nums], tmax=tmax)
-        cols.append([x for [x] in mat_div_right(lift, [[den]], tmax=tmax)])
+    units = [[model.poly(1) if i == a else model.zero_poly()
+              for i in range(dim)] for a in range(dim)]
+    cols = _covector_lifts(
+        frame, units, rng, "frame is not a bivector graph: a coordinate "
+        "covector is outside the covector span", tmax=tmax)
     P = [[cols[a][i] for a in range(dim)] for i in range(dim)]
     try:
         bi = Bivector.from_matrix(model, P)
@@ -551,22 +540,14 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
     points = model.sample_points(rng, count=sample_count)
     det_roots = {}
     dets = {}
+    Fmat = form_matrix(F)
     for tag, rp in (("first", pair.pi1), ("second", pair.pi2)):
         if rp is None:
             det_roots[tag] = None
             continue
-        Fmat = form_matrix(F)
-        dim = model.dim
-        E = [[(model.poly(1) if i == j else model.zero_poly())
-              for j in range(dim)] for i in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                acc = E[i][j]
-                for l in range(dim):
-                    if Fmat[i][l] and rp.pi.mat[l][j]:
-                        acc = acc + Fmat[i][l] * rp.pi.mat[l][j]
-                E[i][j] = acc
-        det = poly_det(E)
+        # the pencil 1 + F pi
+        det = poly_det(mat_add(mat_identity(model.dim, model.n),
+                               mat_mul(Fmat, rp.pi.mat)))
         dets[tag] = det
         det_roots[tag] = _det_root_intervals(det, model, points)
 

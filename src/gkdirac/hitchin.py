@@ -376,7 +376,8 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
     dim = model.dim
     W = form_matrix(beta)
     M = _sigma_matrix(model, hp)
-    det = poly_det(mat_add(mat_identity(dim, model.n), mat_mul(M, W)))
+    E = mat_add(mat_identity(dim, model.n), mat_mul(M, W))
+    det = poly_det(E)
     if not det:
         raise SingularityError("1 + beta sigma is everywhere degenerate",
                                determinant="0")
@@ -392,15 +393,7 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
             continue
         Wp = mat_eval(W, pt)
         Mp = mat_eval(M, pt)
-        Ep = [[(Scalar(1) if i == j else Scalar(0)) for j in range(dim)]
-              for i in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                acc = Ep[i][j]
-                for l in range(dim):
-                    acc = acc + Mp[i][l] * Wp[l][j]
-                Ep[i][j] = acc
-        Einv = scalar_inverse(Ep)
+        Einv = scalar_inverse(mat_eval(E, pt))
         psi_p = [[sum((Wp[i][l] * Einv[l][j] for l in range(dim)),
                       Scalar(0)) for j in range(dim)] for i in range(dim)]
         hp_p = HoloPoisson(model, sigma=Bivector(model, _const_matrix(model,

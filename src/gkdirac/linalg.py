@@ -19,13 +19,14 @@ Three layers:
   well-conditioned pivot block quickly.
 
 * Prepared spans: a :class:`Span` is one generator set, built once and
-  queried many times through :func:`span_certificate`.  The first query
-  finds its pivot block and keeps the block's rows, its minor table and
-  ``den = det(D)``; every later query reads the Cramer numerators
-  ``nums = table.numerators(w[rows])`` from cofactors earlier queries
-  memoised, and still checks ``den*w = sum nums_j g_j`` on every
-  coordinate.  A failed identity with no witness point among 16 samples
-  drops the block, and the next attempt searches afresh.
+  queried many times.  The first query finds its pivot block and keeps
+  the block's rows, its minor table and ``den = det(D)``; every query
+  reads ``nums = table.numerators(w[rows])`` from cofactors earlier
+  queries memoised, and ``Span._solve``, the one identity loop, checks
+  ``den*w = sum nums_j g_j`` on every coordinate.  Both certificates
+  answer through it: :func:`span_certificate` decides membership (a
+  failed identity with no witness among 16 samples drops the block), and
+  :func:`kernel_certificate` solves over a span of its matrix's columns.
 
 The univariate Sturm-chain utilities at the bottom isolate real roots of
 exact rational polynomials; they drive the validity-interval reports for
@@ -189,27 +190,17 @@ def scalar_inverse(rows):
 
 
 def scalar_det(rows) -> Scalar:
+    """The product of the :func:`_forward_pivots` pivots, signed by the
+    parity of the row permutation; zero when the rank is short."""
     m = [list(r) for r in rows]
-    n = len(m)
+    order, piv = _forward_pivots(m)
+    if len(piv) < len(m):
+        return ZERO
     det = ONE
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    for r in range(len(m)):
+        det = det * m[r][r]
+    swaps = sum(a > b for i, b in enumerate(order) for a in order[:i])
+    return -det if swaps % 2 else det
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +496,25 @@ class Span:
         self._block = (rows, cols_sel, sel_gens, table, den)
         return self._block
 
+    def _solve(self, w):
+        """``(den, nums)`` from the kept block, with ``nums`` over all
+        generators, once ``den*w = sum nums_j g_j`` holds on every
+        coordinate (mod t^{tmax+1} with ``tmax``); None when it fails.
+        This is the one place a Cramer identity is checked."""
+        rows, cols_sel, sel_gens, table, den = self._block
+        n, tmax = self.model.n, self.tmax
+        nums = table.numerators([w[ri] for ri in rows])
+        for i, wi in enumerate(w):
+            rhs = Poly.sum(n, (x.mul(g[i], tmax=tmax)
+                               for x, g in zip(nums, sel_gens)
+                               if x and g[i]))
+            if den.mul(wi, tmax=tmax) != rhs:
+                return None
+        full_nums = [Poly.zero(n)] * len(self.generators)
+        for j, cj in enumerate(cols_sel):
+            full_nums[cj] = nums[j]
+        return den, full_nums
+
 
 def span_certificate(span, w, rng, attempts=4):
     """Decide whether w lies in a :class:`Span` over the rational-function
@@ -519,7 +529,7 @@ def span_certificate(span, w, rng, attempts=4):
     (nonzero constant coefficient), so the identity certifies membership
     over exact series, not just generically.
     """
-    generators, model, tmax = span.generators, span.model, span.tmax
+    generators, model = span.generators, span.model
     n = model.n
     if not generators:
         if all(not x for x in w):
@@ -530,7 +540,7 @@ def span_certificate(span, w, rng, attempts=4):
         block = span._pivot(rng)
         if block is None:
             continue  # singular pivot block; search again
-        rows, cols_sel, sel_gens, table, den = block
+        rows, *_, den = block
         if not rows:
             # all generators vanish generically; w must vanish too
             if all(not x for x in w):
@@ -540,25 +550,9 @@ def span_certificate(span, w, rng, attempts=4):
                 return False, pt
             span._block = None
             continue
-        # Cramer numerators of D x = w[rows]
-        nums = table.numerators([w[ri] for ri in rows])
-        # verify den*w = sum nums_j * g_j on every coordinate
-        ok = True
-        for i in range(len(w)):
-            rhs = Poly.sum(n, (x.mul(g[i], tmax=tmax)
-                               for x, g in zip(nums, sel_gens)
-                               if x and g[i]))
-            diff = den.mul(w[i], tmax=tmax) - rhs
-            if tmax is not None:
-                diff = diff.t_truncate(tmax)
-            if diff:
-                ok = False
-                break
-        if ok:
-            full_nums = [Poly.zero(n)] * len(generators)
-            for j, cj in enumerate(cols_sel):
-                full_nums[cj] = nums[j]
-            return True, (den, full_nums)
+        cert = span._solve(w)
+        if cert is not None:
+            return True, cert
         # symbolic identity failed: find a concrete witness point
         for _ in range(16):
             pt = model.sample_point(rng, with_t=True)
@@ -575,42 +569,32 @@ def kernel_certificate(A, model, rng, tmax=None, attempts=4):
     """Symbolic basis of the generic right kernel of a polynomial matrix.
 
     Returns a list of column vectors of Poly with A v = 0 exactly (mod
-    t^{tmax+1} when truncating), one for each generic kernel dimension,
-    built from signed maximal minors.  Raises if verification fails.
+    t^{tmax+1} when truncating), one for each generic kernel dimension.
+    The columns of ``A`` form one untruncated :class:`Span`; each column
+    outside its pivot block gives ``v = den*e_fc - nums`` from the exact
+    identity ``den*A[:, fc] = sum nums_j A[:, j]``.  A failed identity
+    drops the block, and the next attempt searches afresh.
     """
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    n = model.n
-    if ncols == 0:
+    cols = mat_transpose(A)
+    if not cols:
         return []
-    cols = [[A[i][j] for i in range(nrows)] for j in range(ncols)]
+    span = Span(cols, model)
     for _ in range(attempts):
-        rows_sel, cols_sel = _pivot_block(cols, model, rng)
-        free = [j for j in range(ncols) if j not in cols_sel]
-        if not free:
-            return []
-        # Cramer solve D x = -A[:, fc] on the pivot rows; the kernel vector
-        # is den * e_fc + sum_j x_j e_{cols_sel[j]} with x_j the numerators.
-        # Minors are taken untruncated so the residual check is an exact
-        # polynomial identity.
-        D = [[A[i][j] for j in cols_sel] for i in rows_sel]
-        table = _Minors(D, n)
-        den = table.det()
-        if not den:
+        block = span._pivot(rng)
+        if block is None:
             continue
+        _rows, cols_sel, *_ = block
         basis = []
-        for fc in free:
-            v = [Poly.zero(n)] * ncols
-            v[fc] = den
-            nums = table.numerators([A[ri][fc] for ri in rows_sel])
-            for j, cj in enumerate(cols_sel):
-                v[cj] = -nums[j]
-            # verify A v = 0
-            resid = mat_apply(A, v, tmax=tmax)
-            if tmax is not None:
-                resid = [x.t_truncate(tmax) for x in resid]
-            if any(resid):
+        for fc, col in enumerate(cols):
+            if fc in cols_sel:
+                continue
+            cert = span._solve(col)
+            if cert is None:
+                span._block = None
                 break
+            den, nums = cert
+            v = [-x for x in nums]
+            v[fc] = den
             # strip a common t-power so the generator survives t-series use
             val = min((x.t_valuation() for x in v if x), default=0)
             if val > 0:

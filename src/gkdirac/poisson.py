@@ -21,8 +21,8 @@ from fractions import Fraction
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
 from .frames import (DiracFrame, GVField, _conj_components, _conj_operator,
-                     _leg_derivative, graph_bivector, gauge_frame,
-                     frames_equal, involutivity_report)
+                     _covector_lifts, _leg_derivative, graph_bivector,
+                     gauge_frame, frames_equal, involutivity_report)
 from .linalg import (Span, mat_add, mat_apply, mat_div_right, mat_identity,
                      mat_is_zero, mat_mul, mat_scale, mat_sub, mat_transpose,
                      mat_t_truncate, mat_zero, poly_det, real_roots_in_interval,
@@ -627,19 +627,9 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     etas = hp_shape.holo_covector_columns()
     thetas = hp_shape.antiholo_covector_columns()
     # covector lifts: den * eta_a = sum num_j cov_j, exact identities
-    span = Span([[C[i][j] for i in range(dim)] for j in range(r)], model,
-                tmax)
-    vecs = mat_transpose([g.vec for g in L.gens])
-    lifted = []
-    for eta in etas:
-        okflag, cert = span_certificate(span, eta, rng)
-        if not okflag:
-            raise SingularityError(
-                "a deformed covector is outside the covector span of the "
-                f"frame (witness point {cert})")
-        den, nums = cert
-        lift = mat_mul(vecs, [[c] for c in nums], tmax=tmax)
-        lifted.append([x for [x] in mat_div_right(lift, [[den]], tmax=tmax)])
+    lifted = _covector_lifts(
+        L, etas, rng, "a deformed covector is outside the covector span of "
+        "the frame", tmax=tmax)
     # project the lifts onto the deformed holomorphic bundle
     P10 = _holo_projector(Phi, tmax=tmax)
     outs = [mat_apply(P10, X, tmax=tmax) for X in lifted]

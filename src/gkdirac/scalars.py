@@ -14,6 +14,8 @@ from math import gcd
 
 __all__ = ["Scalar", "ZERO", "ONE", "I", "sc"]
 
+_RATIONAL = (int, Fraction)  # the operand types coerced to Scalar
+
 
 class Scalar:
     """A complex number ``(a + b*i) / d`` with exact rational parts.
@@ -38,6 +40,8 @@ class Scalar:
     # -- ring structure -------------------------------------------------
     def __add__(self, other):
         if type(other) is not Scalar:
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented  # e.g. a Poly: Poly.__radd__
             other = _coerce(other)
         d, e = self.d, other.d
         if d == e:
@@ -51,6 +55,8 @@ class Scalar:
 
     def __sub__(self, other):
         if type(other) is not Scalar:
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
             other = _coerce(other)
         d, e = self.d, other.d
         if d == e:
@@ -58,12 +64,16 @@ class Scalar:
         return _new(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
+        if not isinstance(other, _RATIONAL):
+            return NotImplemented
         return _coerce(other) - self
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             if type(other) is int:  # e.g. an exponent in Poly.derivative
                 return _new(self.a * other, self.b * other, self.d)
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
             other = _coerce(other)
         a, b, x, y = self.a, self.b, other.a, other.b
         return _new(a * x - b * y, a * y + b * x, self.d * other.d)

@@ -11,9 +11,11 @@ from gkdirac.frames import (DiracFrame, GVField, dirac_scale, frames_equal,
 from gkdirac.genkahler import (gc_deform, gc_from_dirac, gk_check,
                                gk_deform_family, gk_lift, graph_to_bivector,
                                half_i_difference)
+from gkdirac.linalg import mat_add, mat_identity, mat_mul, poly_det
 from gkdirac.model import Model
-from gkdirac.multivector import MVElement
-from gkdirac.poisson import Bivector, HoloPoisson, build_L_sigma
+from gkdirac.multivector import MVElement, form_matrix
+from gkdirac.poisson import (Bivector, HoloPoisson, build_L_sigma,
+                             extract_holo_poisson)
 from gkdirac.poly import Poly
 from gkdirac.scalars import Scalar, sc
 
@@ -322,6 +324,57 @@ def test_gk_deform_family_requires_vanishing_at_zero():
     pair = gk_check(L1, L2, rng).pair
     with pytest.raises(CertificateError):
         gk_deform_family(pair, hermitian_form(M2), rng, tmax=3)
+
+
+def _former_pencil(model, Fmat, pi):
+    """The former 1 + F pi of gk_deform_family: a hand-written triple
+    loop."""
+    dim = model.dim
+    E = [[(model.poly(1) if i == j else model.zero_poly())
+          for j in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            acc = E[i][j]
+            for l in range(dim):
+                if Fmat[i][l] and pi[l][j]:
+                    acc = acc + Fmat[i][l] * pi[l][j]
+            E[i][j] = acc
+    return E
+
+
+@pytest.mark.parametrize("signs, tpower", [([1, 1], 0), ([1, 1], 1),
+                                           ([1, -1], 2)])
+def test_gk_deform_family_pencil_matches_the_former_loop(signs, tpower):
+    rng = random.Random(84)
+    pair = gk_check(*kahler_pair(M2), rng).pair
+    F = hermitian_form(M2, signs, tpower=tpower) if tpower else \
+        MixedForm.zero(M2)
+    Fmat = form_matrix(F)
+    pencils = 0
+    for rp in (pair.pi1, pair.pi2):
+        if rp is None:
+            continue
+        E = mat_add(mat_identity(M2.dim, M2.n), mat_mul(Fmat, rp.pi.mat))
+        former = _former_pencil(M2, Fmat, rp.pi.mat)
+        assert E == former
+        assert poly_det(E) == poly_det(former)
+        pencils += 1
+    assert pencils
+
+
+def test_covector_lift_outside_the_span_reports_its_witness():
+    # d/dzbar1 and d/dz1 + dzbar1: the covector block misses dz1, the
+    # coordinate covector of a graph and the (1,0)-covector of extraction
+    rng = random.Random(85)
+    one, zero = M1.poly(1), M1.zero_poly()
+    frame = DiracFrame(M1, [GVField(M1, vec=[zero, one]),
+                            GVField(M1, vec=[one, zero], cov=[zero, one])])
+    with pytest.raises(SingularityError, match="not a bivector graph") as err:
+        graph_to_bivector(frame, rng)
+    assert err.value.point is not None
+    with pytest.raises(SingularityError, match="deformed covector") as err:
+        extract_holo_poisson(frame, rng)
+    assert err.value.point is not None
 
 
 def test_graph_recognition_round_trip():

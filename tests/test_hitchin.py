@@ -15,9 +15,9 @@ from gkdirac.hitchin import (DeformSeries, MCElement, deformation_frame,
                              solve_hitchin, twistor_demo,
                              verify_graph_identity,
                              _deformed_dbar_function)
-from gkdirac.linalg import mat_add
+from gkdirac.linalg import mat_add, mat_eval, mat_identity, mat_mul
 from gkdirac.model import Model
-from gkdirac.multivector import MVElement, bivector_matrix
+from gkdirac.multivector import MVElement, bivector_matrix, form_matrix
 from gkdirac.poisson import (Bivector, HoloPoisson, RealPoisson,
                              build_L_sigma, gauge_real_poisson)
 from gkdirac.poly import Poly
@@ -295,6 +295,39 @@ def test_graph_identity_series_level():
     ds = solve_hitchin(hp, fubini_seed(), 4, mode="real")
     rep = verify_graph_identity(ds.beta_series(), hp, rng, order=4)
     assert rep.ok and rep.series_equal is True
+
+
+def _former_pointwise_pencil(Mp, Wp):
+    """The former Ep of verify_graph_identity: 1 + M W built by hand from
+    the evaluated matrices."""
+    dim = len(Mp)
+    Ep = [[(Scalar(1) if i == j else Scalar(0)) for j in range(dim)]
+          for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            acc = Ep[i][j]
+            for l in range(dim):
+                acc = acc + Mp[i][l] * Wp[l][j]
+            Ep[i][j] = acc
+    return Ep
+
+
+def test_graph_identity_pointwise_pencil_matches_the_former_loop():
+    rng = random.Random(43)
+    constant = (mono(M2, sc(1, 0), (0,), (1,))
+                + mono(M2, sc(-1, 0), (1,), (0,))
+                + mono(M2, sc(0, 2), (0,), (0,)))
+    series = solve_hitchin(c2_background(), fubini_seed(), 4,
+                           mode="real").beta_series()
+    scenes = [(MixedForm.zero(M2), c2_sigma()),
+              (constant, Bivector.wedge_pair(M2, 0, 1, sc(1, 1))),
+              (series, c2_sigma())]
+    for beta, sigma in scenes:
+        W = form_matrix(beta)
+        E = mat_add(mat_identity(M2.dim, M2.n), mat_mul(sigma.mat, W))
+        for pt in M2.sample_points(rng, count=5, with_t=True):
+            assert mat_eval(E, pt) == _former_pointwise_pencil(
+                mat_eval(sigma.mat, pt), mat_eval(W, pt))
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,11 @@ small_scalars = st.builds(
 
 
 @st.composite
-def scalar_matrices(draw):
+def scalar_matrices(draw, square=False):
     """Matrices up to 5 x 5, dense, sparse, zero or of low rank (a product
     of an r x k and a k x c factor)."""
-    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    r = draw(st.integers(0, 5))
+    c = r if square else draw(st.integers(0, 5))
     if draw(st.booleans()):
         return draw(st.lists(st.lists(small_scalars, min_size=c, max_size=c),
                              min_size=r, max_size=r))
@@ -150,6 +151,42 @@ def test_det_multiplicative():
         AB = [[sum((a * b for a, b in zip(rowA, colB)), ZERO)
                for colB in zip(*B)] for rowA in A]
         assert scalar_det(AB) == scalar_det(A) * scalar_det(B)
+
+
+def _scalar_det_reference(rows):
+    """The former determinant: its own Gaussian elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = ONE
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if m[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            return ZERO
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c]
+        inv = m[c][c].inverse()
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+@given(scalar_matrices(square=True))
+@example([])
+@example([[ONE, sc(2)], [sc(2), sc(4)]])
+@example([[ZERO, ONE], [sc(0, 1), sc(3)]])
+@example([[ZERO, ZERO, ONE], [ZERO, sc(2), ZERO], [sc(0, 1), ZERO, ZERO]])
+@example([[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [sc(3), ZERO, ZERO]])
+def test_scalar_det_matches_its_own_elimination(A):
+    # empty, singular, and row swaps of odd and of even parity
+    assert scalar_det(A) == _scalar_det_reference(A)
 
 
 def rand_poly(rng, model, nterms=2, maxdeg=1, with_t=False):
@@ -676,6 +713,54 @@ def test_kernel_certificate_matches_per_column_rebuild(tmax):
                                              tmax=tmax)
         assert got == want
         assert len(got) >= ncols - nrows
+
+
+def _assert_kernel_basis(A, basis, tmax):
+    for v in basis:
+        assert any(v)
+        out = mat_apply(A, v, tmax=tmax)
+        if tmax is not None:
+            out = [x.t_truncate(tmax) for x in out]
+        assert not any(out)
+
+
+@pytest.mark.parametrize("tmax", [None, 2])
+def test_kernel_certificate_searches_again_when_its_block_is_too_small(
+        monkeypatch, tmax):
+    rng = random.Random(271)
+    searches = []
+    search = linalg._pivot_block
+
+    def first_block_one_column_short(*args, **kwargs):
+        rows, cols = search(*args, **kwargs)
+        searches.append(len(cols))
+        if len(searches) == 1:
+            return rows[:-1], cols[:-1]
+        return rows, cols
+
+    monkeypatch.setattr(linalg, "_pivot_block", first_block_one_column_short)
+    A = [[M.z(0), M.z(1), M.poly(1), M.t()],
+         [M.poly(1), M.z(0) + M.t(), M.z(1), M.poly(2)]]
+    basis = kernel_certificate(A, M, rng, tmax=tmax)
+    # the short block fails the identity for the column it dropped, and
+    # the second search serves every free column
+    assert searches == [2, 2]
+    assert len(basis) == 2
+    _assert_kernel_basis(A, basis, tmax)
+
+
+@pytest.mark.parametrize("tmax", [None, 2])
+def test_kernel_certificate_does_not_go_through_span_certificate(
+        monkeypatch, tmax):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_certificate called span_certificate")
+
+    monkeypatch.setattr(linalg, "span_certificate", refuse)
+    rng = random.Random(273)
+    A = [[M.z(0), M.z(1), M.t()], [M.poly(1), M.zero_poly(), M.z(1)]]
+    basis = kernel_certificate(A, M, rng, tmax=tmax)
+    assert len(basis) == 1
+    _assert_kernel_basis(A, basis, tmax)
 
 
 def test_certificates_that_cannot_settle_raise_singularity_error():

@@ -1,6 +1,7 @@
 """Packaging metadata and public names point at code that exists."""
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
@@ -147,3 +148,26 @@ def test_unused_helper_check_sees_a_stale_helper():
               "def _attr():\n    return 0\n"),
     }
     assert _unused_private_helpers(sources) == ["a._Stale", "a._recursive"]
+
+
+def _load_tracer():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_resolve():
+    # the benchmark's traced run wraps these names; a simplification that
+    # deletes or renames one would break it
+    tracer = _load_tracer()
+    missing = []
+    for module, attr, _layer in tracer.SPANS + tracer.COUNTS:
+        obj = importlib.import_module(f"gkdirac.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"gkdirac.{module}.{attr}")
+    assert tracer.SPANS and tracer.COUNTS
+    assert not missing, missing

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from gkdirac.poly import Poly
 from gkdirac.scalars import Scalar, ZERO, ONE, I, sc
 
 
@@ -235,3 +236,13 @@ def test_non_rational_parts_are_rejected(bad):
         sc(bad, 1)
     with pytest.raises(TypeError):
         ONE + bad
+
+
+@given(scalars)
+def test_scalar_defers_to_a_poly_operand(c):
+    p = Poly.z(2, 0) + Poly.t(2).scale(sc(0, 3))
+    const = Poly.const(2, c)
+    assert c + p == const + p
+    assert c - p == const - p
+    assert c * p == const * p
+    assert isinstance(c - p, Poly)
