@@ -33,6 +33,7 @@ on transported data.
 """
 from __future__ import annotations
 
+from ._combinat import merge_indices
 from .forms import MixedForm
 from .linalg import mat_apply
 from .model import Model
@@ -59,8 +60,7 @@ __all__ = [
 def dgla_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:
     if a.model != b.model:
         raise ValueError("mixed models")
-    model = a.model
-    out = MVElement(model)
+    out = MVElement(a.model)
     # d/dz_leg of each coefficient, computed once per call and keyed by the
     # monomial (I, J) and the leg; one cache per operand, since ``a`` and
     # ``b`` may hold different coefficients on the same monomial
@@ -68,48 +68,49 @@ def dgla_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:
     for (p1, q1), t1 in a.comps.items():
         lenA = p1 + q1
         for (I1, J1), f in t1.items():
-            other_a = MVElement.monomial(
-                model, model.poly(1), vecs=I1, bars=J1)
             for (p2, q2), t2 in b.comps.items():
                 lenB = p2 + q2
                 for (I2, J2), g in t2.items():
-                    other_b = MVElement.monomial(
-                        model, model.poly(1), vecs=I2, bars=J2)
                     # legs of A differentiate g; only vector legs (which
                     # occupy the first p1 positions of the word) survive
-                    for k, i in enumerate(I1, start=1):
-                        dg = db.get((I2, J2, i))
-                        if dg is None:
-                            dg = db[(I2, J2, i)] = g.d_z(i)
-                        if not dg:
-                            continue
-                        rest = MVElement.monomial(
-                            model, model.poly(1),
-                            vecs=I1[:k - 1] + I1[k:], bars=J1)
-                        term = rest.wedge(other_b, tmax=tmax).poly_mul(
-                            f.mul(dg, tmax=tmax), tmax=tmax)
-                        _add_signed(out, term, (-1) ** (lenA - k))
+                    if I1:
+                        _add_leg_terms(out, (-1) ** (q1 * p2 + lenA),
+                                       I1, J1, f, I2, J2, g, db, tmax)
                     # legs of B differentiate f, target word theta_{B\b_k}^theta_A
-                    pre = (lenB - 1) * lenA
-                    for k, j in enumerate(I2, start=1):
-                        df = da.get((I1, J1, j))
-                        if df is None:
-                            df = da[(I1, J1, j)] = f.d_z(j)
-                        if not df:
-                            continue
-                        rest = MVElement.monomial(
-                            model, model.poly(1),
-                            vecs=I2[:k - 1] + I2[k:], bars=J2)
-                        term = rest.wedge(other_a, tmax=tmax).poly_mul(
-                            g.mul(df, tmax=tmax), tmax=tmax)
-                        _add_signed(out, term, (-1) ** (pre + k))
+                    if I2:
+                        _add_leg_terms(
+                            out, (-1) ** (q2 * p1 + (lenB - 1) * lenA),
+                            I2, J2, g, I1, J1, f, da, tmax)
     return out
 
 
-def _add_signed(out: MVElement, term: MVElement, sign: int):
-    """``out += sign * term`` in place."""
-    for key, ij, c in term.terms():
-        out._setterm(key, ij, c if sign == 1 else -c)
+def _add_leg_terms(out, sign0, I, J, f, I2, J2, g, dcache, tmax):
+    """``out += sum_k sign0 (-1)^k f (d_{i_k} g) theta_{(I,J) - i_k} ^
+    theta_(I2,J2)`` in place, one ``_setterm`` per term.
+
+    The sign is read from the leg tuples: ``sign0`` is the bracket's
+    k-free sign times (-1)^{q p2} for moving the q dzbar legs of (I, J)
+    past the p2 vector legs of (I2, J2), and ``merge_indices`` gives the
+    sort signs of the merged vector and dzbar words.  ``dcache`` holds
+    the derivatives of ``g``.
+    """
+    mj = merge_indices(J, J2)
+    if mj is None:
+        return
+    sj, J_out = mj
+    key = (len(I) - 1 + len(I2), len(J_out))
+    for k, i in enumerate(I, start=1):
+        dg = dcache.get((I2, J2, i))
+        if dg is None:
+            dg = dcache[(I2, J2, i)] = g.d_z(i)
+        if not dg:
+            continue
+        mi = merge_indices(I[:k - 1] + I[k:], I2)
+        if mi is None:
+            continue
+        c = f.mul(dg, tmax=tmax)
+        sign = sign0 * sj * mi[0] * (-1) ** k
+        out._setterm(key, (mi[1], J_out), c if sign == 1 else -c)
 
 
 def schouten_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:

@@ -447,20 +447,28 @@ def _covector_lifts(frame: DiracFrame, targets, rng, message, tmax=None):
 
     Each target gets a span certificate ``den*eta = sum nums_j cov_j``
     over the frame's covector block, and its lift ``sum nums_j vec_j`` is
-    divided by ``den``.  A target outside the span raises
+    divided by ``den``: the lifts that share a ``den`` are stacked into
+    one column and divided once.  A target outside the span raises
     SingularityError at the witness point, with ``message``.
     """
     span = Span([list(g.cov) for g in frame.gens], frame.model, tmax)
     vecs = mat_transpose([g.vec for g in frame.gens])
-    lifts = []
-    for eta in targets:
+    stacks = {}  # den -> indices of its targets, and their stacked lifts
+    for index, eta in enumerate(targets):
         okflag, cert = span_certificate(span, eta, rng)
         if not okflag:
             raise SingularityError(f"{message} (witness point {cert})",
                                    point=cert)
         den, nums = cert
-        lift = mat_mul(vecs, [[c] for c in nums], tmax=tmax)
-        lifts.append([x for [x] in mat_div_right(lift, [[den]], tmax=tmax)])
+        owners, column = stacks.setdefault(den, ([], []))
+        owners.append(index)
+        column += mat_mul(vecs, [[c] for c in nums], tmax=tmax)
+    lifts = [None] * len(targets)
+    m = len(vecs)
+    for den, (owners, column) in stacks.items():
+        quotient = [x for [x] in mat_div_right(column, [[den]], tmax=tmax)]
+        for k, index in enumerate(owners):
+            lifts[index] = quotient[k * m:(k + 1) * m]
     return lifts
 
 

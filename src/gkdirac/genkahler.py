@@ -27,8 +27,9 @@ from .forms import MixedForm
 from .frames import (DiracFrame, _covector_lifts, conj_stack, dirac_scale,
                      dirac_sum, frames_equal, gauge_frame, graph_bivector,
                      involutivity_report, point_pairing)
-from .linalg import (generic_rank, mat_add, mat_identity, mat_mul, poly_det,
-                     real_roots_in_interval, scalar_det, scalar_rank)
+from .linalg import (_sign_changes, generic_rank, mat_add, mat_identity,
+                     mat_mul, poly_det, real_roots_in_interval, scalar_det,
+                     scalar_rank, sturm_chain)
 from .model import Model
 from .multivector import form_matrix
 from .poisson import (Bivector, RealPoisson, build_L_sigma,
@@ -425,28 +426,48 @@ def gk_lift(beta_plus: MixedForm, beta_minus: MixedForm, pair: GKPair,
 # ---------------------------------------------------------------------------
 
 def _t_window(det_roots) -> tuple:
-    """Conservative open parameter interval around 0 that avoids every
-    isolated determinant root; either side is None when unbounded.
+    """The open parameter interval around 0 that is free of determinant
+    roots at the sampled points; either side is None when unbounded.
 
-    Each isolating interval is avoided wholesale, so the window can only
-    be narrower than the true root-free region."""
+    Each side stops at the near end of the nearest isolating interval, so
+    the window can be narrower than the root-free interval at those points,
+    never wider.  It says nothing about points that were not sampled, nor
+    about where the open conditions hold."""
     lo = hi = None
     for roots in det_roots.values():
         if roots is None:
             continue
         for per_point in roots:
+            # _det_root_intervals keeps every interval (a, b] off 0
             for a, b in per_point:
                 if a >= 0:
                     hi = a if hi is None else min(hi, a)
-                elif b <= 0:
-                    lo = b if lo is None else max(lo, b)
                 else:
-                    # an isolating interval straddling 0 collapses the
-                    # window; the root itself cannot sit at 0 because the
-                    # pencil starts at the identity
-                    lo = Fraction(0) if lo is None else max(lo, Fraction(0))
-                    hi = Fraction(0) if hi is None else min(hi, Fraction(0))
+                    lo = b if lo is None else max(lo, b)
     return (lo, hi)
+
+
+def _off_zero(coeffs, intervals):
+    """Isolating intervals (lo, hi] refined by bisection until none touches
+    t = 0, that is until lo > 0 or hi < 0.
+
+    A determinant of the pencil 1 + F pi is 1 at t = 0, so 0 is not a root
+    and an interval that holds roots shrinks away from 0."""
+    if all(lo > 0 or hi < 0 for lo, hi in intervals):
+        return intervals
+    chain = sturm_chain(coeffs)
+    out = []
+    todo = list(reversed(intervals))
+    while todo:
+        lo, hi = todo.pop()
+        if lo > 0 or hi < 0:
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        v_lo, v_mid, v_hi = (_sign_changes(chain, x) for x in (lo, mid, hi))
+        todo += [iv for iv, k in (((mid, hi), v_mid - v_hi),
+                                  ((lo, mid), v_lo - v_mid)) if k]
+    return out
 
 
 def _det_root_intervals(det: Poly, model, points):
@@ -468,7 +489,8 @@ def _det_root_intervals(det: Poly, model, points):
             continue
         lead = abs(coeffs[-1])
         bound = 1 + max(abs(c) for c in coeffs) / lead
-        out.append(real_roots_in_interval(coeffs, -bound, bound))
+        out.append(_off_zero(coeffs,
+                             real_roots_in_interval(coeffs, -bound, bound)))
     return out
 
 
@@ -510,8 +532,9 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
     ``check_ts``; ``checked`` records (t, conditions, verdict) triples,
     with conditions None where a degenerate value was skipped.
     Determinant root intervals for both real pencils are isolated at
-    sample points (``det_roots``) to bound the parameter window where the
-    open conditions can persist (``stats["t_window"]``).
+    sample points (``det_roots``), each refined until it excludes t = 0;
+    ``stats["t_window"]`` is the interval around 0 free of those roots.
+    It is not a bound on where the open conditions hold.
     """
     model = pair.model
     if not F.t_truncate(0).is_zero():

@@ -14,7 +14,11 @@ L_sigma``.  The solver corrects an initial closed (1,1)+(2,0) seed
 order-by-order so that the transported gamma-part dies: at each order the
 (0,2) obstruction is certified ``partial_bar``-closed, contracted with the
 antiholomorphic Euler vector field into a primitive, and fed back as an
-exact correction.  Everything on the flat model is exact rational
+exact correction.  The obstructions come from t-coefficient blocks of
+(1 + sigma beta)^{-1} that grow by one block per order (relaxed, or
+online, series arithmetic), so no order re-inverts the series; the
+finished series is inverted once more from scratch, and that inverse's
+identities certify it.  Everything on the flat model is exact rational
 arithmetic, so each certificate is an identity, not an approximation.
 
 The same data read as a family in t supports two Hamiltonian-flow
@@ -42,8 +46,9 @@ from .frames import (DiracFrame, GVField, _conj_operator, dirac_scale,
                      involutivity_report)
 from .linalg import (mat_add, mat_apply, mat_eval, mat_identity,
                      mat_is_zero, mat_mul, mat_neg, mat_scale, mat_sub,
-                     mat_t_truncate, mat_transpose, mat_zero, mat_div_right,
-                     poly_det, scalar_inverse, scalar_rank)
+                     mat_series_term, mat_t_blocks, mat_t_truncate,
+                     mat_transpose, mat_zero, mat_div_right, poly_det,
+                     scalar_inverse, scalar_rank)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           form_from_matrix, mv_from_bivector_matrix,
@@ -479,13 +484,20 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
     """Correct t*omega1 order-by-order until the transported (0,2) part dies.
 
     At each order k the obstruction is the t^{k+1} coefficient of the
-    (0,2) part of the inverse series.  It is certified
+    (0,2) part of the inverse series W (1 + M W)^{-1}, with W the form
+    matrix of the series and M sigma's.  It is read from t-coefficient
+    blocks kept across orders: order k adds the block N_k = sum_a M_a
+    W_{k-a} of M W and the block X_k = -sum_{i=1..k} N_i X_{k-i} of
+    (1 + M W)^{-1} (its zbar columns only), and the obstruction is the
+    zbar-zbar block of sum_{i=1..k} W_i X_{k+1-i}.  It is certified
     partial_bar-closed, contracted with the antiholomorphic Euler field
     into a primitive gamma (so partial_bar gamma = -obstruction), and the
     exact correction d(gamma) -- d(gamma + conj gamma) in real mode -- is
-    appended to the series.  The finished series re-runs the full inverse
-    with certificates, checks its (0,2) part vanished mod t^{order+1},
-    and verifies the transported element's flatness componentwise.
+    appended to the series as its block W_{k+1}.  The finished series is
+    inverted again from scratch by :func:`formality_psi` with its
+    certificates, its (0,2) part is checked to vanish mod t^{order+1},
+    and the transported element's flatness is verified componentwise;
+    these certify every block the loop used.
     """
     model = hp.model
     if mode not in ("complex", "real"):
@@ -511,15 +523,29 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
     residuals = {}
     gammas = {}
     zero = MixedForm.zero(model)
-    series = omega1.poly_mul(Poly.t(model.n))
+    n, dim = model.n, model.dim
+    bars = range(n, 2 * n)
+    series = omega1.poly_mul(Poly.t(n))
+    # t-coefficient blocks of M, W, M W and the zbar columns of
+    # (1 + M W)^{-1}; each list's block 0 is its t^0 block
+    Ms = mat_t_blocks(M, max(0, *(e.t_degree() for row in M for e in row)))
+    Ws = [mat_zero(dim, dim, n), form_matrix(omega1)]
+    Ns = [mat_zero(dim, dim, n)]
+    Xs = [[row[n:2 * n] for row in mat_identity(dim, n)]]
     for k in range(1, order):
-        _W, psi_op = _inverse_series_matrix(model, series, M, k + 1)
-        r = form_from_matrix(model, psi_op).component(0, 2).t_coefficient(
-            k + 1)
+        Ns.append(mat_series_term(Ms, Ws, k))
+        Xs.append(mat_neg(mat_series_term(Ns, Xs, k)))
+        # W has no t^{k+1} block yet, so only W_1..W_k enter
+        F = mat_zero(dim, dim, n)
+        block = mat_series_term(Ws, Xs, k + 1, rows=bars)
+        for a, row in zip(bars, block):
+            F[a][n:2 * n] = row
+        r = form_from_matrix(model, F).component(0, 2)
         residuals[k + 1] = r
         if r.is_zero():
             gammas[k + 1] = zero
             betas.append(zero)
+            Ws.append(mat_zero(dim, dim, n))
             continue
         if not r.partial_bar().is_zero():
             raise CertificateError(
@@ -533,7 +559,8 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
         step = gamma.d() if mode == "complex" else (gamma + gamma.conj()).d()
         gammas[k + 1] = gamma
         betas.append(step)
-        series = series + step.poly_mul(Poly.t(model.n, k + 1))
+        Ws.append(form_matrix(step))
+        series = series + step.poly_mul(Poly.t(n, k + 1))
     omega = formality_psi(series, hp, order)
     if not omega.component(0, 2).is_zero():
         raise CertificateError(

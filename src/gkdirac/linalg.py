@@ -61,6 +61,8 @@ __all__ = [
     "mat_eval",
     "mat_t_truncate",
     "mat_is_zero",
+    "mat_t_blocks",
+    "mat_series_term",
     "poly_mat_inverse",
     "poly_det",
     "poly_adjugate",
@@ -266,12 +268,41 @@ def mat_is_zero(A) -> bool:
     return all(not a for row in A for a in row)
 
 
+def mat_t_blocks(A, tmax):
+    """The t-coefficient blocks of a polynomial matrix: block k holds the
+    t-free coefficients of t^k, for k = 0..tmax."""
+    return [[[a.t_coefficient(k) for a in row] for row in A]
+            for k in range(tmax + 1)]
+
+
+def mat_series_term(As, Bs, j, rows=None, cols=None):
+    """The t^j block of (sum_i As[i] t^i)(sum_i Bs[i] t^i), namely
+    sum_i As[i] Bs[j-i] over the blocks both lists hold, on the rows and
+    columns asked for (all by default).  Each entry is one ``Poly.sum``;
+    zero entries are skipped."""
+    lo, hi = max(0, j - len(Bs) + 1), min(j, len(As) - 1)
+    pairs = [(As[i], Bs[j - i]) for i in range(lo, hi + 1)]
+    n = As[0][0][0].n
+    rows = range(len(As[0])) if rows is None else rows
+    cols = range(len(Bs[0][0])) if cols is None else cols
+    out = []
+    for r in rows:
+        support = [(a, Bb[l]) for Ab, Bb in pairs
+                   for l, a in enumerate(Ab[r]) if a]
+        out.append([Poly.sum(n, (a.mul(Bl[c]) for a, Bl in support if Bl[c]))
+                    for c in cols])
+    return out
+
+
 def poly_mat_inverse(A, tmax):
     """Inverse of a square polynomial matrix as a t-series mod t^{tmax+1}.
 
-    Requires the t-degree-0 part to be a constant (z-independent) invertible
-    matrix; the rest is handled by a Neumann fixed point.  Raises
-    ArithmeticError when that block is not constant, ZeroDivisionError when
+    Requires the t-degree-0 part A0 to be a constant (z-independent)
+    invertible matrix.  With N = A0^{-1}(A - A0), which has no t^0 term,
+    (I + N)^{-1} is built one t-coefficient block at a time by the
+    recurrence X_0 = I, X_j = -sum_{i=1..j} N_i X_{j-i}, N_i the t^i
+    block of N; each block costs j block products and none is recomputed.
+    Raises ArithmeticError when A0 is not constant, ZeroDivisionError when
     it is singular, and CertificateError if the result fails ``A out = I``.
     """
     size = len(A)
@@ -290,12 +321,14 @@ def poly_mat_inverse(A, tmax):
     A0inv = [[Poly.const(n, c) for c in row] for row in A0inv_s]
     # A = A0 (I + A0^{-1} R) with R = A - A0 of t-order >= 1
     R = mat_sub(A, [[Poly.const(n, c) for c in row] for row in A0])
-    N = mat_mul(A0inv, R, tmax=tmax)
-    # X = (I + N)^{-1} via fixed point X = I - N X.  N has t-order >= 1, so
-    # pass k fixes X mod t^{k+1} and needs the product only to that order
-    X = mat_identity(size, n)
-    for k in range(tmax + 1):
-        X = mat_sub(mat_identity(size, n), mat_mul(N, X, tmax=k))
+    Ns = mat_t_blocks(mat_mul(A0inv, R, tmax=tmax), tmax)
+    Xs = [mat_identity(size, n)]
+    for j in range(1, tmax + 1):
+        Xs.append(mat_neg(mat_series_term(Ns, Xs, j)))
+    tj = [Poly.t(n, j) for j in range(tmax + 1)]
+    X = [[Poly.sum(n, (Xj[r][c].mul(tj[j]) for j, Xj in enumerate(Xs)
+                       if Xj[r][c]))
+          for c in range(size)] for r in range(size)]
     out = mat_mul(X, A0inv, tmax=tmax)
     # exact check mod t^{tmax+1}
     err = mat_sub(mat_t_truncate(mat_mul(A, out, tmax=tmax), tmax),

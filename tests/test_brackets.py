@@ -205,6 +205,25 @@ def test_dgla_bracket_matches_accumulating_reference():
                 assert cut.comps == full.t_truncate(k).comps
 
 
+def test_dgla_bracket_builds_no_polyvector_per_term(monkeypatch):
+    rng = random.Random(137)
+    t = M3.t()
+    pool = [rand_poly(rng, M3) + rand_poly(rng, M3) * t for _ in range(3)]
+    pairs = []
+    for _ in range(3):
+        a, b = _pooled_mv(rng, M3, pool), _pooled_mv(rng, M3, pool)
+        pairs += [(a, b, k, _dgla_bracket_reference(a, b, k))
+                  for k in (None, 1)]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dgla_bracket built a polyvector per term")
+
+    monkeypatch.setattr(MVElement, "wedge", refuse)
+    monkeypatch.setattr(MVElement, "poly_mul", refuse)
+    for a, b, k, want in pairs:
+        assert _same_table(dgla_bracket(a, b, tmax=k), want)
+
+
 def test_vector_fields_give_lie_bracket():
     rng = random.Random(113)
     f = rand_poly(rng, M)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkdirac import frames, genkahler, poisson
 from gkdirac.errors import CertificateError, SingularityError
 from gkdirac.forms import MixedForm
 from gkdirac.frames import (DiracFrame, GVField, dirac_scale, frames_equal,
@@ -11,7 +12,9 @@ from gkdirac.frames import (DiracFrame, GVField, dirac_scale, frames_equal,
 from gkdirac.genkahler import (gc_deform, gc_from_dirac, gk_check,
                                gk_deform_family, gk_lift, graph_to_bivector,
                                half_i_difference)
-from gkdirac.linalg import mat_add, mat_identity, mat_mul, poly_det
+from gkdirac.linalg import (Span, mat_add, mat_div_right, mat_identity,
+                            mat_mul, mat_transpose, poly_det,
+                            span_certificate)
 from gkdirac.model import Model
 from gkdirac.multivector import MVElement, form_matrix
 from gkdirac.poisson import (Bivector, HoloPoisson, build_L_sigma,
@@ -318,6 +321,35 @@ def test_gk_deform_family_linear_hermitian():
     assert hi is None and lo is not None and -1 <= lo < 0
 
 
+def _pulled_back_kahler_pair(model, h):
+    """(complex-type frame, Kahler graph of the flat form pulled back by
+    w_n = z_n + h(z_1))."""
+    n, one = model.n, model.poly(1)
+    dw = (MixedForm.monomial(model, one, (n - 1,), ())
+          + MixedForm.monomial(model, h.d_z(0), (0,), ()))
+    omega = dw.wedge(dw.conj())
+    for k in range(n - 1):
+        omega = omega + MixedForm.monomial(model, one, (k,), (k,))
+    omega = omega.scale(Scalar(0, Fraction(1, 2)))
+    return complex_type_frame(model), graph_two_form(omega.scale(sc(0, 1)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gk_deform_family_window_contains_zero(seed):
+    # a root of det(1 + F pi) lies close to 0 here, so the first isolating
+    # interval on its side used to end at 0 and close the window there
+    rng = random.Random(seed)
+    pair = gk_check(*_pulled_back_kahler_pair(M2, M2.z(0) * M2.z(0)),
+                    rng).pair
+    fam = gk_deform_family(pair, hermitian_form(M2, tpower=1), rng, tmax=3)
+    lo, hi = fam.stats["t_window"]
+    assert lo is None or lo < 0
+    assert hi is None or hi > 0
+    for roots in fam.det_roots.values():
+        for per_point in roots or ():
+            assert all(a > 0 or b < 0 for a, b in per_point)
+
+
 def test_gk_deform_family_requires_vanishing_at_zero():
     rng = random.Random(82)
     L1, L2 = kahler_pair(M2)
@@ -375,6 +407,51 @@ def test_covector_lift_outside_the_span_reports_its_witness():
     with pytest.raises(SingularityError, match="deformed covector") as err:
         extract_holo_poisson(frame, rng)
     assert err.value.point is not None
+
+
+def _covector_lifts_reference(frame, targets, rng, message, tmax=None):
+    """The former lift: one division by ``den`` per target."""
+    span = Span([list(g.cov) for g in frame.gens], frame.model, tmax)
+    vecs = mat_transpose([g.vec for g in frame.gens])
+    lifts = []
+    for eta in targets:
+        okflag, cert = span_certificate(span, eta, rng)
+        assert okflag
+        den, nums = cert
+        lift = mat_mul(vecs, [[c] for c in nums], tmax=tmax)
+        lifts.append([x for [x] in mat_div_right(lift, [[den]], tmax=tmax)])
+    return lifts
+
+
+def test_covector_lifts_divide_once_per_denominator(monkeypatch):
+    divisions = []
+    divide = frames.mat_div_right
+
+    def counted(num, den, tmax=None):
+        divisions.append(den[0][0])
+        return divide(num, den, tmax=tmax)
+
+    calls = []
+    lifts = frames._covector_lifts
+
+    def checked(frame, targets, rng, message, tmax=None):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        want = _covector_lifts_reference(frame, targets, twin, message, tmax)
+        del divisions[:]
+        got = lifts(frame, targets, rng, message, tmax=tmax)
+        assert got == want
+        assert len(divisions) == len(set(divisions))
+        calls.append((len(targets), len(divisions)))
+        return got
+
+    monkeypatch.setattr(frames, "mat_div_right", counted)
+    monkeypatch.setattr(genkahler, "_covector_lifts", checked)
+    monkeypatch.setattr(poisson, "_covector_lifts", checked)
+    assert gk_check(*kahler_pair(M2), random.Random(60)).ok
+    # the flat Kahler scene: 12 targets in 4 calls, each call's targets
+    # over one denominator, so 4 divisions where there were 12
+    assert calls == [(4, 1), (4, 1), (2, 1), (2, 1)]
 
 
 def test_graph_recognition_round_trip():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkdirac import hitchin, linalg
 from gkdirac.errors import CertificateError
-from gkdirac.forms import MixedForm
+from gkdirac.forms import MixedForm, euler_homotopy
 from gkdirac.frames import frames_equal
 from gkdirac.hitchin import (DeformSeries, MCElement, deformation_frame,
                              deformed_holomorphic_lift, deformed_structures,
@@ -15,14 +16,17 @@ from gkdirac.hitchin import (DeformSeries, MCElement, deformation_frame,
                              solve_hitchin, twistor_demo,
                              verify_graph_identity,
                              _deformed_dbar_function)
-from gkdirac.linalg import mat_add, mat_eval, mat_identity, mat_mul
+from gkdirac.linalg import (mat_add, mat_div_right, mat_eval, mat_identity,
+                            mat_mul)
 from gkdirac.model import Model
-from gkdirac.multivector import MVElement, bivector_matrix, form_matrix
+from gkdirac.multivector import (MVElement, bivector_matrix, form_from_matrix,
+                                 form_matrix)
 from gkdirac.poisson import (Bivector, HoloPoisson, RealPoisson,
                              build_L_sigma, gauge_real_poisson)
 from gkdirac.poly import Poly
 from gkdirac.scalars import Scalar, sc
 
+M3 = Model(3)
 M2 = Model(2)
 M1 = Model(1)
 
@@ -222,6 +226,88 @@ def test_solve_c2_complex_mode_differs_from_real():
     assert dsr.betas[1] != dsc.betas[1]
     assert dsc.betas[1].d().is_zero()
     assert not dsc.betas[1].is_real()
+
+
+def _solve_loop_reference(hp, omega1, order, mode):
+    """The former loop: at every order k the whole inverse series of the
+    corrected series, mod t^{k+2}, through ``mat_div_right``; returns
+    ``(betas, residuals, gammas)``."""
+    model = hp.model
+    n, dim = model.n, model.dim
+    M = [row[:] for row in hp.sigma.mat]
+    betas, residuals, gammas = [omega1], {}, {}
+    zero = MixedForm.zero(model)
+    series = omega1.poly_mul(Poly.t(n))
+    for k in range(1, order):
+        W = form_matrix(series)
+        den = mat_add(mat_identity(dim, n), mat_mul(M, W, tmax=k + 1))
+        psi_op = mat_div_right(W, den, tmax=k + 1)
+        r = form_from_matrix(model, psi_op).component(0, 2).t_coefficient(
+            k + 1)
+        residuals[k + 1] = r
+        if r.is_zero():
+            gammas[k + 1] = zero
+            betas.append(zero)
+            continue
+        gamma = euler_homotopy(r).scale(Scalar(-1))
+        step = gamma.d() if mode == "complex" else (gamma + gamma.conj()).d()
+        gammas[k + 1] = gamma
+        betas.append(step)
+        series = series + step.poly_mul(Poly.t(n, k + 1))
+    return betas, residuals, gammas
+
+
+def _t_dependent_background():
+    """sigma = ((1 + 2i) z1 t + z2) d1^d2: sigma's matrix has a t^1 block,
+    so the t^k block of M W is sum_a M_a W_{k-a}, not M_0 W_k."""
+    f = M2.z(0).scale(sc(1, 2)) * Poly.t(2) + M2.z(1)
+    return HoloPoisson(M2, sigma=MVElement.monomial(M2, f, vecs=(0, 1)))
+
+
+def _c3_background():
+    f = M3.z(0).scale(sc(2, -1)) + M3.z(1) + M3.z(2).scale(sc(0, 1))
+    return HoloPoisson(M3, sigma=MVElement.monomial(M3, f, vecs=(0, 1)))
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("scene", ["c2", "t_dependent", "c3"])
+def test_solve_matches_the_per_order_inverse_loop(scene, mode):
+    hp, seed = {"c2": (c2_background(), fubini_seed()),
+                "t_dependent": (_t_dependent_background(), fubini_seed()),
+                "c3": (_c3_background(), fubini_seed(M3))}[scene]
+    top = 6 if scene != "c3" else 4
+    betas, residuals, gammas = _solve_loop_reference(hp, seed, top, mode)
+    # the loop at order k runs the first k - 1 steps of the loop at top
+    for order in range(2, top + 1):
+        ds = solve_hitchin(hp, seed, order, mode=mode)
+        assert ds.betas == betas[:order]
+        assert ds.residuals == {k: r for k, r in residuals.items()
+                                if k <= order}
+        assert ds.gammas == {k: g for k, g in gammas.items() if k <= order}
+    assert any(not r.is_zero() for r in residuals.values())
+
+
+def test_solve_inverts_once(monkeypatch):
+    calls = {"inverse": 0, "divide": 0}
+    inverse, divide = linalg.poly_mat_inverse, hitchin.mat_div_right
+
+    def counted_inverse(*args, **kwargs):
+        calls["inverse"] += 1
+        return inverse(*args, **kwargs)
+
+    def counted_divide(*args, **kwargs):
+        calls["divide"] += 1
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "poly_mat_inverse", counted_inverse)
+    monkeypatch.setattr(hitchin, "mat_div_right", counted_divide)
+    for hp in (c2_background(), _t_dependent_background()):
+        for order in range(2, 7):
+            for mode in ("real", "complex"):
+                calls.update(inverse=0, divide=0)
+                solve_hitchin(hp, fubini_seed(), order, mode=mode)
+                # formality_psi's final re-inversion, and nothing per order
+                assert calls == {"inverse": 1, "divide": 1}
 
 
 # ---------------------------------------------------------------------------
