@@ -33,7 +33,6 @@ on transported data.
 """
 from __future__ import annotations
 
-from ._combinat import merge_indices
 from .forms import MixedForm
 from .linalg import mat_apply
 from .model import Model
@@ -74,13 +73,12 @@ def dgla_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:
                     # legs of A differentiate g; only vector legs (which
                     # occupy the first p1 positions of the word) survive
                     if I1:
-                        _add_leg_terms(out, (-1) ** (q1 * p2 + lenA),
+                        _add_leg_terms(out, (-1) ** lenA,
                                        I1, J1, f, I2, J2, g, db, tmax)
                     # legs of B differentiate f, target word theta_{B\b_k}^theta_A
                     if I2:
-                        _add_leg_terms(
-                            out, (-1) ** (q2 * p1 + (lenB - 1) * lenA),
-                            I2, J2, g, I1, J1, f, da, tmax)
+                        _add_leg_terms(out, (-1) ** ((lenB - 1) * lenA),
+                                       I2, J2, g, I1, J1, f, da, tmax)
     return out
 
 
@@ -88,29 +86,22 @@ def _add_leg_terms(out, sign0, I, J, f, I2, J2, g, dcache, tmax):
     """``out += sum_k sign0 (-1)^k f (d_{i_k} g) theta_{(I,J) - i_k} ^
     theta_(I2,J2)`` in place, one ``_setterm`` per term.
 
-    The sign is read from the leg tuples: ``sign0`` is the bracket's
-    k-free sign times (-1)^{q p2} for moving the q dzbar legs of (I, J)
-    past the p2 vector legs of (I2, J2), and ``merge_indices`` gives the
-    sort signs of the merged vector and dzbar words.  ``dcache`` holds
-    the derivatives of ``g``.
+    ``sign0`` is the bracket's k-free sign; the wedge's sign and target
+    key come from ``MVElement._wedge_monomial`` on the leg tuples, so no
+    element is built per term.  ``dcache`` holds the derivatives of ``g``.
     """
-    mj = merge_indices(J, J2)
-    if mj is None:
-        return
-    sj, J_out = mj
-    key = (len(I) - 1 + len(I2), len(J_out))
     for k, i in enumerate(I, start=1):
+        term = MVElement._wedge_monomial(I[:k - 1] + I[k:], J, I2, J2)
+        if term is None:
+            continue
         dg = dcache.get((I2, J2, i))
         if dg is None:
             dg = dcache[(I2, J2, i)] = g.d_z(i)
         if not dg:
             continue
-        mi = merge_indices(I[:k - 1] + I[k:], I2)
-        if mi is None:
-            continue
+        sign, key, ij = term
         c = f.mul(dg, tmax=tmax)
-        sign = sign0 * sj * mi[0] * (-1) ** k
-        out._setterm(key, (mi[1], J_out), c if sign == 1 else -c)
+        out._setterm(key, ij, c if sign * sign0 * (-1) ** k == 1 else -c)
 
 
 def schouten_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:

@@ -44,11 +44,11 @@ from .forms import MixedForm, euler_homotopy, dt_leg
 from .frames import (DiracFrame, GVField, _conj_operator, dirac_scale,
                      dirac_sum, frames_equal, gauge_frame, graph_bivector,
                      involutivity_report)
-from .linalg import (mat_add, mat_apply, mat_eval, mat_identity,
-                     mat_is_zero, mat_mul, mat_neg, mat_scale, mat_sub,
-                     mat_series_term, mat_t_blocks, mat_t_truncate,
-                     mat_transpose, mat_zero, mat_div_right, poly_det,
-                     scalar_inverse, scalar_rank)
+from .linalg import (_mat_series_term, _mat_t_blocks, mat_add, mat_apply,
+                     mat_eval, mat_identity, mat_is_zero, mat_mul, mat_neg,
+                     mat_scale, mat_sub, mat_t_truncate, mat_transpose,
+                     mat_zero, mat_div_right, poly_det, scalar_inverse,
+                     scalar_rank)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           form_from_matrix, mv_from_bivector_matrix,
@@ -528,16 +528,16 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
     series = omega1.poly_mul(Poly.t(n))
     # t-coefficient blocks of M, W, M W and the zbar columns of
     # (1 + M W)^{-1}; each list's block 0 is its t^0 block
-    Ms = mat_t_blocks(M, max(0, *(e.t_degree() for row in M for e in row)))
+    Ms = _mat_t_blocks(M, max(0, *(e.t_degree() for row in M for e in row)))
     Ws = [mat_zero(dim, dim, n), form_matrix(omega1)]
     Ns = [mat_zero(dim, dim, n)]
     Xs = [[row[n:2 * n] for row in mat_identity(dim, n)]]
     for k in range(1, order):
-        Ns.append(mat_series_term(Ms, Ws, k))
-        Xs.append(mat_neg(mat_series_term(Ns, Xs, k)))
+        Ns.append(_mat_series_term(Ms, Ws, k))
+        Xs.append(mat_neg(_mat_series_term(Ns, Xs, k)))
         # W has no t^{k+1} block yet, so only W_1..W_k enter
         F = mat_zero(dim, dim, n)
-        block = mat_series_term(Ws, Xs, k + 1, rows=bars)
+        block = _mat_series_term(Ws, Xs, k + 1, rows=bars)
         for a, row in zip(bars, block):
             F[a][n:2 * n] = row
         r = form_from_matrix(model, F).component(0, 2)

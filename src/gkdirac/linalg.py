@@ -61,8 +61,6 @@ __all__ = [
     "mat_eval",
     "mat_t_truncate",
     "mat_is_zero",
-    "mat_t_blocks",
-    "mat_series_term",
     "poly_mat_inverse",
     "poly_det",
     "poly_adjugate",
@@ -268,23 +266,23 @@ def mat_is_zero(A) -> bool:
     return all(not a for row in A for a in row)
 
 
-def mat_t_blocks(A, tmax):
+def _mat_t_blocks(A, tmax):
     """The t-coefficient blocks of a polynomial matrix: block k holds the
     t-free coefficients of t^k, for k = 0..tmax."""
     return [[[a.t_coefficient(k) for a in row] for row in A]
             for k in range(tmax + 1)]
 
 
-def mat_series_term(As, Bs, j, rows=None, cols=None):
+def _mat_series_term(As, Bs, j, rows=None):
     """The t^j block of (sum_i As[i] t^i)(sum_i Bs[i] t^i), namely
-    sum_i As[i] Bs[j-i] over the blocks both lists hold, on the rows and
-    columns asked for (all by default).  Each entry is one ``Poly.sum``;
-    zero entries are skipped."""
+    sum_i As[i] Bs[j-i] over the blocks both lists hold, on the rows asked
+    for (all by default).  Each entry is one ``Poly.sum``; zero entries are
+    skipped."""
     lo, hi = max(0, j - len(Bs) + 1), min(j, len(As) - 1)
     pairs = [(As[i], Bs[j - i]) for i in range(lo, hi + 1)]
     n = As[0][0][0].n
     rows = range(len(As[0])) if rows is None else rows
-    cols = range(len(Bs[0][0])) if cols is None else cols
+    cols = range(len(Bs[0][0]))
     out = []
     for r in rows:
         support = [(a, Bb[l]) for Ab, Bb in pairs
@@ -321,10 +319,10 @@ def poly_mat_inverse(A, tmax):
     A0inv = [[Poly.const(n, c) for c in row] for row in A0inv_s]
     # A = A0 (I + A0^{-1} R) with R = A - A0 of t-order >= 1
     R = mat_sub(A, [[Poly.const(n, c) for c in row] for row in A0])
-    Ns = mat_t_blocks(mat_mul(A0inv, R, tmax=tmax), tmax)
+    Ns = _mat_t_blocks(mat_mul(A0inv, R, tmax=tmax), tmax)
     Xs = [mat_identity(size, n)]
     for j in range(1, tmax + 1):
-        Xs.append(mat_neg(mat_series_term(Ns, Xs, j)))
+        Xs.append(mat_neg(_mat_series_term(Ns, Xs, j)))
     tj = [Poly.t(n, j) for j in range(tmax + 1)]
     X = [[Poly.sum(n, (Xj[r][c].mul(tj[j]) for j, Xj in enumerate(Xs)
                        if Xj[r][c]))

@@ -83,27 +83,39 @@ class MVElement(GradedTable):
         return self.map_coeffs(lambda v: v.mul(f, tmax=tmax))
 
     # -- wedge -----------------------------------------------------------
+    @staticmethod
+    def _wedge_monomial(I1, J1, I2, J2):
+        """``(sign, (p, q), (I, J))`` with (d/dz_I1 ^ dzbar_J1) ^ (d/dz_I2 ^
+        dzbar_J2) = sign (d/dz_I ^ dzbar_J), or None when a leg repeats.
+
+        The sign is (-1)^{|J1| |I2|}, for moving the dzbar legs of the
+        first word past the vector legs of the second, times the sort signs
+        of the merged vector and dzbar words.
+        """
+        mi = merge_indices(I1, I2)
+        if mi is None:
+            return None
+        mj = merge_indices(J1, J2)
+        if mj is None:
+            return None
+        (si, I), (sj, J) = mi, mj
+        sign = -si * sj if len(J1) * len(I2) % 2 else si * sj
+        return sign, (len(I), len(J)), (I, J)
+
     def wedge(self, other: "MVElement", tmax=None) -> "MVElement":
         if self.model != other.model:
             raise ValueError("mixed models")
         out = MVElement(self.model)
-        for (p1, q1), t1 in self.comps.items():
-            for (p2, q2), t2 in other.comps.items():
-                base_sign = (-1) ** (q1 * p2)
+        for t1 in self.comps.values():
+            for t2 in other.comps.values():
                 for (I1, J1), c1 in t1.items():
                     for (I2, J2), c2 in t2.items():
-                        mi = merge_indices(I1, I2)
-                        if mi is None:
+                        term = self._wedge_monomial(I1, J1, I2, J2)
+                        if term is None:
                             continue
-                        mj = merge_indices(J1, J2)
-                        if mj is None:
-                            continue
-                        si, I = mi
-                        sj, J = mj
+                        sign, key, ij = term
                         c = c1.mul(c2, tmax=tmax)
-                        if base_sign * si * sj == -1:
-                            c = -c
-                        out._setterm((p1 + p2, q1 + q2), (I, J), c)
+                        out._setterm(key, ij, c if sign == 1 else -c)
         return out
 
     # -- dzbar differential ----------------------------------------------
