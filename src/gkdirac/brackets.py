@@ -172,9 +172,11 @@ def koszul_bracket(alpha: MixedForm, beta: MixedForm, sigma, deg=None,
             raise ValueError("alpha must be homogeneous; pass deg explicitly")
         deg = degs[0]
     sgn = (-1) ** deg
-    term1 = alpha.wedge(delta_sigma(beta, sigma, tmax=tmax), tmax=tmax)
+    dbeta = delta_sigma(beta, sigma, tmax=tmax)
+    dalpha = dbeta if alpha is beta else delta_sigma(alpha, sigma, tmax=tmax)
+    term1 = alpha.wedge(dbeta, tmax=tmax)
     term2 = delta_sigma(alpha.wedge(beta, tmax=tmax), sigma, tmax=tmax).scale(sgn)
-    term3 = delta_sigma(alpha, sigma, tmax=tmax).wedge(beta, tmax=tmax).scale(sgn)
+    term3 = dalpha.wedge(beta, tmax=tmax).scale(sgn)
     return term1 - term2 + term3
 
 

@@ -17,9 +17,10 @@ antiholomorphic Euler vector field into a primitive, and fed back as an
 exact correction.  The obstructions come from t-coefficient blocks of
 (1 + sigma beta)^{-1} that grow by one block per order (relaxed, or
 online, series arithmetic), so no order re-inverts the series; the
-finished series is inverted once more from scratch, and that inverse's
-identities certify it.  Everything on the flat model is exact rational
-arithmetic, so each certificate is an identity, not an approximation.
+finished series' omega is solved once more, block by block, from (1 + beta
+sigma) omega = beta, and that identity certifies it.  Everything on the
+flat model is exact rational arithmetic, so each certificate is an
+identity, not an approximation.
 
 The same data read as a family in t supports two Hamiltonian-flow
 certificates.  For a real parameter, the gauged bivector family solves
@@ -44,10 +45,10 @@ from .forms import MixedForm, euler_homotopy, dt_leg
 from .frames import (DiracFrame, GVField, _conj_operator, dirac_scale,
                      dirac_sum, frames_equal, gauge_frame, graph_bivector,
                      involutivity_report)
-from .linalg import (_mat_series_term, _mat_t_blocks, mat_add, mat_apply,
-                     mat_eval, mat_identity, mat_is_zero, mat_mul, mat_neg,
-                     mat_scale, mat_sub, mat_t_truncate, mat_transpose,
-                     mat_zero, mat_div_right, poly_det, scalar_inverse,
+from .linalg import (_mat_from_t_blocks, _mat_series_term, _mat_t_blocks,
+                     mat_add, mat_apply, mat_eval, mat_identity, mat_is_zero,
+                     mat_mul, mat_neg, mat_scale, mat_sub, mat_t_truncate,
+                     mat_transpose, mat_zero, poly_det, scalar_inverse,
                      scalar_rank)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
@@ -247,24 +248,17 @@ def pi_star_transport(omega: MixedForm, sigma, tmax=None) -> MCElement:
 # The inverse series of a two-form against the background bivector
 # ---------------------------------------------------------------------------
 
-def _inverse_series_matrix(model, beta: MixedForm, M, tmax):
-    """omega = beta (1 + sigma beta)^{-1} as a leg matrix, mod t^{tmax+1}."""
-    dim = model.dim
-    W = form_matrix(beta)
-    den = mat_add(mat_identity(dim, model.n), mat_mul(M, W, tmax=tmax))
-    return W, mat_div_right(W, den, tmax=tmax)
-
-
 def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
     """The inverse series (1 + beta sigma)^{-1} beta, mod t^{order+1}.
 
     ``beta`` must be closed with no constant t-term (a
     :class:`DeformSeries` is accepted and contributes its assembled
-    series).  The result is certified three ways: the defining identity
-    (1 + beta sigma) omega = beta, agreement with the alternating partial
-    sums through the cubic term, and vanishing of the form-side flatness
-    residual d omega + (1/2)[omega, omega]_sigma mod t^{order+1}.  With
-    ``check=False`` only the defining identity is kept.
+    series).  Its t-blocks come from a recurrence, not an inverse.  It is
+    certified three ways, mod t^{order+1}: the defining identity (1 + beta
+    sigma) omega = beta on the assembled matrices, apart from the
+    recurrence; agreement with the alternating partial sums through the
+    cubic term; and the flatness residual d omega + (1/2)[omega,
+    omega]_sigma.  With ``check=False`` only the defining identity is kept.
     """
     if isinstance(beta, DeformSeries):
         beta = beta.beta_series()
@@ -278,17 +272,23 @@ def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
             "a form vanishing at t = 0")
     if beta.is_zero():
         return MixedForm.zero(model)
-    dim = model.dim
     M = _sigma_matrix(model, sigma)
-    W, psi_op = _inverse_series_matrix(model, beta, M, order)
-    # independent left identity: (1 + beta sigma) omega = beta
-    lhs = mat_mul(mat_add(mat_identity(dim, model.n),
-                          mat_mul(W, M, tmax=order)), psi_op, tmax=order)
+    W = form_matrix(beta)
+    A = mat_mul(W, M, tmax=order)
+    # omega's blocks solve (1 + A) omega = W: omega_j = W_j - sum_{i<j} A_i
+    # omega_{j-i}; W_0 = 0, so A_0 = 0 and nothing is inverted
+    Ws, As = _mat_t_blocks(W, order), _mat_t_blocks(A, order)
+    blocks = [Ws[0]]
+    for j in range(1, order + 1):
+        blocks.append(mat_sub(Ws[j], _mat_series_term(As, blocks, j)))
+    psi_op = _mat_from_t_blocks(blocks)
+    # the defining identity, on the assembled matrices
+    lhs = mat_add(psi_op, mat_mul(A, psi_op, tmax=order))
     if not mat_is_zero(mat_t_truncate(mat_sub(lhs, W), order)):
         raise CertificateError("inverse series failed its defining identity")
     psi = form_from_matrix(model, psi_op)
     if check:
-        _check_partial_sums(model, W, M, psi_op, beta, order)
+        _check_partial_sums(W, A, psi_op, beta, order)
         resid = mc_residual_koszul(psi, M, tmax=order)
         if not resid.is_zero():
             raise CertificateError(
@@ -302,17 +302,16 @@ def _form_t_valuation(beta: MixedForm) -> int:
     return min(vals) if vals else 0
 
 
-def _check_partial_sums(model, W, M, psi_op, beta, order):
+def _check_partial_sums(W, A, psi_op, beta, order):
     # omega agrees with beta - beta sigma beta + ... through the cubic term;
-    # the omitted terms have t-valuation at least five times that of beta
+    # the omitted terms have t-valuation at least five times that of beta,
+    # and truncation is a ring map, so products mod t^{bound+1} suffice
     val = max(1, _form_t_valuation(beta))
-    A = mat_mul(W, M, tmax=order)
-    S = [row[:] for row in W]
-    term = W
-    for _ in range(3):
-        term = mat_neg(mat_mul(A, term, tmax=order))
-        S = mat_add(S, term)
     bound = min(order, 5 * val - 1)
+    S = term = W
+    for _ in range(3):
+        term = mat_neg(mat_mul(A, term, tmax=bound))
+        S = mat_add(S, term)
     if not mat_is_zero(mat_t_truncate(mat_sub(psi_op, S), bound)):
         raise CertificateError(
             "inverse series disagrees with its alternating partial sums")
@@ -493,9 +492,9 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
     partial_bar-closed, contracted with the antiholomorphic Euler field
     into a primitive gamma (so partial_bar gamma = -obstruction), and the
     exact correction d(gamma) -- d(gamma + conj gamma) in real mode -- is
-    appended to the series as its block W_{k+1}.  The finished series is
-    inverted again from scratch by :func:`formality_psi` with its
-    certificates, its (0,2) part is checked to vanish mod t^{order+1},
+    appended to the series as its block W_{k+1}.  :func:`formality_psi`
+    solves the finished series' omega afresh from (1 + W M) omega = W with
+    its certificates, its (0,2) part is checked to vanish mod t^{order+1},
     and the transported element's flatness is verified componentwise;
     these certify every block the loop used.
     """

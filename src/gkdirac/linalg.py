@@ -273,6 +273,15 @@ def _mat_t_blocks(A, tmax):
             for k in range(tmax + 1)]
 
 
+def _mat_from_t_blocks(Bs):
+    """The matrix sum_j Bs[j] t^j assembled from its t-coefficient blocks."""
+    n = Bs[0][0][0].n
+    tj = [Poly.t(n, j) for j in range(len(Bs))]
+    return [[Poly.sum(n, (Bj[r][c].mul(tj[j]) for j, Bj in enumerate(Bs)
+                          if Bj[r][c]))
+             for c in range(len(Bs[0][0]))] for r in range(len(Bs[0]))]
+
+
 def _mat_series_term(As, Bs, j, rows=None):
     """The t^j block of (sum_i As[i] t^i)(sum_i Bs[i] t^i), namely
     sum_i As[i] Bs[j-i] over the blocks both lists hold, on the rows asked
@@ -305,29 +314,19 @@ def poly_mat_inverse(A, tmax):
     """
     size = len(A)
     n = A[0][0].n
-    A0 = []
-    for row in A:
-        r0 = []
-        for a in row:
-            c0 = a.t_coefficient(0)
-            if not c0.is_constant():
-                raise ArithmeticError(
-                    "t-degree-0 block is not constant; series inverse unsupported")
-            r0.append(c0.constant_value())
-        A0.append(r0)
-    A0inv_s = scalar_inverse(A0)  # raises ZeroDivisionError when singular
+    A0 = _mat_t_blocks(A, 0)[0]
+    if not all(c.is_constant() for row in A0 for c in row):
+        raise ArithmeticError(
+            "t-degree-0 block is not constant; series inverse unsupported")
+    A0inv_s = scalar_inverse([[c.constant_value() for c in row] for row in A0])
     A0inv = [[Poly.const(n, c) for c in row] for row in A0inv_s]
     # A = A0 (I + A0^{-1} R) with R = A - A0 of t-order >= 1
-    R = mat_sub(A, [[Poly.const(n, c) for c in row] for row in A0])
+    R = mat_sub(A, A0)
     Ns = _mat_t_blocks(mat_mul(A0inv, R, tmax=tmax), tmax)
     Xs = [mat_identity(size, n)]
     for j in range(1, tmax + 1):
         Xs.append(mat_neg(_mat_series_term(Ns, Xs, j)))
-    tj = [Poly.t(n, j) for j in range(tmax + 1)]
-    X = [[Poly.sum(n, (Xj[r][c].mul(tj[j]) for j, Xj in enumerate(Xs)
-                       if Xj[r][c]))
-          for c in range(size)] for r in range(size)]
-    out = mat_mul(X, A0inv, tmax=tmax)
+    out = mat_mul(_mat_from_t_blocks(Xs), A0inv, tmax=tmax)
     # exact check mod t^{tmax+1}
     err = mat_sub(mat_t_truncate(mat_mul(A, out, tmax=tmax), tmax),
                   mat_identity(size, n))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkdirac import brackets
 from gkdirac.brackets import (
     bivector_apply_covector,
     bivector_pair,
@@ -329,6 +330,46 @@ def test_mc_residual_transport():
             lhs = pi_star(mc_residual_koszul(om, sigma), sigma)
             rhs = mc_residual_dgla(pi_star(om, sigma), sigma)
             assert (lhs - rhs).is_zero()
+
+
+def _t_series_two_form(rng):
+    t = Poly.t(M.n)
+    return ((form_hom(rng, M, 2, 0) + form_hom(rng, M, 1, 1)
+             + form_hom(rng, M, 0, 2)).poly_mul(t)
+            + form_hom(rng, M, 1, 1).poly_mul(t * t))
+
+
+def test_koszul_self_bracket_matches_a_distinct_copy():
+    # [w, w] computes delta_sigma(w) once; a distinct but equal second
+    # operand takes the general route, and the two must agree
+    rng = random.Random(157)
+    for sigma in (MVElement.monomial(M, M.poly(1), (0, 1), ()),
+                  MVElement.monomial(M, M.z(0) + M.z(1) * M.t(), (0, 1), ())):
+        for _ in range(3):
+            om = _t_series_two_form(rng)
+            copy = om + MixedForm.zero(M)
+            assert copy is not om and copy == om
+            for tmax in (None, 2):
+                assert koszul_bracket(om, om, sigma, deg=2, tmax=tmax) == \
+                    koszul_bracket(om, copy, sigma, deg=2, tmax=tmax)
+
+
+def test_mc_residual_koszul_takes_two_delta_sigmas(monkeypatch):
+    calls = []
+    inner = brackets.delta_sigma
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(brackets, "delta_sigma", counted)
+    sigma = MVElement.monomial(M, M.z(0), (0, 1), ())
+    om = _t_series_two_form(random.Random(163))
+    for tmax in (None, 3):
+        calls.clear()
+        mc_residual_koszul(om, sigma, tmax=tmax)
+        # delta_sigma(w) and delta_sigma(w ^ w)
+        assert len(calls) == 2
 
 
 def test_pi_star_leg_replacement():

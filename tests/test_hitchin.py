@@ -287,27 +287,89 @@ def test_solve_matches_the_per_order_inverse_loop(scene, mode):
     assert any(not r.is_zero() for r in residuals.values())
 
 
-def test_solve_inverts_once(monkeypatch):
-    calls = {"inverse": 0, "divide": 0}
-    inverse, divide = linalg.poly_mat_inverse, hitchin.mat_div_right
+def test_solve_and_psi_invert_nothing(monkeypatch):
+    # formality_psi solves (1 + W M) psi = W by its block recurrence, and
+    # solve_hitchin's loop grows its own blocks: neither inverts a matrix
+    calls = []
+    inverse = linalg.poly_mat_inverse
 
     def counted_inverse(*args, **kwargs):
-        calls["inverse"] += 1
+        calls.append(args)
         return inverse(*args, **kwargs)
 
-    def counted_divide(*args, **kwargs):
-        calls["divide"] += 1
-        return divide(*args, **kwargs)
-
     monkeypatch.setattr(linalg, "poly_mat_inverse", counted_inverse)
-    monkeypatch.setattr(hitchin, "mat_div_right", counted_divide)
+    assert not hasattr(hitchin, "mat_div_right")
     for hp in (c2_background(), _t_dependent_background()):
         for order in range(2, 7):
             for mode in ("real", "complex"):
-                calls.update(inverse=0, divide=0)
-                solve_hitchin(hp, fubini_seed(), order, mode=mode)
-                # formality_psi's final re-inversion, and nothing per order
-                assert calls == {"inverse": 1, "divide": 1}
+                ds = solve_hitchin(hp, fubini_seed(), order, mode=mode)
+                formality_psi(ds, hp, order)
+                formality_psi(ds, hp, order, check=False)
+                assert calls == []
+    # the patch is live: the former division route does invert
+    _psi_division_reference(ds.beta_series(), hp, 2)
+    assert len(calls) == 1
+
+
+def _psi_division_reference(beta, hp, tmax):
+    """The former route: psi = W (1 + M W)^{-1} through ``mat_div_right``."""
+    model = hp.model
+    W = form_matrix(beta)
+    M = [row[:] for row in hp.sigma.mat]
+    den = mat_add(mat_identity(model.dim, model.n), mat_mul(M, W, tmax=tmax))
+    return form_from_matrix(model, mat_div_right(W, den, tmax=tmax))
+
+
+def _closed_series(model):
+    """t (Kahler seed) + t^2 d(a2) + t^3 d(a3): closed, with a nonzero t^2
+    block and a t^3 block of every type (2,0), (1,1), (0,2)."""
+    n = model.n
+    z, zb = model.z, model.zbar
+    a2 = (MixedForm.monomial(model, z(0) * zb(n - 1), holo=(n - 1,))
+          + MixedForm.monomial(model, (z(n - 1) * z(0)).scale(sc(1, -1)),
+                               anti=(0,)))
+    a3 = (MixedForm.monomial(model, zb(0) * zb(0), holo=(0,))
+          + MixedForm.monomial(model, z(0).scale(sc(Fraction(1, 2), 1)),
+                               holo=(n - 1,))
+          + MixedForm.monomial(model, z(0) * zb(0), anti=(n - 1,)))
+    return (fubini_seed(model).poly_mul(Poly.t(n))
+            + a2.d().poly_mul(Poly.t(n, 2)) + a3.d().poly_mul(Poly.t(n, 3)))
+
+
+@pytest.mark.parametrize("scene", ["c2", "t_dependent", "c3"])
+def test_formality_matches_the_division_route(scene):
+    hp = {"c2": c2_background(), "t_dependent": _t_dependent_background(),
+          "c3": _c3_background()}[scene]
+    beta = _closed_series(hp.model)
+    assert beta.d().is_zero()
+    assert all(not beta.t_coefficient(k).is_zero() for k in (1, 2, 3))
+    for order in range(1, 7):
+        want = _psi_division_reference(beta, hp, order)
+        assert formality_psi(beta, hp, order) == want
+        assert formality_psi(beta, hp, order, check=False) == want
+
+
+@pytest.mark.parametrize("val", [1, 2])
+def test_partial_sums_reach_every_order_up_to_the_bound(val):
+    # the check keeps its products mod t^{bound+1}, bound = min(order,
+    # 5 val - 1); a wrong psi term at any order up to the bound is caught
+    hp = c2_background()
+    beta = (_closed_series(M2) if val == 1
+            else fubini_seed().poly_mul(Poly.t(2, 2)))
+    order = 6
+    W = form_matrix(beta)
+    A = mat_mul(W, hp.sigma.mat, tmax=order)
+    psi_op = form_matrix(formality_psi(beta, hp, order, check=False))
+    hitchin._check_partial_sums(W, A, psi_op, beta, order)
+    bound = min(order, 5 * val - 1)
+    for k in range(1, order + 1):
+        bad = [row[:] for row in psi_op]
+        bad[0][2] = bad[0][2] + M2.z(1) * Poly.t(2, k)
+        if k <= bound:
+            with pytest.raises(CertificateError):
+                hitchin._check_partial_sums(W, A, bad, beta, order)
+        else:
+            hitchin._check_partial_sums(W, A, bad, beta, order)
 
 
 # ---------------------------------------------------------------------------
