@@ -42,6 +42,15 @@ class GradedTable:
     def function(cls, model, f):
         return cls(model, {cls._ORIGIN: {((), ()): f}})
 
+    @staticmethod
+    def _word(model, idx) -> tuple:
+        """``idx`` as a tuple, strictly increasing in range(model.n)."""
+        idx = tuple(idx)
+        if idx != tuple(sorted(set(idx) & set(range(model.n)))):
+            raise ValueError(f"index tuple {idx} must be strictly increasing "
+                             f"in range({model.n})")
+        return idx
+
     # -- bookkeeping -----------------------------------------------------
     def _setterm(self, key, ij, c):
         if not c:
@@ -121,7 +130,10 @@ class GradedTable:
     def t_coefficient(self, k: int):
         return self.map_coeffs(lambda c: c.t_coefficient(k))
 
-    def t_truncate(self, tmax: int):
+    def t_truncate(self, tmax):
+        """Every coefficient mod t^{tmax+1}; ``self`` for None."""
+        if tmax is None:
+            return self
         return self.map_coeffs(lambda c: c.t_truncate(tmax))
 
     def t_degree(self) -> int:

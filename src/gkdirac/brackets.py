@@ -243,9 +243,7 @@ def mc_residual_koszul(omega: MixedForm, sigma, tmax=None) -> MixedForm:
     from fractions import Fraction
     out = omega.d() + koszul_bracket(omega, omega, sigma, deg=2,
                                      tmax=tmax).scale(Fraction(1, 2))
-    if tmax is not None:
-        out = out.t_truncate(tmax)
-    return out
+    return out.t_truncate(tmax)
 
 
 def mc_residual_dgla(eps: MVElement, sigma: MVElement, tmax=None) -> MVElement:
@@ -254,6 +252,4 @@ def mc_residual_dgla(eps: MVElement, sigma: MVElement, tmax=None) -> MVElement:
     from fractions import Fraction
     out = eps.partial_bar() + dgla_bracket(sigma, eps, tmax=tmax) \
         + dgla_bracket(eps, eps, tmax=tmax).scale(Fraction(1, 2))
-    if tmax is not None:
-        out = out.t_truncate(tmax)
-    return out
+    return out.t_truncate(tmax)

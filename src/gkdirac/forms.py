@@ -48,13 +48,11 @@ class MixedForm(GradedTable):
 
     @classmethod
     def monomial(cls, model, coeff: Poly, holo=(), anti=(), dt: bool = False):
-        """Build coeff * dt^r ^ dz_holo ^ dzbar_anti (indices 0-based, sorted)."""
+        """Build coeff * dt^r ^ dz_holo ^ dzbar_anti (indices 0-based,
+        strictly increasing, below n)."""
         if dt and not model.param:
             raise ValueError("dt leg on a model without parameter direction")
-        holo = tuple(holo)
-        anti = tuple(anti)
-        if tuple(sorted(holo)) != holo or tuple(sorted(anti)) != anti:
-            raise ValueError("index tuples must be strictly increasing")
+        holo, anti = cls._word(model, holo), cls._word(model, anti)
         return cls(model, {(len(holo), len(anti), 1 if dt else 0):
                            {(holo, anti): coeff}})
 

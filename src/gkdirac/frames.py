@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .brackets import unit_vector
 from .errors import SingularityError
 from .forms import MixedForm
 from .linalg import (
@@ -34,6 +35,7 @@ from .linalg import (
     mat_apply,
     mat_div_right,
     mat_mul,
+    mat_t_truncate,
     mat_transpose,
     generic_rank,
     scalar_kernel,
@@ -74,9 +76,8 @@ class GVField:
 
     def __init__(self, model: Model, vec=None, cov=None):
         self.model = model
-        zero = [model.zero_poly() for _ in range(model.dim)]
-        self.vec = list(vec) if vec is not None else list(zero)
-        self.cov = list(cov) if cov is not None else list(zero)
+        self.vec = list(vec) if vec is not None else _zeros(model)
+        self.cov = list(cov) if cov is not None else _zeros(model)
         if len(self.vec) != model.dim or len(self.cov) != model.dim:
             raise ValueError("component lists must match the frame dimension")
 
@@ -125,6 +126,9 @@ class GVField:
                        _conj_components(self.model, self.cov))
 
     def t_truncate(self, tmax):
+        """Every component mod t^{tmax+1}; ``self`` for None."""
+        if tmax is None:
+            return self
         return GVField(self.model, [a.t_truncate(tmax) for a in self.vec],
                        [a.t_truncate(tmax) for a in self.cov])
 
@@ -143,6 +147,11 @@ class GVField:
 
     def __repr__(self):
         return f"GVField<{self.render()}>"
+
+
+def _zeros(model):
+    """A zero column over the frame legs."""
+    return [model.zero_poly()] * model.dim
 
 
 def _conj_components(model, comps):
@@ -190,58 +199,47 @@ def point_pairing(model, a, b) -> Scalar:
 
 def covec_to_form(model: Model, cov) -> MixedForm:
     n = model.n
-    out = MixedForm.zero(model)
-    for i in range(n):
-        if cov[i]:
-            out = out + MixedForm.monomial(model, cov[i], holo=(i,))
-        if cov[n + i]:
-            out = out + MixedForm.monomial(model, cov[n + i], anti=(i,))
-    if model.param and cov[2 * n]:
-        out = out + MixedForm.monomial(model, cov[2 * n], dt=True)
-    return out
+    comps = {(1, 0, 0): {((i,), ()): cov[i] for i in range(n)},
+             (0, 1, 0): {((), (i,)): cov[n + i] for i in range(n)}}
+    if model.param:
+        comps[(0, 0, 1)] = {((), ()): cov[2 * n]}
+    return MixedForm(model, comps)  # zero coefficients are dropped
 
 
 def form_to_covec(form: MixedForm):
     model = form.model
     n = model.n
-    out = [model.zero_poly() for _ in range(model.dim)]
+    out = _zeros(model)
     for (p, q, r), table in form.comps.items():
         if p + q + r != 1:
             raise ValueError("expected a 1-form")
-        for (I, J), c in table.items():
-            if r:
-                out[2 * n] = out[2 * n] + c
-            elif p:
-                out[I[0]] = out[I[0]] + c
-            else:
-                out[n + J[0]] = out[n + J[0]] + c
+        for (I, J), c in table.items():  # one entry per leg
+            out[2 * n if r else I[0] if p else n + J[0]] = c
     return out
 
 
-def _leg_derivative(model: Model, f: Poly, leg: int) -> Poly:
-    n = model.n
-    if leg < n:
-        return f.d_z(leg)
-    if leg < 2 * n:
-        return f.d_zbar(leg - n)
-    return f.d_t()
+def _along(X, f: Poly, tmax=None, sign=1):
+    """The nonzero terms ``sign * X^l d_l f`` of the derivative of ``f``
+    along the leg column ``X``, each product mod t^{tmax+1}.
+
+    The legs are those of ``Poly.derivative`` (z.., zbar.., t).  A caller
+    sums one entry's terms with a single ``Poly.sum``; d_l never raises the
+    t-degree, so that sum needs no further truncation.
+    """
+    out = []
+    for l, x in enumerate(X):
+        if x:
+            d = f.derivative(l)
+            if d:
+                c = x.mul(d, tmax=tmax)
+                out.append(c if sign == 1 else -c)
+    return out
 
 
 def lie_bracket_components(model: Model, X, Y, tmax=None):
-    out = []
-    for k in range(model.dim):
-        acc = model.zero_poly()
-        for l in range(model.dim):
-            if X[l]:
-                d = _leg_derivative(model, Y[k], l)
-                if d:
-                    acc = acc + X[l].mul(d, tmax=tmax)
-            if Y[l]:
-                d = _leg_derivative(model, X[k], l)
-                if d:
-                    acc = acc - Y[l].mul(d, tmax=tmax)
-        out.append(acc)
-    return out
+    """[X, Y]^k = X(Y^k) - Y(X^k) over the frame legs."""
+    return [Poly.sum(model.n, _along(X, Yk, tmax) + _along(Y, Xk, tmax, -1))
+            for Xk, Yk in zip(X, Y)]
 
 
 def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
@@ -262,10 +260,7 @@ def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
         - xi.d().contract_vector(Y)
     if H is not None:
         cov_form = cov_form + H.contract_vector(X).contract_vector(Y)
-    out = GVField(model, vec_part, form_to_covec(cov_form))
-    if tmax is not None:
-        out = out.t_truncate(tmax)
-    return out
+    return GVField(model, vec_part, form_to_covec(cov_form.t_truncate(tmax)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +287,9 @@ class DiracFrame:
         return len(self.gens)
 
     def t_truncate(self, tmax):
+        """Every generator mod t^{tmax+1}; ``self`` for None."""
+        if tmax is None:
+            return self
         return DiracFrame(self.model,
                           [g.t_truncate(tmax) for g in self.gens],
                           label=self.label)
@@ -331,21 +329,13 @@ def frame_matrix(frame: DiracFrame):
 
 
 def tangent_frame(model: Model) -> DiracFrame:
-    gens = []
-    for k in range(model.dim):
-        v = [model.zero_poly() for _ in range(model.dim)]
-        v[k] = model.poly(1)
-        gens.append(GVField(model, vec=v))
-    return DiracFrame(model, gens, label="T")
+    return DiracFrame(model, [GVField(model, vec=unit_vector(model, k))
+                              for k in range(model.dim)], label="T")
 
 
 def cotangent_frame(model: Model) -> DiracFrame:
-    gens = []
-    for k in range(model.dim):
-        c = [model.zero_poly() for _ in range(model.dim)]
-        c[k] = model.poly(1)
-        gens.append(GVField(model, cov=c))
-    return DiracFrame(model, gens, label="T*")
+    return DiracFrame(model, [GVField(model, cov=unit_vector(model, k))
+                              for k in range(model.dim)], label="T*")
 
 
 def graph_two_form(B: MixedForm) -> DiracFrame:
@@ -353,26 +343,18 @@ def graph_two_form(B: MixedForm) -> DiracFrame:
     from .multivector import form_matrix
 
     model = B.model
-    F = form_matrix(B)
-    gens = []
-    for k in range(model.dim):
-        v = [model.zero_poly() for _ in range(model.dim)]
-        v[k] = model.poly(1)
-        cov = [F[i][k] for i in range(model.dim)]
-        gens.append(GVField(model, vec=v, cov=cov))
-    return DiracFrame(model, gens, label="graph(B)")
+    cols = mat_transpose(form_matrix(B))
+    return DiracFrame(model, [
+        GVField(model, vec=unit_vector(model, k), cov=col)
+        for k, col in enumerate(cols)], label="graph(B)")
 
 
 def graph_bivector(model: Model, P) -> DiracFrame:
     """Sections P xi + xi over the coordinate cotangent frame; ``P`` is a
     leg matrix acting on covector columns."""
-    gens = []
-    for k in range(model.dim):
-        c = [model.zero_poly() for _ in range(model.dim)]
-        c[k] = model.poly(1)
-        v = [P[i][k] for i in range(model.dim)]
-        gens.append(GVField(model, vec=v, cov=c))
-    return DiracFrame(model, gens, label="graph(P)")
+    return DiracFrame(model, [
+        GVField(model, vec=col, cov=unit_vector(model, k))
+        for k, col in enumerate(mat_transpose(P))], label="graph(P)")
 
 
 def gauge_frame(frame: DiracFrame, B: MixedForm, tmax=None) -> DiracFrame:
@@ -386,10 +368,7 @@ def gauge_frame(frame: DiracFrame, B: MixedForm, tmax=None) -> DiracFrame:
         extra = mat_apply(F, g.vec, tmax=tmax)
         cov = [a + b for a, b in zip(g.cov, extra)]
         gens.append(GVField(model, vec=list(g.vec), cov=cov))
-    out = DiracFrame(model, gens, label=frame.label)
-    if tmax is not None:
-        out = out.t_truncate(tmax)
-    return out
+    return DiracFrame(model, gens, label=frame.label).t_truncate(tmax)
 
 
 def dirac_scale(frame: DiracFrame, lam) -> DiracFrame:
@@ -433,9 +412,7 @@ def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
                 covonly = covonly + GVField(
                     model, cov=[c.mul(v[r1 + j], tmax=tmax)
                                 for c in f2.gens[j].cov])
-        g = g + covonly
-        if tmax is not None:
-            g = g.t_truncate(tmax)
+        g = (g + covonly).t_truncate(tmax)
         if not g.is_zero():
             gens.append(g)
     return DiracFrame(model, gens, label=f"{f1.label}+{f2.label}")
@@ -488,9 +465,7 @@ class involutivity_report:
         Dorfman bracket of generators lies in the span; the failing pairs
         and their certificates are in ``witnesses["failures"]``)."""
         model = frame.model
-        cols = [g.stack() for g in frame.gens]
-        if tmax is not None:
-            cols = [[c.t_truncate(tmax) for c in col] for col in cols]
+        cols = mat_t_truncate([g.stack() for g in frame.gens], tmax)
         A = [[col[i] for col in cols] for i in range(2 * model.dim)]
         rank = generic_rank(A, model, rng)
         expected = model.dim if require_rank is None else require_rank
@@ -501,10 +476,7 @@ class involutivity_report:
             for j, v in enumerate(frame.gens):
                 if j < i:
                     continue
-                br = dorfman_bracket(u, v, H=H, tmax=tmax)
-                w = br.stack()
-                if tmax is not None:
-                    w = [c.t_truncate(tmax) for c in w]
+                w = dorfman_bracket(u, v, H=H, tmax=tmax).stack()
                 if all(not c for c in w):
                     continue
                 ok, cert = span_certificate(span, w, rng)
@@ -520,11 +492,8 @@ class involutivity_report:
 def frames_equal(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> bool:
     """Generic subbundle equality via two-sided span certificates."""
     model = f1.model
-    cols1 = [g.stack() for g in f1.gens]
-    cols2 = [g.stack() for g in f2.gens]
-    if tmax is not None:
-        cols1 = [[c.t_truncate(tmax) for c in col] for col in cols1]
-        cols2 = [[c.t_truncate(tmax) for c in col] for col in cols2]
+    cols1, cols2 = (mat_t_truncate([g.stack() for g in f.gens], tmax)
+                    for f in (f1, f2))
     for gens, targets in ((cols1, cols2), (cols2, cols1)):
         span = Span(gens, model, tmax)
         for w in targets:

@@ -22,14 +22,16 @@ principal minors of the exact Gram matrix.
 
 from fractions import Fraction
 
+from .brackets import unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
 from .frames import (DiracFrame, _covector_lifts, conj_stack, dirac_scale,
                      dirac_sum, frames_equal, gauge_frame, graph_bivector,
                      involutivity_report, point_pairing)
 from .linalg import (_sign_changes, generic_rank, mat_add, mat_identity,
-                     mat_mul, poly_det, real_roots_in_interval, scalar_det,
-                     scalar_rank, sturm_chain)
+                     mat_mul, mat_transpose, poly_det,
+                     real_roots_in_interval, scalar_det, scalar_rank,
+                     sturm_chain)
 from .model import Model
 from .multivector import form_matrix
 from .poisson import (Bivector, RealPoisson, build_L_sigma,
@@ -79,13 +81,10 @@ def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
     the frame meets the tangent bundle.
     """
     model = frame.model
-    dim = model.dim
-    units = [[model.poly(1) if i == a else model.zero_poly()
-              for i in range(dim)] for a in range(dim)]
-    cols = _covector_lifts(
+    units = [unit_vector(model, a) for a in range(model.dim)]
+    P = mat_transpose(_covector_lifts(
         frame, units, rng, "frame is not a bivector graph: a coordinate "
-        "covector is outside the covector span", tmax=tmax)
-    P = [[cols[a][i] for a in range(dim)] for i in range(dim)]
+        "covector is outside the covector span", tmax=tmax))
     try:
         bi = Bivector.from_matrix(model, P)
     except ValueError:

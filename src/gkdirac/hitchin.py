@@ -42,9 +42,9 @@ from .brackets import dgla_bracket, mc_residual_dgla, mc_residual_koszul, \
     pi_star, unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm, euler_homotopy, dt_leg
-from .frames import (DiracFrame, GVField, _conj_operator, dirac_scale,
-                     dirac_sum, frames_equal, gauge_frame, graph_bivector,
-                     involutivity_report)
+from .frames import (DiracFrame, GVField, _along, _conj_operator,
+                     dirac_scale, dirac_sum, frames_equal, gauge_frame,
+                     graph_bivector, involutivity_report)
 from .linalg import (_mat_from_t_blocks, _mat_series_term, _mat_t_blocks,
                      mat_add, mat_apply, mat_eval, mat_identity, mat_is_zero,
                      mat_mul, mat_neg, mat_scale, mat_sub, mat_t_truncate,
@@ -238,10 +238,8 @@ def pi_star_transport(omega: MixedForm, sigma, tmax=None) -> MCElement:
     """
     _reject_dt(omega, "transported forms")
     sig = _sigma_element(omega.model, sigma)
-    eps = pi_star(omega, sig, tmax=tmax)
-    if tmax is not None:
-        eps = eps.t_truncate(tmax)
-    return MCElement.from_polyvector(eps)
+    # every coefficient passes a wedge mod t^{tmax+1} in pi_star
+    return MCElement.from_polyvector(pi_star(omega, sig, tmax=tmax))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +348,7 @@ def deformation_frame(hp: HoloPoisson, eps: MCElement, tmax=None) -> DiracFrame:
             if Mrho[k][a]:
                 v[k] = v[k] + Mrho[k][a]
         gens.append(GVField(model, vec=v, cov=cov))
-    out = DiracFrame(model, gens, label="deformed")
-    return out.t_truncate(tmax) if tmax is not None else out
+    return DiracFrame(model, gens, label="deformed").t_truncate(tmax)
 
 
 def _const_matrix(model, rows):
@@ -416,7 +413,7 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
             and beta.t_coefficient(0).is_zero():
         psi = formality_psi(beta, hp, order, check=False)
         eps = pi_star_transport(psi, hp, tmax=order)
-        series_equal = frames_equal(moved.t_truncate(order),
+        series_equal = frames_equal(moved,
                                     deformation_frame(hp, eps, tmax=order),
                                     rng, tmax=order)
     return Report("graph_identity",
@@ -613,8 +610,7 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> Report:
         "form_part":
             gam.partial_bar() + dgla_bracket(phi, gam, tmax=tmax),
     }
-    if tmax is not None:
-        comps = {k: v.t_truncate(tmax) for k, v in comps.items()}
+    comps = {k: v.t_truncate(tmax) for k, v in comps.items()}
     acc = MVElement.zero(model)
     for v in comps.values():
         acc = acc + v
@@ -634,16 +630,6 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> Report:
 # The deformed complex structure and bivector
 # ---------------------------------------------------------------------------
 
-def _direction(model, col, f: Poly) -> Poly:
-    acc = Poly.zero(model.n)
-    for k in range(model.dim):
-        if col[k]:
-            d = f.derivative(k)
-            if d:
-                acc = acc + col[k] * d
-    return acc
-
-
 def _vector_field(model, col) -> MVElement:
     out = MVElement.zero(model)
     for k in range(model.n, model.dim):
@@ -657,33 +643,18 @@ def _vector_field(model, col) -> MVElement:
 
 def _lie_derivative_bivector(model, X, M, tmax=None):
     """(L_X M)^{ij} = X^l d_l M^{ij} - M^{lj} d_l X^i - M^{il} d_l X^j."""
-    dim = model.dim
-    out = mat_zero(dim, dim, model.n)
-    for i in range(dim):
-        for j in range(dim):
-            acc = Poly.zero(model.n)
-            for l in range(dim):
-                if X[l]:
-                    d = M[i][j].derivative(l)
-                    if d:
-                        acc = acc + X[l].mul(d, tmax=tmax)
-                if M[l][j]:
-                    d = X[i].derivative(l)
-                    if d:
-                        acc = acc - M[l][j].mul(d, tmax=tmax)
-                if M[i][l]:
-                    d = X[j].derivative(l)
-                    if d:
-                        acc = acc - M[i][l].mul(d, tmax=tmax)
-            out[i][j] = acc.t_truncate(tmax) if tmax is not None else acc
-    return out
+    n = model.n
+    cols = mat_transpose(M)
+    return [[Poly.sum(n, _along(X, Mij, tmax) + _along(cols[j], Xi, tmax, -1)
+                      + _along(Mi, X[j], tmax, -1))
+             for j, Mij in enumerate(Mi)] for Mi, Xi in zip(M, X)]
 
 
 def _deformed_dbar_function(model, h: Poly, eps: MCElement, tmax=None):
     """The (0,1)-form partial_bar h + [phi, h]."""
     lhs = MixedForm.function(model, h).partial_bar() + _form_of_bar_element(
         dgla_bracket(eps.phi, MVElement.function(model, h), tmax=tmax))
-    return lhs.t_truncate(tmax) if tmax is not None else lhs
+    return lhs.t_truncate(tmax)
 
 
 def deformed_holomorphic_lift(f: Poly, eps: MCElement, order: int) -> Poly:
@@ -742,21 +713,17 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
     """
     model = eps.model
     hp = _background(model, hp)
-    gamma = eps.gamma if tmax is None else eps.gamma.t_truncate(tmax)
-    if not gamma.is_zero():
+    if not eps.gamma.t_truncate(tmax).is_zero():
         raise CertificateError(
             "a surviving (0,2) part obstructs the bivector picture")
     n, dim = model.n, model.dim
-
-    def cut(Mx):
-        return mat_t_truncate(Mx, tmax) if tmax is not None else Mx
-
+    # the projector and every product below are kept mod t^{tmax+1}
     Phi = phi_geom_matrix(eps.phi)
-    P = cut(_holo_projector(Phi, tmax=tmax))
+    P = _holo_projector(Phi, tmax=tmax)
     Msum = mat_add(_sigma_matrix(model, hp),
                    bivector_matrix(eps.rho, size=dim))
-    newmat = cut(mat_mul(mat_mul(P, Msum, tmax=tmax), mat_transpose(P),
-                         tmax=tmax))
+    PM = mat_mul(P, Msum, tmax=tmax)
+    newmat = mat_mul(PM, mat_transpose(P), tmax=tmax)
     hp_new = HoloPoisson(model, sigma=Bivector(model, newmat), phi=eps.phi)
     certs = hp_new.certificates(rng, tmax=tmax)
     if not certs.ok:
@@ -771,17 +738,16 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
 
     eye = mat_identity(dim, n)
     Pbar = _conj_operator(model, P)
-    if not mat_is_zero(cut(mat_sub(mat_mul(P, P, tmax=tmax), P))):
+    if not mat_is_zero(mat_sub(mat_mul(P, P, tmax=tmax), P)):
         raise CertificateError("projector is not idempotent")
-    if not mat_is_zero(cut(mat_sub(Pbar, mat_sub(eye, P)))):
+    if not mat_is_zero(mat_sub(Pbar, mat_sub(eye, P))):
         raise CertificateError("conjugate projector is not complementary")
-    upper_right = cut(mat_mul(mat_mul(P, Msum, tmax=tmax),
-                              mat_transpose(Pbar), tmax=tmax))
+    upper_right = mat_mul(PM, mat_transpose(Pbar), tmax=tmax)
     psi_blocks = (P, upper_right, mat_transpose(Pbar))
     A = _deformed_frame_change(Phi)
     holo_cols = [row[:n] for row in A]
-    if not mat_is_zero(cut(mat_sub(mat_mul(P, holo_cols, tmax=tmax),
-                                   holo_cols))):
+    if not mat_is_zero(mat_t_truncate(mat_sub(
+            mat_mul(P, holo_cols, tmax=tmax), holo_cols), tmax)):
         raise CertificateError(
             "projector does not fix the deformed holomorphic frame")
 
@@ -789,19 +755,14 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
     functions = []
     for f in _criterion_functions(model):
         lhs = _deformed_dbar_function(model, f, eps, tmax=tmax)
-        rhs = MixedForm.zero(model)
-        for b, col in enumerate(cols):
-            df = _direction(model, col, f)
-            if df:
-                rhs = rhs + MixedForm.monomial(model, df, anti=(b,))
-        if tmax is not None:
-            rhs = rhs.t_truncate(tmax)
+        # sum_b X_b(f) dzbar_b over the deformed antiholomorphic frame
+        rhs = MixedForm(model, {(0, 1, 0): {
+            ((), (b,)): Poly.sum(n, _along(col, f, tmax))
+            for b, col in enumerate(cols)}})
         functions.append((f.render(), lhs == rhs, lhs.is_zero()))
 
     sig_plus_eps = _sigma_element(model, hp) + eps.polyvector()
-    candidates = [(f"d/dz_{i + 1}", [
-        (model.poly(1) if k == i else model.zero_poly())
-        for k in range(dim)]) for i in range(n)]
+    candidates = [(f"d/dz_{i + 1}", unit_vector(model, i)) for i in range(n)]
     seeds = [model.z(i) for i in range(n)]
     for h0 in seeds:
         h = h0 if tmax is None else deformed_holomorphic_lift(h0, eps, tmax)
@@ -815,9 +776,7 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
         except ValueError:
             continue
         resid = Z.partial_bar() + dgla_bracket(sig_plus_eps, Z, tmax=tmax)
-        if tmax is not None:
-            resid = resid.t_truncate(tmax)
-        qualified = resid.is_zero()
+        qualified = resid.t_truncate(tmax).is_zero()
         verdict = None
         if qualified:
             PZ = mat_apply(P, col, tmax=tmax)
@@ -902,10 +861,7 @@ def _ham_real(family, rng, tmax) -> Report:
     Mdot = [[e.d_t() for e in row] for row in piv.mat]
     rhs = mat_neg(mat_mul(mat_mul(piv.mat, Fdot, tmax=cut), piv.mat,
                           tmax=cut))
-    velocity = mat_sub(Mdot, rhs)
-    if cut is not None:
-        velocity = mat_t_truncate(velocity, cut)
-    checks["velocity"] = mat_is_zero(velocity)
+    checks["velocity"] = mat_is_zero(mat_t_truncate(mat_sub(Mdot, rhs), cut))
 
     pm = Model(n, param=True)
     pdim = pm.dim
@@ -1078,9 +1034,7 @@ def twistor_demo(order: int = 2, rng=None) -> Report:
     Mt = structures.poisson.sigma.mat
     WOt = form_matrix(omega_t)
     E = mat_mul(Mt, WOt, tmax=order)
-    series_resid = mat_t_truncate(
-        mat_sub(mat_mul(E, Mt, tmax=order), Mt), order)
-    inverse_ok = mat_is_zero(series_resid)
+    inverse_ok = mat_is_zero(mat_sub(mat_mul(E, Mt, tmax=order), Mt))
     for tv in (Fraction(1, 3), Fraction(-1, 2), Fraction(2)):
         sval = Scalar(tv)
         eps_t = series.eps.substitute_t(sval)

@@ -259,6 +259,9 @@ def mat_eval(A, point):
 
 
 def mat_t_truncate(A, tmax):
+    """Every entry mod t^{tmax+1}; ``A`` itself for None."""
+    if tmax is None:
+        return A
     return [[a.t_truncate(tmax) for a in row] for row in A]
 
 
@@ -328,9 +331,8 @@ def poly_mat_inverse(A, tmax):
         Xs.append(mat_neg(_mat_series_term(Ns, Xs, j)))
     out = mat_mul(_mat_from_t_blocks(Xs), A0inv, tmax=tmax)
     # exact check mod t^{tmax+1}
-    err = mat_sub(mat_t_truncate(mat_mul(A, out, tmax=tmax), tmax),
-                  mat_identity(size, n))
-    if not mat_is_zero(err):
+    if not mat_is_zero(mat_sub(mat_mul(A, out, tmax=tmax),
+                               mat_identity(size, n))):
         raise CertificateError("series inverse did not converge at this order")
     return out
 
@@ -438,9 +440,7 @@ def mat_div_right(Num, Den, tmax=None):
     except ArithmeticError:
         raise UnsupportedSceneError(
             "matrix division is not polynomial; determinant = " + det.render())
-    if tmax is not None:
-        out = mat_t_truncate(out, tmax)
-    return out
+    return mat_t_truncate(out, tmax)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +629,9 @@ def kernel_certificate(A, model, rng, tmax=None, attempts=4):
             val = min((x.t_valuation() for x in v if x), default=0)
             if val > 0:
                 v = [x.t_shift_down(val) if x else x for x in v]
-            if tmax is not None:
-                v = [x.t_truncate(tmax) for x in v]
             basis.append(v)
         else:
-            return basis
+            return mat_t_truncate(basis, tmax)
     raise SingularityError("kernel certificate failed; matrix rank may drop "
                            "on the sampled locus")
 

@@ -61,10 +61,9 @@ class MVElement(GradedTable):
 
     @classmethod
     def monomial(cls, model, coeff: Poly, vecs=(), bars=()):
-        vecs = tuple(vecs)
-        bars = tuple(bars)
-        if tuple(sorted(vecs)) != vecs or tuple(sorted(bars)) != bars:
-            raise ValueError("index tuples must be strictly increasing")
+        """Build coeff * (d/dz_vecs) ^ dzbar_bars (indices 0-based,
+        strictly increasing, below n)."""
+        vecs, bars = cls._word(model, vecs), cls._word(model, bars)
         return cls(model, {(len(vecs), len(bars)): {(vecs, bars): coeff}})
 
     def component(self, p, q) -> "MVElement":

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
 from .frames import (DiracFrame, GVField, _conj_components, _conj_operator,
-                     _covector_lifts, _leg_derivative, graph_bivector,
+                     _along, _covector_lifts, graph_bivector,
                      gauge_frame, frames_equal, involutivity_report)
 from .linalg import (Span, mat_add, mat_apply, mat_div_right, mat_identity,
                      mat_is_zero, mat_mul, mat_scale, mat_sub, mat_transpose,
@@ -217,21 +217,12 @@ def schouten_defect(P: Bivector, Q: Bivector = None, tmax=None):
     for a in range(dim):
         for b in range(a + 1, dim):
             for c in range(b + 1, dim):
-                acc = model.zero_poly()
+                # P.mat[x][l] = P^{lx} and Q.mat[z][y] = Q^{yz}
+                terms = []
                 for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    for l in range(dim):
-                        plx = P.mat[x][l]
-                        if plx:
-                            d = _leg_derivative(model, Q.mat[z][y], l)
-                            if d:
-                                acc = acc + plx.mul(d, tmax=tmax)
-                        qlx = Q.mat[x][l]
-                        if qlx:
-                            d = _leg_derivative(model, P.mat[z][y], l)
-                            if d:
-                                acc = acc + qlx.mul(d, tmax=tmax)
-                if tmax is not None:
-                    acc = acc.t_truncate(tmax)
+                    terms += _along(P.mat[x], Q.mat[z][y], tmax)
+                    terms += _along(Q.mat[x], P.mat[z][y], tmax)
+                acc = Poly.sum(model.n, terms)
                 if acc:
                     out[(a, b, c)] = acc
     return out
@@ -347,9 +338,7 @@ class HoloPoisson:
         from .brackets import dgla_bracket
         out = self.phi.partial_bar() + dgla_bracket(
             self.phi, self.phi, tmax=tmax).scale(Fraction(1, 2))
-        if tmax is not None:
-            out = out.t_truncate(tmax)
-        return out
+        return out.t_truncate(tmax)
 
     def type_defects(self, tmax=None):
         """sigma applied to each deformed (0,1)-covector; all-zero certifies
@@ -357,8 +346,6 @@ class HoloPoisson:
         out = []
         for theta in self.antiholo_covector_columns():
             img = self.sigma.apply(theta, tmax=tmax)
-            if tmax is not None:
-                img = [x.t_truncate(tmax) for x in img]
             if any(img):
                 out.append(img)
         return out
@@ -423,11 +410,8 @@ def complex_structure_matrix(model: Model, phi: MVElement, tmax=None):
         return M
     Phi = phi_geom_matrix(phi)
     P10 = _holo_projector(Phi, tmax=tmax)
-    out = mat_scale(mat_sub(mat_scale(P10, Scalar(2)), mat_identity(dim, n)),
-                    eye)
-    if tmax is not None:
-        out = mat_t_truncate(out, tmax)
-    return out
+    return mat_scale(mat_sub(mat_scale(P10, Scalar(2)), mat_identity(dim, n)),
+                     eye)
 
 
 def _deformed_frame_change(Phi):
@@ -528,9 +512,7 @@ def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
         raise UnsupportedSceneError(
             "(1 + B pi)^{-1} is not polynomial; det = "
             f"{det.render()}; vanishes on: {_describe_zero_locus(det)}")
-    check = mat_sub(mat_mul(M1, E, tmax=tmax), P)
-    if tmax is not None:
-        check = mat_t_truncate(check, tmax)
+    check = mat_t_truncate(mat_sub(mat_mul(M1, E, tmax=tmax), P), tmax)
     if not mat_is_zero(check):
         raise CertificateError("gauge inverse failed its defining identity")
     pi1 = RealPoisson(model, Bivector.from_matrix(model, M1))
@@ -567,10 +549,7 @@ def build_L_sigma(hp: HoloPoisson, tmax=None, check=True) -> DiracFrame:
     for eta in hp.holo_covector_columns():
         vec = hp.sigma.apply(eta, tmax=tmax)
         gens.append(GVField(model, vec=vec, cov=eta))
-    out = DiracFrame(model, gens, label="L_sigma")
-    if tmax is not None:
-        out = out.t_truncate(tmax)
-    return out
+    return DiracFrame(model, gens, label="L_sigma").t_truncate(tmax)
 
 
 def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
@@ -601,8 +580,6 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
                     if L.gens[j].vec[i]:
                         col[i] = col[i] + k[j].mul(L.gens[j].vec[i],
                                                    tmax=tmax)
-        if tmax is not None:
-            col = [x.t_truncate(tmax) for x in col]
         if any(col):
             vcols.append(col)
     if len(vcols) > n:
@@ -665,6 +642,8 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
     verdicts disagree.  In real mode the shared imaginary part and its
     intertwining identities are checked as exact matrix identities on top.
     """
+    if mode not in ("complex", "real"):
+        raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("an explicit rng is required for certificates")
     model = hp0.model
@@ -680,9 +659,7 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
     eta1 = hp1.holo_covector_columns()
 
     def contained(span, targets):
-        for w in targets:
-            if tmax is not None:
-                w = [x.t_truncate(tmax) for x in w]
+        for w in mat_t_truncate(targets, tmax):
             okflag, cert = span_certificate(span, w, rng)
             if not okflag:
                 return False, cert
@@ -723,26 +700,20 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
         Q1 = imag_Q(hp1, tmax=tmax)
         I0 = hp0.complex_structure(tmax=tmax)
         I1 = hp1.complex_structure(tmax=tmax)
-
-        def z(mat):
-            if tmax is not None:
-                mat = mat_t_truncate(mat, tmax)
-            return mat_is_zero(mat)
-
+        # every operand is a product mod t^{tmax+1} or a complex structure,
+        # which is truncated already
         checks.update({
             "shared_imaginary_part": Q0 == Q1,
-            "form_intertwines": z(mat_add(mat_mul(F, I0, tmax=tmax),
-                                          mat_mul(mat_transpose(I1), F,
-                                                  tmax=tmax))),
-            "structure_difference": z(mat_sub(
+            "form_intertwines": mat_is_zero(mat_add(
+                mat_mul(F, I0, tmax=tmax),
+                mat_mul(mat_transpose(I1), F, tmax=tmax))),
+            "structure_difference": mat_is_zero(mat_sub(
                 mat_sub(I0, I1), mat_mul(Q0.mat, F, tmax=tmax))),
-            "single_structure": z(mat_sub(
+            "single_structure": mat_is_zero(mat_sub(
                 mat_add(mat_mul(F, I0, tmax=tmax),
                         mat_mul(mat_transpose(I0), F, tmax=tmax)),
                 mat_mul(mat_mul(F, Q0.mat, tmax=tmax), F, tmax=tmax))),
         })
-    elif mode != "complex":
-        raise ValueError(f"unknown mode {mode!r}")
     if all(conditions.values()) != frame_ok:
         raise CertificateError(
             "containment conditions and the frame identity disagree: "
@@ -764,10 +735,7 @@ def imag_Q(hp: HoloPoisson, tmax=None) -> Bivector:
         mat_add(mat_mul(Im, Q.mat, tmax=tmax),
                 mat_scale(Q.mat, Scalar(0, 1))),
         Scalar(Fraction(1, 4)))
-    diff = mat_sub(recon, sig.mat)
-    if tmax is not None:
-        diff = mat_t_truncate(diff, tmax)
-    if not mat_is_zero(diff):
+    if not mat_is_zero(mat_t_truncate(mat_sub(recon, sig.mat), tmax)):
         raise CertificateError(
             "imaginary-part reconstruction failed; sigma is not of "
             "deformed type (2,0)")

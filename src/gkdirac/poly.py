@@ -35,6 +35,12 @@ All arithmetic is exact.  Multiplication accepts an optional ``tmax``:
 ``a.mul(b, tmax=k)`` is exactly ``(a * b).t_truncate(k)``, the product
 mod t^{k+1}, computed without visiting any term pair whose t-degrees sum
 beyond ``k``.
+
+``tmax=None`` means exact, everywhere in the package.  The truncation
+primitives (``Poly.t_truncate``, ``GradedTable.t_truncate``,
+``GVField.t_truncate``, ``DiracFrame.t_truncate`` and
+``linalg.mat_t_truncate``) return their input unchanged for ``None``, so a
+caller passes its ``tmax`` through without testing it.
 """
 from __future__ import annotations
 
@@ -347,7 +353,10 @@ class Poly:
         return _reduce(self.n, {e - k: v for e, v in self._c.items()
                                 if e & _FIELD == k}, self.d)
 
-    def t_truncate(self, tmax: int) -> "Poly":
+    def t_truncate(self, tmax: int | None) -> "Poly":
+        """The terms of t-degree at most ``tmax``; ``self`` for None."""
+        if tmax is None:
+            return self
         c = self._c
         keep = {e: v for e, v in c.items() if e & _FIELD <= tmax}
         if len(keep) == len(c):

@@ -6,6 +6,7 @@ import pytest
 
 from gkdirac.forms import MixedForm, dz, dzbar, dt_leg, euler_homotopy
 from gkdirac.model import Model
+from gkdirac.multivector import MVElement
 from gkdirac.poly import Poly
 from gkdirac.scalars import Scalar, sc
 
@@ -242,3 +243,27 @@ def test_scale_accepts_int_and_fraction():
     assert a.scale(Fraction(1, 2)).scale(2) == a
     assert a.scale(0).comps == {}
     assert a.scale(Scalar(0, 1)).scale(Scalar(0, 1)) == -a
+
+
+@pytest.mark.parametrize("word", [(0, 0), (1, 0), (2,), (-1,), (0, 5)])
+@pytest.mark.parametrize("build", [
+    lambda w: MixedForm.monomial(M, M.poly(1), holo=w),
+    lambda w: MixedForm.monomial(M, M.poly(1), anti=w),
+    lambda w: MVElement.monomial(M, M.poly(1), vecs=w),
+    lambda w: MVElement.monomial(M, M.poly(1), bars=w),
+], ids=["holo", "anti", "vecs", "bars"])
+def test_monomial_rejects_bad_leg_words(build, word):
+    # a repeated, unsorted, negative or too large index names no leg of C^2
+    with pytest.raises(ValueError, match="strictly increasing"):
+        build(word)
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: MixedForm.monomial(M, M.poly(1), holo=w),
+    lambda w: MixedForm.monomial(M, M.poly(1), anti=w),
+    lambda w: MVElement.monomial(M, M.poly(1), vecs=w),
+    lambda w: MVElement.monomial(M, M.poly(1), bars=w),
+], ids=["holo", "anti", "vecs", "bars"])
+def test_monomial_accepts_every_leg_word_of_the_model(build):
+    for word in [(), (0,), (1,), (0, 1)]:
+        assert not build(word).is_zero()

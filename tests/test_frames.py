@@ -240,8 +240,7 @@ def test_dorfman_leibniz_rule():
         Xf = M.zero_poly()
         for l in range(M.dim):
             if u.vec[l]:
-                from gkdirac.frames import _leg_derivative
-                d = _leg_derivative(M, f, l)
+                d = f.derivative(l)
                 if d:
                     Xf = Xf + u.vec[l] * d
         rhs = dorfman_bracket(u, v).poly_mul(f) + v.poly_mul(Xf)

@@ -248,10 +248,11 @@ def test_gk_lift_flow_endpoint_pair():
     assert report.pair.sigma_minus != pair.sigma_minus
     expected_phi = MVElement.monomial(
         M2, Poly.const(2, Scalar(0, -2)) * Poly.t(2), vecs=(1,), bars=(0,))
+    # d2^dbar2 has a leg outside the holomorphic frame, so it is placed on
+    # the full-frame legs (1, 3) directly
     expected_sigma = Bivector.from_mv(
-        MVElement.monomial(M2, Poly.t(2), vecs=(0, 1))
-        + MVElement.monomial(M2, Poly.const(2, Scalar(0, 2)) * Poly.t(2, 2),
-                             vecs=(1, 3)))
+        MVElement.monomial(M2, Poly.t(2), vecs=(0, 1))) + Bivector.wedge_pair(
+        M2, 1, 3, Poly.const(2, Scalar(0, 2)) * Poly.t(2, 2))
     assert report.pair.sigma_minus.phi == expected_phi
     assert report.pair.sigma_minus.sigma == expected_sigma
 

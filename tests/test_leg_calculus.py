@@ -1,0 +1,107 @@
+"""The matrix leg calculus against the polyvector dgLa.
+
+Three verdicts rest on the directional derivative X(f) = sum_l X^l d_l f
+over frame-leg columns: the Lie bracket of vector fields
+(``frames.lie_bracket_components``), the Poisson condition on a bivector
+(``poisson.schouten_defect``) and the Lie derivative of a bivector
+(``hitchin._lie_derivative_bivector``).  Each is checked here against the
+graded bracket of :mod:`gkdirac.brackets`, which computes the same
+quantities from leg words instead of matrices, on holomorphic polynomial
+data on C^3 that may also carry powers of t, with and without a t-cut.
+Each sign or factor between the two is pinned by one worked example.
+"""
+from hypothesis import given, strategies as st
+
+from gkdirac.brackets import dgla_bracket, lie_bracket_vec
+from gkdirac.frames import lie_bracket_components
+from gkdirac.hitchin import _lie_derivative_bivector
+from gkdirac.model import Model
+from gkdirac.multivector import MVElement, bivector_matrix, vector_components
+from gkdirac.poisson import Bivector, schouten_defect
+from gkdirac.poly import Poly
+from gkdirac.scalars import Scalar
+
+M = Model(3)
+PAIRS = [(0, 1), (0, 2), (1, 2)]
+
+# a term: Gaussian-integer coefficient, exponents of z1, z2, z3 and t
+_term = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                  st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                  st.integers(0, 2))
+polys = st.lists(_term, max_size=3).map(
+    lambda terms: Poly.sum(M.n, [
+        Poly(M.n, {(e1, e2, e3, 0, 0, 0, t): Scalar(a, b)})
+        for a, b, e1, e2, e3, t in terms]))
+cuts = st.none() | st.integers(0, 2)
+
+
+def vector_field(coeffs) -> MVElement:
+    out = MVElement.zero(M)
+    for i, c in enumerate(coeffs):
+        out = out + MVElement.monomial(M, c, vecs=(i,))
+    return out
+
+
+def bivector(coeffs) -> MVElement:
+    out = MVElement.zero(M)
+    for (i, j), c in zip(PAIRS, coeffs):
+        out = out + MVElement.monomial(M, c, vecs=(i, j))
+    return out
+
+
+vector_fields = st.lists(polys, min_size=3, max_size=3).map(vector_field)
+bivectors = st.lists(polys, min_size=3, max_size=3).map(bivector)
+
+
+def test_worked_examples_pin_the_signs():
+    z1, z2 = M.z(0), M.z(1)
+    one, zero = M.poly(1), M.zero_poly()
+    # [z1 d2, d1] = -d1(z1) d2 = -d2, in both calculi
+    x, y = vector_field([zero, z1, zero]), vector_field([one, zero, zero])
+    assert lie_bracket_vec(x, y) == vector_field([zero, -one, zero])
+    assert lie_bracket_components(M, vector_components(x),
+                                  vector_components(y))[1] == -one
+    # sigma = z1 d1^d2 + z2 d2^d3: the defect is sum_cyc 2 sigma^{la}
+    # d_l sigma^{bc}, and only sigma^{21} d_2 sigma^{23} = -z1 survives at
+    # (1, 2, 3); the dgLa reads the opposite sign, [sigma, sigma] = +2 z1
+    # d1^d2^d3
+    sigma = bivector([z1, zero, z2])
+    assert schouten_defect(Bivector.from_mv(sigma)) == {(0, 1, 2): -2 * z1}
+    assert dgla_bracket(sigma, sigma) == MVElement.monomial(
+        M, 2 * z1, vecs=(0, 1, 2))
+    # Z = z2 d1 on d1^d2 + z1 d2^d3: L_Z (d1^d2) = d1^[Z, d2] = -d1^d1 = 0
+    # and L_Z (z1 d2^d3) = z2 d2^d3 + z1 [Z, d2]^d3 = z2 d2^d3 - z1 d1^d3;
+    # the matrix Lie derivative is [Z, sigma] with no sign
+    Z = vector_field([z2, zero, zero])
+    sigma = bivector([one, zero, z1])
+    want = bivector([zero, -z1, z2])
+    assert dgla_bracket(Z, sigma) == want
+    assert _lie_derivative_bivector(
+        M, vector_components(Z), bivector_matrix(sigma, size=M.dim)) \
+        == bivector_matrix(want, size=M.dim)
+
+
+@given(vector_fields, vector_fields, cuts)
+def test_lie_bracket_components_match_the_dgla(x, y, tmax):
+    want = vector_components(lie_bracket_vec(x, y, tmax=tmax))
+    got = lie_bracket_components(M, vector_components(x),
+                                 vector_components(y), tmax=tmax)
+    assert got == want
+
+
+@given(bivectors, cuts)
+def test_schouten_defect_is_minus_the_dgla_self_bracket(sigma, tmax):
+    bracket = dgla_bracket(sigma, sigma, tmax=tmax)
+    assert set(bracket.comps) <= {(3, 0)}
+    c = bracket.coefficient(vecs=(0, 1, 2))
+    want = {(0, 1, 2): -c} if c else {}
+    assert schouten_defect(Bivector.from_mv(sigma), tmax=tmax) == want
+
+
+@given(vector_fields, bivectors, cuts)
+def test_lie_derivative_bivector_is_the_dgla_bracket(Z, sigma, tmax):
+    got = _lie_derivative_bivector(M, vector_components(Z),
+                                   bivector_matrix(sigma, size=M.dim),
+                                   tmax=tmax)
+    want = bivector_matrix(dgla_bracket(Z, sigma, tmax=tmax), size=M.dim)
+    assert got == want

@@ -566,3 +566,19 @@ def test_t_series_certificates():
                                vecs=(0, 1))
     hp = HoloPoisson(M2, sigma=sigma)
     assert hp.certificates(rng, tmax=3).ok
+
+
+def test_gauge_equiv_rejects_unknown_mode_before_any_certificate(
+        monkeypatch):
+    import gkdirac.poisson as poisson
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a certificate ran before the mode was checked")
+
+    monkeypatch.setattr(poisson, "span_certificate", refuse)
+    monkeypatch.setattr(poisson, "build_L_sigma", refuse)
+    hp = HoloPoisson(M2, sigma=MVElement.monomial(M2, M2.poly(1),
+                                                  vecs=(0, 1)))
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        check_gauge_equiv(hp, hp, MixedForm.zero(M2), mode="bogus",
+                          rng=random.Random(43))
