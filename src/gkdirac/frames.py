@@ -242,25 +242,39 @@ def lie_bracket_components(model: Model, X, Y, tmax=None):
             for Xk, Yk in zip(X, Y)]
 
 
-def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
-                    tmax=None) -> GVField:
-    model = u.model
-    X, xi = u.vec, covec_to_form(model, u.cov)
-    Y, eta = v.vec, covec_to_form(model, v.cov)
+def _dorfman_parts(u: GVField, H: MixedForm = None):
+    """What the Dorfman bracket reads from one generator whichever the
+    other is: the vector part X, the covector column, d of its 1-form, and
+    i_X H (None without ``H``)."""
+    X = u.vec
+    return (X, u.cov, covec_to_form(u.model, u.cov).d(),
+            None if H is None else H.contract_vector(X))
+
+
+def _dorfman(model: Model, pu, pv, tmax=None) -> GVField:
+    """The bracket of two generators from their :func:`_dorfman_parts`."""
+    X, _xi, dxi, iXH = pu
+    Y, eta, deta, _iYH = pv
     vec_part = lie_bracket_components(model, X, Y, tmax=tmax)
     # d(eta(X)) differentiates in t on a parameter model, so eta(X) is
     # kept one order further there
     etmax = tmax + 1 if tmax is not None and model.param else tmax
     eta_X = model.zero_poly()
-    for a, b in zip(v.cov, X):
+    for a, b in zip(eta, X):
         if a and b:
             eta_X = eta_X + a.mul(b, tmax=etmax)
-    cov_form = eta.d().contract_vector(X) \
+    cov_form = deta.contract_vector(X) \
         + MixedForm.function(model, eta_X).d() \
-        - xi.d().contract_vector(Y)
-    if H is not None:
-        cov_form = cov_form + H.contract_vector(X).contract_vector(Y)
+        - dxi.contract_vector(Y)
+    if iXH is not None:
+        cov_form = cov_form + iXH.contract_vector(Y)
     return GVField(model, vec_part, form_to_covec(cov_form.t_truncate(tmax)))
+
+
+def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
+                    tmax=None) -> GVField:
+    return _dorfman(u.model, _dorfman_parts(u, H), _dorfman_parts(v, H),
+                    tmax=tmax)
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +483,15 @@ class involutivity_report:
         A = [[col[i] for col in cols] for i in range(2 * model.dim)]
         rank = generic_rank(A, model, rng)
         expected = model.dim if require_rank is None else require_rank
-        isotropic = frame.is_isotropic()
+        # isotropy, like rank and involutivity, mod t^{tmax+1}
+        isotropic = all(not p.t_truncate(tmax)
+                        for p in frame.isotropy_defect())
         span = Span(cols, model, tmax)
+        parts = [_dorfman_parts(g, H) for g in frame.gens]
         failures = []
-        for i, u in enumerate(frame.gens):
-            for j, v in enumerate(frame.gens):
-                if j < i:
-                    continue
-                w = dorfman_bracket(u, v, H=H, tmax=tmax).stack()
+        for i, pu in enumerate(parts):
+            for j in range(i, len(parts)):
+                w = _dorfman(model, pu, parts[j], tmax=tmax).stack()
                 if all(not c for c in w):
                     continue
                 ok, cert = span_certificate(span, w, rng)

@@ -16,7 +16,11 @@ Three layers:
   polynomial or t-series denominator goes through :func:`mat_div_right`.
   A certificate is an exact polynomial identity, so a positive answer
   never depends on the sampled points; sampling is only used to locate a
-  well-conditioned pivot block quickly.
+  pivot block quickly.  The search tries the rows and columns with the
+  fewest terms first, so a unit or sparse block (the covector block of a
+  graph frame, the unit columns of a sum) is preferred to a dense one:
+  any invertible block gives a valid identity, and a sparse one gives a
+  small ``den`` and small numerators.
 
 * Prepared spans: a :class:`Span` is one generator set, built once and
   queried many times.  The first query finds its pivot block and keeps
@@ -29,12 +33,13 @@ Three layers:
   :func:`kernel_certificate` solves over a span of its matrix's columns.
 
 The univariate Sturm-chain utilities at the bottom isolate real roots of
-exact rational polynomials; they drive the validity-interval reports for
-one-parameter families.
+exact rational polynomials over integer primitive coefficient lists; they
+drive the validity-interval reports for one-parameter families.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (CertificateError, SingularityError,
                      UnsupportedSceneError)
@@ -465,25 +470,39 @@ def _pivot_block(cols, model, rng, samples=8, t_zero=False):
     With ``t_zero`` the sample points sit on the t = 0 slice, so the
     block's determinant has a nonzero leading series coefficient.
 
-    At each point one forward elimination (:func:`_forward_pivots`)
-    picks the first independent columns, and the original row of each
-    pivot; the rows and columns found form a block that is invertible at
-    that point.
+    The rows and the columns are first ordered by their total term count,
+    fewest first (a zero entry counts 0, ties keep the original order).
+    At each point one forward elimination (:func:`_forward_pivots`) of the
+    reordered matrix picks the first independent columns, and the row of
+    each pivot; the rows and columns found form a block that is invertible
+    at that point.  Because the sparsest lines are tried first, a unit
+    block whose lines are the sparsest is taken (the covector block of a
+    graph frame whose vector rows hold more than one term each, the unit
+    columns of ``[D | -I]``), so ``den`` is a constant there; elsewhere
+    the Cramer determinant and numerators read from the block stay small.
+    The columns are returned in ascending order, each row next to the
+    column it pivots.
     """
     nrows = len(cols[0]) if cols else 0
     ncols = len(cols)
+    size = [[len(x) for x in c] for c in cols]
+    col_order = sorted(range(ncols), key=lambda j: sum(size[j]))
+    row_size = [sum(r) for r in zip(*size)]
+    row_order = sorted(range(nrows), key=row_size.__getitem__)
+    ordered = [cols[j] for j in col_order]
     best = ([], [])
     for _ in range(samples):
         pt = model.sample_point(rng, with_t=True)
         if t_zero:
             pt = Point(pt.z, ZERO)
-        M = [[c[i].eval(pt) for c in cols] for i in range(nrows)]
+        M = [[c[i].eval(pt) for c in ordered] for i in row_order]
         rows, piv = _forward_pivots(M)
         if len(piv) > len(best[1]):
             best = (rows, piv)
         if len(piv) == min(nrows, ncols):
             break
-    return best
+    pairs = sorted((col_order[c], row_order[r]) for r, c in zip(*best))
+    return [r for _c, r in pairs], [c for c, _r in pairs]
 
 
 class Span:
@@ -494,7 +513,10 @@ class Span:
     that needs it runs the pivot search and keeps the pivot rows, the
     selected generators, the minor table of the pivot block ``D`` and
     ``den = det(D)``; later queries read the cofactors that earlier ones
-    memoised in that table.  A query whose identity fails and finds no
+    memoised in that table.  The search (:func:`_pivot_block`, on the
+    t = 0 slice with ``tmax``) tries the sparsest rows and generators
+    first, so on a graph frame ``D`` is in general the unit covector
+    block and ``den`` a constant.  A query whose identity fails and finds no
     witness point drops the block, so the next attempt searches afresh.
     """
 
@@ -602,8 +624,10 @@ def kernel_certificate(A, model, rng, tmax=None, attempts=4):
     t^{tmax+1} when truncating), one for each generic kernel dimension.
     The columns of ``A`` form one untruncated :class:`Span`; each column
     outside its pivot block gives ``v = den*e_fc - nums`` from the exact
-    identity ``den*A[:, fc] = sum nums_j A[:, j]``.  A failed identity
-    drops the block, and the next attempt searches afresh.
+    identity ``den*A[:, fc] = sum nums_j A[:, j]``.  The block takes the
+    sparsest columns first, so unit columns (``[D | -I]``) are pivots and
+    ``den`` is a constant there.  A failed identity drops the block, and
+    the next attempt searches afresh.
     """
     cols = mat_transpose(A)
     if not cols:
@@ -640,52 +664,68 @@ def kernel_certificate(A, model, rng, tmax=None, attempts=4):
 # Sturm chains for exact real-root isolation
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c):
+def _primitive(c):
+    """An integer coefficient list divided by its positive content, with
+    trailing zeros dropped (empty for the zero polynomial).  A positive
+    rescaling, so signs and roots are kept."""
     while c and c[-1] == 0:
         c.pop()
-    return c
-
-
-def _poly_deriv(c):
-    return _poly_trim([Fraction(k) * c[k] for k in range(1, len(c))])
+    g = gcd(*c)
+    return [x // g for x in c] if g > 1 else c
 
 
 def _poly_rem(a, b):
-    """Remainder of univariate division over Fraction coefficient lists."""
+    """A positive multiple of the remainder of ``a`` by ``b``, integer
+    coefficient lists: pseudo-division by ``b`` with its leading
+    coefficient made positive (each step scales by |lc(b)|, at most
+    deg a - deg b + 1 times), divided by its positive content."""
+    if b[-1] < 0:
+        b = [-x for x in b]  # same remainder, positive leading coefficient
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _poly_trim(a):
-        da = len(a) - 1
-        f = a[-1] / lb
-        for i in range(db + 1):
-            a[da - db + i] -= f * b[i]
-        a = _poly_trim(a)
-        if not a:
-            break
-    return a
+    while len(a) - 1 >= db:
+        f, shift = a[-1], len(a) - 1 - db
+        a = [lb * x for x in a]
+        for i, bi in enumerate(b):
+            a[shift + i] -= f * bi
+        a.pop()  # the leading term cancels
+        while a and a[-1] == 0:
+            a.pop()
+    return _primitive(a)
 
 
-def _poly_eval(c, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(c, x: Fraction) -> int:
+    """q^deg P(p/q) for x = p/q with q > 0 (integer Horner): a positive
+    multiple of P(x), so it has the sign of P(x)."""
+    p, q = x.numerator, x.denominator
+    acc, qk = 0, 1
     for coeff in reversed(c):
-        acc = acc * x + coeff
+        acc = acc * p + coeff * qk
+        qk *= q
     return acc
 
 
 def sturm_chain(coeffs):
-    """Sturm chain of a univariate polynomial (list of Fractions, low-first)."""
-    p0 = _poly_trim([Fraction(c) for c in coeffs])
+    """Sturm chain of a univariate polynomial (rationals, low-first), as
+    integer primitive coefficient lists.
+
+    Each member is a positive multiple of the classical chain's (p0, p0',
+    then the negated remainders), so every sign count, and every root
+    count and isolating interval read from it, is the classical one."""
+    c = [Fraction(x) for x in coeffs]
+    den = lcm(*(x.denominator for x in c))
+    p0 = _primitive([int(x * den) for x in c])
     if not p0:
         raise ValueError("zero polynomial has no Sturm chain")
     chain = [p0]
-    p1 = _poly_deriv(p0)
+    p1 = _primitive([k * p0[k] for k in range(1, len(p0))])
     if p1:
         chain.append(p1)
         while True:
             r = _poly_rem(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append([-c for c in r])
+            chain.append([-x for x in r])
     return chain
 
 
@@ -694,7 +734,7 @@ def _sign_changes(chain, x: Fraction) -> int:
     for p in chain:
         v = _poly_eval(p, x)
         if v:
-            signs.append(1 if v > 0 else -1)
+            signs.append(v > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 

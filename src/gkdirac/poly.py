@@ -169,6 +169,10 @@ class Poly:
         """Read-only mapping: exponent tuple -> nonzero Scalar."""
         return _Terms(self)
 
+    def __len__(self):
+        """The number of terms, ``len(self.terms)`` without the view."""
+        return len(self._c)
+
     # -- constructors ----------------------------------------------------
     @classmethod
     def zero(cls, n):

@@ -28,10 +28,11 @@ from gkdirac.frames import (
     lie_bracket_components,
     tangent_frame,
 )
-from gkdirac import linalg
+from gkdirac import frames, linalg
 from gkdirac.linalg import mat_apply
 from gkdirac.model import Model
 from gkdirac.multivector import MVElement, bivector_matrix, form_matrix
+from gkdirac.poisson import Bivector, HoloPoisson, build_L_sigma
 from gkdirac.poly import Poly
 from gkdirac.scalars import Scalar, sc
 
@@ -163,6 +164,69 @@ def test_gauge_composes_additively():
     once = gauge_frame(gauge_frame(fr, B1), B2)
     both = gauge_frame(fr, B1 + B2)
     assert frames_equal(once, both, rng)
+
+
+@pytest.mark.parametrize("param, tmax", [(False, None), (True, None),
+                                         (True, 1)])
+def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
+        monkeypatch, param, tmax):
+    rng = random.Random(361)
+    model = Model(1, param=param)
+    t = model.t()
+
+    def series():
+        return (rand_poly(rng, model) + t * rand_poly(rng, model)
+                + t * t * rand_poly(rng, model))
+
+    frame = DiracFrame(model, [
+        GVField(model, [series() for _ in range(model.dim)],
+                [series() for _ in range(model.dim)])
+        for _ in range(model.dim)])
+    H = (dt_leg(model) if param else MixedForm.monomial(
+        model, model.poly(1), holo=(0,))).wedge(MixedForm.monomial(
+            model, series(), holo=(0,), anti=(0,)))
+    seen = []
+    certify = frames.span_certificate
+
+    def recording(span, w, rng):
+        seen.append(w)
+        return certify(span, w, rng)
+
+    d_calls = []
+    d = MixedForm.d
+
+    def counted(self):
+        d_calls.append(self)
+        return d(self)
+
+    monkeypatch.setattr(frames, "span_certificate", recording)
+    monkeypatch.setattr(MixedForm, "d", counted)
+    involutivity_report.check(frame, rng, H=H, tmax=tmax)
+    monkeypatch.undo()
+    gens = frame.gens
+    want = [dorfman_bracket(u, v, H=H, tmax=tmax).stack()
+            for i, u in enumerate(gens) for v in gens[i:]]
+    assert seen == [w for w in want if any(w)]
+    # d of each generator's 1-form once, and d(eta(X)) once per pair
+    k = len(gens)
+    assert len(d_calls) == k + k * (k + 1) // 2
+
+
+@pytest.mark.parametrize("tmax", [None, 1])
+def test_truncated_isotropy_is_decided_mod_the_same_order(tmax):
+    # phi = t d2 (x) dzbar1, sigma = (t^2 + z1) d1^d2 + t d2^dzbar1: one
+    # pairing of the tmax = 1 frame is t^2, zero mod t^2
+    t = M.t()
+    phi = MVElement.monomial(M, t, vecs=(1,), bars=(0,))
+    sigma = (Bivector.wedge_pair(M, 0, 1, t * t + M.z(0))
+             + Bivector.wedge_pair(M, 1, 2, t))
+    L = build_L_sigma(HoloPoisson(M, sigma=sigma, phi=phi), tmax=tmax,
+                      check=False)
+    rep = involutivity_report.check(L, random.Random(367), tmax=tmax)
+    assert rep.checks["isotropic"]
+    # the truncated frame is isotropic mod t^2 only
+    assert not any(p.t_truncate(1) for p in L.isotropy_defect())
+    assert L.is_isotropic() == (tmax is None)
 
 
 def test_frames_equal_searches_one_pivot_block_per_side(monkeypatch):

@@ -11,6 +11,7 @@ from gkdirac.errors import (CertificateError, SingularityError,
 from gkdirac.linalg import (
     Span,
     _pivot_block,
+    _sign_changes,
     count_real_roots,
     generic_rank,
     kernel_certificate,
@@ -337,6 +338,98 @@ def test_sturm_repeated_root():
     assert count_real_roots(coeffs, Fraction(0), Fraction(2)) == 1
 
 
+def _sturm_chain_reference(coeffs):
+    """The former Sturm chain: Fraction coefficient lists, p0, p0' and the
+    negated exact remainders."""
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b) and trim(a):
+            f, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] -= f * bi
+            trim(a)
+        return a
+
+    chain = [trim([Fraction(c) for c in coeffs])]
+    p1 = trim([k * chain[0][k] for k in range(1, len(chain[0]))])
+    if p1:
+        chain.append(p1)
+        while True:
+            r = rem(chain[-2], chain[-1])
+            if not r:
+                break
+            chain.append([-c for c in r])
+    return chain
+
+
+def _poly_eval_reference(c, x):
+    return sum((a * Fraction(x) ** k for k, a in enumerate(c)), Fraction(0))
+
+
+def _sign_changes_reference(chain, x):
+    signs = []
+    for p in chain:
+        v = _poly_eval_reference(p, x)
+        if v:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+_sturm_roots = st.lists(
+    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+              st.integers(1, 3)), min_size=1, max_size=4)
+
+
+@given(_sturm_roots, st.sampled_from([0, 1, 3]),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(
+           bool))
+@example([(Fraction(1), 2), (Fraction(-1, 2), 3)], 1, Fraction(-2, 3))
+@example([(Fraction(0), 1)], 0, Fraction(1))
+@example([(Fraction(0), 1), (Fraction(0), 1)], 1, Fraction(1))
+def test_integer_sturm_chain_is_the_fraction_chain_rescaled(roots, extra,
+                                                            scale):
+    # scale * prod (x - r)^m * (x^2 + extra): repeated roots, and with
+    # extra > 0 a pair of non-real ones
+    coeffs = [scale]
+    for r, m in roots:
+        for _ in range(m):
+            coeffs = [Fraction(0)] + coeffs
+            for k in range(len(coeffs) - 1):
+                coeffs[k] -= r * coeffs[k + 1]
+    if extra:
+        coeffs = [extra * c for c in coeffs] + [0, 0]
+        for k in range(len(coeffs) - 1, 1, -1):
+            coeffs[k] += coeffs[k - 2] / extra
+    chain = sturm_chain(coeffs)
+    ref = _sturm_chain_reference(coeffs)
+    assert len(chain) == len(ref)
+    for p, q in zip(chain, ref):
+        # each member is an integer primitive positive multiple
+        assert all(type(c) is int for c in p)
+        ratio = p[-1] / q[-1]
+        assert ratio > 0 and [ratio * c for c in q] == p
+    distinct = sorted({r for r, _m in roots})
+    xs = distinct + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+    xs += [Fraction(-5), Fraction(5), 0, 1]
+    for x in xs:
+        assert _sign_changes(chain, x) == _sign_changes_reference(ref, x)
+    assert count_real_roots(coeffs, -5, 5) == len(distinct)
+    # the isolating intervals are those the Fraction chain gives, also
+    # where a bisection point hits a repeated root
+    got = real_roots_in_interval(coeffs, Fraction(-5), Fraction(5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "sturm_chain", _sturm_chain_reference)
+        mp.setattr(linalg, "_sign_changes", _sign_changes_reference)
+        mp.setattr(linalg, "_poly_eval", _poly_eval_reference)
+        want = real_roots_in_interval(coeffs, Fraction(-5), Fraction(5))
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # The minor table against the former per-minor code
 # ---------------------------------------------------------------------------
@@ -574,20 +667,27 @@ def test_span_certificate_matches_column_replacement(tmax):
 
 
 def _pivot_block_reference(cols, model, rng, samples=8, t_zero=False):
-    """The former pivot search: the rows from an RREF of M^T, then the
-    columns from an RREF of the selected rows of M."""
+    """The former pivot search, on the matrix with its rows and columns
+    ordered by term count (fewest first, ties in index order): the rows
+    from an RREF of M^T, then the columns from an RREF of the selected
+    rows of M, mapped back to the original indices."""
     nrows = len(cols[0]) if cols else 0
+    weight = [[len(x.terms) for x in c] for c in cols]
+    col_order = sorted(range(len(cols)), key=lambda j: (sum(weight[j]), j))
+    row_order = sorted(range(nrows),
+                       key=lambda i: (sum(w[i] for w in weight), i))
     best = (0, [], [])
     for _ in range(samples):
         pt = model.sample_point(rng, with_t=True)
         if t_zero:
             pt = Point(pt.z, ZERO)
-        Mp = [[c[i].eval(pt) for c in cols] for i in range(nrows)]
+        Mp = [[cols[j][i].eval(pt) for j in col_order] for i in row_order]
         _red, rowsel = scalar_rref([list(r) for r in zip(*Mp)])
         _red2, piv2 = scalar_rref([Mp[i] for i in rowsel])
         r = len(piv2)
         if r > best[0]:
-            best = (r, list(rowsel)[:r], piv2)
+            best = (r, [row_order[i] for i in list(rowsel)[:r]],
+                    sorted(col_order[c] for c in piv2))
         if r == min(nrows, len(cols)):
             break
     return best[1], best[2]

@@ -567,7 +567,7 @@ def _same(p, r):
     """The kernel's ``p`` holds the reference's ``r``."""
     _canonical(p)
     assert p.n == r.n
-    assert len(p.terms) == len(r.terms)
+    assert len(p) == len(p.terms) == len(r.terms)
     assert dict(p.terms.items()) == r.terms
     assert sorted(p.terms) == sorted(r.terms)
     assert sorted(p.terms.values(), key=repr) == \
