@@ -368,7 +368,15 @@ def _sturm_chain_reference(coeffs):
 
 
 def _poly_eval_reference(c, x):
-    return sum((a * Fraction(x) ** k for k, a in enumerate(c)), Fraction(0))
+    # P(x) itself, not a rescaling of it: Horner on an unreduced
+    # numerator/denominator pair, reduced once at the end
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    num, den = 0, 1
+    for a in reversed(c):
+        num, den = (num * p * a.denominator + a.numerator * den * q,
+                    den * q * a.denominator)
+    return Fraction(num, den)
 
 
 def _sign_changes_reference(chain, x):
@@ -422,9 +430,18 @@ def test_integer_sturm_chain_is_the_fraction_chain_rescaled(roots, extra,
     # the isolating intervals are those the Fraction chain gives, also
     # where a bisection point hits a repeated root
     got = real_roots_in_interval(coeffs, Fraction(-5), Fraction(5))
+    # the bisection asks for each endpoint's count more than once; the
+    # reference counts each point once (the run uses the one chain `ref`)
+    seen = {}
+
+    def sign_changes_once(chain, x):
+        if x not in seen:
+            seen[x] = _sign_changes_reference(chain, x)
+        return seen[x]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "sturm_chain", _sturm_chain_reference)
-        mp.setattr(linalg, "_sign_changes", _sign_changes_reference)
+        mp.setattr(linalg, "_sign_changes", sign_changes_once)
         mp.setattr(linalg, "_poly_eval", _poly_eval_reference)
         want = real_roots_in_interval(coeffs, Fraction(-5), Fraction(5))
     assert got == want
