@@ -72,7 +72,7 @@ __all__ = [
 class GVField:
     """A section of T (+) T*: vector and covector component lists."""
 
-    __slots__ = ("model", "vec", "cov")
+    __slots__ = ("model", "vec", "cov", "_d_cov")
 
     def __init__(self, model: Model, vec=None, cov=None):
         self.model = model
@@ -80,6 +80,16 @@ class GVField:
         self.cov = list(cov) if cov is not None else _zeros(model)
         if len(self.vec) != model.dim or len(self.cov) != model.dim:
             raise ValueError("component lists must match the frame dimension")
+        self._d_cov = None
+
+    def d_cov(self) -> MixedForm:
+        """d of the covector part read as a 1-form.  It is formed on first
+        use and kept: the component lists are not changed after
+        construction, so a frame's generators take it once however many
+        brackets read it."""
+        if self._d_cov is None:
+            self._d_cov = covec_to_form(self.model, self.cov).d()
+        return self._d_cov
 
     def __add__(self, other):
         if not isinstance(other, GVField) or other.model != self.model:
@@ -242,19 +252,10 @@ def lie_bracket_components(model: Model, X, Y, tmax=None):
             for Xk, Yk in zip(X, Y)]
 
 
-def _dorfman_parts(u: GVField, H: MixedForm = None):
-    """What the Dorfman bracket reads from one generator whichever the
-    other is: the vector part X, the covector column, d of its 1-form, and
-    i_X H (None without ``H``)."""
-    X = u.vec
-    return (X, u.cov, covec_to_form(u.model, u.cov).d(),
-            None if H is None else H.contract_vector(X))
-
-
-def _dorfman(model: Model, pu, pv, tmax=None) -> GVField:
-    """The bracket of two generators from their :func:`_dorfman_parts`."""
-    X, _xi, dxi, iXH = pu
-    Y, eta, deta, _iYH = pv
+def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
+                    tmax=None) -> GVField:
+    model = u.model
+    X, Y, eta = u.vec, v.vec, v.cov
     vec_part = lie_bracket_components(model, X, Y, tmax=tmax)
     # d(eta(X)) differentiates in t on a parameter model, so eta(X) is
     # kept one order further there
@@ -263,18 +264,12 @@ def _dorfman(model: Model, pu, pv, tmax=None) -> GVField:
     for a, b in zip(eta, X):
         if a and b:
             eta_X = eta_X + a.mul(b, tmax=etmax)
-    cov_form = deta.contract_vector(X) \
+    cov_form = v.d_cov().contract_vector(X) \
         + MixedForm.function(model, eta_X).d() \
-        - dxi.contract_vector(Y)
-    if iXH is not None:
-        cov_form = cov_form + iXH.contract_vector(Y)
+        - u.d_cov().contract_vector(Y)
+    if H is not None:
+        cov_form = cov_form + H.contract_vector(X).contract_vector(Y)
     return GVField(model, vec_part, form_to_covec(cov_form.t_truncate(tmax)))
-
-
-def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
-                    tmax=None) -> GVField:
-    return _dorfman(u.model, _dorfman_parts(u, H), _dorfman_parts(v, H),
-                    tmax=tmax)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +482,12 @@ class involutivity_report:
         isotropic = all(not p.t_truncate(tmax)
                         for p in frame.isotropy_defect())
         span = Span(cols, model, tmax)
-        parts = [_dorfman_parts(g, H) for g in frame.gens]
         failures = []
-        for i, pu in enumerate(parts):
-            for j in range(i, len(parts)):
-                w = _dorfman(model, pu, parts[j], tmax=tmax).stack()
+        for i, u in enumerate(frame.gens):
+            for j, v in enumerate(frame.gens):
+                if j < i:
+                    continue
+                w = dorfman_bracket(u, v, H=H, tmax=tmax).stack()
                 if all(not c for c in w):
                     continue
                 ok, cert = span_certificate(span, w, rng)

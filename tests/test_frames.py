@@ -192,6 +192,13 @@ def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
         seen.append(w)
         return certify(span, w, rng)
 
+    brackets = []
+    bracket = frames.dorfman_bracket
+
+    def bracketing(u, v, H=None, tmax=None):
+        brackets.append((u, v))
+        return bracket(u, v, H=H, tmax=tmax)
+
     d_calls = []
     d = MixedForm.d
 
@@ -200,15 +207,20 @@ def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
         return d(self)
 
     monkeypatch.setattr(frames, "span_certificate", recording)
+    monkeypatch.setattr(frames, "dorfman_bracket", bracketing)
     monkeypatch.setattr(MixedForm, "d", counted)
     involutivity_report.check(frame, rng, H=H, tmax=tmax)
     monkeypatch.undo()
     gens = frame.gens
+    k = len(gens)
+    # every pair goes through the public bracket
+    assert brackets == [(u, v) for i, u in enumerate(gens) for v in gens[i:]]
+    # fresh copies, which have not formed d of their 1-forms yet
+    fresh = [GVField(model, g.vec, g.cov) for g in gens]
     want = [dorfman_bracket(u, v, H=H, tmax=tmax).stack()
-            for i, u in enumerate(gens) for v in gens[i:]]
+            for i, u in enumerate(fresh) for v in fresh[i:]]
     assert seen == [w for w in want if any(w)]
     # d of each generator's 1-form once, and d(eta(X)) once per pair
-    k = len(gens)
     assert len(d_calls) == k + k * (k + 1) // 2
 
 
