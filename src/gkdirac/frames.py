@@ -72,7 +72,7 @@ __all__ = [
 class GVField:
     """A section of T (+) T*: vector and covector component lists."""
 
-    __slots__ = ("model", "vec", "cov", "_d_cov")
+    __slots__ = ("model", "vec", "cov", "_d_cov", "_i_H")
 
     def __init__(self, model: Model, vec=None, cov=None):
         self.model = model
@@ -80,16 +80,22 @@ class GVField:
         self.cov = list(cov) if cov is not None else _zeros(model)
         if len(self.vec) != model.dim or len(self.cov) != model.dim:
             raise ValueError("component lists must match the frame dimension")
-        self._d_cov = None
+        self._d_cov = self._i_H = None
 
+    # The two forms below are kept on the field once formed: the component
+    # lists are not changed after construction, so a frame's generators
+    # form them once however many brackets read them.
     def d_cov(self) -> MixedForm:
-        """d of the covector part read as a 1-form.  It is formed on first
-        use and kept: the component lists are not changed after
-        construction, so a frame's generators take it once however many
-        brackets read it."""
+        """d of the covector part read as a 1-form."""
         if self._d_cov is None:
             self._d_cov = covec_to_form(self.model, self.cov).d()
         return self._d_cov
+
+    def i_H(self, H: MixedForm) -> MixedForm:
+        """i_X H for the vector part X; kept for the last ``H`` asked."""
+        if self._i_H is None or self._i_H[0] is not H:
+            self._i_H = (H, H.contract_vector(self.vec))
+        return self._i_H[1]
 
     def __add__(self, other):
         if not isinstance(other, GVField) or other.model != self.model:
@@ -268,7 +274,7 @@ def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
         + MixedForm.function(model, eta_X).d() \
         - u.d_cov().contract_vector(Y)
     if H is not None:
-        cov_form = cov_form + H.contract_vector(X).contract_vector(Y)
+        cov_form = cov_form + u.i_H(H).contract_vector(Y)
     return GVField(model, vec_part, form_to_covec(cov_form.t_truncate(tmax)))
 
 

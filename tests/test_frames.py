@@ -206,9 +206,18 @@ def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
         d_calls.append(self)
         return d(self)
 
+    h_calls = []
+    contract = MixedForm.contract_vector
+
+    def contracting(self, vec):
+        if self is H:
+            h_calls.append(vec)
+        return contract(self, vec)
+
     monkeypatch.setattr(frames, "span_certificate", recording)
     monkeypatch.setattr(frames, "dorfman_bracket", bracketing)
     monkeypatch.setattr(MixedForm, "d", counted)
+    monkeypatch.setattr(MixedForm, "contract_vector", contracting)
     involutivity_report.check(frame, rng, H=H, tmax=tmax)
     monkeypatch.undo()
     gens = frame.gens
@@ -222,6 +231,8 @@ def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
     assert seen == [w for w in want if any(w)]
     # d of each generator's 1-form once, and d(eta(X)) once per pair
     assert len(d_calls) == k + k * (k + 1) // 2
+    # i_X H once per generator
+    assert h_calls == [g.vec for g in gens]
 
 
 @pytest.mark.parametrize("tmax", [None, 1])
