@@ -261,13 +261,13 @@ def lie_bracket_components(model: Model, X, Y, tmax=None):
 def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
                     tmax=None) -> GVField:
     model = u.model
-    X, Y, eta = u.vec, v.vec, v.cov
+    X, Y = u.vec, v.vec
     vec_part = lie_bracket_components(model, X, Y, tmax=tmax)
     # d(eta(X)) differentiates in t on a parameter model, so eta(X) is
     # kept one order further there
     etmax = tmax + 1 if tmax is not None and model.param else tmax
     eta_X = model.zero_poly()
-    for a, b in zip(eta, X):
+    for a, b in zip(v.cov, X):
         if a and b:
             eta_X = eta_X + a.mul(b, tmax=etmax)
     cov_form = v.d_cov().contract_vector(X) \
