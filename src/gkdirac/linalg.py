@@ -22,6 +22,12 @@ Three layers:
   any invertible block gives a valid identity, and a sparse one gives a
   small ``den`` and small numerators.
 
+  The nonzero pattern bounds this work exactly.  The term rank (the
+  largest set of nonzero entries with no two in one row or one column)
+  bounds the rank at every point, so a pivot or rank search stops drawing
+  points once it reaches it; and a minor whose rows leave one of its
+  columns empty is zero, so the table returns it without expanding it.
+
 * Prepared spans: a :class:`Span` is one generator set, built once and
   queried many times.  The first query finds its pivot block and keeps
   the block's rows, its minor table and ``den = det(D)``; every query
@@ -348,12 +354,16 @@ class _Minors:
     ``minor(R, C)`` is det(A[R, C]) for a row mask R and a column mask C
     with as many bits, expanded along the lowest column of C and memoised
     on (R, C), so the determinant, the cofactors and the Cramer numerators
-    of one matrix share every sub-minor.  With ``tmax`` the products are
-    kept mod t^{tmax+1}; truncation is a ring map, so each minor is the
-    truncation of the exact one.
+    of one matrix share every sub-minor.  A minor is zero at once when
+    some column of C has no nonzero entry in the rows R (``cmask[j]`` is
+    the row mask of column j's nonzero entries); it is neither expanded
+    nor kept.  The signed adjugate is built once, on first use, and both
+    :func:`poly_adjugate` and :meth:`numerators` read it.  With ``tmax``
+    the products are kept mod t^{tmax+1}; truncation is a ring map, so
+    each minor is the truncation of the exact one.
     """
 
-    __slots__ = ("A", "n", "tmax", "full", "memo")
+    __slots__ = ("A", "n", "tmax", "full", "memo", "cmask", "_adj")
 
     def __init__(self, A, n, tmax=None):
         self.A = A
@@ -361,11 +371,19 @@ class _Minors:
         self.tmax = tmax
         self.full = (1 << len(A)) - 1
         self.memo = {(0, 0): Poly.const(n, ONE)}
+        self.cmask = [sum(1 << i for i, row in enumerate(A) if row[j])
+                      for j in range(len(A))]
+        self._adj = None
 
     def minor(self, R, C):
         got = self.memo.get((R, C))
         if got is not None:
             return got
+        rest = C
+        while rest:
+            if not self.cmask[(rest & -rest).bit_length() - 1] & R:
+                return Poly.zero(self.n)
+            rest &= rest - 1
         low = C & -C
         col = low.bit_length() - 1
         terms = []
@@ -385,18 +403,29 @@ class _Minors:
     def det(self) -> Poly:
         return self.minor(self.full, self.full)
 
-    def cofactor(self, i, j) -> Poly:
-        """(-1)^{i+j} det(A with row i and column j removed)."""
-        d = self.minor(self.full ^ (1 << i), self.full ^ (1 << j))
-        return -d if (i + j) % 2 else d
+    def adjugate(self):
+        """``adj[j][i] = (-1)^{i+j} det(A with row i and column j removed)``,
+        built on first use and kept."""
+        if self._adj is None:
+            full, size = self.full, len(self.A)
+            self._adj = []
+            for j in range(size):
+                row = []
+                for i in range(size):
+                    d = self.minor(full ^ (1 << i), full ^ (1 << j))
+                    row.append(-d if d and (i + j) % 2 else d)
+                self._adj.append(row)
+        return self._adj
 
     def numerators(self, b):
-        """Cramer numerators of A x = b: ``nums[j] = sum_i b_i cof(i, j)``,
-        so that A nums = det(A) b.  Only the nonzero b_i are visited."""
+        """Cramer numerators of A x = b: ``nums[j] = sum_i b_i adj[j][i]``,
+        so that A nums = det(A) b.  Only the pairs with b_i and
+        ``adj[j][i]`` both nonzero are visited."""
         support = [(i, bi) for i, bi in enumerate(b) if bi]
-        return [Poly.sum(self.n, (bi.mul(self.cofactor(i, j), tmax=self.tmax)
-                                  for i, bi in support))
-                for j in range(len(self.A))]
+        n, tmax = self.n, self.tmax
+        return [Poly.sum(n, (bi.mul(adj_j[i], tmax=tmax)
+                             for i, bi in support if adj_j[i]))
+                for adj_j in self.adjugate()]
 
 
 def poly_det(A, tmax=None) -> Poly:
@@ -411,9 +440,7 @@ def poly_adjugate(A, tmax=None):
     polynomial matrix whenever they can divide by its determinant.  Every
     cofactor is read from one minor table.
     """
-    size = len(A)
-    table = _Minors(A, A[0][0].n if size else 0, tmax)
-    return [[table.cofactor(i, j) for i in range(size)] for j in range(size)]
+    return _Minors(A, A[0][0].n if A else 0, tmax).adjugate()
 
 
 def mat_div_right(Num, Den, tmax=None):
@@ -452,12 +479,40 @@ def mat_div_right(Num, Den, tmax=None):
 # Generic rank and symbolic certificates
 # ---------------------------------------------------------------------------
 
+def _term_rank(cols):
+    """The term rank of the matrix with columns ``cols`` (an entry counts
+    as nonzero when it is truthy): the largest number of nonzero entries
+    with no two in one row or one column, a maximum bipartite matching
+    grown by augmenting paths.  It bounds the rank at every point."""
+    support = [[i for i, x in enumerate(c) if x] for c in cols]
+    owner = {}  # row -> the column matched to it
+
+    def augment(j, seen):
+        for i in support[j]:
+            if i not in seen:
+                seen.add(i)
+                if i not in owner or augment(owner[i], seen):
+                    owner[i] = j
+                    return True
+        return False
+
+    return sum(augment(j, set()) for j in range(len(cols)))
+
+
 def generic_rank(A, model, rng, samples=5, with_t=True):
-    """Maximal rank of a polynomial matrix over random exact sample points."""
+    """Maximal rank of a polynomial matrix over random exact sample points.
+
+    No point can give more than the term rank of ``A``, so the search
+    stops once a point reaches it; from the same ``rng`` state the rank
+    is the one all ``samples`` points give.
+    """
+    bound = _term_rank(A)
     best = 0
     for _ in range(samples):
         pt = model.sample_point(rng, with_t=with_t)
         best = max(best, scalar_rank(mat_eval(A, pt)))
+        if best == bound:
+            break
     return best
 
 
@@ -482,14 +537,19 @@ def _pivot_block(cols, model, rng, samples=8, t_zero=False):
     the Cramer determinant and numerators read from the block stay small.
     The columns are returned in ascending order, each row next to the
     column it pivots.
+
+    No point can give a block larger than the term rank of the nonzero
+    pattern (:func:`_term_rank`), so the search stops at the first point
+    that reaches it: the block is the one all ``samples`` points give,
+    from fewer points.
     """
     nrows = len(cols[0]) if cols else 0
-    ncols = len(cols)
     size = [[len(x) for x in c] for c in cols]
-    col_order = sorted(range(ncols), key=lambda j: sum(size[j]))
+    col_order = sorted(range(len(cols)), key=lambda j: sum(size[j]))
     row_size = [sum(r) for r in zip(*size)]
     row_order = sorted(range(nrows), key=row_size.__getitem__)
     ordered = [cols[j] for j in col_order]
+    bound = _term_rank(size)
     best = ([], [])
     for _ in range(samples):
         pt = model.sample_point(rng, with_t=True)
@@ -499,7 +559,7 @@ def _pivot_block(cols, model, rng, samples=8, t_zero=False):
         rows, piv = _forward_pivots(M)
         if len(piv) > len(best[1]):
             best = (rows, piv)
-        if len(piv) == min(nrows, ncols):
+        if len(piv) == bound:
             break
     pairs = sorted((col_order[c], row_order[r]) for r, c in zip(*best))
     return [r for _c, r in pairs], [c for c, _r in pairs]
@@ -674,24 +734,29 @@ def _primitive(c):
     return [x // g for x in c] if g > 1 else c
 
 
-def _poly_rem(a, b):
-    """A positive multiple of the remainder of ``a`` by ``b``, integer
-    coefficient lists: pseudo-division by ``b`` with its leading
-    coefficient made positive (each step scales by |lc(b)|, at most
-    deg a - deg b + 1 times), divided by its positive content."""
+def _pseudo_divmod(a, b):
+    """``(q, r)``, positive multiples of the quotient and the remainder of
+    the integer coefficient lists ``a`` by ``b``, each divided by its
+    positive content: pseudo-division by ``b`` with its leading coefficient
+    made positive (each step scales by |lc(b)|, at most deg a - deg b + 1
+    times)."""
+    sign = 1
     if b[-1] < 0:
-        b = [-x for x in b]  # same remainder, positive leading coefficient
+        b, sign = [-x for x in b], -1  # the same remainder, -q
     a = list(a)
     db, lb = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - db, 0)
     while len(a) - 1 >= db:
         f, shift = a[-1], len(a) - 1 - db
         a = [lb * x for x in a]
+        q = [lb * x for x in q]
+        q[shift] += sign * f
         for i, bi in enumerate(b):
             a[shift + i] -= f * bi
         a.pop()  # the leading term cancels
         while a and a[-1] == 0:
             a.pop()
-    return _primitive(a)
+    return _primitive(q), _primitive(a)
 
 
 def _poly_eval(c, x: Fraction) -> int:
@@ -710,8 +775,10 @@ def sturm_chain(coeffs):
     integer primitive coefficient lists.
 
     Each member is a positive multiple of the classical chain's (p0, p0',
-    then the negated remainders), so every sign count, and every root
-    count and isolating interval read from it, is the classical one."""
+    then the negated remainders) divided by its last member, gcd(p0, p0').
+    Away from the roots of the gcd that division keeps every sign count;
+    at a repeated root, where every classical member vanishes, the divided
+    chain still counts each distinct root once."""
     c = [Fraction(x) for x in coeffs]
     den = lcm(*(x.denominator for x in c))
     p0 = _primitive([int(x * den) for x in c])
@@ -722,10 +789,12 @@ def sturm_chain(coeffs):
     if p1:
         chain.append(p1)
         while True:
-            r = _poly_rem(chain[-2], chain[-1])
+            _q, r = _pseudo_divmod(chain[-2], chain[-1])
             if not r:
                 break
             chain.append([-x for x in r])
+    if len(chain[-1]) > 1:  # p0 has a repeated root
+        chain = [_pseudo_divmod(p, chain[-1])[0] for p in chain]
     return chain
 
 

@@ -338,9 +338,31 @@ def test_sturm_repeated_root():
     assert count_real_roots(coeffs, Fraction(0), Fraction(2)) == 1
 
 
+# x^2 (x^2 + 1): one real root, double, at 0, where every member of the
+# undivided chain vanishes
+_DOUBLE_ROOT_AT_ZERO = [0, 0, 1, 0, 1]
+
+
+def test_sturm_count_at_a_repeated_root_end():
+    # the root 0 is counted once, in the interval (a, b] that holds it
+    c = _DOUBLE_ROOT_AT_ZERO
+    assert count_real_roots(c, Fraction(-5), Fraction(5)) == 1
+    assert count_real_roots(c, Fraction(-5), Fraction(0)) == 1
+    assert count_real_roots(c, Fraction(0), Fraction(5)) == 0
+
+
+def test_sturm_isolation_of_a_repeated_root():
+    ivs = real_roots_in_interval(_DOUBLE_ROOT_AT_ZERO, Fraction(-5),
+                                 Fraction(5))
+    assert len(ivs) == 1
+    lo, hi = ivs[0]
+    assert lo < 0 <= hi
+
+
 def _sturm_chain_reference(coeffs):
-    """The former Sturm chain: Fraction coefficient lists, p0, p0' and the
-    negated exact remainders."""
+    """The classical Sturm chain over Fraction coefficient lists: p0, p0'
+    and the negated exact remainders, each divided by the last member,
+    gcd(p0, p0'), when that is not a constant."""
     def trim(c):
         while c and c[-1] == 0:
             c.pop()
@@ -355,6 +377,15 @@ def _sturm_chain_reference(coeffs):
             trim(a)
         return a
 
+    def quo(a, b):
+        a, q = list(a), [Fraction(0)] * (len(a) - len(b) + 1)
+        while trim(a):
+            f, shift = a[-1] / b[-1], len(a) - len(b)
+            q[shift] = f
+            for i, bi in enumerate(b):
+                a[shift + i] -= f * bi
+        return q
+
     chain = [trim([Fraction(c) for c in coeffs])]
     p1 = trim([k * chain[0][k] for k in range(1, len(chain[0]))])
     if p1:
@@ -364,6 +395,9 @@ def _sturm_chain_reference(coeffs):
             if not r:
                 break
             chain.append([-c for c in r])
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [quo(p, g) for p in chain]
     return chain
 
 
