@@ -30,25 +30,25 @@ bracket then reproduces
 intertwines d with (partial_bar + [sigma, .]) and is an exact bracket
 morphism, which is what makes the two Maurer-Cartan residuals below agree
 on transported data.
+
+The form-side functions (``interior_bivector``, ``delta_sigma``,
+``koszul_bracket``, ``mc_residual_koszul`` and ``pi_star``) take sigma as
+its full-frame leg matrix ``S`` (see "Bivector matrices" in
+:mod:`gkdirac.multivector`), the matrix a :class:`~gkdirac.poisson.Bivector`
+holds in ``.mat``; only the polyvector side (``dgla_bracket``,
+``mc_residual_dgla``) takes sigma as a (2,0) :class:`MVElement`.
 """
 from __future__ import annotations
 
 from .forms import MixedForm
-from .linalg import mat_apply
 from .model import Model
-from .multivector import MVElement, bivector_matrix
-from .poly import Poly
+from .multivector import MVElement
 
 __all__ = [
     "dgla_bracket",
-    "schouten_bracket",
-    "lie_bracket_vec",
     "interior_bivector",
     "delta_sigma",
     "koszul_bracket",
-    "lie_derivative_form",
-    "bivector_pair",
-    "bivector_apply_covector",
     "pi_star",
     "mc_residual_koszul",
     "mc_residual_dgla",
@@ -104,22 +104,6 @@ def _add_leg_terms(out, sign0, I, J, f, I2, J2, g, dcache, tmax):
         out._setterm(key, ij, c if sign * sign0 * (-1) ** k == 1 else -c)
 
 
-def schouten_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:
-    for el in (a, b):
-        for (p, q) in el.comps:
-            if q:
-                raise ValueError("Schouten bracket expects pure polyvectors")
-    return dgla_bracket(a, b, tmax=tmax)
-
-
-def lie_bracket_vec(x: MVElement, y: MVElement, tmax=None) -> MVElement:
-    for el in (x, y):
-        for key in el.comps:
-            if key != (1, 0):
-                raise ValueError("Lie bracket expects vector fields")
-    return dgla_bracket(x, y, tmax=tmax)
-
-
 # ---------------------------------------------------------------------------
 # Form-side calculus driven by a bivector
 # ---------------------------------------------------------------------------
@@ -130,16 +114,10 @@ def unit_vector(model: Model, leg: int):
     return v
 
 
-def _as_matrix(sigma, model):
-    if isinstance(sigma, MVElement):
-        return bivector_matrix(sigma, size=model.dim)
-    return sigma
-
-
-def interior_bivector(form: MixedForm, sigma, tmax=None) -> MixedForm:
-    """i_sigma with i_{X^Y} = i_Y i_X, extended bilinearly from the matrix."""
+def interior_bivector(form: MixedForm, S, tmax=None) -> MixedForm:
+    """i_sigma with i_{X^Y} = i_Y i_X, extended bilinearly from sigma's
+    leg matrix ``S``."""
     model = form.model
-    M = _as_matrix(sigma, model)
     out = MixedForm.zero(model)
     dim = model.dim
     for a in range(dim):
@@ -148,7 +126,7 @@ def interior_bivector(form: MixedForm, sigma, tmax=None) -> MixedForm:
         if inner.is_zero():
             continue
         for b in range(a + 1, dim):
-            c = M[b][a]
+            c = S[b][a]
             if not c:
                 continue
             piece = inner.contract_vector(unit_vector(model, b))
@@ -157,68 +135,47 @@ def interior_bivector(form: MixedForm, sigma, tmax=None) -> MixedForm:
     return out
 
 
-def delta_sigma(form: MixedForm, sigma, tmax=None) -> MixedForm:
-    """The degree -1 generator i_sigma d - d i_sigma."""
-    return interior_bivector(form.d(), sigma, tmax=tmax) \
-        - interior_bivector(form, sigma, tmax=tmax).d()
+def delta_sigma(form: MixedForm, S, tmax=None) -> MixedForm:
+    """The degree -1 generator i_sigma d - d i_sigma, for sigma's leg
+    matrix ``S``."""
+    return interior_bivector(form.d(), S, tmax=tmax) \
+        - interior_bivector(form, S, tmax=tmax).d()
 
 
-def koszul_bracket(alpha: MixedForm, beta: MixedForm, sigma, deg=None,
+def koszul_bracket(alpha: MixedForm, beta: MixedForm, S, deg=None,
                    tmax=None) -> MixedForm:
-    """Derived bracket on forms; ``alpha`` must be homogeneous (or pass deg)."""
+    """Derived bracket [alpha, beta]_sigma for sigma's leg matrix ``S``;
+    ``alpha`` must be homogeneous (or pass deg)."""
     if deg is None:
         degs = alpha.total_degrees()
         if len(degs) != 1:
             raise ValueError("alpha must be homogeneous; pass deg explicitly")
         deg = degs[0]
     sgn = (-1) ** deg
-    dbeta = delta_sigma(beta, sigma, tmax=tmax)
-    dalpha = dbeta if alpha is beta else delta_sigma(alpha, sigma, tmax=tmax)
+    dbeta = delta_sigma(beta, S, tmax=tmax)
+    dalpha = dbeta if alpha is beta else delta_sigma(alpha, S, tmax=tmax)
     term1 = alpha.wedge(dbeta, tmax=tmax)
-    term2 = delta_sigma(alpha.wedge(beta, tmax=tmax), sigma, tmax=tmax).scale(sgn)
+    term2 = delta_sigma(alpha.wedge(beta, tmax=tmax), S, tmax=tmax).scale(sgn)
     term3 = dalpha.wedge(beta, tmax=tmax).scale(sgn)
     return term1 - term2 + term3
-
-
-def lie_derivative_form(vec_components, form: MixedForm) -> MixedForm:
-    """Cartan formula i_X d + d i_X."""
-    return form.d().contract_vector(vec_components) + \
-        form.contract_vector(vec_components).d()
-
-
-def bivector_apply_covector(sigma, model: Model, covec):
-    """sigma(xi) as frame components: (M xi)^k."""
-    M = _as_matrix(sigma, model)
-    return mat_apply(M, covec)
-
-
-def bivector_pair(sigma, model: Model, xi, eta) -> Poly:
-    """sigma(xi, eta) = eta(sigma xi)."""
-    sx = bivector_apply_covector(sigma, model, xi)
-    n = model.n
-    acc = Poly.zero(n)
-    for e, v in zip(eta, sx):
-        if e and v:
-            acc = acc + e * v
-    return acc
 
 
 # ---------------------------------------------------------------------------
 # Transport between the two complexes
 # ---------------------------------------------------------------------------
 
-def pi_star(form: MixedForm, sigma: MVElement, tmax=None) -> MVElement:
+def pi_star(form: MixedForm, S, tmax=None) -> MVElement:
     """Replace every dz leg by -sigma(dz) and reinterpret dzbar legs as
     polyvector legs.  No compensating sign: the leg substitution is taken
-    in the stored leg order."""
+    in the stored leg order.  Only the dz x dz block of sigma's leg matrix
+    ``S`` is read, so sigma is taken to be of type (2,0)."""
     model = form.model
     n = model.n
-    M = bivector_matrix(sigma)  # n x n holomorphic block
     minus_cols = []
     for a in range(n):
         comp = {}
         for k in range(n):
-            c = M[k][a]
+            c = S[k][a]
             if c:
                 comp[((k,), ())] = -c
         minus_cols.append(MVElement(model, {(1, 0): comp} if comp else None))
@@ -238,10 +195,11 @@ def pi_star(form: MixedForm, sigma: MVElement, tmax=None) -> MVElement:
     return out
 
 
-def mc_residual_koszul(omega: MixedForm, sigma, tmax=None) -> MixedForm:
-    """d omega + (1/2)[omega, omega]_sigma (form-side flatness residual)."""
+def mc_residual_koszul(omega: MixedForm, S, tmax=None) -> MixedForm:
+    """d omega + (1/2)[omega, omega]_sigma (form-side flatness residual),
+    for sigma's leg matrix ``S``."""
     from fractions import Fraction
-    out = omega.d() + koszul_bracket(omega, omega, sigma, deg=2,
+    out = omega.d() + koszul_bracket(omega, omega, S, deg=2,
                                      tmax=tmax).scale(Fraction(1, 2))
     return out.t_truncate(tmax)
 

@@ -62,8 +62,6 @@ __all__ = [
     "gauge_frame",
     "dirac_sum",
     "dirac_scale",
-    "conjugate_frame",
-    "frame_matrix",
     "involutivity_report",
     "frames_equal",
 ]
@@ -337,12 +335,6 @@ class DiracFrame:
         return all(not p for p in self.isotropy_defect())
 
 
-def frame_matrix(frame: DiracFrame):
-    """Columns = stacked generators (2*dim rows)."""
-    cols = [g.stack() for g in frame.gens]
-    return [[col[i] for col in cols] for i in range(2 * frame.model.dim)]
-
-
 def tangent_frame(model: Model) -> DiracFrame:
     return DiracFrame(model, [GVField(model, vec=unit_vector(model, k))
                               for k in range(model.dim)], label="T")
@@ -393,10 +385,6 @@ def dirac_scale(frame: DiracFrame, lam) -> DiracFrame:
     gens = [GVField(frame.model, list(g.vec),
                     [c.scale(lam) for c in g.cov]) for g in frame.gens]
     return DiracFrame(frame.model, gens, label=frame.label)
-
-
-def conjugate_frame(frame: DiracFrame) -> DiracFrame:
-    return frame.conj()
 
 
 def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:

@@ -86,7 +86,7 @@ def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
         frame, units, rng, "frame is not a bivector graph: a coordinate "
         "covector is outside the covector span", tmax=tmax))
     try:
-        bi = Bivector.from_matrix(model, P)
+        bi = Bivector(model, P)
     except ValueError:
         raise CertificateError(
             "graph matrix is not antisymmetric; the frame is not isotropic")

@@ -85,32 +85,30 @@ _HALF = Fraction(1, 2)
 # ---------------------------------------------------------------------------
 
 def _background(model, sigma) -> HoloPoisson:
-    if isinstance(sigma, HoloPoisson):
-        if not sigma.phi.is_zero():
-            raise UnsupportedSceneError(
-                "the background complex structure must be undeformed")
-        if sigma.model != model:
-            raise ValueError("background on a different model")
-        return sigma
-    if isinstance(sigma, Bivector):
-        return HoloPoisson(model, sigma=sigma)
-    if isinstance(sigma, MVElement):
-        return HoloPoisson(model, sigma=Bivector.from_mv(sigma))
-    raise TypeError("sigma must be a HoloPoisson, Bivector, or MVElement")
+    """The background as a :class:`HoloPoisson` over the undeformed complex
+    structure; any other ``sigma`` goes to its constructor."""
+    if not isinstance(sigma, HoloPoisson):
+        sigma = HoloPoisson(model, sigma=sigma)
+    if not sigma.phi.is_zero():
+        raise UnsupportedSceneError(
+            "the background complex structure must be undeformed")
+    if sigma.model != model:
+        raise ValueError("background on a different model")
+    return sigma
 
 
-def _sigma_matrix(model, sigma):
-    """Full-frame antisymmetric matrix of the background bivector."""
-    return [row[:] for row in _background(model, sigma).sigma.mat]
+def _holo_sigma(model, sigma):
+    """Leg matrix of the background bivector, which must be of type (2,0)."""
+    sig = _background(model, sigma).sigma
+    if not sig.is_pure_holo():
+        raise UnsupportedSceneError("the background bivector must be of "
+                                    "type (2,0)")
+    return sig.mat
 
 
 def _sigma_element(model, sigma) -> MVElement:
     """Background bivector as a (2,0) element of the polyvector complex."""
-    hp = _background(model, sigma)
-    if not hp.sigma.is_pure_holo():
-        raise UnsupportedSceneError("the background bivector must be of "
-                                    "type (2,0)")
-    return mv_from_bivector_matrix(model, hp.sigma.mat)
+    return mv_from_bivector_matrix(model, _holo_sigma(model, sigma))
 
 
 def _form_of_bar_element(x: MVElement) -> MixedForm:
@@ -237,9 +235,9 @@ def pi_star_transport(omega: MixedForm, sigma, tmax=None) -> MCElement:
     over unchanged.
     """
     _reject_dt(omega, "transported forms")
-    sig = _sigma_element(omega.model, sigma)
+    S = _holo_sigma(omega.model, sigma)
     # every coefficient passes a wedge mod t^{tmax+1} in pi_star
-    return MCElement.from_polyvector(pi_star(omega, sig, tmax=tmax))
+    return MCElement.from_polyvector(pi_star(omega, S, tmax=tmax))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,7 @@ def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
             "a form vanishing at t = 0")
     if beta.is_zero():
         return MixedForm.zero(model)
-    M = _sigma_matrix(model, sigma)
+    M = _background(model, sigma).sigma.mat
     W = form_matrix(beta)
     A = mat_mul(W, M, tmax=order)
     # omega's blocks solve (1 + A) omega = W: omega_j = W_j - sum_{i<j} A_i
@@ -376,7 +374,7 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
     _reject_dt(beta, "the gauge identity")
     dim = model.dim
     W = form_matrix(beta)
-    M = _sigma_matrix(model, hp)
+    M = hp.sigma.mat
     E = mat_add(mat_identity(dim, model.n), mat_mul(M, W))
     det = poly_det(E)
     if not det:
@@ -514,7 +512,7 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
         if not omega1.component(2, 0).is_zero():
             raise CertificateError("real mode needs a seed of pure type "
                                    "(1,1)")
-    M = _sigma_matrix(model, hp)
+    M = hp.sigma.mat
     betas = [omega1]
     residuals = {}
     gammas = {}
@@ -720,8 +718,7 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
     # the projector and every product below are kept mod t^{tmax+1}
     Phi = phi_geom_matrix(eps.phi)
     P = _holo_projector(Phi, tmax=tmax)
-    Msum = mat_add(_sigma_matrix(model, hp),
-                   bivector_matrix(eps.rho, size=dim))
+    Msum = mat_add(hp.sigma.mat, bivector_matrix(eps.rho, size=dim))
     PM = mat_mul(P, Msum, tmax=tmax)
     newmat = mat_mul(PM, mat_transpose(P), tmax=tmax)
     hp_new = HoloPoisson(model, sigma=Bivector(model, newmat), phi=eps.phi)
@@ -924,7 +921,7 @@ def _ham_complex(ds: DeformSeries, tmax) -> Report:
     Pbar = _conj_operator(model, P)
     I_t = mat_scale(mat_sub(mat_scale(P, Scalar(2)), mat_identity(dim, n + 1)),
                     Scalar(0, 1))
-    Msum = lift(mat_add(_sigma_matrix(model, ds.background),
+    Msum = lift(mat_add(ds.background.sigma.mat,
                         bivector_matrix(ds.eps.rho, size=dim)))
     Mt = mul(P, Msum, mat_transpose(P))
     Mtbar = _conj_operator(model, Mt)

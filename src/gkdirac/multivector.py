@@ -28,9 +28,14 @@ tangent) is stored as an antisymmetric matrix M over the frame legs with
 
     (M xi)^k = sum_l M[k][l] xi_l,   c * e_a ^ e_b (a<b)  =>  M[b][a] = +c,
 
-so that contraction follows i_xi(X^Y) = xi(X) Y - xi(Y) X.  Two-form
-matrices F follow the mirrored rule (i_X beta = F X as a covector), making
-operator strings like beta.sigma compositions plain matrix products.
+so that contraction follows i_xi(X^Y) = xi(X) Y - xi(Y) X.  This leg
+matrix is what :class:`gkdirac.poisson.Bivector` holds and what the
+form-side calculus of :mod:`gkdirac.brackets` takes.  Exactly two functions
+cross between it and a (2,0) element: :func:`bivector_matrix` (element to
+matrix) and :func:`mv_from_bivector_matrix` (matrix to element, for the
+polyvector bracket).  Two-form matrices F follow the mirrored rule
+(i_X beta = F X as a covector), making operator strings like beta.sigma
+compositions plain matrix products.
 """
 from __future__ import annotations
 
@@ -42,7 +47,6 @@ from .poly import Poly
 __all__ = [
     "MVElement",
     "vec",
-    "covec_bar",
     "phi_geom_matrix",
     "mv_from_endo",
     "bivector_matrix",
@@ -143,11 +147,6 @@ class MVElement(GradedTable):
 def vec(model: Model, i: int) -> MVElement:
     """The coordinate vector field d/dz_i as a (1,0) element."""
     return MVElement.monomial(model, model.poly(1), vecs=(i,))
-
-
-def covec_bar(model: Model, j: int) -> MVElement:
-    """dzbar_j as a (0,1) element."""
-    return MVElement.monomial(model, model.poly(1), bars=(j,))
 
 
 # -- tensor-evaluation bridges ------------------------------------------

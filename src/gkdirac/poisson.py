@@ -30,8 +30,7 @@ from .linalg import (Span, mat_add, mat_apply, mat_div_right, mat_identity,
                      generic_rank)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
-                          mv_from_bivector_matrix, mv_from_endo,
-                          phi_geom_matrix)
+                          mv_from_endo, phi_geom_matrix)
 from .poly import Poly
 from .report import Report
 from .scalars import Scalar, ONE
@@ -69,14 +68,6 @@ class Bivector:
         self.mat = [list(row) for row in mat]
 
     # -- constructors ----------------------------------------------------
-    @classmethod
-    def zero(cls, model):
-        return cls(model)
-
-    @classmethod
-    def from_matrix(cls, model, mat):
-        return cls(model, mat)
-
     @classmethod
     def from_mv(cls, mv: MVElement) -> "Bivector":
         """Embed a purely holomorphic (2,0) polyvector."""
@@ -154,10 +145,6 @@ class Bivector:
     def is_real(self) -> bool:
         return self.conj() == self
 
-    def imag(self) -> "Bivector":
-        """(self - conj)/2i, a real bivector."""
-        return (self - self.conj()).scale(Scalar(0, Fraction(-1, 2)))
-
     def is_zero(self) -> bool:
         return mat_is_zero(self.mat)
 
@@ -179,10 +166,6 @@ class Bivector:
                 if (i >= n or j >= n) and self.mat[i][j]:
                     return False
         return True
-
-    def holo_part_mv(self) -> MVElement:
-        """The dz x dz block as a (2,0) polyvector."""
-        return mv_from_bivector_matrix(self.model, self.mat)
 
     def render(self) -> str:
         names = self.model.vec_names()
@@ -245,9 +228,6 @@ class RealPoisson:
         """Nonzero Jacobiator entries; empty dict means Poisson."""
         return schouten_defect(self.pi, tmax=tmax)
 
-    def is_poisson(self, tmax=None) -> bool:
-        return not self.certify(tmax=tmax)
-
     def graph(self) -> DiracFrame:
         """The Dirac frame {pi(xi) + xi} over the coordinate covectors."""
         return graph_bivector(self.model, self.pi.mat)
@@ -268,6 +248,8 @@ class HoloPoisson:
     ``phi`` is the (1,1) deformation datum (zero = background structure);
     ``sigma`` is stored over the full frame so that it can be of type (2,0)
     for the deformed structure even when that differs from the background.
+    It is given as a :class:`Bivector`, as a (2,0) :class:`MVElement`, or
+    as None for zero; anything else is a TypeError.
     """
 
     __slots__ = ("model", "phi", "sigma")
@@ -283,9 +265,11 @@ class HoloPoisson:
                 raise ValueError("phi must be purely of bidegree (1,1)")
         self.phi = phi
         if sigma is None:
-            sigma = Bivector.zero(model)
+            sigma = Bivector(model)
         elif isinstance(sigma, MVElement):
             sigma = Bivector.from_mv(sigma)
+        elif not isinstance(sigma, Bivector):
+            raise TypeError("sigma must be a Bivector or a (2,0) MVElement")
         if sigma.model != model:
             raise ValueError("sigma on a different model")
         self.sigma = sigma
@@ -515,7 +499,7 @@ def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
     check = mat_t_truncate(mat_sub(mat_mul(M1, E, tmax=tmax), P), tmax)
     if not mat_is_zero(check):
         raise CertificateError("gauge inverse failed its defining identity")
-    pi1 = RealPoisson(model, Bivector.from_matrix(model, M1))
+    pi1 = RealPoisson(model, Bivector(model, M1))
     moved = gauge_frame(graph_bivector(model, P), B, tmax=tmax)
     if not frames_equal(moved, pi1.graph(), rng, tmax=tmax):
         raise CertificateError(
@@ -616,7 +600,7 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
              for j in range(dim)] for i in range(dim)]
     S = mat_div_right(Mout, Cbasis, tmax=tmax)
     try:
-        sigma = Bivector.from_matrix(model, S)
+        sigma = Bivector(model, S)
     except ValueError:
         raise CertificateError(
             "recovered bivector is not antisymmetric; the frame is not "

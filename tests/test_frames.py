@@ -11,7 +11,6 @@ from gkdirac.frames import (
     DiracFrame,
     GVField,
     PointDirac,
-    conjugate_frame,
     conj_stack,
     cotangent_frame,
     covec_to_form,
@@ -19,7 +18,6 @@ from gkdirac.frames import (
     dirac_sum,
     dorfman_bracket,
     form_to_covec,
-    frame_matrix,
     frames_equal,
     gauge_frame,
     graph_bivector,
@@ -279,7 +277,7 @@ def test_dirac_scale_and_conjugate():
     scaled = dirac_scale(graph_two_form(B), lam)
     expect = graph_two_form(B.scale(lam))
     assert frames_equal(scaled, expect, rng)
-    cj = conjugate_frame(graph_two_form(B))
+    cj = graph_two_form(B).conj()
     expect_cj = graph_two_form(B.conj())
     assert frames_equal(cj, expect_cj, rng)
 

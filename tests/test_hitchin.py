@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdirac import hitchin, linalg
-from gkdirac.errors import CertificateError
+from gkdirac.errors import CertificateError, UnsupportedSceneError
 from gkdirac.forms import MixedForm, euler_homotopy
 from gkdirac.frames import frames_equal
 from gkdirac.hitchin import (DeformSeries, MCElement, deformation_frame,
@@ -105,6 +105,18 @@ def test_formality_rejects_constant_term():
         formality_psi(fubini_seed(), c2_background(), 4)
 
 
+def test_formality_background_forms_agree_and_a_bare_matrix_is_refused():
+    # any background that is not a HoloPoisson goes to HoloPoisson, which
+    # takes a Bivector or a (2,0) MVElement but not a bare leg matrix
+    beta = fubini_seed().poly_mul(Poly.t(2))
+    want = formality_psi(beta, c2_background(), 3)
+    assert formality_psi(beta, c2_sigma(), 3) == want
+    assert formality_psi(beta, MVElement.monomial(M2, M2.z(0), vecs=(0, 1)),
+                         3) == want
+    with pytest.raises(TypeError):
+        formality_psi(beta, c2_sigma().mat, 3)
+
+
 def test_formality_flat_family_terminates():
     # constant-coefficient scene where every cubic-and-higher word dies:
     # the inverse series of 2it omega_1 + t^2 conj(volume) is exactly
@@ -171,6 +183,16 @@ def test_transport_first_order_representative():
     assert got.phi == rep1.phi
     assert got.rho == rep1.rho
     assert got.gamma.is_zero()
+
+
+def test_transport_refuses_a_background_not_of_type_20():
+    # pi_star reads only the dz x dz block of the leg matrix, so the
+    # transport checks the type first instead of dropping the other legs
+    hp = HoloPoisson(M2, sigma=Bivector.wedge_pair(M2, 0, 2, 1))
+    with pytest.raises(UnsupportedSceneError):
+        pi_star_transport(fubini_seed().poly_mul(Poly.t(2)), hp)
+    with pytest.raises(UnsupportedSceneError):
+        MCElement.zero(M2).mc_residual(hp)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +644,7 @@ def test_real_family_solved_c2_scene():
     # the real bivector sigma + conj(sigma)
     from gkdirac.frames import _conj_operator
     Q = Bivector(M2, mat_add(sig_mat, _conj_operator(M2, sig_mat)))
-    assert Q.is_real() and RealPoisson(M2, Q).is_poisson()
+    assert Q.is_real() and not RealPoisson(M2, Q).certify()
     ds = solve_hitchin(hp, fubini_seed(), 3, mode="real")
     F = ds.beta_series()
     rp = gauge_real_poisson(RealPoisson(M2, Q), F, rng, tmax=3)
@@ -665,7 +687,6 @@ def _former_ham_complex(ds, tmax):
     """The complex-mode check as it was before it shared the deformed
     splitting: a weight cut on the lifted ring and its own Neumann loop."""
     from gkdirac.frames import _conj_operator
-    from gkdirac.hitchin import _sigma_matrix
     from gkdirac.linalg import (mat_identity, mat_is_zero, mat_mul,
                                 mat_scale, mat_sub, mat_transpose, mat_zero)
     from gkdirac.multivector import form_matrix, phi_geom_matrix
@@ -709,7 +730,7 @@ def _former_ham_complex(ds, tmax):
     Pbar = _conj_operator(model, P)
     eye = mat_identity(dim, n1)
     I_t = mat_scale(mat_sub(mat_scale(P, Scalar(2)), eye), Scalar(0, 1))
-    Msum = mat_add(lift_mat(_sigma_matrix(model, ds.background)),
+    Msum = mat_add(lift_mat(ds.background.sigma.mat),
                    lift_mat(bivector_matrix(ds.eps.rho, size=dim)))
     Mt = wmul(wmul(P, Msum), mat_transpose(P))
     Mtbar = _conj_operator(model, Mt)

@@ -11,12 +11,13 @@ import pytest
 import gkdirac
 from gkdirac.report import Report
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _pyproject():
+    # tomllib is in the standard library from Python 3.11 on; on 3.10 only
+    # the two pyproject tests skip, not the whole module
+    tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         return tomllib.load(fh)
 
@@ -171,3 +172,72 @@ def test_traced_names_resolve():
             missing.append(f"gkdirac.{module}.{attr}")
     assert tracer.SPANS and tracer.COUNTS
     assert not missing, missing
+
+
+def _dotted(node):
+    """``("a", "b", "c")`` for the expression ``a.b.c``, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return (node.id, *reversed(parts))
+
+
+def _unresolved_gk_chains(source):
+    """Attribute chains rooted at the name ``gk`` in ``source``, such as
+    ``gk.poisson.Bivector``, whose first link is not a ``gkdirac`` module
+    or whose later links are not attributes of it; longest chains only.
+    A name bound to a chain (``hitchin = gk.hitchin``) roots chains too."""
+    tree = ast.parse(source)
+    roots = {"gk": ()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = ([(target, value)] if not isinstance(target, ast.Tuple)
+                     else zip(target.elts, getattr(value, "elts", ())))
+            for name, val in pairs:
+                chain = _dotted(val)
+                if isinstance(name, ast.Name) and chain and chain[0] == "gk":
+                    roots[name.id] = chain[1:]
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        chain = (_dotted(node) if isinstance(node, ast.Attribute)
+                 and id(node) not in inner else None)
+        if chain and chain[0] in roots:
+            chains.add(roots[chain[0]] + chain[1:])
+    missing = []
+    for module, *attrs in sorted(chains):
+        try:
+            obj = importlib.import_module(f"gkdirac.{module}")
+        except ImportError:
+            obj = None
+        for part in attrs:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(".".join(("gk", module, *attrs)))
+    return missing
+
+
+def test_benchmark_names_resolve():
+    # the benchmark's workloads reach the package only through ``gk``, a
+    # namespace of its modules; a simplification that deletes or renames a
+    # name they use would break the benchmark
+    source = (ROOT / "perfbench" / "workloads.py").read_text()
+    assert "gk.poisson.Bivector" in source
+    assert not _unresolved_gk_chains(source)
+
+
+def test_benchmark_name_check_sees_a_missing_name():
+    source = ("def f(gk, model, mat):\n"
+              "    b = gk.poisson.Bivector(model, mat).conj()\n"
+              "    hitchin, e = gk.hitchin, gk.multivector.MVElement.monomial\n"
+              "    hitchin.solve_hitchin, hitchin.no_such_check\n"
+              "    return gk.poisson.Bivector.from_matrix(model, mat), \\\n"
+              "        gk.no_such_module.f, other.poisson.Missing\n")
+    assert _unresolved_gk_chains(source) == [
+        "gk.hitchin.no_such_check", "gk.no_such_module.f",
+        "gk.poisson.Bivector.from_matrix"]

@@ -9,7 +9,7 @@ from gkdirac.forms import MixedForm
 from gkdirac.frames import DiracFrame, GVField, involutivity_report
 from gkdirac.linalg import mat_apply
 from gkdirac.model import Model
-from gkdirac.multivector import MVElement
+from gkdirac.multivector import MVElement, mv_from_bivector_matrix
 from gkdirac.poisson import (Bivector, HoloPoisson, RealPoisson,
                              build_L_sigma, check_gauge_equiv,
                              complex_structure_matrix, extract_holo_poisson,
@@ -54,7 +54,7 @@ def test_bivector_from_mv_matches_holo_block():
     sigma = MVElement.monomial(M2, M2.z(0), vecs=(0, 1))
     b = Bivector.from_mv(sigma)
     assert b.is_pure_holo()
-    assert b.holo_part_mv() == sigma
+    assert mv_from_bivector_matrix(M2, b.mat) == sigma
     assert b.mat[1][0] == M2.z(0)
 
 
@@ -62,8 +62,8 @@ def test_bivector_reality():
     assert planar_poisson(M1).pi.is_real()
     holo = Bivector.from_mv(MVElement.monomial(M2, M2.poly(1), vecs=(0, 1)))
     assert not holo.is_real()
-    # imaginary part of a real bivector vanishes
-    assert planar_poisson(M1).pi.imag().is_zero()
+    # sigma + conj(sigma) is real
+    assert (holo + holo.conj()).is_real()
 
 
 def test_bivector_decomposable_matches_wedge_pair():
@@ -77,7 +77,7 @@ def test_bivector_antisymmetry_enforced():
     bad = [[M2.zero_poly() for _ in range(4)] for _ in range(4)]
     bad[0][1] = M2.poly(1)
     with pytest.raises(ValueError):
-        Bivector.from_matrix(M2, bad)
+        Bivector(M2, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_schouten_defect_zero_for_rotational_coefficients():
     mats = [Bivector.wedge_pair(M2, 0, 1, 1),
             Bivector.wedge_pair(M2, 1, 2, 1),
             Bivector.wedge_pair(M2, 2, 0, 1)]
-    total = Bivector.zero(M2)
+    total = Bivector(M2)
     for c, b in zip(coeffs, mats):
         total = total + Bivector(M2, [[x * c for x in row] for row in b.mat])
     assert schouten_defect(total) == {}
@@ -114,14 +114,19 @@ def test_schouten_defect_detects_failure():
 def test_schouten_defect_agrees_with_graph_involutivity():
     rng = random.Random(41)
     good = planar_poisson(M1)
-    assert good.is_poisson()
+    assert not good.certify()
     assert involutivity_report.check(good.graph(), rng).ok
     bad_b = (Bivector(M2, [[x * M2.zbar(0) for x in row]
                            for row in Bivector.wedge_pair(M2, 1, 2, 1).mat])
              + Bivector.wedge_pair(M2, 2, 0, 1))
     bad = RealPoisson(M2, bad_b, check=False)
-    assert not bad.is_poisson()
+    assert bad.certify()
     assert not involutivity_report.check(bad.graph(), rng).ok
+
+
+def test_holo_poisson_rejects_a_bare_matrix():
+    with pytest.raises(TypeError):
+        HoloPoisson(M2, sigma=Bivector.wedge_pair(M2, 0, 1, 1).mat)
 
 
 def test_real_poisson_rejects_complex_bivector():
@@ -148,7 +153,7 @@ def test_gauge_constant_area_form_scales_inverse():
     pi1 = gauge_real_poisson(pi0, area_form(M1, c), rng)
     assert pi1.pi == pi0.pi.scale(Scalar(Fraction(1, 1) / (1 - c)))
     assert pi1.pi.is_real()
-    assert pi1.is_poisson()
+    assert not pi1.certify()
 
 
 def test_gauge_singular_at_unit_coefficient():
@@ -202,7 +207,7 @@ def test_gauge_t_series_mode():
     pi0 = planar_poisson(M1)
     B = area_form(M1, Poly.t(1))
     pi1 = gauge_real_poisson(pi0, B, rng, tmax=4)
-    expect = Bivector.zero(M1)
+    expect = Bivector(M1)
     for k in range(5):
         expect = expect + Bivector(
             M1, [[x * Poly.t(1, k) for x in row] for row in pi0.pi.mat])
