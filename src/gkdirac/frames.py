@@ -3,10 +3,21 @@
 A generalized vector field (:class:`GVField`) is a pair of component lists
 over the coordinate frame legs d/dz_i, d/dzbar_i (and d/dt on parameter
 models) and their dual legs.  A :class:`DiracFrame` is a finite family of
-generators whose pointwise span is the candidate Dirac subbundle; all
-structural checks (isotropy, rank, involutivity, equality) are either
-exact polynomial identities or carry Cramer-style certificates from
-:mod:`gkdirac.linalg`, so no verdict here depends on sampling luck.
+generators whose pointwise span is the candidate Dirac subbundle.
+
+Frame equality and involutivity are decided by exact pairings.  A Dirac
+structure is Lagrangian: when every generator pairing vanishes and the
+generators reach rank dim at one sample point (on the t = 0 slice with a
+``tmax``), then L^perp = L, over the t-series ring too.  Two Lagrangian
+frames are then equal iff they pair to zero, and one is involutive iff
+the Courant tensor <[a, b], c> vanishes on its generators (Courant,
+"Dirac manifolds", 1990; Gualtieri, arXiv:math/0401221, section 3).
+Each verdict rests on exact polynomial identities; a failed involutivity
+check names a nonzero Courant-tensor entry.  Sampling only finds the
+full-rank point, whose nonzero minor is an exact lower bound, so no
+verdict depends on sampling luck.  Involutivity of a frame that is not
+Lagrangian falls back on Cramer-style span certificates from
+:mod:`gkdirac.linalg`; ``frames_equal`` refuses such a frame.
 
 The bracket is the Dorfman bracket
 
@@ -27,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .brackets import unit_vector
-from .errors import SingularityError
+from .errors import SingularityError, UnsupportedSceneError
 from .forms import MixedForm
 from .linalg import (
     Span,
@@ -65,6 +76,8 @@ __all__ = [
     "involutivity_report",
     "frames_equal",
 ]
+
+_HALF = Scalar(Fraction(1, 2))
 
 
 class GVField:
@@ -120,16 +133,13 @@ class GVField:
                        [a.mul(f, tmax=tmax) for a in self.vec],
                        [a.mul(f, tmax=tmax) for a in self.cov])
 
-    def pairing(self, other) -> Poly:
-        """<u, v> = (xi(Y) + eta(X)) / 2."""
-        acc = self.model.zero_poly()
-        for a, b in zip(self.cov, other.vec):
-            if a and b:
-                acc = acc + a * b
-        for a, b in zip(other.cov, self.vec):
-            if a and b:
-                acc = acc + a * b
-        return acc.scale(Scalar(Fraction(1, 2)))
+    def pairing(self, other, tmax=None) -> Poly:
+        """<u, v> = (xi(Y) + eta(X)) / 2, mod t^{tmax+1} with ``tmax``:
+        one ``Poly.sum`` of the truncated products."""
+        return Poly.sum(self.model.n, (
+            a.mul(b, tmax=tmax)
+            for cov, vec in ((self.cov, other.vec), (other.cov, self.vec))
+            for a, b in zip(cov, vec) if a and b)).scale(_HALF)
 
     def stack(self):
         """The 2*dim component column (vector block then covector block)."""
@@ -204,7 +214,7 @@ def point_pairing(model, a, b) -> Scalar:
     acc = ZERO
     for i in range(dim):
         acc = acc + a[dim + i] * b[i] + b[dim + i] * a[i]
-    return acc * Scalar(Fraction(1, 2))
+    return acc * _HALF
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +333,11 @@ class DiracFrame:
         return PointDirac(self.model,
                           [g.eval_stack(point) for g in self.gens])
 
-    def isotropy_defect(self):
-        """All pairwise pairings; the frame is isotropic iff every entry is 0."""
-        out = []
-        for i, u in enumerate(self.gens):
-            for v in self.gens[i:]:
-                out.append(u.pairing(v))
-        return out
+    def isotropy_defect(self, tmax=None):
+        """All pairwise pairings (mod t^{tmax+1} with ``tmax``); the frame
+        is isotropic iff every entry is 0."""
+        return [u.pairing(v, tmax)
+                for i, u in enumerate(self.gens) for v in self.gens[i:]]
 
     def is_isotropic(self) -> bool:
         return all(not p for p in self.isotropy_defect())
@@ -456,56 +464,131 @@ def _covector_lifts(frame: DiracFrame, targets, rng, message, tmax=None):
 # Structural verdicts
 # ---------------------------------------------------------------------------
 
+# points drawn for a full-rank minor, as many as generic_rank draws
+_RANK_SAMPLES = 5
+
+
+def _not_lagrangian(frame: DiracFrame, defect, rng, tmax=None):
+    """Why ``frame`` is not Lagrangian, or None when it is.
+
+    ``defect`` is the frame's :meth:`DiracFrame.isotropy_defect` at the
+    order the caller needs.  A frame is Lagrangian when every entry
+    vanishes and some sample point gives the evaluated generators rank
+    ``model.dim`` (on the t = 0 slice with ``tmax``, as in
+    ``Span._pivot``).  The nonzero minor at that point bounds the rank
+    below by dim, and isotropy bounds it above by dim at every point.  So
+    L has rank dim and L^perp = L over the rational functions; with
+    ``tmax`` the minor's t^0 coefficient is nonzero, so L is a direct
+    summand of rank dim over the t-series ring mod t^{tmax+1}, and
+    L^perp = L there too.  The search stops at the first point of full
+    rank, and gives up after ``_RANK_SAMPLES`` points.
+    """
+    if any(defect):
+        return "a generator pairing is nonzero"
+    model = frame.model
+    for _ in range(_RANK_SAMPLES):
+        pt = model.sample_point(rng, with_t=True)
+        if tmax is not None:
+            pt = Point(pt.z, ZERO)
+        if frame.eval_point(pt).rank() == model.dim:
+            return None
+    return (f"its rank stays below {model.dim} at {_RANK_SAMPLES} sample "
+            "points")
+
+
 class involutivity_report:
-    """Involutivity of a Dirac frame: per-pair span certificates plus rank."""
+    """Involutivity of a Dirac frame: Courant-tensor entries on Lagrangian
+    frames, per-pair span certificates plus rank on any other frame."""
 
     # a namespace only: perfbench/tracer.py wraps involutivity_report.check
     @staticmethod
-    def check(frame: DiracFrame, rng, H: MixedForm = None, tmax=None,
-              require_rank=None):
-        """Checks ``rank`` (generic rank is ``require_rank``, default the
-        dimension), ``isotropic`` and ``involutive`` (every H-twisted
-        Dorfman bracket of generators lies in the span; the failing pairs
-        and their certificates are in ``witnesses["failures"]``)."""
+    def check(frame: DiracFrame, rng, H: MixedForm = None, tmax=None):
+        """Checks ``rank`` (the rank is the dimension), ``isotropic`` and
+        ``involutive`` (every H-twisted Dorfman bracket of generators lies
+        in the frame), mod t^{tmax+1} with ``tmax``.
+
+        On a Lagrangian frame (:func:`_not_lagrangian`) L^perp = L, so a
+        bracket lies in L iff it pairs to zero with every generator: the
+        frame is involutive iff the Courant tensor
+        T(a, b, c) = <[a, b]_H, c> vanishes on generators.  On an
+        isotropic frame T is tensorial and totally skew: skew in (a, b)
+        since [a, b] + [b, a] = 2 d<a, b>, and in (b, c) since
+        rho(a)<b, c> = <[a, b], c> + <b, [a, c]>.  So only the brackets
+        [e_i, e_j] with i < j <= r - 2 are formed, each paired with the
+        e_k with k > j.  Both identities differentiate a pairing, in t too
+        on a parameter model, so there the pairings must vanish one order
+        further, mod t^{tmax+2}.  Each failing pair is witnessed by
+        ``(i, j, (k, T_ijk))`` with the first k whose entry is nonzero;
+        no witness depends on ``rng``.
+
+        Any other frame takes the span route: the generic rank, isotropy
+        mod t^{tmax+1}, and a span certificate for every nonzero bracket
+        [e_i, e_j], i <= j, witnessed by ``(i, j, point)``.  The failing
+        pairs are in ``witnesses["failures"]``; ``stats["route"]`` names
+        the route taken.
+        """
         model = frame.model
-        cols = mat_t_truncate([g.stack() for g in frame.gens], tmax)
-        A = [[col[i] for col in cols] for i in range(2 * model.dim)]
-        rank = generic_rank(A, model, rng)
-        expected = model.dim if require_rank is None else require_rank
-        # isotropy, like rank and involutivity, mod t^{tmax+1}
-        isotropic = all(not p.t_truncate(tmax)
-                        for p in frame.isotropy_defect())
-        span = Span(cols, model, tmax)
+        gens = frame.gens
+        dim = model.dim
+        skew = tmax + 1 if tmax is not None and model.param else tmax
+        defect = frame.isotropy_defect(skew)
         failures = []
-        for i, u in enumerate(frame.gens):
-            for j, v in enumerate(frame.gens):
-                if j < i:
-                    continue
-                w = dorfman_bracket(u, v, H=H, tmax=tmax).stack()
-                if all(not c for c in w):
-                    continue
-                ok, cert = span_certificate(span, w, rng)
-                if not ok:
-                    failures.append((i, j, cert))
-        return Report("involutivity",
-                      {"rank": rank == expected, "isotropic": isotropic,
-                       "involutive": not failures},
+        if _not_lagrangian(frame, defect, rng, tmax) is None:
+            for i, u in enumerate(gens):
+                for j in range(i + 1, len(gens) - 1):
+                    w = dorfman_bracket(u, gens[j], H=H, tmax=tmax)
+                    for k in range(j + 1, len(gens)):
+                        T = w.pairing(gens[k], tmax)
+                        if T:
+                            failures.append((i, j, (k, T)))
+                            break
+            checks = {"rank": True, "isotropic": True}
+            stats = {"rank": dim, "route": "lagrangian"}
+        else:
+            cols = mat_t_truncate([g.stack() for g in gens], tmax)
+            rank = generic_rank([[col[i] for col in cols]
+                                 for i in range(2 * dim)], model, rng)
+            span = Span(cols, model, tmax)
+            for i, u in enumerate(gens):
+                for j in range(i, len(gens)):
+                    w = dorfman_bracket(u, gens[j], H=H, tmax=tmax).stack()
+                    if any(w):
+                        ok, cert = span_certificate(span, w, rng)
+                        if not ok:
+                            failures.append((i, j, cert))
+            checks = {"rank": rank == dim,
+                      "isotropic": not any(p.t_truncate(tmax)
+                                           for p in defect)}
+            stats = {"rank": rank, "route": "span"}
+        checks["involutive"] = not failures
+        return Report("involutivity", checks,
                       witnesses={"failures": failures},
-                      stats={"rank": rank, "expected_rank": expected})
+                      stats={**stats, "expected_rank": dim})
 
 
 def frames_equal(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> bool:
-    """Generic subbundle equality via two-sided span certificates."""
-    model = f1.model
-    cols1, cols2 = (mat_t_truncate([g.stack() for g in f.gens], tmax)
-                    for f in (f1, f2))
-    for gens, targets in ((cols1, cols2), (cols2, cols1)):
-        span = Span(gens, model, tmax)
-        for w in targets:
-            ok, _ = span_certificate(span, w, rng)
-            if not ok:
-                return False
-    return True
+    """Equality of two Lagrangian frames (mod t^{tmax+1} with ``tmax``):
+    ``<a, b> = 0`` for every generator a of ``f1`` and b of ``f2``.
+
+    Each frame is first shown Lagrangian (:func:`_not_lagrangian`:
+    isotropic, and of rank dim at a sample point, on the t = 0 slice with
+    ``tmax``), so L1^perp = L1 over the rational functions, or over the
+    t-series ring with ``tmax``.  The pairings then put L2 inside
+    L1^perp = L1, and two direct summands of rank dim, one inside the
+    other, are equal; conversely equal frames pair to zero by isotropy.
+    Raises ValueError for frames over different models, and
+    UnsupportedSceneError, naming the frame and the reason, for a frame
+    that is not Lagrangian.
+    """
+    if f2.model != f1.model:
+        raise ValueError("mixed models")
+    for name, f in (("first", f1), ("second", f2)):
+        reason = _not_lagrangian(f, f.isotropy_defect(tmax), rng, tmax)
+        if reason is not None:
+            raise UnsupportedSceneError(
+                f"frames_equal needs Lagrangian frames; the {name} frame "
+                f"{f.label!r} is not: {reason}")
+    return not any(a.pairing(b, tmax) for a in f1.gens for b in f2.gens)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ graph of a bivector.  A generalized Kahler candidate is a pair of frames
 * ``positivity``       -- the pairing ``<u, conj u>`` is positive definite
   on the pointwise intersection ``L1 cap L2``.
 
-Everything is exact: containments are span certificates, intersections are
-kernel computations over Q(i), and positivity is settled by leading
-principal minors of the exact Gram matrix.
+Everything is exact: frame identities are pairings of Lagrangian frames,
+covector lifts are span certificates, intersections are kernel
+computations over Q(i), and positivity is settled by leading principal
+minors of the exact Gram matrix.
 """
 
 from fractions import Fraction
@@ -76,7 +77,8 @@ def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
 
     Each coordinate covector is lifted through the frame's covector block
     by an exact span certificate; the matching vector parts assemble the
-    bivector matrix, and a two-sided frame identity confirms the result.
+    bivector matrix, and a frame identity (:func:`frames_equal`) confirms
+    the result.
     Raises SingularityError when the covector block drops rank, i.e. when
     the frame meets the tangent bundle.
     """
@@ -499,17 +501,18 @@ def _real_graph_frame_certificate(f: DiracFrame, rng, tmax=None) -> bool:
 
     The combination must be a real frame, graph over the covector block,
     isotropic, and involutive -- equivalent to extracting the bivector
-    and certifying its Jacobi identity, but phrased entirely in span
+    and certifying its Jacobi identity, but phrased entirely in frame
     arithmetic so it applies at parameter values where a pivot choice for
     the extraction would be awkward.  Degenerate combinations surface as
-    singular span arithmetic and count as failure.
+    singular span arithmetic, or as a frame that is not Lagrangian (no
+    graph is), and count as failure.
     """
     model = f.model
     try:
         gamma = half_i_difference(f, f.conj(), rng, tmax=tmax)
+        if not frames_equal(gamma, gamma.conj(), rng, tmax=tmax):
+            return False
     except (SingularityError, UnsupportedSceneError):
-        return False
-    if not frames_equal(gamma, gamma.conj(), rng, tmax=tmax):
         return False
     cov_rows = [[g.cov[i] for g in gamma.gens] for i in range(model.dim)]
     if generic_rank(cov_rows, model, rng) != model.dim:

@@ -164,25 +164,23 @@ def test_gauge_composes_additively():
     assert frames_equal(once, both, rng)
 
 
-@pytest.mark.parametrize("param, tmax", [(False, None), (True, None),
-                                         (True, 1)])
-def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
-        monkeypatch, param, tmax):
-    rng = random.Random(361)
-    model = Model(1, param=param)
+def _series(rng, model):
     t = model.t()
+    return (rand_poly(rng, model) + t * rand_poly(rng, model)
+            + t * t * rand_poly(rng, model))
 
-    def series():
-        return (rand_poly(rng, model) + t * rand_poly(rng, model)
-                + t * t * rand_poly(rng, model))
 
-    frame = DiracFrame(model, [
-        GVField(model, [series() for _ in range(model.dim)],
-                [series() for _ in range(model.dim)])
-        for _ in range(model.dim)])
-    H = (dt_leg(model) if param else MixedForm.monomial(
+def _twist(rng, model):
+    """A 3-form H that reads the t leg on a parameter model."""
+    return (dt_leg(model) if model.param else MixedForm.monomial(
         model, model.poly(1), holo=(0,))).wedge(MixedForm.monomial(
-            model, series(), holo=(0,), anti=(0,)))
+            model, _series(rng, model), holo=(0,), anti=(0,)))
+
+
+def _record_involutivity(monkeypatch, frame, rng, H, tmax):
+    """Run the involutivity check of ``frame`` and return its report with
+    what it did: the span queries, the bracketed pairs, the calls of
+    ``MixedForm.d`` and the vector parts contracted into ``H``."""
     seen = []
     certify = frames.span_certificate
 
@@ -216,8 +214,26 @@ def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
     monkeypatch.setattr(frames, "dorfman_bracket", bracketing)
     monkeypatch.setattr(MixedForm, "d", counted)
     monkeypatch.setattr(MixedForm, "contract_vector", contracting)
-    involutivity_report.check(frame, rng, H=H, tmax=tmax)
+    rep = involutivity_report.check(frame, rng, H=H, tmax=tmax)
     monkeypatch.undo()
+    return rep, seen, brackets, d_calls, h_calls
+
+
+@pytest.mark.parametrize("param, tmax", [(False, None), (True, None),
+                                         (True, 1)])
+def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
+        monkeypatch, param, tmax):
+    # random frames are not isotropic, so they take the span route
+    rng = random.Random(361)
+    model = Model(1, param=param)
+    frame = DiracFrame(model, [
+        GVField(model, [_series(rng, model) for _ in range(model.dim)],
+                [_series(rng, model) for _ in range(model.dim)])
+        for _ in range(model.dim)])
+    H = _twist(rng, model)
+    rep, seen, brackets, d_calls, h_calls = _record_involutivity(
+        monkeypatch, frame, rng, H, tmax)
+    assert rep.stats["route"] == "span"
     gens = frame.gens
     k = len(gens)
     # every pair goes through the public bracket
@@ -231,6 +247,49 @@ def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
     assert len(d_calls) == k + k * (k + 1) // 2
     # i_X H once per generator
     assert h_calls == [g.vec for g in gens]
+
+
+@pytest.mark.parametrize("param, tmax", [(False, None), (True, None),
+                                         (True, 1)])
+def test_involutivity_of_a_lagrangian_frame_brackets_i_lt_j_le_r_minus_2(
+        monkeypatch, param, tmax):
+    # the graph of a random 2-form is Lagrangian, and on C^2 (x t) it has
+    # r = 4 (5) generators
+    rng = random.Random(363)
+    model = Model(2, param=param)
+    B = MixedForm.zero(model)
+    for i in range(model.n):
+        B = B + MixedForm.monomial(model, _series(rng, model), (i,), (i,))
+    if param:
+        B = B + dt_leg(model).wedge(
+            MixedForm.monomial(model, _series(rng, model), (0,), ()))
+    frame = graph_two_form(B)
+    H = _twist(rng, model)
+    rep, seen, brackets, d_calls, h_calls = _record_involutivity(
+        monkeypatch, frame, rng, H, tmax)
+    assert rep.stats["route"] == "lagrangian"
+    gens = frame.gens
+    r = len(gens)
+    assert r == model.dim
+    # no span query, and brackets only for i < j <= r - 2
+    assert not seen
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r - 1)]
+    assert brackets == [(gens[i], gens[j]) for i, j in pairs]
+    # each bracket is paired with the e_k, k > j, up to the first nonzero
+    # entry, and the failing pairs are exactly the nonzero brackets so read
+    want = []
+    for i, j in pairs:
+        w = dorfman_bracket(gens[i], gens[j], H=H, tmax=tmax)
+        entries = [(k, w.pairing(gens[k], tmax)) for k in range(j + 1, r)]
+        hit = next(((k, T) for k, T in entries if T), None)
+        if hit is not None:
+            want.append((i, j, hit))
+    assert rep.witnesses["failures"] == want
+    assert rep.ok == (not want)
+    # d of the 1-forms of the r - 1 generators in a bracket, d(eta(X)) once
+    # per pair, and i_X H for the left generators e_0 .. e_{r-3}
+    assert len(d_calls) == (r - 1) + len(brackets)
+    assert h_calls == [g.vec for g in gens[:r - 2]]
 
 
 @pytest.mark.parametrize("tmax", [None, 1])
@@ -250,7 +309,7 @@ def test_truncated_isotropy_is_decided_mod_the_same_order(tmax):
     assert L.is_isotropic() == (tmax is None)
 
 
-def test_frames_equal_searches_one_pivot_block_per_side(monkeypatch):
+def test_frames_equal_pairs_generators_with_no_pivot_search(monkeypatch):
     rng = random.Random(349)
     B1 = rand_two_form(rng, M)
     B2 = rand_two_form(rng, M)
@@ -263,11 +322,23 @@ def test_frames_equal_searches_one_pivot_block_per_side(monkeypatch):
         searches.append(args[0])
         return search(*args, **kwargs)
 
+    pairs = []
+    pairing = GVField.pairing
+
+    def pairing_counted(self, other, tmax=None):
+        pairs.append((self, other))
+        return pairing(self, other, tmax)
+
     monkeypatch.setattr(linalg, "_pivot_block", counted)
+    monkeypatch.setattr(GVField, "pairing", pairing_counted)
     assert frames_equal(once, both, rng)
-    # one prepared span per side answers all 2 x 4 membership queries
-    assert len(once) + len(both) == 8
-    assert len(searches) == 2
+    monkeypatch.undo()
+    assert not searches
+    # 4 + 3 + 2 + 1 pairings show each frame isotropic, then the 4 x 4
+    # cross pairings decide
+    cross = [(a, b) for a in once.gens for b in both.gens]
+    assert len(cross) == 16
+    assert pairs[20:] == cross and len(pairs) == 36
 
 
 def test_dirac_scale_and_conjugate():

@@ -461,3 +461,15 @@ def test_graph_recognition_round_trip():
         M2, 1, 3, sc(0, -2))
     from gkdirac.frames import graph_bivector
     assert graph_to_bivector(graph_bivector(M2, b.mat), rng) == b
+
+
+def test_real_graph_certificate_fails_on_a_combination_not_lagrangian():
+    # f = {d/dz1 + dz1, d/dz2, d/dzbar1, d/dzbar2} is not isotropic, and
+    # neither is (1/2i)(f - conj f), so it is no graph: the certificate
+    # answers False where frames_equal refuses the frame
+    T = tangent_frame(M2)
+    f = DiracFrame(M2, [T.gens[0] + GVField(M2, cov=T.gens[0].vec)]
+                   + T.gens[1:])
+    gamma = half_i_difference(f, f.conj(), random.Random(1))
+    assert any(gamma.isotropy_defect())
+    assert not genkahler._real_graph_frame_certificate(f, random.Random(1))
