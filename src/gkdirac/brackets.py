@@ -31,6 +31,25 @@ intertwines d with (partial_bar + [sigma, .]) and is an exact bracket
 morphism, which is what makes the two Maurer-Cartan residuals below agree
 on transported data.
 
+Self-brackets.  An operand paired with itself (the trigger is ``a is b``,
+nothing else) visits each unordered pair of monomials once, by graded
+symmetry (see :func:`gkdirac._combinat.monomial_pairs`):
+
+* [y, x] = -(-1)^{|x||y|} [x, y], with |x| the exterior degree minus one,
+  so in ``dgla_bracket(a, a)`` a cross pair counts twice when both
+  monomials have even exterior degree and not at all otherwise, and only
+  monomials of even exterior degree bracket with themselves;
+* y ^ x = (-1)^{deg x deg y} x ^ y, dt legs counted, so in ``a.wedge(a)``
+  a cross pair counts twice when deg x deg y is even and not at all
+  otherwise;
+* in ``koszul_bracket(a, a)`` with a homogeneous of the degree k passed
+  (or found), delta(a) ^ a = (-1)^{(k-1)k} a ^ delta(a) = a ^ delta(a), so
+  the third term is (-1)^k times the first.  Without that homogeneity
+  guard the identity fails, and every other input takes the three terms.
+
+Every coefficient of a result is one ``Poly.sum`` of its contributions
+(:class:`gkdirac._combinat.Sums`); the values are those of the full route.
+
 The form-side functions (``interior_bivector``, ``delta_sigma``,
 ``koszul_bracket``, ``mc_residual_koszul`` and ``pi_star``) take sigma as
 its full-frame leg matrix ``S`` (see "Bivector matrices" in
@@ -40,6 +59,7 @@ holds in ``.mat``; only the polyvector side (``dgla_bracket``,
 """
 from __future__ import annotations
 
+from ._combinat import Sums, monomial_pairs
 from .forms import MixedForm
 from .model import Model
 from .multivector import MVElement
@@ -56,39 +76,45 @@ __all__ = [
 ]
 
 
+def _dgla_swap(key1, key2) -> int:
+    """The sign s with [y, x] = s [x, y] for monomials of degree keys
+    ``key1`` and ``key2``: s = -(-1)^{|x| |y|}, |x| = exterior degree - 1."""
+    return 1 if (sum(key1) - 1) * (sum(key2) - 1) % 2 else -1
+
+
 def dgla_bracket(a: MVElement, b: MVElement, tmax=None) -> MVElement:
     if a.model != b.model:
         raise ValueError("mixed models")
-    out = MVElement(a.model)
+    out = Sums(MVElement, a.model)
     # d/dz_leg of each coefficient, computed once per call and keyed by the
     # monomial (I, J) and the leg; one cache per operand, since ``a`` and
-    # ``b`` may hold different coefficients on the same monomial
-    da, db = {}, {}
-    for (p1, q1), t1 in a.comps.items():
+    # ``b`` may hold different coefficients on the same monomial, and one
+    # shared cache for a self-bracket
+    da = {}
+    db = da if a is b else {}
+    for w, (p1, q1), (I1, J1), f, (p2, q2), (I2, J2), g in monomial_pairs(
+            a, b, _dgla_swap):
         lenA = p1 + q1
-        for (I1, J1), f in t1.items():
-            for (p2, q2), t2 in b.comps.items():
-                lenB = p2 + q2
-                for (I2, J2), g in t2.items():
-                    # legs of A differentiate g; only vector legs (which
-                    # occupy the first p1 positions of the word) survive
-                    if I1:
-                        _add_leg_terms(out, (-1) ** lenA,
-                                       I1, J1, f, I2, J2, g, db, tmax)
-                    # legs of B differentiate f, target word theta_{B\b_k}^theta_A
-                    if I2:
-                        _add_leg_terms(out, (-1) ** ((lenB - 1) * lenA),
-                                       I2, J2, g, I1, J1, f, da, tmax)
-    return out
+        # legs of A differentiate g; only vector legs (which occupy the
+        # first p1 positions of the word) survive
+        if I1:
+            _add_leg_terms(out, w * (-1) ** lenA,
+                           I1, J1, f, I2, J2, g, db, tmax)
+        # legs of B differentiate f, target word theta_{B\b_k}^theta_A
+        if I2:
+            _add_leg_terms(out, w * (-1) ** ((p2 + q2 - 1) * lenA),
+                           I2, J2, g, I1, J1, f, da, tmax)
+    return out.finish()
 
 
 def _add_leg_terms(out, sign0, I, J, f, I2, J2, g, dcache, tmax):
-    """``out += sum_k sign0 (-1)^k f (d_{i_k} g) theta_{(I,J) - i_k} ^
-    theta_(I2,J2)`` in place, one ``_setterm`` per term.
+    """Record ``sum_k sign0 (-1)^k f (d_{i_k} g) theta_{(I,J) - i_k} ^
+    theta_(I2,J2)`` in the accumulator ``out``, one ``add`` per term.
 
-    ``sign0`` is the bracket's k-free sign; the wedge's sign and target
-    key come from ``MVElement._wedge_monomial`` on the leg tuples, so no
-    element is built per term.  ``dcache`` holds the derivatives of ``g``.
+    ``sign0`` is the bracket's k-free sign times the pair's weight; the
+    wedge's sign and target key come from ``MVElement._wedge_monomial`` on
+    the leg tuples, so no element is built per term.  ``dcache`` holds the
+    derivatives of ``g``.
     """
     for k, i in enumerate(I, start=1):
         term = MVElement._wedge_monomial(I[:k - 1] + I[k:], J, I2, J2)
@@ -97,11 +123,9 @@ def _add_leg_terms(out, sign0, I, J, f, I2, J2, g, dcache, tmax):
         dg = dcache.get((I2, J2, i))
         if dg is None:
             dg = dcache[(I2, J2, i)] = g.d_z(i)
-        if not dg:
-            continue
-        sign, key, ij = term
-        c = f.mul(dg, tmax=tmax)
-        out._setterm(key, ij, c if sign * sign0 * (-1) ** k == 1 else -c)
+        if dg:
+            sign, key, ij = term
+            out.add(key, ij, f.mul(dg, tmax=tmax), sign * sign0 * (-1) ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +140,31 @@ def unit_vector(model: Model, leg: int):
 
 def interior_bivector(form: MixedForm, S, tmax=None) -> MixedForm:
     """i_sigma with i_{X^Y} = i_Y i_X, extended bilinearly from sigma's
-    leg matrix ``S``."""
+    leg matrix ``S``.
+
+    A monomial's legs sit in its stored word: dt in front, then the dz
+    legs, then the dzbar legs.  Each pair of its legs a < b, in the leg
+    order dz.., dzbar.., dt of ``S``, adds S[b][a] i_{e_b} i_{e_a} of it:
+    removing e_a at word position u and then e_b, at position v before the
+    removal, costs (-1)^{u + v - [u < v]}.
+    """
     model = form.model
-    out = MixedForm.zero(model)
-    dim = model.dim
-    for a in range(dim):
-        ea = unit_vector(model, a)
-        inner = form.contract_vector(ea)
-        if inner.is_zero():
-            continue
-        for b in range(a + 1, dim):
-            c = S[b][a]
-            if not c:
-                continue
-            piece = inner.contract_vector(unit_vector(model, b))
-            if piece:
-                out = out + piece.poly_mul(c, tmax=tmax)
-    return out
+    n = model.n
+    out = Sums(MixedForm, model)
+    for (_p, _q, r), table in form.comps.items():
+        for (I, J), c in table.items():
+            word = (2 * n,) * r + I + tuple(n + j for j in J)
+            for u, a in enumerate(word):
+                for v, b in enumerate(word):
+                    if b <= a or not S[b][a]:
+                        continue
+                    rest = [x for k, x in enumerate(word) if k != u and k != v]
+                    I2 = tuple(x for x in rest if x < n)
+                    J2 = tuple(x - n for x in rest if n <= x < 2 * n)
+                    out.add((len(I2), len(J2), len(rest) - len(I2) - len(J2)),
+                            (I2, J2), c.mul(S[b][a], tmax=tmax),
+                            (-1) ** (u + v - (u < v)))
+    return out.finish()
 
 
 def delta_sigma(form: MixedForm, S, tmax=None) -> MixedForm:
@@ -153,11 +185,15 @@ def koszul_bracket(alpha: MixedForm, beta: MixedForm, S, deg=None,
         deg = degs[0]
     sgn = (-1) ** deg
     dbeta = delta_sigma(beta, S, tmax=tmax)
-    dalpha = dbeta if alpha is beta else delta_sigma(alpha, S, tmax=tmax)
     term1 = alpha.wedge(dbeta, tmax=tmax)
-    term2 = delta_sigma(alpha.wedge(beta, tmax=tmax), S, tmax=tmax).scale(sgn)
-    term3 = dalpha.wedge(beta, tmax=tmax).scale(sgn)
-    return term1 - term2 + term3
+    term2 = delta_sigma(alpha.wedge(beta, tmax=tmax), S, tmax=tmax)
+    if alpha is beta and alpha.total_degrees() == [deg]:
+        # delta(alpha) ^ alpha = (-1)^{(deg-1) deg} alpha ^ delta(alpha),
+        # so term3 = sgn * term1
+        return MixedForm.sum(alpha.model, (term1, term2), (1 + sgn, -sgn))
+    dalpha = dbeta if alpha is beta else delta_sigma(alpha, S, tmax=tmax)
+    term3 = dalpha.wedge(beta, tmax=tmax)
+    return MixedForm.sum(alpha.model, (term1, term2, term3), (1, -sgn, sgn))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +215,7 @@ def pi_star(form: MixedForm, S, tmax=None) -> MVElement:
             if c:
                 comp[((k,), ())] = -c
         minus_cols.append(MVElement(model, {(1, 0): comp} if comp else None))
-    out = MVElement(model)
+    parts = []
     for (p, q, r), table in form.comps.items():
         if r:
             raise ValueError("transport undefined on dt legs")
@@ -190,9 +226,8 @@ def pi_star(form: MixedForm, S, tmax=None) -> MVElement:
             if not acc:
                 continue
             bar_leg = MVElement.monomial(model, model.poly(1), bars=J)
-            acc = acc.wedge(bar_leg, tmax=tmax)
-            out = out + acc
-    return out
+            parts.append(acc.wedge(bar_leg, tmax=tmax))
+    return MVElement.sum(model, parts)
 
 
 def mc_residual_koszul(omega: MixedForm, S, tmax=None) -> MixedForm:

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._combinat import GradedTable, insert_index, merge_indices, remove_index
+from ._combinat import (GradedTable, Sums, insert_index, merge_indices,
+                        monomial_pairs, remove_index, wedge_swap)
 from .model import Model
 from .poly import Poly
 from .scalars import Scalar
@@ -77,32 +78,30 @@ class MixedForm(GradedTable):
 
     # -- wedge -----------------------------------------------------------
     def wedge(self, other: "MixedForm", tmax=None) -> "MixedForm":
+        """The wedge product; a form wedged with itself walks each
+        unordered pair of monomials once (see :func:`monomial_pairs`)."""
         if self.model != other.model:
             raise ValueError("mixed models")
-        out = MixedForm(self.model)
-        for (p1, q1, r1), t1 in self.comps.items():
-            for (p2, q2, r2), t2 in other.comps.items():
-                if r1 + r2 > 1:
-                    continue
-                # move dt of the second factor to the front: crosses p1+q1 legs
-                base_sign = (-1) ** ((p1 + q1) * r2)
-                # move second factor's dz block past first factor's dzbar block
-                base_sign *= (-1) ** (q1 * p2)
-                for (I1, J1), c1 in t1.items():
-                    for (I2, J2), c2 in t2.items():
-                        mi = merge_indices(I1, I2)
-                        if mi is None:
-                            continue
-                        mj = merge_indices(J1, J2)
-                        if mj is None:
-                            continue
-                        si, I = mi
-                        sj, J = mj
-                        c = c1.mul(c2, tmax=tmax)
-                        if base_sign * si * sj == -1:
-                            c = -c
-                        out._setterm((p1 + p2, q1 + q2, r1 + r2), (I, J), c)
-        return out
+        out = Sums(MixedForm, self.model)
+        for w, (p1, q1, r1), (I1, J1), c1, (p2, q2, r2), (I2, J2), c2 \
+                in monomial_pairs(self, other, wedge_swap):
+            if r1 + r2 > 1:
+                continue
+            mi = merge_indices(I1, I2)
+            if mi is None:
+                continue
+            mj = merge_indices(J1, J2)
+            if mj is None:
+                continue
+            (si, I), (sj, J) = mi, mj
+            # move dt of the second factor to the front (it crosses p1+q1
+            # legs) and the second factor's dz block past the first
+            # factor's dzbar block
+            if ((p1 + q1) * r2 + q1 * p2) % 2:
+                w = -w
+            out.add((p1 + p2, q1 + q2, r1 + r2), (I, J),
+                    c1.mul(c2, tmax=tmax), w * si * sj)
+        return out.finish()
 
     # -- conjugation -----------------------------------------------------
     def conj(self) -> "MixedForm":
@@ -112,12 +111,9 @@ class MixedForm(GradedTable):
         """
         out = MixedForm(self.model)
         for (p, q, r), table in self.comps.items():
-            sign = (-1) ** (p * q)
-            for (I, J), c in table.items():
-                cc = c.conj()
-                if sign == -1:
-                    cc = -cc
-                out._setterm((q, p, r), (J, I), cc)
+            flip = p * q % 2
+            out.comps[q, p, r] = {(J, I): -c.conj() if flip else c.conj()
+                                  for (I, J), c in table.items()}
         return out
 
     def is_real(self) -> bool:
@@ -132,62 +128,47 @@ class MixedForm(GradedTable):
     # -- exterior derivative ---------------------------------------------
     def partial(self) -> "MixedForm":
         """The dz-part of d: inserts a dz leg at the very front."""
-        out = MixedForm(self.model)
-        n = self.model.n
-        for (p, q, r), table in self.comps.items():
-            for (I, J), c in table.items():
-                for i in range(n):
-                    dc = c.d_z(i)
-                    if not dc:
-                        continue
-                    res = insert_index(i, I)
-                    if res is None:
-                        continue
-                    s, I2 = res
-                    s *= (-1) ** r  # dz crosses the dt leg
-                    out._setterm((p + 1, q, r), (I2, J), dc if s == 1 else -dc)
-        return out
+        return self._d(holo=True)
 
     def partial_bar(self) -> "MixedForm":
         """The dzbar-part of d: inserts a dzbar leg at the very front.
 
         Commuting it past dt^r and the p dz legs costs (-1)^{r+p}.
         """
-        out = MixedForm(self.model)
-        n = self.model.n
-        for (p, q, r), table in self.comps.items():
-            for (I, J), c in table.items():
-                for j in range(n):
-                    dc = c.d_zbar(j)
-                    if not dc:
-                        continue
-                    res = insert_index(j, J)
-                    if res is None:
-                        continue
-                    s, J2 = res
-                    s *= (-1) ** (r + p)
-                    out._setterm((p, q + 1, r), (I, J2), dc if s == 1 else -dc)
-        return out
+        return self._d(anti=True)
 
     def d_param(self) -> "MixedForm":
         """The dt-part of d (parameter models only)."""
-        out = MixedForm(self.model)
-        if not self.model.param:
-            return out
-        for (p, q, r), table in self.comps.items():
-            if r:
-                continue
-            for (I, J), c in table.items():
-                dc = c.d_t()
-                if dc:
-                    out._setterm((p, q, 1), (I, J), dc)
-        return out
+        return self._d(param=True)
 
     def d(self) -> "MixedForm":
-        out = self.partial() + self.partial_bar()
-        if self.model.param:
-            out = out + self.d_param()
-        return out
+        return self._d(holo=True, anti=True, param=True)
+
+    def _d(self, holo=False, anti=False, param=False) -> "MixedForm":
+        """The chosen parts of d, in one accumulator."""
+        out = Sums(MixedForm, self.model)
+        n = self.model.n
+        param = param and self.model.param
+        for (p, q, r), table in self.comps.items():
+            for (I, J), c in table.items():
+                for i in range(n) if holo else ():
+                    res = insert_index(i, I)
+                    dc = res and c.d_z(i)
+                    if dc:
+                        # dz crosses the dt leg
+                        out.add((p + 1, q, r), (res[1], J), dc,
+                                res[0] * (-1) ** r)
+                for j in range(n) if anti else ():
+                    res = insert_index(j, J)
+                    dc = res and c.d_zbar(j)
+                    if dc:
+                        out.add((p, q + 1, r), (I, res[1]), dc,
+                                res[0] * (-1) ** (r + p))
+                if param and not r:
+                    dc = c.d_t()
+                    if dc:
+                        out.add((p, q, 1), (I, J), dc)
+        return out.finish()
 
     # -- contraction -----------------------------------------------------
     def contract_vector(self, vec) -> "MixedForm":
@@ -202,31 +183,25 @@ class MixedForm(GradedTable):
         vec = list(vec)
         if len(vec) != model.dim:
             raise ValueError("vector has wrong number of components")
-        out = MixedForm(model)
+        out = Sums(MixedForm, model)
         for (p, q, r), table in self.comps.items():
             for (I, J), c in table.items():
                 # dt leg first
                 if r and model.param and vec[2 * n]:
-                    out._setterm((p, q, 0), (I, J), c.mul(vec[2 * n]))
+                    out.add((p, q, 0), (I, J), c.mul(vec[2 * n]))
                 # dz legs: cross dt^r then k-1 earlier dz legs
                 for k, i in enumerate(I):
-                    v = vec[i]
-                    if not v:
-                        continue
-                    s = (-1) ** (r + k)
-                    _, I2 = remove_index(I, k)
-                    cc = c.mul(v)
-                    out._setterm((p - 1, q, r), (I2, J), cc if s == 1 else -cc)
+                    if vec[i]:
+                        s, I2 = remove_index(I, k)
+                        out.add((p - 1, q, r), (I2, J), c.mul(vec[i]),
+                                s * (-1) ** r)
                 # dzbar legs: cross dt^r, p dz legs, l-1 earlier dzbar legs
                 for l, j in enumerate(J):
-                    v = vec[n + j]
-                    if not v:
-                        continue
-                    s = (-1) ** (r + p + l)
-                    _, J2 = remove_index(J, l)
-                    cc = c.mul(v)
-                    out._setterm((p, q - 1, r), (I, J2), cc if s == 1 else -cc)
-        return out
+                    if vec[n + j]:
+                        s, J2 = remove_index(J, l)
+                        out.add((p, q - 1, r), (I, J2), c.mul(vec[n + j]),
+                                s * (-1) ** (r + p))
+        return out.finish()
 
 
 # -- leg builders --------------------------------------------------------
@@ -266,11 +241,11 @@ def euler_homotopy(a: MixedForm) -> MixedForm:
     E = [model.zero_poly()] * model.dim
     for j in range(n):
         E[n + j] = model.zbar(j)
-    out = MixedForm(model)
+    parts = []
     for (p, q, r), table in a.comps.items():
         for (I, J), c in table.items():
             for m, piece in c.zbar_degree_split().items():
                 term = MixedForm.monomial(model, piece, holo=I, anti=J)
                 contracted = term.contract_vector(E)
-                out = out + contracted.scale(Scalar(Fraction(1, m + q)))
-    return out
+                parts.append(contracted.scale(Scalar(Fraction(1, m + q))))
+    return MixedForm.sum(model, parts)

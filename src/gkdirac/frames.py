@@ -242,18 +242,19 @@ def form_to_covec(form: MixedForm):
     return out
 
 
-def _along(X, f: Poly, tmax=None, sign=1):
+def _along(X, f: Poly, tmax=None, sign=1, grad=None):
     """The nonzero terms ``sign * X^l d_l f`` of the derivative of ``f``
     along the leg column ``X``, each product mod t^{tmax+1}.
 
-    The legs are those of ``Poly.derivative`` (z.., zbar.., t).  A caller
+    The legs are those of ``Poly.derivative`` (z.., zbar.., t); ``grad``,
+    when given, holds the derivatives d_l f already formed.  A caller
     sums one entry's terms with a single ``Poly.sum``; d_l never raises the
     t-degree, so that sum needs no further truncation.
     """
     out = []
     for l, x in enumerate(X):
         if x:
-            d = f.derivative(l)
+            d = f.derivative(l) if grad is None else grad[l]
             if d:
                 c = x.mul(d, tmax=tmax)
                 out.append(c if sign == 1 else -c)

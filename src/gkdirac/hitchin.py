@@ -113,25 +113,17 @@ def _sigma_element(model, sigma) -> MVElement:
 
 def _form_of_bar_element(x: MVElement) -> MixedForm:
     """A (0,q) element of the polyvector complex reread as a (0,q)-form."""
-    model = x.model
-    out = MixedForm.zero(model)
-    for (p, _q), table in x.comps.items():
-        if p:
-            raise ValueError("element has vector legs")
-        for (_i, J), c in table.items():
-            out = out + MixedForm.monomial(model, c, anti=J)
-    return out
+    if any(p for (p, _q) in x.comps):
+        raise ValueError("element has vector legs")
+    return MixedForm(x.model, {(0, q, 0): table
+                               for (_p, q), table in x.comps.items()})
 
 
 def _bar_element_of_form(a: MixedForm) -> MVElement:
-    model = a.model
-    out = MVElement.zero(model)
-    for (p, _q, r), table in a.comps.items():
-        if p or r:
-            raise ValueError("form has dz or dt legs")
-        for (_i, J), c in table.items():
-            out = out + MVElement.monomial(model, c, bars=J)
-    return out
+    if any(p or r for (p, _q, r) in a.comps):
+        raise ValueError("form has dz or dt legs")
+    return MVElement(a.model, {(0, q): table
+                               for (_p, q, _r), table in a.comps.items()})
 
 
 def _reject_dt(form: MixedForm, what: str):
@@ -189,7 +181,8 @@ class MCElement:
                    gamma=_form_of_bar_element(eps.component(0, 2)))
 
     def polyvector(self) -> MVElement:
-        return self.rho + self.phi + _bar_element_of_form(self.gamma)
+        return MVElement.sum(self.model, (self.rho, self.phi,
+                                          _bar_element_of_form(self.gamma)))
 
     def mc_residual(self, sigma, tmax=None) -> MVElement:
         sig = _sigma_element(self.model, sigma)
@@ -461,11 +454,10 @@ class DeformSeries:
 
     def beta_series(self) -> MixedForm:
         """The assembled two-form sum_k t^k beta_k."""
-        out = MixedForm.zero(self.model)
-        for k, b in enumerate(self.betas, start=1):
-            if not b.is_zero():
-                out = out + b.poly_mul(Poly.t(self.model.n, k))
-        return out
+        n = self.model.n
+        return MixedForm.sum(self.model, [
+            b.poly_mul(Poly.t(n, k))
+            for k, b in enumerate(self.betas, start=1) if b])
 
     def __repr__(self):
         nz = sum(1 for b in self.betas if not b.is_zero())
@@ -593,30 +585,28 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> Report:
     sig = _sigma_element(model, sigma)
     rho, phi = eps.rho, eps.phi
     gam = _bar_element_of_form(eps.gamma)
+
+    def bracket(x, y):
+        return dgla_bracket(x, y, tmax=tmax)
+
+    def total(*parts):
+        return MVElement.sum(model, parts).t_truncate(tmax)
+
     comps = {
-        "complex_structure":
-            phi.partial_bar()
-            + dgla_bracket(phi, phi, tmax=tmax).scale(_HALF)
-            + dgla_bracket(sig, gam, tmax=tmax)
-            + dgla_bracket(rho, gam, tmax=tmax),
-        "holomorphicity":
-            rho.partial_bar() + dgla_bracket(sig, phi, tmax=tmax)
-            + dgla_bracket(rho, phi, tmax=tmax),
-        "jacobi":
-            dgla_bracket(sig, rho, tmax=tmax)
-            + dgla_bracket(rho, rho, tmax=tmax).scale(_HALF),
-        "form_part":
-            gam.partial_bar() + dgla_bracket(phi, gam, tmax=tmax),
+        "complex_structure": total(
+            phi.partial_bar(), bracket(phi, phi).scale(_HALF),
+            bracket(sig, gam), bracket(rho, gam)),
+        "holomorphicity": total(
+            rho.partial_bar(), bracket(sig, phi), bracket(rho, phi)),
+        "jacobi": total(bracket(sig, rho), bracket(rho, rho).scale(_HALF)),
+        "form_part": total(gam.partial_bar(), bracket(phi, gam)),
     }
-    comps = {k: v.t_truncate(tmax) for k, v in comps.items()}
-    acc = MVElement.zero(model)
-    for v in comps.values():
-        acc = acc + v
-    whole = mc_residual_dgla(eps.polyvector(), sig, tmax=tmax)
-    if acc != whole:
+    acc = MVElement.sum(model, comps.values())
+    polyvector = eps.polyvector()
+    if acc != mc_residual_dgla(polyvector, sig, tmax=tmax):
         raise CertificateError(
             "component split disagrees with the one-shot flatness residual")
-    eps1 = eps.polyvector().t_coefficient(1)
+    eps1 = polyvector.t_coefficient(1)
     linear = eps1.partial_bar() + dgla_bracket(sig, eps1)
     return Report("mc_components",
                   {k: v.is_zero() for k, v in comps.items()},
@@ -629,23 +619,27 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> Report:
 # ---------------------------------------------------------------------------
 
 def _vector_field(model, col) -> MVElement:
-    out = MVElement.zero(model)
     for k in range(model.n, model.dim):
         if col[k]:
             raise ValueError("field has antiholomorphic components")
-    for i in range(model.n):
-        if col[i]:
-            out = out + MVElement.monomial(model, col[i], vecs=(i,))
-    return out
+    return MVElement(model, {(1, 0): {((i,), ()): col[i]
+                                      for i in range(model.n)}})
 
 
 def _lie_derivative_bivector(model, X, M, tmax=None):
-    """(L_X M)^{ij} = X^l d_l M^{ij} - M^{lj} d_l X^i - M^{il} d_l X^j."""
+    """(L_X M)^{ij} = X^l d_l M^{ij} - M^{lj} d_l X^i - M^{il} d_l X^j.
+
+    The Jacobian d_l X^i is formed once, not once per entry."""
     n = model.n
     cols = mat_transpose(M)
-    return [[Poly.sum(n, _along(X, Mij, tmax) + _along(cols[j], Xi, tmax, -1)
-                      + _along(Mi, X[j], tmax, -1))
-             for j, Mij in enumerate(Mi)] for Mi, Xi in zip(M, X)]
+    legs = range(len(X))
+    jac = [[x.derivative(l) for l in legs] if x else [x] * len(X)
+           for x in X]
+    return [[Poly.sum(n, _along(X, Mij, tmax)
+                      + _along(cols[j], Xi, tmax, -1, jac[i])
+                      + _along(Mi, X[j], tmax, -1, jac[j]))
+             for j, Mij in enumerate(Mi)]
+            for i, (Mi, Xi) in enumerate(zip(M, X))]
 
 
 def _deformed_dbar_function(model, h: Poly, eps: MCElement, tmax=None):
@@ -802,13 +796,9 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
 
 def _param_form(pm: Model, form: MixedForm) -> MixedForm:
     """Reread a dt-free form over the parameter-extended frame."""
-    out = MixedForm(pm)
-    for (p, q, r), table in form.comps.items():
-        if r:
-            raise ValueError("form already carries dt legs")
-        for (I, J), c in table.items():
-            out._setterm((p, q, 0), (I, J), c)
-    return out
+    if any(r for (_p, _q, r) in form.comps):
+        raise ValueError("form already carries dt legs")
+    return MixedForm(pm, form.comps)
 
 
 def hamiltonian_family_check(family, rng, mode: str = "real",

@@ -39,7 +39,8 @@ compositions plain matrix products.
 """
 from __future__ import annotations
 
-from ._combinat import GradedTable, insert_index, merge_indices
+from ._combinat import (GradedTable, Sums, insert_index, merge_indices,
+                        monomial_pairs, wedge_swap)
 from .linalg import mat_zero
 from .model import Model
 from .poly import Poly
@@ -106,40 +107,36 @@ class MVElement(GradedTable):
         return sign, (len(I), len(J)), (I, J)
 
     def wedge(self, other: "MVElement", tmax=None) -> "MVElement":
+        """The wedge product; an element wedged with itself walks each
+        unordered pair of monomials once (see :func:`monomial_pairs`)."""
         if self.model != other.model:
             raise ValueError("mixed models")
-        out = MVElement(self.model)
-        for t1 in self.comps.values():
-            for t2 in other.comps.values():
-                for (I1, J1), c1 in t1.items():
-                    for (I2, J2), c2 in t2.items():
-                        term = self._wedge_monomial(I1, J1, I2, J2)
-                        if term is None:
-                            continue
-                        sign, key, ij = term
-                        c = c1.mul(c2, tmax=tmax)
-                        out._setterm(key, ij, c if sign == 1 else -c)
-        return out
+        out = Sums(MVElement, self.model)
+        for w, _, (I1, J1), c1, _, (I2, J2), c2 in monomial_pairs(
+                self, other, wedge_swap):
+            term = self._wedge_monomial(I1, J1, I2, J2)
+            if term is not None:
+                sign, key, ij = term
+                out.add(key, ij, c1.mul(c2, tmax=tmax), w * sign)
+        return out.finish()
 
     # -- dzbar differential ----------------------------------------------
     def partial_bar(self) -> "MVElement":
         """dzbar-differential; the new leg lands in front of the dzbar block,
         behind the p vector legs, hence the (-1)^p placement sign."""
-        out = MVElement(self.model)
+        out = Sums(MVElement, self.model)
         n = self.model.n
         for (p, q), table in self.comps.items():
             for (I, J), c in table.items():
                 for j in range(n):
-                    dc = c.d_zbar(j)
-                    if not dc:
-                        continue
                     res = insert_index(j, J)
                     if res is None:
                         continue
-                    s, J2 = res
-                    s *= (-1) ** p
-                    out._setterm((p, q + 1), (I, J2), dc if s == 1 else -dc)
-        return out
+                    dc = c.d_zbar(j)
+                    if dc:
+                        out.add((p, q + 1), (I, res[1]), dc,
+                                res[0] * (-1) ** p)
+        return out.finish()
 
 
 # -- single-leg builders -------------------------------------------------
@@ -168,13 +165,10 @@ def phi_geom_matrix(phi: MVElement):
 
 def mv_from_endo(model: Model, M) -> MVElement:
     """Inverse of :func:`phi_geom_matrix`."""
-    out = MVElement(model)
     n = model.n
-    for i in range(n):
-        for b in range(n):
-            if M[i][b]:
-                out._setterm((1, 1), ((i,), (b,)), -M[i][b])
-    return out
+    return MVElement(model, {(1, 1): {((i,), (b,)): -M[i][b]
+                                      for i in range(n) for b in range(n)
+                                      if M[i][b]}})
 
 
 def bivector_matrix(sigma: MVElement, size=None):
@@ -196,14 +190,10 @@ def bivector_matrix(sigma: MVElement, size=None):
 def mv_from_bivector_matrix(model: Model, M) -> MVElement:
     """Read the holomorphic-holomorphic block of a leg matrix back into a
     (2,0) element (entries outside that block are ignored)."""
-    out = MVElement(model)
     n = model.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = M[j][i]
-            if c:
-                out._setterm((2, 0), ((i, j), ()), c)
-    return out
+    return MVElement(model, {(2, 0): {((i, j), ()): M[j][i]
+                                      for i in range(n)
+                                      for j in range(i + 1, n)}})
 
 
 def form_matrix(beta, size=None):
@@ -248,7 +238,7 @@ def form_from_matrix(model: Model, F):
 
     n = model.n
     m = len(F)
-    out = MixedForm(model)
+    out = Sums(MixedForm, model)
     for a in range(m):
         for b in range(a + 1, m):
             c = F[b][a]
@@ -257,18 +247,18 @@ def form_from_matrix(model: Model, F):
             if not c:
                 continue
             if b < n:
-                out._setterm((2, 0, 0), ((a, b), ()), c)
+                out.add((2, 0, 0), ((a, b), ()), c)
             elif a < n <= b < 2 * n:
-                out._setterm((1, 1, 0), ((a,), (b - n,)), c)
+                out.add((1, 1, 0), ((a,), (b - n,)), c)
             elif n <= a and b < 2 * n:
-                out._setterm((0, 2, 0), ((), (a - n, b - n)), c)
+                out.add((0, 2, 0), ((), (a - n, b - n)), c)
             elif b == 2 * n:
                 # c * e_a ^ dt = -c * dt ^ e_a
                 if a < n:
-                    out._setterm((1, 0, 1), ((a,), ()), -c)
+                    out.add((1, 0, 1), ((a,), ()), c, -1)
                 else:
-                    out._setterm((0, 1, 1), ((), (a - n,)), -c)
-    return out
+                    out.add((0, 1, 1), ((), (a - n,)), c, -1)
+    return out.finish()
 
 
 def vector_components(x: MVElement):

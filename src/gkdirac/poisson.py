@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .brackets import unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
 from .frames import (DiracFrame, GVField, _conj_components, _conj_operator,
@@ -132,11 +133,8 @@ class Bivector:
     def pair(self, xi, eta, tmax=None) -> Poly:
         """pi(xi, eta) = eta(pi xi)."""
         px = self.apply(xi, tmax=tmax)
-        acc = self.model.zero_poly()
-        for e, v in zip(eta, px):
-            if e and v:
-                acc = acc + e.mul(v, tmax=tmax)
-        return acc
+        return Poly.sum(self.model.n, [e.mul(v, tmax=tmax)
+                                       for e, v in zip(eta, px) if e and v])
 
     # -- reality and type ------------------------------------------------
     def conj(self) -> "Bivector":
@@ -354,8 +352,16 @@ class HoloPoisson:
             closure = holostep and not jac and self.sigma.is_pure_holo()
         else:
             stats["closure_method"] = "frame"
-            rep = involutivity_report.check(
-                build_L_sigma(self, tmax=tmax, check=False), rng, tmax=tmax)
+            model = self.model
+            frame = build_L_sigma(self, tmax=tmax, check=False)
+            if model.param:
+                # with the covector dt the frame is Lagrangian on the
+                # parameter model: dt pairs to zero with every generator,
+                # and mod dt the Dorfman brackets are the fiberwise ones
+                dt = GVField(model, cov=unit_vector(model, model.dim - 1))
+                frame = DiracFrame(model, frame.gens + [dt],
+                                   label=frame.label)
+            rep = involutivity_report.check(frame, rng, tmax=tmax)
             witnesses["involutivity"] = rep
             closure = rep.ok
         return Report("poisson_certificates",

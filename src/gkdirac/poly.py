@@ -113,6 +113,24 @@ def _reduce(n, acc, d) -> "Poly":
     return _poly(n, acc, d)
 
 
+def _weighted_sum(n, polys, weights) -> "Poly":
+    """``Poly.sum`` with weights: each numerator pair enters the one dict
+    scaled by its weight and its share of the common denominator."""
+    pairs = [(p, w) for p, w in zip(polys, weights) if w and p._c]
+    d = lcm(*(p.d for p, _ in pairs))
+    acc = {}
+    get = acc.get
+    for p, w in pairs:
+        if p.n != n:
+            raise ValueError(f"mixed model dimensions {n} != {p.n}")
+        f = d // p.d * w
+        for k, (a, b) in p._c.items():
+            s = get(k)
+            acc[k] = [a * f, b * f] if s is None else \
+                [s[0] + a * f, s[1] + b * f]
+    return _reduce(n, acc, d)
+
+
 def _abd(c):
     """``c`` (int, Fraction or Scalar) as ``(a, b, d)``."""
     if type(c) is int:
@@ -287,10 +305,13 @@ class Poly:
         return _reduce(n, acc, self.d * other.d)
 
     @classmethod
-    def sum(cls, n, polys) -> "Poly":
+    def sum(cls, n, polys, weights=None) -> "Poly":
         """The sum of an iterable of polynomials in ``n`` variables, built
-        in one dict over the lcm of their denominators.  The terms come
+        in one dict over the lcm of their denominators; with ``weights``,
+        a parallel iterable of ints, the sum of ``w * p``.  The terms come
         out in the order of their first appearance."""
+        if weights is not None:
+            return _weighted_sum(n, polys, weights)
         parts = []
         d = 1
         for p in polys:

@@ -587,3 +587,40 @@ def test_gauge_equiv_rejects_unknown_mode_before_any_certificate(
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         check_gauge_equiv(hp, hp, MixedForm.zero(M2), mode="bogus",
                           rng=random.Random(43))
+
+
+@pytest.mark.parametrize("tmax", [None, 2])
+def test_frame_closure_on_a_parameter_model_reads_fiberwise(tmax):
+    # build_L_sigma has 2n generators and no t direction; with the covector
+    # dt added the frame is Lagrangian on C^2 x R, so closure is decided by
+    # pairings, as on the plain model
+    for model in (M2, Model(2, param=True)):
+        phi = MVElement.monomial(model, model.z(0), vecs=(1,), bars=(0,))
+        for coeff in (model.z(0), model.z(0) * model.t()):
+            sigma = MVElement.monomial(model, coeff, vecs=(0, 1))
+            certs = HoloPoisson(model, sigma=sigma, phi=phi).certificates(
+                random.Random(47), tmax=tmax)
+            rep = certs.witnesses["involutivity"]
+            assert certs.checks["closure"]
+            assert certs.stats["closure_method"] == "frame"
+            assert rep.stats["route"] == "lagrangian"
+            assert rep.stats["rank"] == model.dim
+
+
+@pytest.mark.parametrize("tmax", [None, 2])
+def test_frame_closure_on_a_parameter_model_still_fails_with_a_witness(
+        tmax):
+    # sigma = zbar2 d1^d2 is not holomorphic: closure fails on both models,
+    # with the same witness T_123 = 1/2
+    for model in (M2, Model(2, param=True)):
+        phi = MVElement.monomial(model, model.z(0), vecs=(1,), bars=(0,))
+        sigma = MVElement.monomial(model, model.zbar(1), vecs=(0, 1))
+        certs = HoloPoisson(model, sigma=sigma, phi=phi).certificates(
+            random.Random(53), tmax=tmax)
+        rep = certs.witnesses["involutivity"]
+        assert not certs.checks["closure"]
+        assert rep.stats["route"] == "lagrangian"
+        assert rep.checks == {"rank": True, "isotropic": True,
+                              "involutive": False}
+        assert rep.witnesses["failures"] == [
+            (1, 2, (3, Poly.const(2, Fraction(1, 2))))]
