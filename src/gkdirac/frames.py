@@ -156,9 +156,6 @@ class GVField:
         return GVField(self.model, [a.t_truncate(tmax) for a in self.vec],
                        [a.t_truncate(tmax) for a in self.cov])
 
-    def eval_stack(self, point: Point):
-        return [c.eval(point) for c in self.stack()]
-
     def is_zero(self):
         return not any(self.vec) and not any(self.cov)
 
@@ -331,8 +328,8 @@ class DiracFrame:
                           label=f"conj({self.label})" if self.label else "")
 
     def eval_point(self, point: Point) -> "PointDirac":
-        return PointDirac(self.model,
-                          [g.eval_stack(point) for g in self.gens])
+        return PointDirac(self.model, [[c.eval(point) for c in g.stack()]
+                                       for g in self.gens])
 
     def isotropy_defect(self, tmax=None):
         """All pairwise pairings (mod t^{tmax+1} with ``tmax``); the frame
@@ -432,7 +429,10 @@ def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
 
 def _covector_lifts(frame: DiracFrame, targets, rng, message, tmax=None):
     """The vector parts X with X + eta in ``frame``, one per target
-    covector eta.
+    covector eta: the lifts of the deformed covectors in
+    ``poisson.extract_holo_poisson``, whose frames carry generators with no
+    covector part.  (A graph frame is recognized by one division by its
+    covector block instead, in ``genkahler.graph_to_bivector``.)
 
     Each target gets a span certificate ``den*eta = sum nums_j cov_j``
     over the frame's covector block, and its lift ``sum nums_j vec_j`` is
@@ -613,14 +613,8 @@ class PointDirac:
         return scalar_rank(rows)
 
     def is_isotropic(self) -> bool:
-        dim = self.model.dim
-        for a in self.columns:
-            for b in self.columns:
-                pair = sum((a[dim + i] * b[i] + b[dim + i] * a[i]
-                            for i in range(dim)), ZERO)
-                if pair:
-                    return False
-        return True
+        return not any(point_pairing(self.model, a, b)
+                       for a in self.columns for b in self.columns)
 
     def equals(self, other: "PointDirac") -> bool:
         if self.rank() != other.rank():

@@ -15,24 +15,25 @@ graph of a bivector.  A generalized Kahler candidate is a pair of frames
 * ``positivity``       -- the pairing ``<u, conj u>`` is positive definite
   on the pointwise intersection ``L1 cap L2``.
 
-Everything is exact: frame identities are pairings of Lagrangian frames,
-covector lifts are span certificates, intersections are kernel
-computations over Q(i), and positivity is settled by leading principal
-minors of the exact Gram matrix.
+Each condition is decided one way, shared by :func:`gc_from_dirac`,
+:func:`gk_check` and every member of :func:`gk_deform_family`.  Everything
+is exact: frame identities are pairings of Lagrangian frames, a graph's
+bivector is one exact division by its covector block, intersections are
+kernel computations over Q(i), and positivity is settled by leading
+principal minors of the exact Gram matrix.
 """
 
 from fractions import Fraction
 
-from .brackets import unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
-from .frames import (DiracFrame, _covector_lifts, conj_stack, dirac_scale,
-                     dirac_sum, frames_equal, gauge_frame, graph_bivector,
-                     involutivity_report, point_pairing)
-from .linalg import (_sign_changes, generic_rank, mat_add, mat_identity,
-                     mat_mul, mat_transpose, poly_det,
-                     real_roots_in_interval, scalar_det, scalar_rank,
-                     sturm_chain)
+from .frames import (DiracFrame, conj_stack, dirac_scale, dirac_sum,
+                     frames_equal, gauge_frame, graph_bivector,
+                     point_pairing)
+from .linalg import (_isolate_real_roots, _pivot_block, _sign_changes,
+                     generic_rank, mat_add, mat_div_right, mat_identity,
+                     mat_mul, mat_transpose, poly_det, scalar_det,
+                     scalar_rank, sturm_chain)
 from .model import Model
 from .multivector import form_matrix
 from .poisson import (Bivector, RealPoisson, build_L_sigma,
@@ -56,6 +57,9 @@ __all__ = [
 
 _HALF_OVER_I = Scalar(0, Fraction(-1, 2))  # 1/(2i)
 
+# the failures a condition records as its reason rather than raises
+_REFUSALS = (SingularityError, UnsupportedSceneError, CertificateError)
+
 
 def half_i_difference(f1: DiracFrame, f2: DiracFrame, rng, tmax=None):
     """The Dirac combination (1/2i)(f1 - f2)."""
@@ -75,18 +79,37 @@ def _sample_points(model, rng, frames, count):
 def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
     """Recognize a frame as the graph {P xi + xi} of a bivector.
 
-    Each coordinate covector is lifted through the frame's covector block
-    by an exact span certificate; the matching vector parts assemble the
-    bivector matrix, and a frame identity (:func:`frames_equal`) confirms
-    the result.
-    Raises SingularityError when the covector block drops rank, i.e. when
-    the frame meets the tangent bundle.
+    With V and C the vector and covector blocks of dim generators, each
+    generator V e_j + C e_j is P (C e_j) + C e_j, so P C = V and
+    P = V C^{-1}: one exact division (:func:`mat_div_right`, mod t^{tmax+1}
+    with ``tmax``).  A frame with more generators keeps the dim whose
+    covector columns a pivot search selects.  The antisymmetry of P and a
+    frame identity (:func:`frames_equal`) with the graph of P confirm the
+    result.
+    Raises SingularityError when the frame has fewer than dim generators
+    or det C vanishes identically: the covector block then has rank below
+    dim at every point, so some coordinate covector is outside its span
+    and any sample point is a witness.
     """
     model = frame.model
-    units = [unit_vector(model, a) for a in range(model.dim)]
-    P = mat_transpose(_covector_lifts(
-        frame, units, rng, "frame is not a bivector graph: a coordinate "
-        "covector is outside the covector span", tmax=tmax))
+    dim = model.dim
+    gens = frame.gens
+    if len(gens) > dim:
+        _, keep = _pivot_block([g.cov for g in gens], model, rng)
+        gens = [gens[j] for j in keep]
+    P = None
+    if len(gens) == dim:
+        try:
+            P = mat_div_right(mat_transpose([g.vec for g in gens]),
+                              mat_transpose([g.cov for g in gens]),
+                              tmax=tmax)
+        except SingularityError:
+            pass  # det C is identically zero
+    if P is None:
+        pt = model.sample_point(rng, with_t=True)
+        raise SingularityError(
+            "frame is not a bivector graph: a coordinate covector is "
+            f"outside the covector span (witness point {pt})", point=pt)
     try:
         bi = Bivector(model, P)
     except ValueError:
@@ -121,12 +144,35 @@ class GCStruct:
                 f"points={len(self.checked_points)})")
 
 
-def _anchor_spans(f1: DiracFrame, f2: DiracFrame, rng) -> bool:
-    model = f1.model
-    dim = model.dim
-    A = [[g.vec[i] for g in f1.gens] + [g.vec[i] for g in f2.gens]
-         for i in range(dim)]
-    return generic_rank(A, model, rng) == dim
+def _transversal(pairs, rng) -> bool:
+    """The transversality condition: for each ``(frame, conjugate)`` pair
+    the anchor images of both frames span the tangent space."""
+    for f, cj in pairs:
+        model = f.model
+        A = [[g.vec[i] for g in f.gens + cj.gens] for i in range(model.dim)]
+        if generic_rank(A, model, rng) != model.dim:
+            return False
+    return True
+
+
+def _real_poisson(L: DiracFrame, conj: DiracFrame, rng,
+                  tmax=None) -> RealPoisson:
+    """The real Poisson structure of (1/2i)(L - conj L), ``conj`` being
+    the conjugate frame: the graph's bivector (:func:`graph_to_bivector`),
+    certified real and of zero Schouten defect.
+
+    This is the one decision of the ``real_poisson_graphs`` condition.  It
+    raises SingularityError, UnsupportedSceneError or CertificateError,
+    naming the check that fails.
+    """
+    gamma = half_i_difference(L, conj, rng, tmax=tmax)
+    pi = RealPoisson(L.model, graph_to_bivector(gamma, rng, tmax=tmax))
+    defect = pi.certify(tmax=tmax)
+    if defect:
+        raise CertificateError(
+            "underlying bivector fails the Jacobi identity on entries "
+            + ", ".join(str(k) for k in defect))
+    return pi
 
 
 def gc_from_dirac(L: DiracFrame, rng, tmax=None, sample_count=5) -> GCStruct:
@@ -138,17 +184,11 @@ def gc_from_dirac(L: DiracFrame, rng, tmax=None, sample_count=5) -> GCStruct:
     """
     model = L.model
     conj = L.conj()
-    if not _anchor_spans(L, conj, rng):
+    if not _transversal(((L, conj),), rng):
         raise SingularityError(
             "anchor images of the frame and its conjugate do not span the "
             "tangent space")
-    gamma = half_i_difference(L, conj, rng, tmax=tmax)
-    pi = RealPoisson(model, graph_to_bivector(gamma, rng, tmax=tmax))
-    defect = pi.certify(tmax=tmax)
-    if defect:
-        raise CertificateError(
-            "underlying bivector fails the Jacobi identity on entries "
-            + ", ".join(str(k) for k in defect))
+    pi = _real_poisson(L, conj, rng, tmax=tmax)
     points = _sample_points(model, rng, [L], sample_count)
     ranks = [L.eval_point(p).intersect(conj.eval_point(p)).rank()
              for p in points]
@@ -212,23 +252,38 @@ def _gk_verdict(conditions) -> str:
     return "not generalized kahler"
 
 
-def _gram_matrix(model, columns):
-    r = len(columns)
-    return [[point_pairing(model, columns[j], conj_stack(model, columns[k]))
-             for k in range(r)] for j in range(r)]
+def _positivity(model, f1: DiracFrame, f2: DiracFrame, points):
+    """The positivity condition: <u, conj u> is positive definite on the
+    pointwise intersection f1 cap f2, by the leading principal minors of
+    its exact Gram matrix.
 
-
-def _sylvester_positive(G):
-    """Leading principal minors of an exact Hermitian matrix, with verdict."""
-    minors = []
-    for k in range(1, len(G) + 1):
-        m = scalar_det([row[:k] for row in G[:k]])
-        if m.im != 0:
-            raise CertificateError(
-                "pairing matrix has a non-real principal minor; it is not "
-                "Hermitian")
-        minors.append(m.re)
-    return all(m > 0 for m in minors), minors
+    Returns the verdict and, per sample point, ``(pt, p1, ell, minors)``
+    with ``p1`` the value of f1 there and ``ell`` the intersection;
+    ``minors`` is None where ``ell`` has not rank n (a non-generic sample,
+    settled by the other points).  The verdict needs one generic point,
+    and every generic point positive.
+    """
+    votes = []
+    samples = []
+    for pt in points:
+        p1 = f1.eval_point(pt)
+        ell = p1.intersect(f2.eval_point(pt))
+        minors = None
+        if ell.rank() == model.n:
+            cols = ell.columns
+            G = [[point_pairing(model, a, conj_stack(model, b))
+                  for b in cols] for a in cols]
+            minors = []
+            for k in range(1, len(G) + 1):
+                m = scalar_det([row[:k] for row in G[:k]])
+                if m.im != 0:
+                    raise CertificateError(
+                        "pairing matrix has a non-real principal minor; "
+                        "it is not Hermitian")
+                minors.append(m.re)
+            votes.append(all(m > 0 for m in minors))
+        samples.append((pt, p1, ell, minors))
+    return bool(votes) and all(votes), samples
 
 
 def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
@@ -249,31 +304,20 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
     witnesses = {}
     stats = {}
 
-    conditions["transversality"] = (_anchor_spans(L1, conj1, rng)
-                                    and _anchor_spans(L2, conj2, rng))
+    conditions["transversality"] = _transversal(
+        ((L1, conj1), (L2, conj2)), rng)
 
-    pi1 = pi2 = None
+    pis = []
     for tag, f, cj in (("first", L1, conj1), ("second", L2, conj2)):
         try:
-            bi = graph_to_bivector(half_i_difference(f, cj, rng, tmax=tmax),
-                                   rng, tmax=tmax)
-            cand = RealPoisson(model, bi)
-            defect = cand.certify(tmax=tmax)
-            if defect:
-                raise CertificateError(
-                    "Jacobi identity fails on entries "
-                    + ", ".join(str(k) for k in defect))
-        except (SingularityError, UnsupportedSceneError,
-                CertificateError) as err:
+            pis.append(_real_poisson(f, cj, rng, tmax=tmax))
+        except _REFUSALS as err:
             witnesses[f"real_structure_{tag}"] = str(err)
-            cand = None
-        if tag == "first":
-            pi1 = cand
-        else:
-            pi2 = cand
+            pis.append(None)
+    pi1, pi2 = pis
     conditions["real_poisson_graphs"] = pi1 is not None and pi2 is not None
 
-    hp_plus = hp_minus = None
+    hps = []
     for tag, other in (("plus", L2), ("minus", conj2)):
         try:
             hp = extract_holo_poisson(
@@ -282,14 +326,11 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
             if not certs.ok:
                 raise CertificateError(
                     f"extracted structure failed certificates: {certs!r}")
-        except (SingularityError, UnsupportedSceneError,
-                CertificateError) as err:
+        except _REFUSALS as err:
             witnesses[f"holomorphic_{tag}"] = str(err)
             hp = None
-        if tag == "plus":
-            hp_plus = hp
-        else:
-            hp_minus = hp
+        hps.append(hp)
+    hp_plus, hp_minus = hps
     conditions["holomorphic_poisson_pair"] = (hp_plus is not None
                                               and hp_minus is not None)
 
@@ -305,22 +346,13 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
                 "real and holomorphic conditions hold but transversality "
                 "fails; the implication between them is broken")
 
-    # positivity of <u, conj u> on the pointwise intersection L1 cap L2
     points = _sample_points(model, rng, [L1, L2], sample_count)
-    n = model.n
+    conditions["positivity"], samples = _positivity(model, L1, L2, points)
     gram_samples = []
-    rank_trace = []
-    positive_votes = []
     spanning = []
-    for pt in points:
-        p1, p2 = L1.eval_point(pt), L2.eval_point(pt)
-        ell_plus = p1.intersect(p2)
-        rank_trace.append(ell_plus.rank())
-        if ell_plus.rank() != n:
-            continue  # non-generic sample; settled by the other points
-        G = _gram_matrix(model, ell_plus.columns)
-        okflag, minors = _sylvester_positive(G)
-        positive_votes.append(okflag)
+    for pt, p1, ell_plus, minors in samples:
+        if minors is None:
+            continue
         gram_samples.append((pt, minors))
         if conditions["holomorphic_poisson_pair"] and \
                 conditions["real_poisson_graphs"]:
@@ -330,8 +362,8 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
                     + [conj_stack(model, c) for c in ell_minus.columns])
             rows = [[c[i] for c in cols] for i in range(2 * model.dim)]
             spanning.append(scalar_rank(rows) == 2 * model.dim)
-    stats["intersection_ranks"] = rank_trace
-    conditions["positivity"] = bool(positive_votes) and all(positive_votes)
+    stats["intersection_ranks"] = [ell.rank() for _pt, _p1, ell, _m
+                                   in samples]
     if conditions["holomorphic_poisson_pair"] and spanning \
             and not all(spanning):
         raise CertificateError(
@@ -488,36 +520,8 @@ def _det_root_intervals(det: Poly, model, points):
         if len(coeffs) <= 1:
             out.append([])  # constant in t: no real roots
             continue
-        lead = abs(coeffs[-1])
-        bound = 1 + max(abs(c) for c in coeffs) / lead
-        out.append(_off_zero(coeffs,
-                             real_roots_in_interval(coeffs, -bound, bound)))
+        out.append(_off_zero(coeffs, _isolate_real_roots(coeffs)))
     return out
-
-
-def _real_graph_frame_certificate(f: DiracFrame, rng, tmax=None) -> bool:
-    """Frame-level certificate that (1/2i)(f - conj f) is the graph of a
-    real Poisson bivector.
-
-    The combination must be a real frame, graph over the covector block,
-    isotropic, and involutive -- equivalent to extracting the bivector
-    and certifying its Jacobi identity, but phrased entirely in frame
-    arithmetic so it applies at parameter values where a pivot choice for
-    the extraction would be awkward.  Degenerate combinations surface as
-    singular span arithmetic, or as a frame that is not Lagrangian (no
-    graph is), and count as failure.
-    """
-    model = f.model
-    try:
-        gamma = half_i_difference(f, f.conj(), rng, tmax=tmax)
-        if not frames_equal(gamma, gamma.conj(), rng, tmax=tmax):
-            return False
-    except (SingularityError, UnsupportedSceneError):
-        return False
-    cov_rows = [[g.cov[i] for g in gamma.gens] for i in range(model.dim)]
-    if generic_rank(cov_rows, model, rng) != model.dim:
-        return False
-    return bool(involutivity_report.check(gamma, rng, tmax=tmax))
 
 
 def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
@@ -531,7 +535,7 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
     pair condition for the whole family.  The open conditions --
     transversality, real Poisson graphs, positivity -- genuinely depend
     on the parameter value and are re-established at each entry of
-    ``check_ts``; ``checked`` records (t, conditions, verdict) triples,
+    ``check_ts``, by the same helpers as :func:`gk_check`; ``checked`` records (t, conditions, verdict) triples,
     with conditions None where a degenerate value was skipped.
     Determinant root intervals for both real pencils are isolated at
     sample points (``det_roots``), each refined until it excludes t = 0;
@@ -579,37 +583,25 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
     if check_ts is None:
         check_ts = [Fraction(1, 8), Fraction(-1, 8), Fraction(1, 16)]
     holo_ok = bool(minus_fixed)
-    n = model.n
     checked = []
     for tv in check_ts:
         sval = Scalar(tv)
-        degenerate = False
-        for det in dets.values():
-            for pt in points:
-                if det.substitute_t(sval).eval(pt).is_zero():
-                    degenerate = True
-        if degenerate:
+        if any(det.substitute_t(sval).eval(pt).is_zero()
+               for det in dets.values() for pt in points):
             checked.append((tv, None, "skipped: determinant vanishes"))
             continue
         f1 = L1t.substitute_t(sval)
         f2 = L2t.substitute_t(sval)
-        conds = {
-            "transversality": (_anchor_spans(f1, f1.conj(), rng)
-                               and _anchor_spans(f2, f2.conj(), rng)),
-            "real_poisson_graphs": (
-                _real_graph_frame_certificate(f1, rng)
-                and _real_graph_frame_certificate(f2, rng)),
-            "holomorphic_poisson_pair": holo_ok,
-        }
-        votes = []
-        for pt in points:
-            ell = f1.eval_point(pt).intersect(f2.eval_point(pt))
-            if ell.rank() != n:
-                continue  # non-generic sample; settled by the other points
-            okflag, _minors = _sylvester_positive(
-                _gram_matrix(model, ell.columns))
-            votes.append(okflag)
-        conds["positivity"] = bool(votes) and all(votes)
+        pairs = ((f1, f1.conj()), (f2, f2.conj()))
+        conds = {"transversality": _transversal(pairs, rng),
+                 "real_poisson_graphs": True}
+        try:
+            for f, cj in pairs:
+                _real_poisson(f, cj, rng)
+        except _REFUSALS:
+            conds["real_poisson_graphs"] = False
+        conds["holomorphic_poisson_pair"] = holo_ok
+        conds["positivity"] = _positivity(model, f1, f2, points)[0]
         checked.append((tv, conds, _gk_verdict(conds)))
 
     members_gk = all(v == "generalized kahler" for _t, _c, v in checked)

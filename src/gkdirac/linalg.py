@@ -842,3 +842,11 @@ def real_roots_in_interval(coeffs, a: Fraction, b: Fraction, depth=64):
         stack.append((mid, hi, k - kl, d + 1))
     out.sort()
     return out
+
+
+def _isolate_real_roots(coeffs):
+    """Isolating intervals (lo, hi] of every distinct real root of a
+    rational polynomial (low first, nonzero leading coefficient), searched
+    inside the Cauchy bound 1 + max|c| / |lead|."""
+    bound = 1 + max(abs(c) for c in coeffs) / abs(coeffs[-1])
+    return real_roots_in_interval(coeffs, -bound, bound)

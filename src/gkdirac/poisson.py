@@ -26,8 +26,8 @@ from .frames import (DiracFrame, GVField, _conj_components, _conj_operator,
                      gauge_frame, frames_equal, involutivity_report)
 from .linalg import (Span, mat_add, mat_apply, mat_div_right, mat_identity,
                      mat_is_zero, mat_mul, mat_scale, mat_sub, mat_transpose,
-                     mat_t_truncate, mat_zero, poly_det, real_roots_in_interval,
-                     span_certificate, kernel_certificate, _pivot_block,
+                     mat_t_truncate, mat_zero, poly_det, span_certificate,
+                     kernel_certificate, _isolate_real_roots, _pivot_block,
                      generic_rank)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
@@ -449,10 +449,7 @@ def _describe_zero_locus(det: Poly) -> str:
         coeffs.append(c.constant_value())
     if all(c.is_real() for c in coeffs):
         # univariate in t with rational coefficients: isolate real roots
-        coeffs = [c.re for c in coeffs]
-        lead = abs(coeffs[-1])
-        bound = 1 + max(abs(c) for c in coeffs) / lead
-        roots = real_roots_in_interval(coeffs, -bound, bound)
+        roots = _isolate_real_roots([c.re for c in coeffs])
         if not roots:
             return "no real t"
         spans = ", ".join(f"t in ({a}, {b})" for a, b in roots)

@@ -383,6 +383,29 @@ def test_point_dirac_equality_and_rank():
     assert not pd.equals(tangent_frame(M).eval_point(pt)) or B.is_zero()
 
 
+def test_point_dirac_isotropy_matches_the_pairing_sum():
+    # the isotropy of a point subspace is decided through point_pairing;
+    # the reference is the plain sum xi(Y) + eta(X) over every column pair
+    rng = random.Random(348)
+    pt = M.sample_point(rng)
+    dim = M.dim
+    T = tangent_frame(M)
+    mixed = DiracFrame(M, [T.gens[0] + GVField(M, cov=T.gens[1].vec)]
+                       + T.gens[1:])
+    skew = DiracFrame(M, [T.gens[0] + GVField(M, cov=T.gens[1].vec),
+                          T.gens[1] - GVField(M, cov=T.gens[0].vec)])
+    verdicts = []
+    for fr in (T, cotangent_frame(M), graph_two_form(rand_two_form(rng, M)),
+               mixed, skew):
+        pd = fr.eval_point(pt)
+        sums = [sum((a[dim + i] * b[i] + b[dim + i] * a[i]
+                     for i in range(dim)), Scalar(0))
+                for a in pd.columns for b in pd.columns]
+        assert pd.is_isotropic() == all(x.is_zero() for x in sums)
+        verdicts.append(pd.is_isotropic())
+    assert verdicts == [True, True, True, False, True]
+
+
 def test_dorfman_leibniz_rule():
     rng = random.Random(349)
     # [u, f v] = f[u, v] + (pi(u) f) v  for the Dorfman bracket

@@ -447,12 +447,11 @@ def test_covector_lifts_divide_once_per_denominator(monkeypatch):
         return got
 
     monkeypatch.setattr(frames, "mat_div_right", counted)
-    monkeypatch.setattr(genkahler, "_covector_lifts", checked)
     monkeypatch.setattr(poisson, "_covector_lifts", checked)
     assert gk_check(*kahler_pair(M2), random.Random(60)).ok
-    # the flat Kahler scene: 12 targets in 4 calls, each call's targets
-    # over one denominator, so 4 divisions where there were 12
-    assert calls == [(4, 1), (4, 1), (2, 1), (2, 1)]
+    # the flat Kahler scene: graph recognition lifts nothing, and the two
+    # extractions lift 2 targets each over one denominator
+    assert calls == [(2, 1), (2, 1)]
 
 
 def test_graph_recognition_round_trip():
@@ -465,11 +464,69 @@ def test_graph_recognition_round_trip():
 
 def test_real_graph_certificate_fails_on_a_combination_not_lagrangian():
     # f = {d/dz1 + dz1, d/dz2, d/dzbar1, d/dzbar2} is not isotropic, and
-    # neither is (1/2i)(f - conj f), so it is no graph: the certificate
-    # answers False where frames_equal refuses the frame
+    # neither is (1/2i)(f - conj f), so it is no graph: the one real-Poisson
+    # decision refuses it with an error its callers record, and the
+    # condition reads False where frames_equal refuses the frame
     T = tangent_frame(M2)
     f = DiracFrame(M2, [T.gens[0] + GVField(M2, cov=T.gens[0].vec)]
                    + T.gens[1:])
     gamma = half_i_difference(f, f.conj(), random.Random(1))
     assert any(gamma.isotropy_defect())
-    assert not genkahler._real_graph_frame_certificate(f, random.Random(1))
+    with pytest.raises(genkahler._REFUSALS):
+        genkahler._real_poisson(f, f.conj(), random.Random(1))
+    report = gk_check(f, f, random.Random(1))
+    assert report.conditions["real_poisson_graphs"] is False
+    assert "real_structure_first" in report.witnesses
+
+
+def test_every_real_poisson_decision_goes_through_one_helper(monkeypatch):
+    # the flat_family scene of the benchmark: a flat Kahler pair and the
+    # family F_t = t (i/2) sum_k dz_k ^ dzbar_k, generalized Kahler at
+    # every checked member
+    def run():
+        report = gk_check(*kahler_pair(M2), random.Random(86))
+        fam = gk_deform_family(report.pair, hermitian_form(M2, tpower=1),
+                               random.Random(87), tmax=3)
+        return report, fam
+
+    plain_report, plain_fam = run()
+    decide, recognize = genkahler._real_poisson, genkahler.graph_to_bivector
+    decisions, recognitions = [], []
+
+    def counted(L, conj, rng, tmax=None):
+        decisions.append(L)
+        return decide(L, conj, rng, tmax=tmax)
+
+    def counted_graph(frame, rng, tmax=None):
+        recognitions.append(frame)
+        return recognize(frame, rng, tmax=tmax)
+
+    monkeypatch.setattr(genkahler, "_real_poisson", counted)
+    monkeypatch.setattr(genkahler, "graph_to_bivector", counted_graph)
+    report, fam = run()
+    # two frames in gk_check, two at each of the three members, and one
+    # graph recognition per decision, none elsewhere
+    assert len(decisions) == 8 == len(recognitions)
+    assert report.verdict == plain_report.verdict == "generalized kahler"
+    assert report.conditions == plain_report.conditions
+    assert all(report.conditions.values())
+    assert fam.ok and fam.minus_fixed
+    assert fam.checked == plain_fam.checked
+    assert [v for _t, _c, v in fam.checked] == ["generalized kahler"] * 3
+
+    def refused(L, conj, rng, tmax=None):
+        decisions.append(L)
+        raise CertificateError("refused")
+
+    monkeypatch.setattr(genkahler, "_real_poisson", refused)
+    del decisions[:]
+    report, fam = run()
+    # gk_check tries both frames; a member stops at its first refusal
+    assert len(decisions) == 2 + 3
+    assert report.witnesses["real_structure_first"] == "refused"
+    assert report.conditions == dict(plain_report.conditions,
+                                     real_poisson_graphs=False)
+    for (_t, conds, verdict), (_pt, plain, _pv) in zip(fam.checked,
+                                                       plain_fam.checked):
+        assert conds == dict(plain, real_poisson_graphs=False)
+        assert verdict == "degenerate generalized kahler"
