@@ -18,27 +18,29 @@ graph of a bivector.  A generalized Kahler candidate is a pair of frames
 Each condition is decided one way, shared by :func:`gc_from_dirac`,
 :func:`gk_check` and every member of :func:`gk_deform_family`.  Everything
 is exact: frame identities are pairings of Lagrangian frames, a graph's
-bivector is one exact division by its covector block, intersections are
-kernel computations over Q(i), and positivity is settled by leading
+bivector is one exact division by its covector block (a quotient N / d
+where that is not polynomial, as on the members of a family), intersections
+are kernel computations over Q(i), and positivity is settled by leading
 principal minors of the exact Gram matrix.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
-from .frames import (DiracFrame, conj_stack, dirac_scale, dirac_sum,
-                     frames_equal, gauge_frame, graph_bivector,
+from .frames import (DiracFrame, GVField, _along, conj_stack, dirac_scale,
+                     dirac_sum, frames_equal, gauge_frame, graph_bivector,
                      point_pairing)
 from .linalg import (_isolate_real_roots, _pivot_block, _sign_changes,
                      generic_rank, mat_add, mat_div_right, mat_identity,
-                     mat_mul, mat_transpose, poly_det, scalar_det,
-                     scalar_rank, sturm_chain)
+                     mat_mul, mat_transpose, poly_adjugate, poly_det,
+                     scalar_det, scalar_rank, sturm_chain)
 from .model import Model
 from .multivector import form_matrix
 from .poisson import (Bivector, RealPoisson, build_L_sigma,
                       check_gauge_equiv, extract_holo_poisson,
-                      gauge_real_poisson, imag_Q)
+                      gauge_real_poisson, imag_Q, schouten_defect)
 from .poly import Poly
 from .report import Report
 from .scalars import Scalar
@@ -76,16 +78,28 @@ def _sample_points(model, rng, frames, count):
     return model.sample_points(rng, count=count, with_t=with_t)
 
 
-def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
-    """Recognize a frame as the graph {P xi + xi} of a bivector.
+class _RationalGraph(UnsupportedSceneError):
+    """The frame is the graph of a bivector N / d that is not polynomial,
+    so a GCStruct or a GKPair cannot keep it."""
+
+    def __init__(self, d):
+        super().__init__("graph bivector is not polynomial; its "
+                         "denominator is |det C|^2 = " + d.render())
+
+
+def _graph_quotient(frame: DiracFrame, rng, tmax=None):
+    """Recognize a frame as the graph {P xi + xi} of a bivector P = N / d,
+    returned as ``(N, d)``.
 
     With V and C the vector and covector blocks of dim generators, each
     generator V e_j + C e_j is P (C e_j) + C e_j, so P C = V and
     P = V C^{-1}: one exact division (:func:`mat_div_right`, mod t^{tmax+1}
-    with ``tmax``).  A frame with more generators keeps the dim whose
-    covector columns a pivot search selects.  The antisymmetry of P and a
-    frame identity (:func:`frames_equal`) with the graph of P confirm the
-    result.
+    with ``tmax``) gives ``(P, None)``.  Without ``tmax`` a quotient that
+    is not polynomial is N = V adj(C) conj(det C) over d = |det C|^2, which
+    is real, so P is real exactly when N is.  A frame with more generators
+    keeps the dim whose covector columns a pivot search selects (on the
+    t = 0 slice with ``tmax``).  The antisymmetry of N and a frame identity
+    (:func:`frames_equal`) with the graph {N xi + d xi} confirm the result.
     Raises SingularityError when the frame has fewer than dim generators
     or det C vanishes identically: the covector block then has rank below
     dim at every point, so some coordinate covector is outside its span
@@ -95,31 +109,55 @@ def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
     dim = model.dim
     gens = frame.gens
     if len(gens) > dim:
-        _, keep = _pivot_block([g.cov for g in gens], model, rng)
+        _, keep = _pivot_block([g.cov for g in gens], model, rng,
+                               t_zero=tmax is not None)
         gens = [gens[j] for j in keep]
-    P = None
+    N = d = None
     if len(gens) == dim:
+        V = mat_transpose([g.vec for g in gens])
+        C = mat_transpose([g.cov for g in gens])
         try:
-            P = mat_div_right(mat_transpose([g.vec for g in gens]),
-                              mat_transpose([g.cov for g in gens]),
-                              tmax=tmax)
+            N = mat_div_right(V, C, tmax=tmax)
         except SingularityError:
             pass  # det C is identically zero
-    if P is None:
+        except UnsupportedSceneError:
+            if tmax is not None:
+                raise
+            det = poly_det(C)
+            dbar = det.conj()
+            d = det * dbar
+            N = [[x * dbar for x in row]
+                 for row in mat_mul(V, poly_adjugate(C))]
+    if N is None:
         pt = model.sample_point(rng, with_t=True)
         raise SingularityError(
             "frame is not a bivector graph: a coordinate covector is "
             f"outside the covector span (witness point {pt})", point=pt)
     try:
-        bi = Bivector(model, P)
+        bi = Bivector(model, N)
     except ValueError:
         raise CertificateError(
             "graph matrix is not antisymmetric; the frame is not isotropic")
-    if not frames_equal(frame, graph_bivector(model, P), rng, tmax=tmax):
+    graph = graph_bivector(model, N)
+    if d is not None:
+        graph = DiracFrame(model, [GVField(model, g.vec,
+                                           [c * d for c in g.cov])
+                                   for g in graph.gens])
+    if not frames_equal(frame, graph, rng, tmax=tmax):
         raise SingularityError(
             "frame does not coincide with the graph of its candidate "
             "bivector; it meets the tangent bundle on a generic locus")
-    return bi
+    return bi, d
+
+
+def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
+    """The polynomial bivector P of a graph frame {P xi + xi}
+    (:func:`_graph_quotient`); UnsupportedSceneError when P is rational.
+    """
+    P, d = _graph_quotient(frame, rng, tmax=tmax)
+    if d is not None:
+        raise _RationalGraph(d)
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +193,49 @@ def _transversal(pairs, rng) -> bool:
     return True
 
 
+def _jacobi_defect(N: Bivector, d=None, tmax=None):
+    """Nonzero Jacobiator entries of P = N / d (of N when d is None), as
+    those of d^3 [P, P] in the normalisation of :func:`schouten_defect`.
+
+    With X^a = sum_l N^{la} d_l d, the Leibniz rule gives
+    d^3 J(P)^{abc} = d J(N)^{abc} - 2 (X^a N^{bc} + X^b N^{ca} + X^c N^{ab}),
+    which vanishes exactly when J(P) does, d being nonzero.
+    """
+    J = schouten_defect(N, tmax=tmax)
+    if d is None:
+        return J
+    model, M = N.model, N.mat  # M[x][y] = N^{yx}
+    X = [Poly.sum(model.n, _along(row, d)) for row in M]
+    out = {}
+    for a, b, c in combinations(range(model.dim), 3):
+        cyc = X[a] * M[c][b] + X[b] * M[a][c] + X[c] * M[b][a]
+        acc = d * J.get((a, b, c), model.zero_poly()) - cyc - cyc
+        if acc:
+            out[(a, b, c)] = acc
+    return out
+
+
 def _real_poisson(L: DiracFrame, conj: DiracFrame, rng,
                   tmax=None) -> RealPoisson:
     """The real Poisson structure of (1/2i)(L - conj L), ``conj`` being
-    the conjugate frame: the graph's bivector (:func:`graph_to_bivector`),
-    certified real and of zero Schouten defect.
+    the conjugate frame: the graph's bivector P = N / d
+    (:func:`_graph_quotient`), certified real and of zero Jacobiator.
 
     This is the one decision of the ``real_poisson_graphs`` condition.  It
     raises SingularityError, UnsupportedSceneError or CertificateError,
-    naming the check that fails.
+    naming the check that fails; a rational P that passes every check
+    raises :class:`_RationalGraph`, as it cannot be kept.
     """
     gamma = half_i_difference(L, conj, rng, tmax=tmax)
-    pi = RealPoisson(L.model, graph_to_bivector(gamma, rng, tmax=tmax))
-    defect = pi.certify(tmax=tmax)
+    N, d = _graph_quotient(gamma, rng, tmax=tmax)
+    pi = RealPoisson(L.model, N)  # N is real exactly when P is
+    defect = _jacobi_defect(N, d, tmax=tmax)
     if defect:
         raise CertificateError(
             "underlying bivector fails the Jacobi identity on entries "
             + ", ".join(str(k) for k in defect))
+    if d is not None:
+        raise _RationalGraph(d)
     return pi
 
 
@@ -535,7 +599,7 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
     pair condition for the whole family.  The open conditions --
     transversality, real Poisson graphs, positivity -- genuinely depend
     on the parameter value and are re-established at each entry of
-    ``check_ts``, by the same helpers as :func:`gk_check`; ``checked`` records (t, conditions, verdict) triples,
+    ``check_ts``; ``checked`` records (t, conditions, verdict) triples,
     with conditions None where a degenerate value was skipped.
     Determinant root intervals for both real pencils are isolated at
     sample points (``det_roots``), each refined until it excludes t = 0;
@@ -595,11 +659,14 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
         pairs = ((f1, f1.conj()), (f2, f2.conj()))
         conds = {"transversality": _transversal(pairs, rng),
                  "real_poisson_graphs": True}
-        try:
-            for f, cj in pairs:
+        for f, cj in pairs:
+            try:
                 _real_poisson(f, cj, rng)
-        except _REFUSALS:
-            conds["real_poisson_graphs"] = False
+            except _RationalGraph:
+                pass  # a Poisson bivector all the same, rational in z
+            except _REFUSALS:
+                conds["real_poisson_graphs"] = False
+                break
         conds["holomorphic_poisson_pair"] = holo_ok
         conds["positivity"] = _positivity(model, f1, f2, points)[0]
         checked.append((tv, conds, _gk_verdict(conds)))

@@ -17,6 +17,7 @@ polynomial in general.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .brackets import unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
@@ -180,32 +181,24 @@ class Bivector:
         return f"Bivector<{self.render()}>"
 
 
-def schouten_defect(P: Bivector, Q: Bivector = None, tmax=None):
-    """Jacobiator components of a pair of bivectors over the full frame.
+def schouten_defect(P: Bivector, tmax=None):
+    """Jacobiator components of a bivector over the full frame.
 
     Returns {(a,b,c): Poly} with a<b<c holding
-        sum_l (P^{la} d_l Q^{bc} + Q^{la} d_l P^{bc} + cyclic in (a,b,c)),
-    which vanishes identically iff the symmetrised Schouten bracket of P and
-    Q does; with Q = P this is the Poisson condition [P, P] = 0.
+        2 sum_l (P^{la} d_l P^{bc} + cyclic in (a,b,c)),
+    which vanishes identically iff the Schouten bracket [P, P] does: the
+    Poisson condition.
     """
     model = P.model
-    if Q is None:
-        Q = P
-    if Q.model != model:
-        raise ValueError("mixed models")
-    dim = model.dim
     out = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for c in range(b + 1, dim):
-                # P.mat[x][l] = P^{lx} and Q.mat[z][y] = Q^{yz}
-                terms = []
-                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    terms += _along(P.mat[x], Q.mat[z][y], tmax)
-                    terms += _along(Q.mat[x], P.mat[z][y], tmax)
-                acc = Poly.sum(model.n, terms)
-                if acc:
-                    out[(a, b, c)] = acc
+    for a, b, c in combinations(range(model.dim), 3):
+        # P.mat[x][l] = P^{lx} and P.mat[z][y] = P^{yz}
+        terms = []
+        for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+            terms += _along(P.mat[x], P.mat[z][y], tmax)
+        acc = Poly.sum(model.n, terms, [2] * len(terms))
+        if acc:
+            out[(a, b, c)] = acc
     return out
 
 

@@ -490,7 +490,7 @@ def test_every_real_poisson_decision_goes_through_one_helper(monkeypatch):
         return report, fam
 
     plain_report, plain_fam = run()
-    decide, recognize = genkahler._real_poisson, genkahler.graph_to_bivector
+    decide, recognize = genkahler._real_poisson, genkahler._graph_quotient
     decisions, recognitions = [], []
 
     def counted(L, conj, rng, tmax=None):
@@ -502,7 +502,7 @@ def test_every_real_poisson_decision_goes_through_one_helper(monkeypatch):
         return recognize(frame, rng, tmax=tmax)
 
     monkeypatch.setattr(genkahler, "_real_poisson", counted)
-    monkeypatch.setattr(genkahler, "graph_to_bivector", counted_graph)
+    monkeypatch.setattr(genkahler, "_graph_quotient", counted_graph)
     report, fam = run()
     # two frames in gk_check, two at each of the three members, and one
     # graph recognition per decision, none elsewhere
