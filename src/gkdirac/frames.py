@@ -432,7 +432,7 @@ def _covector_lifts(frame: DiracFrame, targets, rng, message, tmax=None):
     covector eta: the lifts of the deformed covectors in
     ``poisson.extract_holo_poisson``, whose frames carry generators with no
     covector part.  (A graph frame is recognized by one division by its
-    covector block instead, in ``genkahler.graph_to_bivector``.)
+    covector block instead, in ``genkahler._graph_quotient``.)
 
     Each target gets a span certificate ``den*eta = sum nums_j cov_j``
     over the frame's covector block, and its lift ``sum nums_j vec_j`` is
