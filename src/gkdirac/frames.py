@@ -205,13 +205,24 @@ def conj_stack(model, column):
             + _conj_components(model, column[dim:]))
 
 
+def _dot(pairs) -> Scalar:
+    """The sum of the products ``x * y`` over the pairs with both factors
+    nonzero, formed and added only for those; ``ZERO`` when there is
+    none."""
+    acc = None
+    for x, y in pairs:
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    return ZERO if acc is None else acc
+
+
 def point_pairing(model, a, b) -> Scalar:
-    """<u, v> = (xi(Y) + eta(X)) / 2 on two scalar fibre columns."""
+    """<u, v> = (xi(Y) + eta(X)) / 2 on two scalar fibre columns; only the
+    nonzero products are added."""
     dim = model.dim
-    acc = ZERO
-    for i in range(dim):
-        acc = acc + a[dim + i] * b[i] + b[dim + i] * a[i]
-    return acc * _HALF
+    acc = _dot(pair for i in range(dim)
+               for pair in ((a[dim + i], b[i]), (b[dim + i], a[i])))
+    return acc * _HALF if acc else acc
 
 
 # ---------------------------------------------------------------------------
@@ -399,31 +410,32 @@ def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
 
     Built from an exact kernel certificate of the vector-part difference
     matrix, so each output generator satisfies the matching identity as a
-    polynomial identity.
+    polynomial identity.  For a kernel vector v, component i of the output
+    is one ``Poly.sum`` of the products v_j g_j[i] (mod t^{tmax+1}) over
+    the L1 generators g_j, and for the covector part the L2 generators
+    too: a zero v_j or a zero component g_j[i] is skipped, not multiplied.
     """
     model = f1.model
     if f2.model != model:
         raise ValueError("mixed models")
-    dim = model.dim
+    n, dim = model.n, model.dim
     r1, r2 = len(f1), len(f2)
     A = [[f1.gens[j].vec[i] for j in range(r1)] +
          [-f2.gens[j].vec[i] for j in range(r2)] for i in range(dim)]
     basis = kernel_certificate(A, model, rng, tmax=tmax)
+
+    def combine(parts):
+        """sum_j x_j c_j over the pairs (x_j, column c_j), entrywise."""
+        return [Poly.sum(n, (c[i].mul(x, tmax=tmax) for x, c in parts if c[i]))
+                for i in range(dim)]
+
     gens = []
     for v in basis:
-        g = GVField(model)
-        for j in range(r1):
-            if v[j]:
-                g = g + f1.gens[j].poly_mul(v[j], tmax=tmax)
-        covonly = GVField(model)
-        for j in range(r2):
-            if v[r1 + j]:
-                covonly = covonly + GVField(
-                    model, cov=[c.mul(v[r1 + j], tmax=tmax)
-                                for c in f2.gens[j].cov])
-        g = (g + covonly).t_truncate(tmax)
-        if not g.is_zero():
-            gens.append(g)
+        vec = combine([(x, g.vec) for x, g in zip(v, f1.gens) if x])
+        cov = combine([(x, g.cov) for x, g in zip(v, f1.gens + f2.gens)
+                       if x])
+        if any(vec) or any(cov):
+            gens.append(GVField(model, vec, cov))
     return DiracFrame(model, gens, label=f"{f1.label}+{f2.label}")
 
 
@@ -617,11 +629,12 @@ class PointDirac:
                        for a in self.columns for b in self.columns)
 
     def equals(self, other: "PointDirac") -> bool:
-        if self.rank() != other.rank():
+        rank = self.rank()
+        if rank != other.rank():
             return False
         rows = [[col[i] for col in self.columns + other.columns]
                 for i in range(2 * self.model.dim)]
-        return scalar_rank(rows) == self.rank()
+        return scalar_rank(rows) == rank
 
     @classmethod
     def tangent(cls, model: Model) -> "PointDirac":
@@ -649,22 +662,22 @@ class PointDirac:
                           [conj_stack(self.model, c) for c in self.columns])
 
     def intersect(self, other: "PointDirac") -> "PointDirac":
-        """Exact fibrewise intersection via the kernel of [A | -B]."""
+        """Exact fibrewise intersection via the kernel of [A | -B].
+
+        For a kernel vector v, each entry of the column sum_j v_j a_j is
+        one sum over the nonzero v_j times the nonzero entries a_j[i]."""
         if other.model != self.model:
             raise ValueError("mixed models")
         if not self.columns or not other.columns:
             return PointDirac(self.model, [])
-        r1 = len(self.columns)
+        size = 2 * self.model.dim
         rows = [[col[i] for col in self.columns] +
                 [-col[i] for col in other.columns]
-                for i in range(2 * self.model.dim)]
+                for i in range(size)]
         out = []
         for v in scalar_kernel(rows):
-            col = [ZERO] * (2 * self.model.dim)
-            for j in range(r1):
-                if not v[j].is_zero():
-                    col = [a + v[j] * b
-                           for a, b in zip(col, self.columns[j])]
+            terms = [(x, a) for x, a in zip(v, self.columns) if x]
+            col = [_dot((x, a[i]) for x, a in terms) for i in range(size)]
             if any(col):
                 out.append(col)
         return PointDirac(self.model, out)

@@ -335,8 +335,8 @@ def _positivity(model, f1: DiracFrame, f2: DiracFrame, points):
         minors = None
         if ell.rank() == model.n:
             cols = ell.columns
-            G = [[point_pairing(model, a, conj_stack(model, b))
-                  for b in cols] for a in cols]
+            conjs = [conj_stack(model, b) for b in cols]
+            G = [[point_pairing(model, a, b) for b in conjs] for a in cols]
             minors = []
             for k in range(1, len(G) + 1):
                 m = scalar_det([row[:k] for row in G[:k]])

@@ -42,7 +42,7 @@ from .brackets import dgla_bracket, mc_residual_dgla, mc_residual_koszul, \
     pi_star, unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm, euler_homotopy, dt_leg
-from .frames import (DiracFrame, GVField, _along, _conj_operator,
+from .frames import (DiracFrame, GVField, _along, _conj_operator, _dot,
                      dirac_scale, dirac_sum, frames_equal, gauge_frame,
                      graph_bivector, involutivity_report)
 from .linalg import (_mat_from_t_blocks, _mat_series_term, _mat_t_blocks,
@@ -386,8 +386,11 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
         Wp = mat_eval(W, pt)
         Mp = mat_eval(M, pt)
         Einv = scalar_inverse(mat_eval(E, pt))
-        psi_p = [[sum((Wp[i][l] * Einv[l][j] for l in range(dim)),
-                      Scalar(0)) for j in range(dim)] for i in range(dim)]
+        # W(p) is the matrix of a (1,1)-form: only nonzero products count
+        supports = [[(w, Einv[l]) for l, w in enumerate(row) if w]
+                    for row in Wp]
+        psi_p = [[_dot((w, El[j]) for w, El in support) for j in range(dim)]
+                 for support in supports]
         hp_p = HoloPoisson(model, sigma=Bivector(model, _const_matrix(model,
                                                                       Mp)))
         eps_p = pi_star_transport(

@@ -91,7 +91,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def scalar_rref(rows):
-    """Reduced row-echelon form.  Returns (rref_rows, pivot_columns)."""
+    """Reduced row-echelon form.  Returns (rref_rows, pivot_columns).
+
+    Each pivot row is normalised, and eliminated from the rows that are
+    nonzero in its pivot column, over its own nonzero entries only, as in
+    :func:`_forward_pivots`: a zero entry of the pivot row leaves every
+    entry below and above it as it is, so it is never visited.
+    """
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -99,20 +105,23 @@ def scalar_rref(rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        inv = top[c].inverse()
+        # the entries of the pivot row left of c are zero
+        support = [j for j in range(c + 1, ncols) if top[j]]
+        top[c] = ONE
+        for j in support:
+            top[j] = top[j] * inv
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                f = row[c]
+                row[c] = ZERO
+                for j in support:
+                    row[j] = row[j] - f * top[j]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -357,10 +366,11 @@ class _Minors:
     of one matrix share every sub-minor.  A minor is zero at once when
     some column of C has no nonzero entry in the rows R (``cmask[j]`` is
     the row mask of column j's nonzero entries); it is neither expanded
-    nor kept.  The signed adjugate is built once, on first use, and both
-    :func:`poly_adjugate` and :meth:`numerators` read it.  With ``tmax``
-    the products are kept mod t^{tmax+1}; truncation is a ring map, so
-    each minor is the truncation of the exact one.
+    nor kept.  Each cofactor of the signed adjugate is formed on its first
+    read and kept: :func:`poly_adjugate` reads them all, :meth:`numerators`
+    only those its right-hand side reaches.  With ``tmax`` the products
+    are kept mod t^{tmax+1}; truncation is a ring map, so each minor is
+    the truncation of the exact one.
     """
 
     __slots__ = ("A", "n", "tmax", "full", "memo", "cmask", "_adj")
@@ -373,7 +383,7 @@ class _Minors:
         self.memo = {(0, 0): Poly.const(n, ONE)}
         self.cmask = [sum(1 << i for i, row in enumerate(A) if row[j])
                       for j in range(len(A))]
-        self._adj = None
+        self._adj = {}
 
     def minor(self, R, C):
         got = self.memo.get((R, C))
@@ -403,29 +413,32 @@ class _Minors:
     def det(self) -> Poly:
         return self.minor(self.full, self.full)
 
-    def adjugate(self):
+    def cofactor(self, j, i):
         """``adj[j][i] = (-1)^{i+j} det(A with row i and column j removed)``,
-        built on first use and kept."""
-        if self._adj is None:
-            full, size = self.full, len(self.A)
-            self._adj = []
-            for j in range(size):
-                row = []
-                for i in range(size):
-                    d = self.minor(full ^ (1 << i), full ^ (1 << j))
-                    row.append(-d if d and (i + j) % 2 else d)
-                self._adj.append(row)
-        return self._adj
+        formed on first read and kept."""
+        got = self._adj.get((j, i))
+        if got is None:
+            full = self.full
+            d = self.minor(full ^ (1 << i), full ^ (1 << j))
+            got = self._adj[j, i] = -d if d and (i + j) % 2 else d
+        return got
+
+    def adjugate(self):
+        """The signed adjugate, every cofactor read."""
+        size = len(self.A)
+        return [[self.cofactor(j, i) for i in range(size)]
+                for j in range(size)]
 
     def numerators(self, b):
         """Cramer numerators of A x = b: ``nums[j] = sum_i b_i adj[j][i]``,
-        so that A nums = det(A) b.  Only the pairs with b_i and
-        ``adj[j][i]`` both nonzero are visited."""
+        so that A nums = det(A) b.  Only the cofactors with b_i nonzero
+        are read (and formed), and only the pairs with ``adj[j][i]``
+        nonzero as well are multiplied."""
         support = [(i, bi) for i, bi in enumerate(b) if bi]
-        n, tmax = self.n, self.tmax
-        return [Poly.sum(n, (bi.mul(adj_j[i], tmax=tmax)
-                             for i, bi in support if adj_j[i]))
-                for adj_j in self.adjugate()]
+        n, tmax, cof = self.n, self.tmax, self.cofactor
+        return [Poly.sum(n, (bi.mul(c, tmax=tmax) for i, bi in support
+                             for c in (cof(j, i),) if c))
+                for j in range(len(self.A))]
 
 
 def poly_det(A, tmax=None) -> Poly:

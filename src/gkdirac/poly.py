@@ -139,6 +139,26 @@ def _abd(c):
     return c.a, c.b, c.d
 
 
+def _scaled(n, c, x, y, d) -> "Poly":
+    """The canonical Poly of the pairs ``c`` times ``x + y i``, over ``d``."""
+    if y:
+        acc = {k: [a * x - b * y, a * y + b * x] for k, (a, b) in c.items()}
+    else:
+        acc = {k: [a * x, b * x] for k, (a, b) in c.items()}
+    return _reduce(n, acc, d)
+
+
+def _const_mul(p, pair, e, tmax) -> "Poly":
+    """``p`` times the constant ``pair / e``, mod t^{tmax+1} with ``tmax``:
+    the pair walk's result with one right term of key 0.  A constant
+    moves no key, so no guard bit can be set."""
+    p = p.t_truncate(tmax)
+    x, y = pair
+    if x == 1 and not y and e == 1:
+        return p
+    return _scaled(p.n, p._c, x, y, p.d * e) if p._c else p
+
+
 class _Terms(Mapping):
     """Read-only view of a Poly's terms: exponent tuple -> Scalar, in the
     Poly's term order."""
@@ -253,52 +273,62 @@ class Poly:
         x, y, e = _abd(c)
         if not (x or y) or not self._c:
             return _poly(self.n, {}, 1)
-        if y:
-            acc = {k: [a * x - b * y, a * y + b * x]
-                   for k, (a, b) in self._c.items()}
-        else:
-            acc = {k: [a * x, b * x] for k, (a, b) in self._c.items()}
-        return _reduce(self.n, acc, self.d * e)
+        return _scaled(self.n, self._c, x, y, self.d * e)
 
     def mul(self, other: "Poly", tmax: int | None = None) -> "Poly":
         """The product; with ``tmax``, exactly the product mod t^{tmax+1}.
 
-        A truncated product pairs each left term only with the right terms
-        whose t-degree keeps the sum within ``tmax``, so the pairs beyond
-        ``tmax`` are never visited.  The right terms are walked in their
-        own order either way, so the result holds its terms in the order
-        the full product holds those of t-degree at most ``tmax``.  The
-        numerator products accumulate as ints; the content is divided out
-        once per product.
+        A constant operand scales the other operand's pairs, dropping its
+        terms beyond ``tmax`` (a unit constant hands the other operand
+        back, truncated), and two single-term operands make one pair;
+        neither walks the pairs.  Otherwise a truncated product pairs each
+        left term only with the right terms whose t-degree keeps the sum
+        within ``tmax``, so the pairs beyond ``tmax`` are never visited.
+        The right terms are walked in their own order either way, so the
+        result holds its terms in the order the full product holds those
+        of t-degree at most ``tmax``.  The numerator products accumulate
+        as ints; the content is divided out once per product.
         """
         if type(other) is not Poly and isinstance(other,
                                                   (int, Fraction, Scalar)):
             return self.scale(other)
         self._check(other)
         n = self.n
-        if not self._c or not other._c:
+        c1, c2 = self._c, other._c
+        if not c1 or not c2:
             return _poly(n, {}, 1)
-        right = [(k, a, b) for k, (a, b) in other._c.items()]
-        # left t-degree -> the right terms a left term of that degree reaches
-        reach = None if tmax is None else {}
+        if len(c2) == 1 and 0 in c2:
+            return _const_mul(self, c2[0], other.d, tmax)
+        if len(c1) == 1 and 0 in c1:
+            return _const_mul(other, c1[0], self.d, tmax)
         acc: dict = {}
-        get = acc.get
-        for e1, (a1, b1) in self._c.items():
-            row = right
-            if reach is not None:
-                t1 = e1 & _FIELD
-                row = reach.get(t1)
-                if row is None:
-                    row = reach[t1] = [r for r in right
-                                       if t1 + (r[0] & _FIELD) <= tmax]
-            for e2, a2, b2 in row:
-                e = e1 + e2
-                s = get(e)
-                if s is None:
-                    acc[e] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                else:
-                    s[0] += a1 * a2 - b1 * b2
-                    s[1] += a1 * b2 + b1 * a2
+        if len(c1) == len(c2) == 1:
+            [(e1, (a1, b1))] = c1.items()
+            [(e2, (a2, b2))] = c2.items()
+            if tmax is None or (e1 & _FIELD) + (e2 & _FIELD) <= tmax:
+                acc[e1 + e2] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+        else:
+            right = [(k, a, b) for k, (a, b) in c2.items()]
+            # left t-degree -> the right terms a left term of that degree
+            # reaches
+            reach = None if tmax is None else {}
+            get = acc.get
+            for e1, (a1, b1) in c1.items():
+                row = right
+                if reach is not None:
+                    t1 = e1 & _FIELD
+                    row = reach.get(t1)
+                    if row is None:
+                        row = reach[t1] = [r for r in right
+                                           if t1 + (r[0] & _FIELD) <= tmax]
+                for e2, a2, b2 in row:
+                    e = e1 + e2
+                    s = get(e)
+                    if s is None:
+                        acc[e] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                    else:
+                        s[0] += a1 * a2 - b1 * b2
+                        s[1] += a1 * b2 + b1 * a2
         if reduce(or_, acc, 0) & _layout(n)[1]:
             raise UnsupportedSceneError(
                 f"a product exponent reaches the packed limit {_LIMIT}")

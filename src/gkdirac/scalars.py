@@ -118,7 +118,7 @@ class Scalar:
         return self.b == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
