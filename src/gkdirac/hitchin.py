@@ -273,7 +273,7 @@ def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
     psi_op = _mat_from_t_blocks(blocks)
     # the defining identity, on the assembled matrices
     lhs = mat_add(psi_op, mat_mul(A, psi_op, tmax=order))
-    if not mat_is_zero(mat_t_truncate(mat_sub(lhs, W), order)):
+    if mat_t_truncate(lhs, order) != mat_t_truncate(W, order):
         raise CertificateError("inverse series failed its defining identity")
     psi = form_from_matrix(model, psi_op)
     if check:
@@ -301,7 +301,7 @@ def _check_partial_sums(W, A, psi_op, beta, order):
     for _ in range(3):
         term = mat_neg(mat_mul(A, term, tmax=bound))
         S = mat_add(S, term)
-    if not mat_is_zero(mat_t_truncate(mat_sub(psi_op, S), bound)):
+    if mat_t_truncate(psi_op, bound) != mat_t_truncate(S, bound):
         raise CertificateError(
             "inverse series disagrees with its alternating partial sums")
 
@@ -629,20 +629,44 @@ def _vector_field(model, col) -> MVElement:
                                       for i in range(model.n)}})
 
 
-def _lie_derivative_bivector(model, X, M, tmax=None):
+def _upper_gradient(M):
+    """The derivatives d_l M^{ij} over the frame legs l, for each nonzero
+    entry above the diagonal (i < j), keyed by (i, j)."""
+    legs = range(len(M))
+    return {(i, j): [Mij.derivative(l) for l in legs]
+            for i, Mi in enumerate(M) for j, Mij in enumerate(Mi)
+            if j > i and Mij}
+
+
+def _lie_derivative_bivector(model, X, M, tmax=None, grad=None):
     """(L_X M)^{ij} = X^l d_l M^{ij} - M^{lj} d_l X^i - M^{il} d_l X^j.
 
-    The Jacobian d_l X^i is formed once, not once per entry."""
-    n = model.n
+    ``M`` must be antisymmetric; in :func:`deformed_structures` it is the
+    deformed bivector matrix, which the ``Bivector`` constructor has
+    checked exactly.  Then L_X M is antisymmetric with a zero diagonal,
+    so only the entries i < j are formed and the rest are mirrored.  The
+    Jacobian d_l X^i is formed once; ``grad``, when given, is
+    ``_upper_gradient(M)``, shared by every field that M is derived
+    along."""
+    n, size = model.n, len(M)
+    if grad is None:
+        grad = _upper_gradient(M)
     cols = mat_transpose(M)
     legs = range(len(X))
     jac = [[x.derivative(l) for l in legs] if x else [x] * len(X)
            for x in X]
-    return [[Poly.sum(n, _along(X, Mij, tmax)
-                      + _along(cols[j], Xi, tmax, -1, jac[i])
-                      + _along(Mi, X[j], tmax, -1, jac[j]))
-             for j, Mij in enumerate(Mi)]
-            for i, (Mi, Xi) in enumerate(zip(M, X))]
+    out = mat_zero(size, size, n)
+    for i in range(size):
+        Mi, Xi = M[i], X[i]
+        for j in range(i + 1, size):
+            Mij = Mi[j]
+            e = Poly.sum(n, (_along(X, Mij, tmax, grad=grad[i, j])
+                             if Mij else [])
+                         + _along(cols[j], Xi, tmax, -1, jac[i])
+                         + _along(Mi, X[j], tmax, -1, jac[j]))
+            if e:
+                out[i][j], out[j][i] = e, -e
+    return out
 
 
 def _deformed_dbar_function(model, h: Poly, eps: MCElement, tmax=None):
@@ -730,18 +754,18 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
         raise CertificateError(
             "graph frame and deformed-structure frame disagree")
 
-    eye = mat_identity(dim, n)
+    # P is kept mod t^{tmax+1}, so each identity compares two truncated
+    # matrices; Poly is canonical, so == is exact equality
     Pbar = _conj_operator(model, P)
-    if not mat_is_zero(mat_sub(mat_mul(P, P, tmax=tmax), P)):
+    if mat_mul(P, P, tmax=tmax) != P:
         raise CertificateError("projector is not idempotent")
-    if not mat_is_zero(mat_sub(Pbar, mat_sub(eye, P))):
+    if mat_add(P, Pbar) != mat_identity(dim, n):
         raise CertificateError("conjugate projector is not complementary")
     upper_right = mat_mul(PM, mat_transpose(Pbar), tmax=tmax)
     psi_blocks = (P, upper_right, mat_transpose(Pbar))
     A = _deformed_frame_change(Phi)
     holo_cols = [row[:n] for row in A]
-    if not mat_is_zero(mat_t_truncate(mat_sub(
-            mat_mul(P, holo_cols, tmax=tmax), holo_cols), tmax)):
+    if mat_mul(P, holo_cols, tmax=tmax) != mat_t_truncate(holo_cols, tmax):
         raise CertificateError(
             "projector does not fix the deformed holomorphic frame")
 
@@ -764,6 +788,7 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
         ham = mat_apply(Msum, dh, tmax=tmax)
         candidates.append((f"hamiltonian({h0.render()})", ham))
     fields = []
+    grad = None  # d_l newmat^{ij}, i < j, once for every qualified field
     for label, col in candidates:
         try:
             Z = _vector_field(model, col)
@@ -774,7 +799,10 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
         verdict = None
         if qualified:
             PZ = mat_apply(P, col, tmax=tmax)
-            lie = _lie_derivative_bivector(model, PZ, newmat, tmax=tmax)
+            if grad is None:
+                grad = _upper_gradient(newmat)
+            lie = _lie_derivative_bivector(model, PZ, newmat, tmax=tmax,
+                                           grad=grad)
             verdict = mat_is_zero(lie)
             if not verdict:
                 raise CertificateError(
@@ -851,7 +879,8 @@ def _ham_real(family, rng, tmax) -> Report:
     Mdot = [[e.d_t() for e in row] for row in piv.mat]
     rhs = mat_neg(mat_mul(mat_mul(piv.mat, Fdot, tmax=cut), piv.mat,
                           tmax=cut))
-    checks["velocity"] = mat_is_zero(mat_t_truncate(mat_sub(Mdot, rhs), cut))
+    # rhs is a product mod t^{cut+1} already
+    checks["velocity"] = mat_t_truncate(Mdot, cut) == rhs
 
     pm = Model(n, param=True)
     pdim = pm.dim
@@ -980,14 +1009,11 @@ def twistor_demo(order: int = 2, rng=None) -> Report:
         ginv[2 + i][i] = two
     I1, I2, I3 = (mat_mul(ginv, form_matrix(w))
                   for w in (omega1, omega2, omega3))
-    eye = mat_identity(4, 2)
+    minus_eye = mat_neg(mat_identity(4, 2))
     quaternion = (
-        mat_is_zero(mat_add(mat_mul(I1, I1), eye))
-        and mat_is_zero(mat_add(mat_mul(I2, I2), eye))
-        and mat_is_zero(mat_add(mat_mul(I3, I3), eye))
-        and mat_is_zero(mat_sub(mat_mul(I1, I2), I3))
-        and mat_is_zero(mat_sub(mat_mul(I2, I3), I1))
-        and mat_is_zero(mat_sub(mat_mul(I3, I1), I2)))
+        mat_mul(I1, I1) == minus_eye and mat_mul(I2, I2) == minus_eye
+        and mat_mul(I3, I3) == minus_eye and mat_mul(I1, I2) == I3
+        and mat_mul(I2, I3) == I1 and mat_mul(I3, I1) == I2)
     checks["quaternion_relations"] = quaternion
     if not quaternion:
         raise CertificateError(
@@ -1024,7 +1050,8 @@ def twistor_demo(order: int = 2, rng=None) -> Report:
     Mt = structures.poisson.sigma.mat
     WOt = form_matrix(omega_t)
     E = mat_mul(Mt, WOt, tmax=order)
-    inverse_ok = mat_is_zero(mat_sub(mat_mul(E, Mt, tmax=order), Mt))
+    # Mt is kept mod t^{order+1}
+    inverse_ok = mat_mul(E, Mt, tmax=order) == Mt
     for tv in (Fraction(1, 3), Fraction(-1, 2), Fraction(2)):
         sval = Scalar(tv)
         eps_t = series.eps.substitute_t(sval)
@@ -1039,7 +1066,7 @@ def twistor_demo(order: int = 2, rng=None) -> Report:
             raise SingularityError("bivector degenerated at a sampled "
                                    "parameter value")
         Ev = mat_mul(Mtv, Wv)
-        if not mat_is_zero(mat_sub(mat_mul(Ev, Mtv), Mtv)):
+        if mat_mul(Ev, Mtv) != Mtv:
             inverse_ok = False
     checks["family_inverse"] = inverse_ok
     report = Report("twistor_demo", checks, model=model, sigma1=sigma1,

@@ -26,16 +26,16 @@ from .frames import (DiracFrame, GVField, _conj_components, _conj_operator,
                      _along, _covector_lifts, graph_bivector,
                      gauge_frame, frames_equal, involutivity_report)
 from .linalg import (Span, mat_add, mat_apply, mat_div_right, mat_identity,
-                     mat_is_zero, mat_mul, mat_scale, mat_sub, mat_transpose,
-                     mat_t_truncate, mat_zero, poly_det, span_certificate,
-                     kernel_certificate, _isolate_real_roots, _pivot_block,
-                     generic_rank)
+                     mat_is_zero, mat_mul, mat_neg, mat_scale, mat_sub,
+                     mat_transpose, mat_t_truncate, mat_zero, poly_det,
+                     span_certificate, kernel_certificate,
+                     _isolate_real_roots, _pivot_block, generic_rank)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           mv_from_endo, phi_geom_matrix)
 from .poly import Poly
 from .report import Report
-from .scalars import Scalar, ONE
+from .scalars import Scalar
 
 __all__ = [
     "Bivector",
@@ -153,8 +153,7 @@ class Bivector:
     def __eq__(self, other):
         if not isinstance(other, Bivector):
             return NotImplemented
-        return self.model == other.model and mat_is_zero(
-            mat_sub(self.mat, other.mat))
+        return self.model == other.model and self.mat == other.mat
 
     def is_pure_holo(self) -> bool:
         """True when only the dz x dz block is populated."""
@@ -417,13 +416,28 @@ def _deformed_frame_change(Phi):
 
 def _holo_projector(Phi, tmax=None):
     """Projector onto the deformed holomorphic bundle along the
-    antiholomorphic one: A diag(1, 0) A^{-1}, mod t^{tmax+1} with ``tmax``."""
+    antiholomorphic one, A diag(1, 0) A^{-1} for the frame change A of
+    :func:`_deformed_frame_change`, mod t^{tmax+1} with ``tmax``.
+
+    The Schur complement S = 1 - Phi conj(Phi) of A's lower right block
+    gives A^{-1} the top block row S^{-1} [1, -Phi], so P = K [1, -Phi]
+    with K = [[1], [conj Phi]] S^{-1}: one n x n division, not a 2n x 2n
+    one.  S is formed exactly, and det S = det A (Sylvester), so the exact
+    division raises the same SingularityError and UnsupportedSceneError,
+    with the same texts, as dividing by A; K is polynomial exactly when
+    A diag(1, 0) A^{-1} is.  As there, the numerator carries conj Phi mod
+    t^{tmax+1}, and the t-series inverse is tried only when A's t^0 block,
+    hence Phi's, is constant.
+    """
     n, ring = len(Phi), Phi[0][0].n
-    A = _deformed_frame_change(Phi)
-    proj = mat_zero(2 * n, 2 * n, ring)
-    for i in range(n):
-        proj[i][i] = Poly.const(ring, ONE)
-    return mat_div_right(mat_mul(A, proj, tmax=tmax), A, tmax=tmax)
+    Phibar = [[x.conj() for x in row] for row in Phi]
+    S = mat_sub(mat_identity(n, ring), mat_mul(Phi, Phibar))
+    num = mat_identity(n, ring) + mat_t_truncate(Phibar, tmax)
+    series = tmax if all(x.t_truncate(0).is_constant()
+                         for row in Phi for x in row) else None
+    K = mat_t_truncate(mat_div_right(num, S, series), tmax)
+    KPhi = mat_mul(K, Phi, tmax=tmax)
+    return [Ki + [-x for x in KPhi_i] for Ki, KPhi_i in zip(K, KPhi)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +506,7 @@ def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
         raise UnsupportedSceneError(
             "(1 + B pi)^{-1} is not polynomial; det = "
             f"{det.render()}; vanishes on: {_describe_zero_locus(det)}")
-    check = mat_t_truncate(mat_sub(mat_mul(M1, E, tmax=tmax), P), tmax)
-    if not mat_is_zero(check):
+    if mat_mul(M1, E, tmax=tmax) != mat_t_truncate(P, tmax):
         raise CertificateError("gauge inverse failed its defining identity")
     pi1 = RealPoisson(model, Bivector(model, M1))
     moved = gauge_frame(graph_bivector(model, P), B, tmax=tmax)
@@ -681,18 +694,18 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
         I0 = hp0.complex_structure(tmax=tmax)
         I1 = hp1.complex_structure(tmax=tmax)
         # every operand is a product mod t^{tmax+1} or a complex structure,
-        # which is truncated already
+        # which is truncated already, so each identity compares truncated
+        # matrices; Poly is canonical, so == is exact equality
+        FI0 = mat_mul(F, I0, tmax=tmax)
+        I1tF = mat_mul(mat_transpose(I1), F, tmax=tmax)
+        I0tF = mat_mul(mat_transpose(I0), F, tmax=tmax)
+        FQF = mat_mul(mat_mul(F, Q0.mat, tmax=tmax), F, tmax=tmax)
         checks.update({
             "shared_imaginary_part": Q0 == Q1,
-            "form_intertwines": mat_is_zero(mat_add(
-                mat_mul(F, I0, tmax=tmax),
-                mat_mul(mat_transpose(I1), F, tmax=tmax))),
-            "structure_difference": mat_is_zero(mat_sub(
-                mat_sub(I0, I1), mat_mul(Q0.mat, F, tmax=tmax))),
-            "single_structure": mat_is_zero(mat_sub(
-                mat_add(mat_mul(F, I0, tmax=tmax),
-                        mat_mul(mat_transpose(I0), F, tmax=tmax)),
-                mat_mul(mat_mul(F, Q0.mat, tmax=tmax), F, tmax=tmax))),
+            "form_intertwines": FI0 == mat_neg(I1tF),
+            "structure_difference": (mat_sub(I0, I1)
+                                     == mat_mul(Q0.mat, F, tmax=tmax)),
+            "single_structure": mat_add(FI0, I0tF) == FQF,
         })
     if all(conditions.values()) != frame_ok:
         raise CertificateError(
@@ -715,7 +728,7 @@ def imag_Q(hp: HoloPoisson, tmax=None) -> Bivector:
         mat_add(mat_mul(Im, Q.mat, tmax=tmax),
                 mat_scale(Q.mat, Scalar(0, 1))),
         Scalar(Fraction(1, 4)))
-    if not mat_is_zero(mat_t_truncate(mat_sub(recon, sig.mat), tmax)):
+    if mat_t_truncate(recon, tmax) != mat_t_truncate(sig.mat, tmax):
         raise CertificateError(
             "imaginary-part reconstruction failed; sigma is not of "
             "deformed type (2,0)")
