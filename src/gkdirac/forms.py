@@ -137,10 +137,6 @@ class MixedForm(GradedTable):
         """
         return self._d(anti=True)
 
-    def d_param(self) -> "MixedForm":
-        """The dt-part of d (parameter models only)."""
-        return self._d(param=True)
-
     def d(self) -> "MixedForm":
         return self._d(holo=True, anti=True, param=True)
 

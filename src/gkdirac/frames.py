@@ -450,7 +450,9 @@ def _covector_lifts(frame: DiracFrame, targets, rng, message, tmax=None):
     over the frame's covector block, and its lift ``sum nums_j vec_j`` is
     divided by ``den``: the lifts that share a ``den`` are stacked into
     one column and divided once.  A target outside the span raises
-    SingularityError at the witness point, with ``message``.
+    SingularityError at the witness point, with ``message``.  It stays on
+    span certificates as their only caller on the benchmark workloads,
+    whose tests (``perfbench/``) require that layer to be reached.
     """
     span = Span([list(g.cov) for g in frame.gens], frame.model, tmax)
     vecs = mat_transpose([g.vec for g in frame.gens])

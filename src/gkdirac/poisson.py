@@ -22,14 +22,13 @@ from itertools import combinations
 from .brackets import unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
-from .frames import (DiracFrame, GVField, _conj_components, _conj_operator,
-                     _along, _covector_lifts, graph_bivector,
-                     gauge_frame, frames_equal, involutivity_report)
-from .linalg import (Span, mat_add, mat_apply, mat_div_right, mat_identity,
+from .frames import (DiracFrame, GVField, _conj_operator, _along,
+                     _covector_lifts, graph_bivector, gauge_frame,
+                     frames_equal, involutivity_report)
+from .linalg import (mat_add, mat_apply, mat_div_right, mat_identity,
                      mat_is_zero, mat_mul, mat_neg, mat_scale, mat_sub,
                      mat_transpose, mat_t_truncate, mat_zero, poly_det,
-                     span_certificate, kernel_certificate,
-                     _isolate_real_roots, _pivot_block, generic_rank)
+                     _isolate_real_roots, _pivot_block)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           mv_from_endo, phi_geom_matrix)
@@ -548,12 +547,17 @@ def build_L_sigma(hp: HoloPoisson, tmax=None, check=True) -> DiracFrame:
 def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     """Recover (phi, sigma) from a Dirac frame of the expected shape.
 
-    The deformed antiholomorphic bundle is the tangent intersection
-    (kernel of the covector block, certified exactly); covector lifts are
-    exact linear solves; the bivector is read off by prescribing its action
-    on the deformed covector frame.  Round-trips through
-    :func:`build_L_sigma` by construction, and that identity is verified
-    before returning.
+    Every covector c of L_sigma lies in the span of the deformed
+    (1,0)-covectors eta_a = (e_a, -Phi[a, :]), so c[n:] = -Phi^T c[:n]:
+    Phi^T is one exact division (mod t^{tmax+1} with ``tmax``) over the n
+    generators whose top covector rows a pivot search selects (on the
+    t = 0 slice with ``tmax``), and the identity is checked on every
+    generator.  Its failure raises SingularityError with the exact witness
+    (generator, b, entry); fewer than n pivots raise it with a witness
+    point.  The lifts of the eta_a (:func:`_covector_lifts`), projected onto
+    the deformed holomorphic bundle, give sigma, and the round trip through
+    :func:`build_L_sigma` is verified.  ``rng`` serves the pivot search,
+    the lifts and that round trip.
     """
     model = L.model
     if model.param:
@@ -561,42 +565,30 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
             "extraction requires the parameter-free frame")
     n = model.n
     dim = model.dim
-    r = len(L)
-    C = [[L.gens[j].cov[i] for j in range(r)] for i in range(dim)]
-    kbasis = kernel_certificate(C, model, rng, tmax=tmax)
-    vcols = []
-    for k in kbasis:
-        col = [model.zero_poly() for _ in range(dim)]
-        for j in range(r):
-            if k[j]:
-                for i in range(dim):
-                    if L.gens[j].vec[i]:
-                        col[i] = col[i] + k[j].mul(L.gens[j].vec[i],
-                                                   tmax=tmax)
-        if any(col):
-            vcols.append(col)
-    if len(vcols) > n:
-        _, keep = _pivot_block(vcols, model, rng)
-        vcols = [vcols[j] for j in keep]
-    if len(vcols) != n:
+    top = [g.cov[:n] for g in L.gens]
+    _, keep = _pivot_block(top, model, rng, t_zero=tmax is not None)
+    if len(keep) < n:
+        pt = model.sample_point(rng, with_t=True)
         raise SingularityError(
-            f"tangent intersection has rank {len(vcols)}, expected {n}")
-    # splitting condition: deformed bundle and its conjugate span the fibre
-    spanmat = [[c[i] for c in vcols] for i in range(dim)]
-    conj_cols = [_conj_components(model, c) for c in vcols]
-    both = [row[:] + [c[i] for c in conj_cols]
-            for i, row in enumerate(spanmat)]
-    if generic_rank(both, model, rng) != dim:
-        raise SingularityError(
-            "deformed bundle does not split against its conjugate")
-    Wa = [[vcols[b][n + i] for b in range(n)] for i in range(n)]
-    Wh = [[vcols[b][i] for b in range(n)] for i in range(n)]
-    Phi = mat_div_right(Wh, Wa, tmax=tmax)
+            "a deformed covector is outside the covector span of the frame "
+            f"(witness point {pt})", point=pt)
+    C_top = mat_transpose(top)
+    C_bot = mat_t_truncate(mat_transpose([g.cov[n:] for g in L.gens]), tmax)
+    PhiT = mat_div_right([[-row[j] for j in keep] for row in C_bot],
+                         [[row[j] for j in keep] for row in C_top], tmax=tmax)
+    residual = mat_add(C_bot, mat_mul(PhiT, C_top, tmax=tmax))
+    for b, row in enumerate(residual):
+        for j, entry in enumerate(row):
+            if entry:
+                raise SingularityError(
+                    "a covector of the frame is outside the span of the "
+                    f"deformed (1,0)-covectors (generator {j}, entry {b}: "
+                    f"{entry.render()})")
+    Phi = mat_transpose(PhiT)
     phi = mv_from_endo(model, Phi)
     hp_shape = HoloPoisson(model, phi=phi)
     etas = hp_shape.holo_covector_columns()
     thetas = hp_shape.antiholo_covector_columns()
-    # covector lifts: den * eta_a = sum num_j cov_j, exact identities
     lifted = _covector_lifts(
         L, etas, rng, "a deformed covector is outside the covector span of "
         "the frame", tmax=tmax)
@@ -629,11 +621,16 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
                       mode="complex", rng=None, tmax=None) -> Report:
     """Decide gauge equivalence of two holomorphic Poisson structures.
 
-    Four exact containment conditions characterise the equivalence; each is
-    certified (or refuted with a witness point) independently of the graph
-    identity e^beta L_0 = L_1, and CertificateError is raised if the two
-    verdicts disagree.  In real mode the shared imaginary part and its
-    intertwining identities are checked as exact matrix identities on top.
+    Four exact containment conditions characterise the equivalence, each
+    decided independently of the graph identity e^beta L_0 = L_1; if the
+    two verdicts disagree, CertificateError is raised.  The legs carry a
+    unit block, so a covector w lies in the span of the eta_a = (e_a,
+    -Phi[a, :]) iff w = sum_a w[a] eta_a, and a vector x in the span of the
+    v_b = (Phi[:, b], e_b) iff x = sum_b x[n + b] v_b, mod t^{tmax+1} with
+    ``tmax``.  A failure's witness is the exact (target index, coordinate,
+    residual entry); ``rng`` serves only the frame identity.  In real mode
+    the shared imaginary part and its intertwining identities are checked
+    as exact matrix identities on top.
     """
     if mode not in ("complex", "real"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -651,34 +648,34 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
     eta0 = hp0.holo_covector_columns()
     eta1 = hp1.holo_covector_columns()
 
-    def contained(span, targets):
-        for w in mat_t_truncate(targets, tmax):
-            okflag, cert = span_certificate(span, w, rng)
-            if not okflag:
-                return False, cert
+    def contained(legs, unit, targets):
+        # w = sum_k w[unit + k] legs_k: the unit block fixes each coefficient
+        span = mat_transpose(legs)
+        for index, w in enumerate(mat_t_truncate(targets, tmax)):
+            comb = mat_apply(span, w[unit:unit + len(legs)], tmax=tmax)
+            for i, (x, y) in enumerate(zip(w, comb)):
+                if x != y:
+                    return False, (index, i, x - y)
         return True, None
-
-    span_eta1, span_v0, span_v1 = (Span(cols, model, tmax)
-                                   for cols in (eta1, v0, v1))
 
     conditions = {}
     witnesses = {}
     # the 2-form sends the old antiholomorphic bundle into new (1,0)-covectors
     conditions["covector_type"], witnesses["covector_type"] = contained(
-        span_eta1, [mat_apply(F, x, tmax=tmax) for x in v0])
+        eta1, 0, [mat_apply(F, x, tmax=tmax) for x in v0])
     # corrected old antiholomorphic vectors land in the new bundle
     conditions["forward_tangent"], witnesses["forward_tangent"] = contained(
-        span_v1, [[a - b for a, b in zip(x, mat_apply(
+        v1, model.n, [[a - b for a, b in zip(x, mat_apply(
             mat_mul(S1, F, tmax=tmax), x, tmax=tmax))] for x in v0])
     # corrected new antiholomorphic vectors land in the old bundle
     conditions["backward_tangent"], witnesses["backward_tangent"] = contained(
-        span_v0, [[a + b for a, b in zip(y, mat_apply(
+        v0, model.n, [[a + b for a, b in zip(y, mat_apply(
             mat_mul(S0, F, tmax=tmax), y, tmax=tmax))] for y in v1])
     # the bivector discrepancy on old (1,0)-covectors is antiholomorphic
     D = mat_add(mat_sub(S1, S0),
                 mat_mul(mat_mul(S1, F, tmax=tmax), S0, tmax=tmax))
     conditions["bivector_match"], witnesses["bivector_match"] = contained(
-        span_v1, [mat_apply(D, a, tmax=tmax) for a in eta0])
+        v1, model.n, [mat_apply(D, a, tmax=tmax) for a in eta0])
 
     L0 = build_L_sigma(hp0, tmax=tmax, check=False)
     L1 = build_L_sigma(hp1, tmax=tmax, check=False)

@@ -191,7 +191,7 @@ def test_graph_recognition_neither_lifts_nor_certifies_a_span(monkeypatch,
     def refused(*_args, **_kwargs):
         raise AssertionError("graph recognition made a span query")
 
-    for module in (frames, poisson, linalg):
+    for module in (frames, linalg):
         monkeypatch.setattr(module, "span_certificate", refused)
     for module in (frames, poisson):
         monkeypatch.setattr(module, "_covector_lifts", refused)

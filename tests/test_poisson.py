@@ -580,8 +580,8 @@ def test_gauge_equiv_rejects_unknown_mode_before_any_certificate(
     def refuse(*_args, **_kwargs):
         raise AssertionError("a certificate ran before the mode was checked")
 
-    monkeypatch.setattr(poisson, "span_certificate", refuse)
     monkeypatch.setattr(poisson, "build_L_sigma", refuse)
+    monkeypatch.setattr(poisson, "frames_equal", refuse)
     hp = HoloPoisson(M2, sigma=MVElement.monomial(M2, M2.poly(1),
                                                   vecs=(0, 1)))
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
