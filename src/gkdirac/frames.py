@@ -45,7 +45,6 @@ from .linalg import (
     kernel_certificate,
     mat_apply,
     mat_div_right,
-    mat_mul,
     mat_t_truncate,
     mat_transpose,
     generic_rank,
@@ -83,7 +82,7 @@ _HALF = Scalar(Fraction(1, 2))
 class GVField:
     """A section of T (+) T*: vector and covector component lists."""
 
-    __slots__ = ("model", "vec", "cov", "_d_cov", "_i_H")
+    __slots__ = ("model", "vec", "cov", "_d_cov", "_i_H", "_grad")
 
     def __init__(self, model: Model, vec=None, cov=None):
         self.model = model
@@ -91,11 +90,12 @@ class GVField:
         self.cov = list(cov) if cov is not None else _zeros(model)
         if len(self.vec) != model.dim or len(self.cov) != model.dim:
             raise ValueError("component lists must match the frame dimension")
-        self._d_cov = self._i_H = None
+        self._d_cov = self._i_H = self._grad = None
 
-    # The two forms below are kept on the field once formed: the component
-    # lists are not changed after construction, so a frame's generators
-    # form them once however many brackets read them.
+    # The two forms below, and the gradient of the vector part (_gradient),
+    # are kept on the field once formed: the component lists are not
+    # changed after construction, so a frame's generators form them once
+    # however many brackets read them.
     def d_cov(self) -> MixedForm:
         """d of the covector part read as a 1-form."""
         if self._d_cov is None:
@@ -269,17 +269,27 @@ def _along(X, f: Poly, tmax=None, sign=1, grad=None):
     return out
 
 
+def _gradient(u: GVField):
+    """d_l X^k for every vector entry k of ``u`` and leg l, kept on ``u``."""
+    if u._grad is None:
+        u._grad = [[e.derivative(l) if e else e for l in range(len(u.vec))]
+                   for e in u.vec]
+    return u._grad
+
+
 def lie_bracket_components(model: Model, X, Y, tmax=None):
     """[X, Y]^k = X(Y^k) - Y(X^k) over the frame legs."""
-    return [Poly.sum(model.n, _along(X, Yk, tmax) + _along(Y, Xk, tmax, -1))
-            for Xk, Yk in zip(X, Y)]
+    return dorfman_bracket(GVField(model, X), GVField(model, Y),
+                           tmax=tmax).vec
 
 
 def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
                     tmax=None) -> GVField:
     model = u.model
     X, Y = u.vec, v.vec
-    vec_part = lie_bracket_components(model, X, Y, tmax=tmax)
+    vec_part = [Poly.sum(model.n, _along(X, Yk, tmax, grad=gy)
+                         + _along(Y, Xk, tmax, -1, gx))
+                for Xk, Yk, gx, gy in zip(X, Y, _gradient(u), _gradient(v))]
     # d(eta(X)) differentiates in t on a parameter model, so eta(X) is
     # kept one order further there
     etmax = tmax + 1 if tmax is not None and model.param else tmax
@@ -439,20 +449,23 @@ def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
     return DiracFrame(model, gens, label=f"{f1.label}+{f2.label}")
 
 
-def _covector_lifts(frame: DiracFrame, targets, rng, message, tmax=None):
-    """The vector parts X with X + eta in ``frame``, one per target
-    covector eta: the lifts of the deformed covectors in
+def _covector_lifts(frame: DiracFrame, targets, P, rng, message,
+                    tmax=None):
+    """The projected vector parts P X with X + eta in ``frame``, one per
+    target covector eta: the lifts of the deformed covectors in
     ``poisson.extract_holo_poisson``, whose frames carry generators with no
     covector part.  (A graph frame is recognized by one division by its
     covector block instead, in ``genkahler._graph_quotient``.)
 
     Each target gets a span certificate ``den*eta = sum nums_j cov_j``
-    over the frame's covector block, and its lift ``sum nums_j vec_j`` is
-    divided by ``den``: the lifts that share a ``den`` are stacked into
-    one column and divided once.  A target outside the span raises
-    SingularityError at the witness point, with ``message``.  It stays on
-    span certificates as their only caller on the benchmark workloads,
-    whose tests (``perfbench/``) require that layer to be reached.
+    over the frame's covector block, and ``P sum nums_j vec_j`` is divided
+    by ``den``: the lifts that share a ``den`` are stacked into one column
+    and divided once.  X is fixed only modulo the frame's vector-only part,
+    which P must kill, so the quotient is polynomial whenever P X is.  A
+    target outside the span raises SingularityError at the witness point,
+    with ``message``.  It stays on span certificates as their only caller
+    on the benchmark workloads, whose tests (``perfbench/``) require that
+    layer to be reached.
     """
     span = Span([list(g.cov) for g in frame.gens], frame.model, tmax)
     vecs = mat_transpose([g.vec for g in frame.gens])
@@ -465,11 +478,12 @@ def _covector_lifts(frame: DiracFrame, targets, rng, message, tmax=None):
         den, nums = cert
         owners, column = stacks.setdefault(den, ([], []))
         owners.append(index)
-        column += mat_mul(vecs, [[c] for c in nums], tmax=tmax)
+        column += mat_apply(P, mat_apply(vecs, nums, tmax=tmax), tmax=tmax)
     lifts = [None] * len(targets)
-    m = len(vecs)
+    m = len(P)
     for den, (owners, column) in stacks.items():
-        quotient = [x for [x] in mat_div_right(column, [[den]], tmax=tmax)]
+        quotient = [x for [x] in mat_div_right([[x] for x in column], [[den]],
+                                               tmax=tmax)]
         for k, index in enumerate(owners):
             lifts[index] = quotient[k * m:(k + 1) * m]
     return lifts

@@ -589,12 +589,10 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     hp_shape = HoloPoisson(model, phi=phi)
     etas = hp_shape.holo_covector_columns()
     thetas = hp_shape.antiholo_covector_columns()
-    lifted = _covector_lifts(
-        L, etas, rng, "a deformed covector is outside the covector span of "
-        "the frame", tmax=tmax)
-    # project the lifts onto the deformed holomorphic bundle
-    P10 = _holo_projector(Phi, tmax=tmax)
-    outs = [mat_apply(P10, X, tmax=tmax) for X in lifted]
+    # the lifts, projected onto the deformed holomorphic bundle
+    outs = _covector_lifts(L, etas, _holo_projector(Phi, tmax=tmax), rng,
+                           "a deformed covector is outside the covector "
+                           "span of the frame", tmax=tmax)
     # solve S [eta | theta] = [outs | 0]
     Cbasis = [[(etas + thetas)[j][i] for j in range(dim)] for i in range(dim)]
     Mout = [[outs[j][i] if j < n else model.zero_poly()

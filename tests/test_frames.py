@@ -292,6 +292,36 @@ def test_involutivity_of_a_lagrangian_frame_brackets_i_lt_j_le_r_minus_2(
     assert h_calls == [g.vec for g in gens[:r - 2]]
 
 
+@pytest.mark.parametrize("param, tmax", [(False, None), (True, None),
+                                         (True, 1)])
+def test_involutivity_differentiates_each_vector_entry_once(monkeypatch,
+                                                           param, tmax):
+    # every bracket of the span route reads the derivatives d_l of its two
+    # generators' vector entries; each is formed once per check
+    rng = random.Random(365)
+    model = Model(1, param=param)
+    frame = DiracFrame(model, [
+        GVField(model, [_series(rng, model) for _ in range(model.dim)],
+                [_series(rng, model) for _ in range(model.dim)])
+        for _ in range(model.dim)])
+    entries = {id(e): e for g in frame.gens for e in g.vec if e}
+    calls = []
+    derivative = Poly.derivative
+
+    def counted(self, index):
+        if id(self) in entries:
+            calls.append((id(self), index))
+        return derivative(self, index)
+
+    monkeypatch.setattr(Poly, "derivative", counted)
+    rep = involutivity_report.check(frame, rng, H=_twist(rng, model),
+                                    tmax=tmax)
+    monkeypatch.undo()
+    assert rep.stats["route"] == "span"
+    assert sorted(calls) == sorted((key, l) for key in entries
+                                   for l in range(model.dim))
+
+
 @pytest.mark.parametrize("tmax", [None, 1])
 def test_truncated_isotropy_is_decided_mod_the_same_order(tmax):
     # phi = t d2 (x) dzbar1, sigma = (t^2 + z1) d1^d2 + t d2^dzbar1: one

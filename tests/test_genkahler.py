@@ -12,8 +12,8 @@ from gkdirac.frames import (DiracFrame, GVField, dirac_scale, frames_equal,
 from gkdirac.genkahler import (gc_deform, gc_from_dirac, gk_check,
                                gk_deform_family, gk_lift, graph_to_bivector,
                                half_i_difference)
-from gkdirac.linalg import (Span, mat_add, mat_div_right, mat_identity,
-                            mat_mul, mat_transpose, poly_det,
+from gkdirac.linalg import (Span, mat_add, mat_apply, mat_div_right,
+                            mat_identity, mat_mul, mat_transpose, poly_det,
                             span_certificate)
 from gkdirac.model import Model
 from gkdirac.multivector import MVElement, form_matrix
@@ -435,12 +435,13 @@ def test_covector_lifts_divide_once_per_denominator(monkeypatch):
     calls = []
     lifts = frames._covector_lifts
 
-    def checked(frame, targets, rng, message, tmax=None):
+    def checked(frame, targets, P, rng, message, tmax=None):
         twin = random.Random()
         twin.setstate(rng.getstate())
-        want = _covector_lifts_reference(frame, targets, twin, message, tmax)
+        want = [mat_apply(P, X, tmax=tmax) for X in
+                _covector_lifts_reference(frame, targets, twin, message, tmax)]
         del divisions[:]
-        got = lifts(frame, targets, rng, message, tmax=tmax)
+        got = lifts(frame, targets, P, rng, message, tmax=tmax)
         assert got == want
         assert len(divisions) == len(set(divisions))
         calls.append((len(targets), len(divisions)))

@@ -28,13 +28,13 @@ from hypothesis import given, strategies as st
 
 from gkdirac.errors import GkdError, SingularityError
 from gkdirac.forms import MixedForm
-from gkdirac.frames import (DiracFrame, _conj_components, _covector_lifts,
-                            frames_equal, gauge_frame)
+from gkdirac.frames import (DiracFrame, _conj_components, frames_equal,
+                            gauge_frame)
 from gkdirac.hitchin import deformed_structures, solve_hitchin
 from gkdirac.linalg import (Span, _pivot_block, generic_rank,
                             kernel_certificate, mat_add, mat_apply,
                             mat_div_right, mat_mul, mat_sub, mat_t_truncate,
-                            span_certificate)
+                            mat_transpose, span_certificate)
 from gkdirac.model import Model
 from gkdirac.multivector import MVElement, form_matrix, mv_from_endo
 from gkdirac.poisson import (Bivector, HoloPoisson, _holo_projector,
@@ -47,6 +47,23 @@ M2 = Model(2)
 N = 2
 TMAXES = [None, 1, 2, 3]
 _SEEDS = st.integers(0, 10 ** 6)
+
+
+def _former_lifts(frame, targets, rng, tmax=None):
+    """The former lifts: X with X + eta in ``frame``, divided by the span
+    certificate's ``den`` before any projection."""
+    span = Span([list(g.cov) for g in frame.gens], frame.model, tmax)
+    vecs = mat_transpose([g.vec for g in frame.gens])
+    lifts = []
+    for eta in targets:
+        okflag, cert = span_certificate(span, eta, rng)
+        if not okflag:
+            raise SingularityError(f"outside (witness point {cert})",
+                                   point=cert)
+        den, nums = cert
+        lift = mat_mul(vecs, [[c] for c in nums], tmax=tmax)
+        lifts.append([x for [x] in mat_div_right(lift, [[den]], tmax=tmax)])
+    return lifts
 
 
 def _former_extract(L, rng, tmax=None):
@@ -84,7 +101,7 @@ def _former_extract(L, rng, tmax=None):
     shape = HoloPoisson(model, phi=phi)
     etas = shape.holo_covector_columns()
     thetas = shape.antiholo_covector_columns()
-    lifted = _covector_lifts(L, etas, rng, "outside", tmax=tmax)
+    lifted = _former_lifts(L, etas, rng, tmax=tmax)
     P10 = _holo_projector(Phi, tmax=tmax)
     outs = [mat_apply(P10, X, tmax=tmax) for X in lifted]
     basis = [[(etas + thetas)[j][i] for j in range(dim)] for i in range(dim)]
@@ -150,6 +167,21 @@ def test_extraction_follows_the_hitchin_deformation_with_sigma_plus():
     assert not got.phi.is_zero()
     with pytest.raises(SingularityError, match="tangent intersection"):
         _former_extract(frame, random.Random(2), tmax=order)
+
+
+def test_lifts_are_projected_before_the_division():
+    # L_sigma for sigma = z1 d1^d2, with the generator d/dzbar1 replaced by
+    # d/dzbar1 + z2 (sigma dz1 + dz1): every span certificate that combines
+    # that generator leaves a rational multiple of d/dzbar1 in the
+    # unprojected lift, which the projector onto T^{1,0}_phi kills
+    hp = HoloPoisson(M2, sigma=Bivector.wedge_pair(M2, 0, 1, M2.z(0)))
+    g = build_L_sigma(hp).gens
+    frame = DiracFrame(M2, [g[0] + g[2].poly_mul(M2.z(1))] + g[1:])
+    for seed in range(5):
+        got = extract_holo_poisson(frame, random.Random(seed))
+        assert got.sigma == hp.sigma and got.phi.is_zero()
+    with pytest.raises(GkdError, match="not polynomial"):
+        _former_extract(frame, random.Random(0))
 
 
 def test_a_frame_off_the_covector_span_names_generator_and_entry():
