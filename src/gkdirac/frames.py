@@ -42,6 +42,7 @@ from .errors import SingularityError, UnsupportedSceneError
 from .forms import MixedForm
 from .linalg import (
     Span,
+    _scalar_mul,
     kernel_certificate,
     mat_apply,
     mat_div_right,
@@ -205,23 +206,14 @@ def conj_stack(model, column):
             + _conj_components(model, column[dim:]))
 
 
-def _dot(pairs) -> Scalar:
-    """The sum of the products ``x * y`` over the pairs with both factors
-    nonzero, formed and added only for those; ``ZERO`` when there is
-    none."""
-    acc = None
-    for x, y in pairs:
-        if x and y:
-            acc = x * y if acc is None else acc + x * y
-    return ZERO if acc is None else acc
-
-
 def point_pairing(model, a, b) -> Scalar:
     """<u, v> = (xi(Y) + eta(X)) / 2 on two scalar fibre columns; only the
     nonzero products are added."""
     dim = model.dim
-    acc = _dot(pair for i in range(dim)
-               for pair in ((a[dim + i], b[i]), (b[dim + i], a[i])))
+    acc = ZERO
+    for x, y in zip(a[dim:] + b[dim:], b[:dim] + a[:dim]):
+        if x and y:
+            acc = acc + x * y
     return acc * _HALF if acc else acc
 
 
@@ -420,10 +412,12 @@ def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
 
     Built from an exact kernel certificate of the vector-part difference
     matrix, so each output generator satisfies the matching identity as a
-    polynomial identity.  For a kernel vector v, component i of the output
-    is one ``Poly.sum`` of the products v_j g_j[i] (mod t^{tmax+1}) over
-    the L1 generators g_j, and for the covector part the L2 generators
-    too: a zero v_j or a zero component g_j[i] is skipped, not multiplied.
+    polynomial identity; constant vector blocks take the Q(i) kernel,
+    which draws no sample point and so does not depend on ``rng``.  For a
+    kernel vector v, component i of the output is one ``Poly.sum`` of the
+    products v_j g_j[i] (mod t^{tmax+1}) over the L1 generators g_j, and
+    for the covector part the L2 generators too: a zero v_j or a zero
+    component g_j[i] is skipped, not multiplied.
     """
     model = f1.model
     if f2.model != model:
@@ -680,8 +674,8 @@ class PointDirac:
     def intersect(self, other: "PointDirac") -> "PointDirac":
         """Exact fibrewise intersection via the kernel of [A | -B].
 
-        For a kernel vector v, each entry of the column sum_j v_j a_j is
-        one sum over the nonzero v_j times the nonzero entries a_j[i]."""
+        For a kernel vector v, the column sum_j v_j a_j is one sparse
+        product (:func:`~gkdirac.linalg._scalar_mul`)."""
         if other.model != self.model:
             raise ValueError("mixed models")
         if not self.columns or not other.columns:
@@ -690,10 +684,5 @@ class PointDirac:
         rows = [[col[i] for col in self.columns] +
                 [-col[i] for col in other.columns]
                 for i in range(size)]
-        out = []
-        for v in scalar_kernel(rows):
-            terms = [(x, a) for x, a in zip(v, self.columns) if x]
-            col = [_dot((x, a[i]) for x, a in terms) for i in range(size)]
-            if any(col):
-                out.append(col)
-        return PointDirac(self.model, out)
+        out = _scalar_mul(scalar_kernel(rows), self.columns)
+        return PointDirac(self.model, [col for col in out if any(col)])

@@ -42,14 +42,14 @@ from .brackets import dgla_bracket, mc_residual_dgla, mc_residual_koszul, \
     pi_star, unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm, euler_homotopy, dt_leg
-from .frames import (DiracFrame, GVField, _along, _conj_operator, _dot,
+from .frames import (DiracFrame, GVField, _along, _conj_operator,
                      dirac_scale, dirac_sum, frames_equal, gauge_frame,
                      graph_bivector, involutivity_report)
 from .linalg import (_mat_from_t_blocks, _mat_series_term, _mat_t_blocks,
-                     mat_add, mat_apply, mat_eval, mat_identity, mat_is_zero,
-                     mat_mul, mat_neg, mat_scale, mat_sub, mat_t_truncate,
-                     mat_transpose, mat_zero, poly_det, scalar_inverse,
-                     scalar_rank)
+                     _scalar_mul, mat_add, mat_apply, mat_eval,
+                     mat_identity, mat_is_zero, mat_mul, mat_neg, mat_scale,
+                     mat_sub, mat_t_truncate, mat_transpose, mat_zero,
+                     poly_det, poly_mat_inverse, scalar_inverse, scalar_rank)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           form_from_matrix, mv_from_bivector_matrix,
@@ -386,11 +386,7 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
         Wp = mat_eval(W, pt)
         Mp = mat_eval(M, pt)
         Einv = scalar_inverse(mat_eval(E, pt))
-        # W(p) is the matrix of a (1,1)-form: only nonzero products count
-        supports = [[(w, Einv[l]) for l, w in enumerate(row) if w]
-                    for row in Wp]
-        psi_p = [[_dot((w, El[j]) for w, El in support) for j in range(dim)]
-                 for support in supports]
+        psi_p = _scalar_mul(Wp, Einv)
         hp_p = HoloPoisson(model, sigma=Bivector(model, _const_matrix(model,
                                                                       Mp)))
         eps_p = pi_star_transport(
@@ -959,14 +955,6 @@ def _ham_complex(ds: DeformSeries, tmax) -> Report:
 # The flat four-dimensional demonstration family
 # ---------------------------------------------------------------------------
 
-def _constant_form_inverse(model, form: MixedForm):
-    """Bivector matrix inverting a constant nondegenerate two-form."""
-    W = form_matrix(form)
-    rows = mat_eval(W, model.sample_point(random.Random(0)))
-    inv = scalar_inverse(rows)
-    return _const_matrix(model, inv)
-
-
 def twistor_demo(order: int = 2, rng=None) -> Report:
     """Flat four-dimensional scene with three constant symplectic forms.
 
@@ -1007,8 +995,8 @@ def twistor_demo(order: int = 2, rng=None) -> Report:
         raise CertificateError(
             "coordinate formulas fail the quaternion relations")
 
-    M2i = _constant_form_inverse(model, omega2)
-    M3i = _constant_form_inverse(model, omega3)
+    M2i = poly_mat_inverse(form_matrix(omega2), 0)
+    M3i = poly_mat_inverse(form_matrix(omega3), 0)
     smat = mat_scale(mat_add(M2i, mat_scale(M3i, Scalar(0, -1))),
                      Scalar(Fraction(1, 4)))
     sigma1 = Bivector(model, smat)

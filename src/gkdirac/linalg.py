@@ -8,12 +8,13 @@ Three layers:
 
 * Polynomial matrices (lists of lists of :class:`~gkdirac.poly.Poly`):
   arithmetic helpers, truncated t-series inverses, generic rank via random
-  evaluation, and exact solves.  Every exact solve reads one minor table
-  (:class:`_Minors`): the memoised Laplace expansion of a square block,
-  keyed by a row mask and a column mask.  The determinant, each cofactor
-  of the adjugate and each Cramer numerator ``sum_i b_i cof(i, j)`` of the
-  span and kernel certificates share its sub-minors.  Every division by a
-  polynomial or t-series denominator goes through :func:`mat_div_right`.
+  evaluation, and exact solves.  A constant matrix takes one elimination
+  over Q(i), checked on its values, with no sample point; every other
+  solve reads one minor table (:class:`_Minors`), the memoised Laplace
+  expansion of a square block keyed by a row and a column mask, whose
+  sub-minors the determinant, the adjugate and each Cramer numerator
+  ``sum_i b_i cof(i, j)`` of the span and kernel certificates share.
+  :func:`mat_div_right` is the one division path, for every kind of divisor.
   A certificate is an exact polynomial identity, so a positive answer
   never depends on the sampled points; sampling is only used to locate a
   pivot block quickly.  The search tries the rows and columns with the
@@ -289,6 +290,31 @@ def mat_is_zero(A) -> bool:
     return all(not a for row in A for a in row)
 
 
+def _is_constant(A) -> bool:
+    return all(a.is_constant() for row in A for a in row)
+
+
+def _values(A):
+    """The Q(i) values of a constant polynomial matrix."""
+    return [[a.constant_value() for a in row] for row in A]
+
+
+def _scalar_mul(A, B):
+    """The product of two Q(i) matrices: each nonzero entry of a row of A
+    meets only the nonzero entries of its row of B.  A row of A longer than
+    B is read up to ``len(B)``."""
+    supports = [[(j, b) for j, b in enumerate(Bk) if b] for Bk in B]
+    out = []
+    for row in A:
+        acc = [ZERO] * (len(B[0]) if B else 0)
+        for a, support in zip(row, supports):
+            if a:
+                for j, b in support:
+                    acc[j] = acc[j] + a * b if acc[j] else a * b
+        out.append(acc)
+    return out
+
+
 def _mat_t_blocks(A, tmax):
     """The t-coefficient blocks of a polynomial matrix: block k holds the
     t-free coefficients of t^k, for k = 0..tmax."""
@@ -328,21 +354,28 @@ def poly_mat_inverse(A, tmax):
     """Inverse of a square polynomial matrix as a t-series mod t^{tmax+1}.
 
     Requires the t-degree-0 part A0 to be a constant (z-independent)
-    invertible matrix.  With N = A0^{-1}(A - A0), which has no t^0 term,
-    (I + N)^{-1} is built one t-coefficient block at a time by the
-    recurrence X_0 = I, X_j = -sum_{i=1..j} N_i X_{j-i}, N_i the t^i
+    invertible matrix.  A constant ``A`` gets A0^{-1} at once, checked on
+    its Q(i) values.  Otherwise, with N = A0^{-1}(A - A0), which has no
+    t^0 term, (I + N)^{-1} is built one t-coefficient block at a time by
+    the recurrence X_0 = I, X_j = -sum_{i=1..j} N_i X_{j-i}, N_i the t^i
     block of N; each block costs j block products and none is recomputed.
     Raises ArithmeticError when A0 is not constant, ZeroDivisionError when
     it is singular, and CertificateError if the result fails ``A out = I``.
     """
-    size = len(A)
-    n = A[0][0].n
-    A0 = _mat_t_blocks(A, 0)[0]
-    if not all(c.is_constant() for row in A0 for c in row):
+    size, n = len(A), A[0][0].n
+    constant = _is_constant(A)
+    A0 = A if constant else _mat_t_blocks(A, 0)[0]
+    if not constant and not _is_constant(A0):
         raise ArithmeticError(
             "t-degree-0 block is not constant; series inverse unsupported")
-    A0inv_s = scalar_inverse([[c.constant_value() for c in row] for row in A0])
-    A0inv = [[Poly.const(n, c) for c in row] for row in A0inv_s]
+    values = _values(A0)
+    inv = scalar_inverse(values)
+    A0inv = [[Poly.const(n, c) for c in row] for row in inv]
+    if constant:  # R = 0
+        if _scalar_mul(values, inv) != [[int(i == j) for j in range(size)]
+                                        for i in range(size)]:
+            raise CertificateError("constant inverse failed A A^{-1} = 1")
+        return A0inv
     # A = A0 (I + A0^{-1} R) with R = A - A0 of t-order >= 1
     R = mat_sub(A, A0)
     Ns = _mat_t_blocks(mat_mul(A0inv, R, tmax=tmax), tmax)
@@ -460,18 +493,19 @@ def mat_div_right(Num, Den, tmax=None):
     """Num * Den^{-1} for polynomial matrices, exact or raising.
 
     This is the one division path: a scalar denominator is a 1 x 1 ``Den``.
-    With ``tmax`` the t-series inverse of ``Den`` is used when its t^0
-    block is constant and invertible; otherwise the division happens after
-    forming Num * adj(Den), so scalings of the columns of ``Den`` (matched
-    in ``Num``) cancel before any divisibility question arises.  With
-    ``tmax`` the result is kept mod t^{tmax+1}.  Raises SingularityError
-    when det(Den) is zero, UnsupportedSceneError when the quotient is not
-    polynomial, and CertificateError when the series inverse fails its
-    check.
+    A constant ``Den``, or with ``tmax`` one whose t^0 block is constant,
+    is inverted by :func:`poly_mat_inverse` (for a constant ``Den`` that is
+    one Q(i) elimination) and ``Num`` is multiplied by the inverse.
+    Otherwise the division happens after forming Num * adj(Den), so
+    scalings of the columns of ``Den`` (matched in ``Num``) cancel before
+    any divisibility question arises.  With ``tmax`` the result is kept mod
+    t^{tmax+1}.  Raises SingularityError when det(Den) is zero,
+    UnsupportedSceneError when the quotient is not polynomial, and
+    CertificateError when the inverse fails its check.
     """
-    if tmax is not None:
+    if tmax is not None or _is_constant(Den):
         try:
-            inv = poly_mat_inverse(Den, tmax)
+            inv = poly_mat_inverse(Den, tmax or 0)
         except ArithmeticError:
             pass  # the t^0 block is not constant, or is singular
         else:
@@ -695,16 +729,22 @@ def kernel_certificate(A, model, rng, tmax=None, attempts=4):
 
     Returns a list of column vectors of Poly with A v = 0 exactly (mod
     t^{tmax+1} when truncating), one for each generic kernel dimension.
-    The columns of ``A`` form one untruncated :class:`Span`; each column
-    outside its pivot block gives ``v = den*e_fc - nums`` from the exact
-    identity ``den*A[:, fc] = sum nums_j A[:, j]``.  The block takes the
-    sparsest columns first, so unit columns (``[D | -I]``) are pivots and
-    ``den`` is a constant there.  A failed identity drops the block, and
-    the next attempt searches afresh.
+    A constant ``A`` (whose rank is the same over any field) gets the
+    seed-free :func:`scalar_kernel` of its values, checked as A v = 0.
+    Otherwise the columns of ``A`` form one untruncated :class:`Span`;
+    each column outside its pivot block gives ``v = den*e_fc - nums`` from
+    the exact identity ``den*A[:, fc] = sum nums_j A[:, j]``.  The block
+    takes the sparsest columns first, so unit columns (``[D | -I]``) are
+    pivots and ``den`` is a constant there.  A failed identity drops the
+    block, and the next attempt searches afresh.
     """
+    if _is_constant(A):  # an empty A too
+        values = _values(A)
+        basis = scalar_kernel(values)
+        if any(map(any, _scalar_mul(values, mat_transpose(basis)))):
+            raise CertificateError("constant kernel vector fails A v = 0")
+        return [[Poly.const(model.n, x) for x in v] for v in basis]
     cols = mat_transpose(A)
-    if not cols:
-        return []
     span = Span(cols, model)
     for _ in range(attempts):
         block = span._pivot(rng)

@@ -228,8 +228,9 @@ def test_gauge_additivity_of_constant_forms():
 
 
 def test_gauge_takes_the_determinant_only_where_needed(monkeypatch):
-    # det(1 + B pi) feeds the point checks and the error texts; on the
-    # series route the division needs no determinant at all
+    # det(1 + B pi) feeds the point checks and the error texts; the
+    # division needs none on the series route, nor for a constant
+    # 1 + B pi (one Q(i) inverse), only on the adjugate route
     from gkdirac import linalg, poisson
     calls = []
 
@@ -241,11 +242,23 @@ def test_gauge_takes_the_determinant_only_where_needed(monkeypatch):
     monkeypatch.setattr(linalg, "poly_det", counted)
     monkeypatch.setattr(poisson, "poly_det", counted)
     B = area_form(M1, Fraction(1, 3))
-    for tmax, want in ((None, 1), (4, 0)):
+    for tmax, want in ((None, 0), (4, 0)):
         del calls[:]
         gauge_real_poisson(planar_poisson(M1), B, random.Random(19),
                            tmax=tmax)
         assert len(calls) == want, tmax
+    # pi = f d/dx1 ^ d/dx2 with f = 2 x1: 1 + B pi is unipotent but
+    # z-dependent, so the adjugate route takes exactly one determinant
+    f = M2.z(0) + M2.zbar(0)
+    pi = Bivector(M2)
+    for a in (0, 2):
+        for b in (1, 3):
+            pi = pi + Bivector.wedge_pair(M2, a, b, f)
+    del calls[:]
+    out = gauge_real_poisson(RealPoisson(M2, pi), area_form(M2, 3),
+                             random.Random(19))
+    assert calls == [4]
+    assert out.pi.mat == pi.mat  # pi B pi = 0
 
 
 # ---------------------------------------------------------------------------
