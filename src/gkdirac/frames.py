@@ -7,17 +7,19 @@ generators whose pointwise span is the candidate Dirac subbundle.
 
 Frame equality and involutivity are decided by exact pairings.  A Dirac
 structure is Lagrangian: when every generator pairing vanishes and the
-generators reach rank dim at one sample point (on the t = 0 slice with a
+generators reach rank dim at one point (on the t = 0 slice with a
 ``tmax``), then L^perp = L, over the t-series ring too.  Two Lagrangian
 frames are then equal iff they pair to zero, and one is involutive iff
 the Courant tensor <[a, b], c> vanishes on its generators (Courant,
 "Dirac manifolds", 1990; Gualtieri, arXiv:math/0401221, section 3).
 Each verdict rests on exact polynomial identities; a failed involutivity
-check names a nonzero Courant-tensor entry.  Sampling only finds the
-full-rank point, whose nonzero minor is an exact lower bound, so no
-verdict depends on sampling luck.  Involutivity of a frame that is not
-Lagrangian falls back on Cramer-style span certificates from
-:mod:`gkdirac.linalg`; ``frames_equal`` refuses such a frame.
+check names a nonzero Courant-tensor entry.  The rank is read at the
+origin first, with no random draw, and sampled only where it drops
+there; its nonzero minor is an exact lower bound, so no verdict depends
+on sampling luck.  A frame keeps the orders at which it was shown
+Lagrangian.  Involutivity of a frame that is not Lagrangian falls back on
+Cramer-style span certificates from :mod:`gkdirac.linalg`;
+``frames_equal`` refuses such a frame.
 
 The bracket is the Dorfman bracket
 
@@ -302,14 +304,20 @@ def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
 # ---------------------------------------------------------------------------
 
 class DiracFrame:
-    """A finite generating family for a candidate Dirac subbundle."""
+    """A finite generating family for a candidate Dirac subbundle.
 
-    __slots__ = ("model", "gens", "label")
+    ``lagrangian`` holds the orders ``tmax`` (None for the rational
+    functions) at which :func:`_not_lagrangian` accepted the frame; the
+    generators are never changed, so the proof lasts, at those orders.
+    """
+
+    __slots__ = ("model", "gens", "label", "lagrangian")
 
     def __init__(self, model: Model, gens, label=""):
         self.model = model
         self.gens = list(gens)
         self.label = label
+        self.lagrangian = set()
         for g in self.gens:
             if g.model != model:
                 raise ValueError("generator on a different model")
@@ -492,31 +500,41 @@ _RANK_SAMPLES = 5
 
 
 def _not_lagrangian(frame: DiracFrame, defect, rng, tmax=None):
-    """Why ``frame`` is not Lagrangian, or None when it is.
+    """Why ``frame`` is not Lagrangian, or None when it is; an accepted
+    frame records ``tmax`` in ``frame.lagrangian``.
 
     ``defect`` is the frame's :meth:`DiracFrame.isotropy_defect` at the
-    order the caller needs.  A frame is Lagrangian when every entry
-    vanishes and some sample point gives the evaluated generators rank
-    ``model.dim`` (on the t = 0 slice with ``tmax``, as in
-    ``Span._pivot``).  The nonzero minor at that point bounds the rank
-    below by dim, and isotropy bounds it above by dim at every point.  So
-    L has rank dim and L^perp = L over the rational functions; with
+    order the caller needs (empty when the caller has shown the frame
+    isotropic another way).  A frame is Lagrangian when every entry
+    vanishes and the evaluated generators reach rank ``model.dim`` at a
+    point of the t = 0 slice.  The nonzero minor at that point bounds the
+    rank below by dim, and isotropy bounds it above by dim at every point.
+    So L has rank dim and L^perp = L over the rational functions; with
     ``tmax`` the minor's t^0 coefficient is nonzero, so L is a direct
     summand of rank dim over the t-series ring mod t^{tmax+1}, and
-    L^perp = L there too.  The search stops at the first point of full
-    rank, and gives up after ``_RANK_SAMPLES`` points.
+    L^perp = L there too.  The origin z = 0, t = 0 is read first, from the
+    generators' constant terms, with no draw from ``rng``; only a frame
+    that drops rank there is evaluated at sample points (on the t = 0
+    slice with ``tmax``, as in ``Span._pivot``), stopping at the first of
+    full rank and giving up after ``_RANK_SAMPLES`` points.
     """
     if any(defect):
         return "a generator pairing is nonzero"
     model = frame.model
-    for _ in range(_RANK_SAMPLES):
-        pt = model.sample_point(rng, with_t=True)
-        if tmax is not None:
-            pt = Point(pt.z, ZERO)
-        if frame.eval_point(pt).rank() == model.dim:
-            return None
-    return (f"its rank stays below {model.dim} at {_RANK_SAMPLES} sample "
-            "points")
+    origin = PointDirac(model, [[c.constant_term() for c in g.stack()]
+                                for g in frame.gens])
+    if origin.rank() != model.dim:
+        for _ in range(_RANK_SAMPLES):
+            pt = model.sample_point(rng, with_t=True)
+            if tmax is not None:
+                pt = Point(pt.z, ZERO)
+            if frame.eval_point(pt).rank() == model.dim:
+                break
+        else:
+            return (f"its rank stays below {model.dim} at {_RANK_SAMPLES} "
+                    "sample points")
+    frame.lagrangian.add(tmax)
+    return None
 
 
 class involutivity_report:
@@ -530,7 +548,8 @@ class involutivity_report:
         ``involutive`` (every H-twisted Dorfman bracket of generators lies
         in the frame), mod t^{tmax+1} with ``tmax``.
 
-        On a Lagrangian frame (:func:`_not_lagrangian`) L^perp = L, so a
+        On a Lagrangian frame (:func:`_not_lagrangian`, which records the
+        proof on the frame for ``frames_equal``) L^perp = L, so a
         bracket lies in L iff it pairs to zero with every generator: the
         frame is involutive iff the Courant tensor
         T(a, b, c) = <[a, b]_H, c> vanishes on generators.  On an
@@ -593,25 +612,41 @@ def frames_equal(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> bool:
     """Equality of two Lagrangian frames (mod t^{tmax+1} with ``tmax``):
     ``<a, b> = 0`` for every generator a of ``f1`` and b of ``f2``.
 
-    Each frame is first shown Lagrangian (:func:`_not_lagrangian`:
-    isotropic, and of rank dim at a sample point, on the t = 0 slice with
-    ``tmax``), so L1^perp = L1 over the rational functions, or over the
-    t-series ring with ``tmax``.  The pairings then put L2 inside
-    L1^perp = L1, and two direct summands of rank dim, one inside the
-    other, are equal; conversely equal frames pair to zero by isotropy.
-    Raises ValueError for frames over different models, and
-    UnsupportedSceneError, naming the frame and the reason, for a frame
-    that is not Lagrangian.
+    ``f1`` is first shown Lagrangian (:func:`_not_lagrangian`: isotropic,
+    and of rank dim at the origin or a sample point, on the t = 0 slice
+    with ``tmax``), unless it already was at this ``tmax``; so L1^perp = L1
+    over the rational functions, or over the t-series ring with ``tmax``.
+    Then f1 is paired with each generator of ``f2`` that is not already a
+    generator of f1 (equal vector and covector parts), which lies in L1.
+    If every pairing vanishes, f2 lies in L1^perp = L1 and so is
+    isotropic, and only its rank is left to read; two direct summands of
+    rank dim, one inside the other, are equal.  Otherwise the frames
+    differ, once f2 too is shown Lagrangian by its own isotropy and rank;
+    conversely equal frames pair to zero by isotropy.  Raises ValueError
+    for frames over different models, and UnsupportedSceneError, naming
+    the frame and the reason, for a frame that is not Lagrangian.
     """
     if f2.model != f1.model:
         raise ValueError("mixed models")
-    for name, f in (("first", f1), ("second", f2)):
-        reason = _not_lagrangian(f, f.isotropy_defect(tmax), rng, tmax)
-        if reason is not None:
-            raise UnsupportedSceneError(
-                f"frames_equal needs Lagrangian frames; the {name} frame "
-                f"{f.label!r} is not: {reason}")
-    return not any(a.pairing(b, tmax) for a in f1.gens for b in f2.gens)
+    if tmax not in f1.lagrangian:
+        _require_lagrangian("first", f1, f1.isotropy_defect(tmax), rng, tmax)
+    outside = [b for b in f2.gens
+               if not any(a.vec == b.vec and a.cov == b.cov for a in f1.gens)]
+    inside = not any(a.pairing(b, tmax) for a in f1.gens for b in outside)
+    if tmax not in f2.lagrangian:
+        _require_lagrangian("second", f2,
+                            () if inside else f2.isotropy_defect(tmax),
+                            rng, tmax)
+    return inside
+
+
+def _require_lagrangian(name, frame, defect, rng, tmax):
+    """:func:`_not_lagrangian`, raising for ``frames_equal``."""
+    reason = _not_lagrangian(frame, defect, rng, tmax)
+    if reason is not None:
+        raise UnsupportedSceneError(
+            f"frames_equal needs Lagrangian frames; the {name} frame "
+            f"{frame.label!r} is not: {reason}")
 
 
 # ---------------------------------------------------------------------------

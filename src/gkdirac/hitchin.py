@@ -706,10 +706,13 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
     sigma + rho into the new bivector P (sigma + rho) P^T; the resulting
     pair must pass the usual flatness/type/closure certificates, and the
     graph frame of eps is certified equal to the frame of the new
-    structure.  The returned block map (P, P(sigma+rho)conj(P)^T,
-    conj(P)^T) is upper triangular by construction; its typing identities
-    (P idempotent, conj(P) complementary, deformed holomorphic frame
-    fixed) are asserted.  Test functions exercise the equivalence
+    structure: the frame those certificates checked (``certs.frame``),
+    whose Lagrangian proof ``frames_equal`` reuses, or on the direct route
+    and on a parameter model a fresh ``build_L_sigma`` frame.  The
+    returned block map (P, P(sigma+rho)conj(P)^T, conj(P)^T) is upper
+    triangular by construction; its typing identities (P idempotent,
+    conj(P) complementary, deformed holomorphic frame fixed) are
+    asserted.  Test functions exercise the equivalence
     'partial_bar f + [phi, f] = 0 iff the deformed antiholomorphic frame
     kills f', and corrected coordinate functions feed Hamiltonian fields
     whose Lie derivative of the new bivector is certified zero.
@@ -731,9 +734,11 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
     if not certs.ok:
         raise CertificateError(
             "deformed structure failed its certificates: " + repr(certs))
-    frame_match = frames_equal(
-        deformation_frame(hp, eps, tmax=tmax),
-        build_L_sigma(hp_new, tmax=tmax, check=False), rng, tmax=tmax)
+    # closure was decided on this frame, already shown Lagrangian
+    certified = certs.frame if certs.frame is not None else \
+        build_L_sigma(hp_new, tmax=tmax, check=False)
+    frame_match = frames_equal(certified, deformation_frame(hp, eps, tmax),
+                               rng, tmax=tmax)
     if not frame_match:
         raise CertificateError(
             "graph frame and deformed-structure frame disagree")

@@ -327,11 +327,18 @@ class HoloPoisson:
         """Checks ``mc_phi`` (phi is flat), ``type_20`` (sigma has no
         deformed antiholomorphic legs) and ``closure`` (sigma is a
         holomorphic Poisson bivector, by the method in
-        ``stats["closure_method"]``)."""
+        ``stats["closure_method"]``).
+
+        ``report.frame`` is the :func:`build_L_sigma` frame whose
+        involutivity decided ``closure``, with its Lagrangian proof if it
+        got one (``frames_equal`` reuses it); None on the direct route,
+        which builds none, and on a parameter model, where the checked
+        frame also carries the covector dt."""
         mc_ok = self.mc_phi_residual(tmax=tmax).is_zero()
         type_ok = not self.type_defects(tmax=tmax)
         witnesses = {}
         stats = {}
+        checked = None
         if self.phi.is_zero():
             stats["closure_method"] = "direct"
             n = self.model.n
@@ -352,13 +359,15 @@ class HoloPoisson:
                 dt = GVField(model, cov=unit_vector(model, model.dim - 1))
                 frame = DiracFrame(model, frame.gens + [dt],
                                    label=frame.label)
+            else:
+                checked = frame
             rep = involutivity_report.check(frame, rng, tmax=tmax)
             witnesses["involutivity"] = rep
             closure = rep.ok
         return Report("poisson_certificates",
                       {"mc_phi": mc_ok, "type_20": type_ok,
                        "closure": closure},
-                      witnesses=witnesses, stats=stats)
+                      witnesses=witnesses, stats=stats, frame=checked)
 
     def frame(self, tmax=None, check=True) -> DiracFrame:
         return build_L_sigma(self, tmax=tmax, check=check)
@@ -425,16 +434,17 @@ def _holo_projector(Phi, tmax=None):
     division raises the same SingularityError and UnsupportedSceneError,
     with the same texts, as dividing by A; K is polynomial exactly when
     A diag(1, 0) A^{-1} is.  As there, the numerator carries conj Phi mod
-    t^{tmax+1}, and the t-series inverse is tried only when A's t^0 block,
-    hence Phi's, is constant.
+    t^{tmax+1}.  With ``tmax``, :func:`~gkdirac.linalg.mat_div_right` tries
+    the t-series inverse of S, which exists mod t^{tmax+1} whenever S's
+    t^0 block is constant and invertible, even where Phi's t^0 block is
+    not constant (and A's exact inverse is no polynomial); otherwise it
+    takes the exact route, with the texts above.
     """
     n, ring = len(Phi), Phi[0][0].n
     Phibar = [[x.conj() for x in row] for row in Phi]
     S = mat_sub(mat_identity(n, ring), mat_mul(Phi, Phibar))
     num = mat_identity(n, ring) + mat_t_truncate(Phibar, tmax)
-    series = tmax if all(x.t_truncate(0).is_constant()
-                         for row in Phi for x in row) else None
-    K = mat_t_truncate(mat_div_right(num, S, series), tmax)
+    K = mat_div_right(num, S, tmax)
     KPhi = mat_mul(K, Phi, tmax=tmax)
     return [Ki + [-x for x in KPhi_i] for Ki, KPhi_i in zip(K, KPhi)]
 

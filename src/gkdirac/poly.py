@@ -29,7 +29,8 @@ of ints, and the coefficient is ``(a + b*i) / d``.  The form is canonical:
 equality and hashing compare ints.  A pair is a list so that ``mul`` can
 accumulate into the pairs it creates; a stored pair is never written
 again, so polynomials share pairs freely.  The accessors (``terms``,
-``constant_value``, ``eval``) hand out :class:`Scalar` coefficients.
+``constant_value``, ``constant_term``, ``eval``) hand out :class:`Scalar`
+coefficients.
 
 All arithmetic is exact.  Multiplication accepts an optional ``tmax``:
 ``a.mul(b, tmax=k)`` is exactly ``(a * b).t_truncate(k)``, the product
@@ -587,6 +588,12 @@ class Poly:
         if len(c) != 1 or 0 not in c:
             raise ValueError("not a constant polynomial")
         return _new(*c[0], self.d)
+
+    def constant_term(self) -> Scalar:
+        """The coefficient of the monomial 1, which is the value at the
+        origin z = 0, t = 0: one dict lookup, no evaluation."""
+        ab = self._c.get(0)
+        return ZERO if ab is None else _new(*ab, self.d)
 
     def __bool__(self):
         return bool(self._c)

@@ -36,12 +36,16 @@ PLAIN, PARAM = Model(2), Model(2, param=True)
 MODELS = st.sampled_from([PLAIN, PARAM])
 TMAXES = st.sampled_from([None, 0, 1, 2, 3])
 
-# a Q(i) entry: zero half of the time
-_SCALARS = st.one_of(
-    st.just(ZERO),
-    st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
-              st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)))
-_NONZERO = _SCALARS.filter(bool)
+# a nonzero Q(i) entry (a + b i) / d with a, b in -3..3, not both 0, and
+# d in 1..3, drawn by construction rather than by filtering out the zeros
+_NONZERO = st.builds(
+    lambda ab, d: Scalar(Fraction(ab[0], d), Fraction(ab[1], d)),
+    st.sampled_from(sorted(((a, b) for a in range(-3, 4)
+                            for b in range(-3, 4) if a or b),
+                           key=lambda ab: (abs(ab[0]) + abs(ab[1]), ab))),
+    st.integers(1, 3))
+# a Q(i) entry over the same values: zero half of the time
+_SCALARS = st.one_of(st.just(ZERO), _NONZERO)
 
 # the former routes, run as references, can outlast the default deadline
 _NO_DEADLINE = settings(deadline=None)

@@ -345,6 +345,7 @@ def test_frames_equal_pairs_generators_with_no_pivot_search(monkeypatch):
     B2 = rand_two_form(rng, M)
     once = gauge_frame(gauge_frame(tangent_frame(M), B1), B2)
     both = gauge_frame(tangent_frame(M), B1 + B2)
+    scaled = DiracFrame(M, [g.scale(k + 2) for k, g in enumerate(both.gens)])
     searches = []
     search = linalg._pivot_block
 
@@ -362,13 +363,20 @@ def test_frames_equal_pairs_generators_with_no_pivot_search(monkeypatch):
     monkeypatch.setattr(linalg, "_pivot_block", counted)
     monkeypatch.setattr(GVField, "pairing", pairing_counted)
     assert frames_equal(once, both, rng)
+    # 4 + 3 + 2 + 1 pairings show the first frame isotropic; the second
+    # frame's generators are the first's, so no cross pairing is needed
+    assert len(pairs) == 10
+    assert once.lagrangian == both.lagrangian == {None}
+    # rescaled generators are new: the first frame keeps its proof, the
+    # 4 x 4 cross pairings decide, and then the second frame lies in the
+    # first and needs no isotropy check
+    del pairs[:]
+    assert frames_equal(once, scaled, rng)
     monkeypatch.undo()
     assert not searches
-    # 4 + 3 + 2 + 1 pairings show each frame isotropic, then the 4 x 4
-    # cross pairings decide
-    cross = [(a, b) for a in once.gens for b in both.gens]
+    cross = [(a, b) for a in once.gens for b in scaled.gens]
     assert len(cross) == 16
-    assert pairs[20:] == cross and len(pairs) == 36
+    assert pairs == cross
 
 
 def test_dirac_scale_and_conjugate():
