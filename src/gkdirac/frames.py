@@ -80,6 +80,7 @@ __all__ = [
 ]
 
 _HALF = Scalar(Fraction(1, 2))
+_UNPROVED = frozenset()  # shared by every frame not yet shown Lagrangian
 
 
 class GVField:
@@ -317,7 +318,7 @@ class DiracFrame:
         self.model = model
         self.gens = list(gens)
         self.label = label
-        self.lagrangian = set()
+        self.lagrangian = _UNPROVED
         for g in self.gens:
             if g.model != model:
                 raise ValueError("generator on a different model")
@@ -506,17 +507,16 @@ def _not_lagrangian(frame: DiracFrame, defect, rng, tmax=None):
     ``defect`` is the frame's :meth:`DiracFrame.isotropy_defect` at the
     order the caller needs (empty when the caller has shown the frame
     isotropic another way).  A frame is Lagrangian when every entry
-    vanishes and the evaluated generators reach rank ``model.dim`` at a
-    point of the t = 0 slice.  The nonzero minor at that point bounds the
-    rank below by dim, and isotropy bounds it above by dim at every point.
-    So L has rank dim and L^perp = L over the rational functions; with
-    ``tmax`` the minor's t^0 coefficient is nonzero, so L is a direct
-    summand of rank dim over the t-series ring mod t^{tmax+1}, and
-    L^perp = L there too.  The origin z = 0, t = 0 is read first, from the
-    generators' constant terms, with no draw from ``rng``; only a frame
-    that drops rank there is evaluated at sample points (on the t = 0
-    slice with ``tmax``, as in ``Span._pivot``), stopping at the first of
-    full rank and giving up after ``_RANK_SAMPLES`` points.
+    vanishes and the evaluated generators reach rank ``model.dim`` at
+    some point, on the t = 0 slice with ``tmax``.  The nonzero minor
+    there bounds the rank below by dim, and isotropy bounds it above by
+    dim at every point.  So L has rank dim and L^perp = L over the
+    rational functions; with ``tmax`` the minor's t^0 coefficient is
+    nonzero, so L is a direct summand of rank dim over the t-series ring
+    mod t^{tmax+1}, and L^perp = L there too.  The origin z = 0, t = 0 is
+    tried first, from the generators' constant terms, with no draw from
+    ``rng``; only a frame that drops rank there is evaluated at sample
+    points (as in ``Span._pivot``), up to ``_RANK_SAMPLES`` of them.
     """
     if any(defect):
         return "a generator pairing is nonzero"
@@ -533,7 +533,7 @@ def _not_lagrangian(frame: DiracFrame, defect, rng, tmax=None):
         else:
             return (f"its rank stays below {model.dim} at {_RANK_SAMPLES} "
                     "sample points")
-    frame.lagrangian.add(tmax)
+    frame.lagrangian = frame.lagrangian | {tmax}
     return None
 
 
