@@ -734,7 +734,7 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
     if not certs.ok:
         raise CertificateError(
             "deformed structure failed its certificates: " + repr(certs))
-    # closure was decided on this frame, already shown Lagrangian
+    # the frame closure was decided on, if any, is already shown Lagrangian
     certified = certs.frame if certs.frame is not None else \
         build_L_sigma(hp_new, tmax=tmax, check=False)
     frame_match = frames_equal(certified, deformation_frame(hp, eps, tmax),
