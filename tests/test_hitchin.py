@@ -17,7 +17,7 @@ from gkdirac.hitchin import (DeformSeries, MCElement, deformation_frame,
                              verify_graph_identity,
                              _deformed_dbar_function)
 from gkdirac.linalg import (mat_add, mat_div_right, mat_eval, mat_identity,
-                            mat_mul)
+                            mat_mul, mat_neg, mat_t_truncate)
 from gkdirac.model import Model
 from gkdirac.multivector import (MVElement, bivector_matrix, form_from_matrix,
                                  form_matrix)
@@ -148,7 +148,7 @@ def test_formality_random_closed_forms_are_flat():
             anti = (leg - 2,) if leg >= 2 else ()
             alpha = alpha + MixedForm.monomial(M2, coeff, holo, anti)
         beta = alpha.d().poly_mul(Poly.t(2))
-        # full certificates (defining identity, partial sums, flatness)
+        # full certificates (closedness, defining identity, flatness)
         formality_psi(beta, hp, 6)
 
 
@@ -291,12 +291,15 @@ def _c3_background():
     return HoloPoisson(M3, sigma=MVElement.monomial(M3, f, vecs=(0, 1)))
 
 
+_SCENES = {"c2": lambda: (c2_background(), fubini_seed()),
+           "t_dependent": lambda: (_t_dependent_background(), fubini_seed()),
+           "c3": lambda: (_c3_background(), fubini_seed(M3))}
+
+
 @pytest.mark.parametrize("mode", ["real", "complex"])
 @pytest.mark.parametrize("scene", ["c2", "t_dependent", "c3"])
 def test_solve_matches_the_per_order_inverse_loop(scene, mode):
-    hp, seed = {"c2": (c2_background(), fubini_seed()),
-                "t_dependent": (_t_dependent_background(), fubini_seed()),
-                "c3": (_c3_background(), fubini_seed(M3))}[scene]
+    hp, seed = _SCENES[scene]()
     top = 6 if scene != "c3" else 4
     betas, residuals, gammas = _solve_loop_reference(hp, seed, top, mode)
     # the loop at order k runs the first k - 1 steps of the loop at top
@@ -360,8 +363,7 @@ def _closed_series(model):
 
 @pytest.mark.parametrize("scene", ["c2", "t_dependent", "c3"])
 def test_formality_matches_the_division_route(scene):
-    hp = {"c2": c2_background(), "t_dependent": _t_dependent_background(),
-          "c3": _c3_background()}[scene]
+    hp, _seed = _SCENES[scene]()
     beta = _closed_series(hp.model)
     assert beta.d().is_zero()
     assert all(not beta.t_coefficient(k).is_zero() for k in (1, 2, 3))
@@ -371,9 +373,30 @@ def test_formality_matches_the_division_route(scene):
         assert formality_psi(beta, hp, order, check=False) == want
 
 
+def _partial_sums_reference(W, A, psi_op, beta, order):
+    """The former partial-sum certificate of ``formality_psi``.
+
+    omega agrees with beta - beta sigma beta + ... through the cubic term;
+    the omitted terms have t-valuation at least five times that of beta,
+    and truncation is a ring map, so products mod t^{bound+1} suffice.
+    Raises ``CertificateError`` on disagreement.
+    """
+    vals = [c.t_valuation() for _k, table in beta.comps.items()
+            for c in table.values() if c]
+    val = max(1, min(vals) if vals else 0)
+    bound = min(order, 5 * val - 1)
+    S = term = W
+    for _ in range(3):
+        term = mat_neg(mat_mul(A, term, tmax=bound))
+        S = mat_add(S, term)
+    if mat_t_truncate(psi_op, bound) != mat_t_truncate(S, bound):
+        raise CertificateError(
+            "inverse series disagrees with its alternating partial sums")
+
+
 @pytest.mark.parametrize("val", [1, 2])
 def test_partial_sums_reach_every_order_up_to_the_bound(val):
-    # the check keeps its products mod t^{bound+1}, bound = min(order,
+    # the reference keeps its products mod t^{bound+1}, bound = min(order,
     # 5 val - 1); a wrong psi term at any order up to the bound is caught
     hp = c2_background()
     beta = (_closed_series(M2) if val == 1
@@ -382,16 +405,138 @@ def test_partial_sums_reach_every_order_up_to_the_bound(val):
     W = form_matrix(beta)
     A = mat_mul(W, hp.sigma.mat, tmax=order)
     psi_op = form_matrix(formality_psi(beta, hp, order, check=False))
-    hitchin._check_partial_sums(W, A, psi_op, beta, order)
+    _partial_sums_reference(W, A, psi_op, beta, order)
     bound = min(order, 5 * val - 1)
     for k in range(1, order + 1):
         bad = [row[:] for row in psi_op]
         bad[0][2] = bad[0][2] + M2.z(1) * Poly.t(2, k)
         if k <= bound:
             with pytest.raises(CertificateError):
-                hitchin._check_partial_sums(W, A, bad, beta, order)
+                _partial_sums_reference(W, A, bad, beta, order)
         else:
-            hitchin._check_partial_sums(W, A, bad, beta, order)
+            _partial_sums_reference(W, A, bad, beta, order)
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("scene", sorted(_SCENES))
+def test_formality_matches_the_partial_sums_on_solved_series(scene, mode):
+    # the defining identity has one solution mod t^{order+1}, so omega is
+    # the partial sums wherever they are determined
+    hp, seed = _SCENES[scene]()
+    for order in range(1, 7):
+        ds = solve_hitchin(hp, seed, order, mode=mode)
+        beta = ds.beta_series()
+        W = form_matrix(beta)
+        A = mat_mul(W, hp.sigma.mat, tmax=order)
+        assert formality_psi(beta, hp, order) == ds.omega
+        _partial_sums_reference(W, A, form_matrix(ds.omega), beta, order)
+
+
+@pytest.mark.parametrize("scene", sorted(_SCENES))
+def test_defining_identity_catches_a_wrong_block_at_every_order(
+        scene, monkeypatch):
+    # one omega block at t^k is corrupted inside the recurrence, and the
+    # later blocks are solved from it; the defining identity still fails at
+    # every k, also past the partial sums' bound 5 val - 1 = 4
+    hp, _seed = _SCENES[scene]()
+    model = hp.model
+    beta = _closed_series(model)
+    order = 6
+    W = form_matrix(beta)
+    A = mat_mul(W, hp.sigma.mat, tmax=order)
+    series_term = hitchin._mat_series_term
+    from_blocks = hitchin._mat_from_t_blocks
+    assembled = []
+
+    def recorded(blocks):
+        assembled.append(from_blocks(blocks))
+        return assembled[-1]
+
+    monkeypatch.setattr(hitchin, "_mat_from_t_blocks", recorded)
+    for k in range(1, order + 1):
+        def corrupted(As, Bs, j, rows=None, k=k):
+            out = series_term(As, Bs, j, rows=rows)
+            if j == k:
+                out[0][model.n] = out[0][model.n] + model.z(1)
+            return out
+
+        monkeypatch.setattr(hitchin, "_mat_series_term", corrupted)
+        with pytest.raises(CertificateError, match="defining identity"):
+            formality_psi(beta, hp, order)
+        if k > 4:
+            # the partial sums stop at t^4 and pass the corrupted omega
+            _partial_sums_reference(W, A, assembled[-1], beta, order)
+        else:
+            with pytest.raises(CertificateError):
+                _partial_sums_reference(W, A, assembled[-1], beta, order)
+    monkeypatch.setattr(hitchin, "_mat_series_term", series_term)
+    formality_psi(beta, hp, order)
+
+
+def test_series_closedness_is_proved_once_on_the_assembled_form(
+        monkeypatch):
+    # DeformSeries takes no d() of its coefficients; formality_psi takes
+    # one of the assembled series, which is closed exactly when every
+    # t-free coefficient is.  From order 2 on omega differs from the
+    # series, so the flatness residual's d(omega) is not counted as well
+    seen = []
+    inside = []
+    d = MixedForm.d
+    init = DeformSeries.__init__
+
+    def counted_d(self):
+        seen.append((self, bool(inside)))
+        return d(self)
+
+    def flagged_init(self, *args):
+        inside.append(True)
+        try:
+            init(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MixedForm, "d", counted_d)
+    monkeypatch.setattr(DeformSeries, "__init__", flagged_init)
+    for scene in sorted(_SCENES):
+        hp, seed = _SCENES[scene]()
+        for order in (2, 3, 5):
+            for mode in ("real", "complex"):
+                seen.clear()
+                ds = solve_hitchin(hp, seed, order, mode=mode)
+                series = ds.beta_series()
+                assert ds.omega != series
+                assert not any(flag for _form, flag in seen)
+                assert sum(form == series for form, _flag in seen) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_formality_rejects_one_non_closed_coefficient(k):
+    hp = c2_background()
+    ds = solve_hitchin(hp, fubini_seed(), 4, mode="complex")
+    bad = MixedForm.monomial(M2, M2.zbar(0), (0,), (1,))
+    assert not bad.d().is_zero()
+    betas = list(ds.betas)
+    betas[k - 1] = betas[k - 1] + bad
+    broken = DeformSeries(ds.model, ds.background, ds.mode, ds.order, betas,
+                          ds.residuals, ds.gammas, ds.omega, ds.eps)
+    with pytest.raises(CertificateError, match="closed"):
+        formality_psi(broken, hp, 4)
+    with pytest.raises(CertificateError, match="closed"):
+        formality_psi(_closed_series(M2) + bad.poly_mul(Poly.t(2, k)), hp, 4)
+
+
+def test_solve_refuses_an_omega_with_a_02_part(monkeypatch):
+    # solve_hitchin holds the one check that omega's (0,2) part vanishes
+    psi = hitchin.formality_psi
+    extra = MixedForm.monomial(M2, M2.z(0) * Poly.t(2, 2), anti=(0, 1))
+
+    def with_02_part(*args, **kwargs):
+        return psi(*args, **kwargs) + extra
+
+    monkeypatch.setattr(hitchin, "formality_psi", with_02_part)
+    for mode in ("real", "complex"):
+        with pytest.raises(CertificateError, match=r"\(0,2\) part"):
+            solve_hitchin(c2_background(), fubini_seed(), 3, mode=mode)
 
 
 # ---------------------------------------------------------------------------
