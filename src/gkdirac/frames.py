@@ -44,13 +44,12 @@ from .errors import SingularityError, UnsupportedSceneError
 from .forms import MixedForm
 from .linalg import (
     Span,
+    _RANK_SAMPLES,
     _scalar_mul,
     kernel_certificate,
     mat_apply,
     mat_div_right,
-    mat_t_truncate,
     mat_transpose,
-    generic_rank,
     scalar_kernel,
     scalar_rank,
     span_certificate,
@@ -496,10 +495,6 @@ def _covector_lifts(frame: DiracFrame, targets, P, rng, message,
 # Structural verdicts
 # ---------------------------------------------------------------------------
 
-# points drawn for a full-rank minor, as many as generic_rank draws
-_RANK_SAMPLES = 5
-
-
 def _not_lagrangian(frame: DiracFrame, defect, rng, tmax=None):
     """Why ``frame`` is not Lagrangian, or None when it is; an accepted
     frame records ``tmax`` in ``frame.lagrangian``.
@@ -538,8 +533,8 @@ def _not_lagrangian(frame: DiracFrame, defect, rng, tmax=None):
 
 
 class involutivity_report:
-    """Involutivity of a Dirac frame: Courant-tensor entries on Lagrangian
-    frames, per-pair span certificates plus rank on any other frame."""
+    """Involutivity of a Lagrangian Dirac frame by its Courant-tensor
+    entries; a frame that is not Lagrangian is refused."""
 
     # a namespace only: perfbench/tracer.py wraps involutivity_report.check
     @staticmethod
@@ -548,64 +543,54 @@ class involutivity_report:
         ``involutive`` (every H-twisted Dorfman bracket of generators lies
         in the frame), mod t^{tmax+1} with ``tmax``.
 
-        On a Lagrangian frame (:func:`_not_lagrangian`, which records the
-        proof on the frame for ``frames_equal``) L^perp = L, so a
-        bracket lies in L iff it pairs to zero with every generator: the
-        frame is involutive iff the Courant tensor
+        The frame is first shown Lagrangian (:func:`_not_lagrangian`,
+        which records the proof on the frame for ``frames_equal``); then
+        L^perp = L, so a bracket lies in L iff it pairs to zero with every
+        generator: the frame is involutive iff the Courant tensor
         T(a, b, c) = <[a, b]_H, c> vanishes on generators.  On an
         isotropic frame T is tensorial and totally skew: skew in (a, b)
         since [a, b] + [b, a] = 2 d<a, b>, and in (b, c) since
         rho(a)<b, c> = <[a, b], c> + <b, [a, c]>.  So only the brackets
         [e_i, e_j] with i < j <= r - 2 are formed, each paired with the
-        e_k with k > j.  Both identities differentiate a pairing, in t too
-        on a parameter model, so there the pairings must vanish one order
+        e_k with k > j.  Both identities differentiate a pairing along a
+        generator's vector part (<2 d<a, b>, c> = X_c<a, b>), and only a
+        d/dt leg lowers the t-order; so on a parameter model whose frame
+        has a generator with a d/dt leg the pairings must vanish one order
         further, mod t^{tmax+2}.  Each failing pair is witnessed by
-        ``(i, j, (k, T_ijk))`` with the first k whose entry is nonzero;
-        no witness depends on ``rng``.
+        ``(i, j, (k, T_ijk))`` with the first k whose entry is nonzero,
+        in ``witnesses["failures"]``; no witness depends on ``rng``.
 
-        Any other frame takes the span route: the generic rank, isotropy
-        mod t^{tmax+1}, and a span certificate for every nonzero bracket
-        [e_i, e_j], i <= j, witnessed by ``(i, j, point)``.  The failing
-        pairs are in ``witnesses["failures"]``; ``stats["route"]`` names
-        the route taken.
+        A frame that is not Lagrangian forms no bracket: its report fails
+        the one check ``lagrangian``, with the reason in
+        ``witnesses["not_lagrangian"]`` and ``stats["route"]`` "refused".
         """
         model = frame.model
         gens = frame.gens
         dim = model.dim
-        skew = tmax + 1 if tmax is not None and model.param else tmax
-        defect = frame.isotropy_defect(skew)
+        skew = tmax + 1 if tmax is not None and model.param and any(
+            g.vec[-1] for g in gens) else tmax
+        reason = _not_lagrangian(frame, frame.isotropy_defect(skew), rng,
+                                 tmax)
+        if reason is not None:
+            return Report("involutivity", {"lagrangian": False},
+                          witnesses={"failures": [],
+                                     "not_lagrangian": reason},
+                          stats={"route": "refused", "expected_rank": dim})
         failures = []
-        if _not_lagrangian(frame, defect, rng, tmax) is None:
-            for i, u in enumerate(gens):
-                for j in range(i + 1, len(gens) - 1):
-                    w = dorfman_bracket(u, gens[j], H=H, tmax=tmax)
-                    for k in range(j + 1, len(gens)):
-                        T = w.pairing(gens[k], tmax)
-                        if T:
-                            failures.append((i, j, (k, T)))
-                            break
-            checks = {"rank": True, "isotropic": True}
-            stats = {"rank": dim, "route": "lagrangian"}
-        else:
-            cols = mat_t_truncate([g.stack() for g in gens], tmax)
-            rank = generic_rank([[col[i] for col in cols]
-                                 for i in range(2 * dim)], model, rng)
-            span = Span(cols, model, tmax)
-            for i, u in enumerate(gens):
-                for j in range(i, len(gens)):
-                    w = dorfman_bracket(u, gens[j], H=H, tmax=tmax).stack()
-                    if any(w):
-                        ok, cert = span_certificate(span, w, rng)
-                        if not ok:
-                            failures.append((i, j, cert))
-            checks = {"rank": rank == dim,
-                      "isotropic": not any(p.t_truncate(tmax)
-                                           for p in defect)}
-            stats = {"rank": rank, "route": "span"}
-        checks["involutive"] = not failures
-        return Report("involutivity", checks,
+        for i, u in enumerate(gens):
+            for j in range(i + 1, len(gens) - 1):
+                w = dorfman_bracket(u, gens[j], H=H, tmax=tmax)
+                for k in range(j + 1, len(gens)):
+                    T = w.pairing(gens[k], tmax)
+                    if T:
+                        failures.append((i, j, (k, T)))
+                        break
+        return Report("involutivity",
+                      {"rank": True, "isotropic": True,
+                       "involutive": not failures},
                       witnesses={"failures": failures},
-                      stats={**stats, "expected_rank": dim})
+                      stats={"rank": dim, "route": "lagrangian",
+                             "expected_rank": dim})
 
 
 def frames_equal(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> bool:

@@ -65,7 +65,6 @@ from .scalars import Scalar
 
 __all__ = [
     "DeformSeries",
-    "MCElement",
     "deformation_frame",
     "deformed_holomorphic_lift",
     "deformed_structures",
@@ -121,13 +120,6 @@ def _form_of_bar_element(x: MVElement) -> MixedForm:
                                for (_p, q), table in x.comps.items()})
 
 
-def _bar_element_of_form(a: MixedForm) -> MVElement:
-    if any(p or r for (p, _q, r) in a.comps):
-        raise ValueError("form has dz or dt legs")
-    return MVElement(a.model, {(0, q): table
-                               for (_p, q, _r), table in a.comps.items()})
-
-
 def _reject_dt(form: MixedForm, what: str):
     for (_p, _q, r) in form.comps:
         if r:
@@ -138,101 +130,29 @@ def _reject_dt(form: MixedForm, what: str):
 # Degree-two elements of the deformation complex
 # ---------------------------------------------------------------------------
 
-class MCElement:
-    """A degree-two element of the deformation complex, split by type.
-
-    ``rho`` is the (2,0) bivector part, ``phi`` the (1,1) endomorphism
-    part (stored as in :class:`~gkdirac.poisson.HoloPoisson`), ``gamma``
-    the (0,2) part kept as a form.  The element is flat for the background
-    ``sigma`` when :meth:`mc_residual` vanishes.
-    """
-
-    __slots__ = ("model", "rho", "phi", "gamma")
-
-    def __init__(self, model: Model, rho=None, phi=None, gamma=None):
-        self.model = model
-        rho = MVElement.zero(model) if rho is None else rho
-        phi = MVElement.zero(model) if phi is None else phi
-        gamma = MixedForm.zero(model) if gamma is None else gamma
-        for el, key in ((rho, (2, 0)), (phi, (1, 1))):
-            if el.model != model:
-                raise ValueError("component on a different model")
-            for k in el.comps:
-                if k != key:
-                    raise ValueError(f"component must be purely of type {key}")
-        if gamma.model != model:
-            raise ValueError("component on a different model")
-        for key in gamma.comps:
-            if key != (0, 2, 0):
-                raise ValueError("gamma must be a (0,2)-form")
-        self.rho = rho
-        self.phi = phi
-        self.gamma = gamma
-
-    @classmethod
-    def zero(cls, model):
-        return cls(model)
-
-    @classmethod
-    def from_polyvector(cls, eps: MVElement) -> "MCElement":
-        for key in eps.comps:
-            if key not in ((2, 0), (1, 1), (0, 2)):
-                raise ValueError("element is not of pure degree two")
-        return cls(eps.model, rho=eps.component(2, 0),
-                   phi=eps.component(1, 1),
-                   gamma=_form_of_bar_element(eps.component(0, 2)))
-
-    def polyvector(self) -> MVElement:
-        return MVElement.sum(self.model, (self.rho, self.phi,
-                                          _bar_element_of_form(self.gamma)))
-
-    def mc_residual(self, sigma, tmax=None) -> MVElement:
-        sig = _sigma_element(self.model, sigma)
-        return mc_residual_dgla(self.polyvector(), sig, tmax=tmax)
-
-    def is_zero(self) -> bool:
-        return (self.rho.is_zero() and self.phi.is_zero()
-                and self.gamma.is_zero())
-
-    def t_truncate(self, tmax) -> "MCElement":
-        return MCElement(self.model, self.rho.t_truncate(tmax),
-                         self.phi.t_truncate(tmax),
-                         self.gamma.t_truncate(tmax))
-
-    def t_coefficient(self, k) -> "MCElement":
-        return MCElement(self.model, self.rho.t_coefficient(k),
-                         self.phi.t_coefficient(k),
-                         self.gamma.t_coefficient(k))
-
-    def substitute_t(self, value) -> "MCElement":
-        return MCElement(self.model, self.rho.substitute_t(value),
-                         self.phi.substitute_t(value),
-                         self.gamma.substitute_t(value))
-
-    def __eq__(self, other):
-        if not isinstance(other, MCElement):
-            return NotImplemented
-        return (self.model == other.model and self.rho == other.rho
-                and self.phi == other.phi and self.gamma == other.gamma)
-
-    def __repr__(self):
-        parts = [tag for tag, el in (("rho", self.rho), ("phi", self.phi),
-                                     ("gamma", self.gamma))
-                 if not el.is_zero()]
-        return f"MCElement({'+'.join(parts) if parts else '0'})"
+def _split(eps: MVElement):
+    """The pieces ``(rho, phi, gamma)`` of a degree-two element: its (2,0)
+    bivector, (1,1) endomorphism and (0,2) form parts.  A piece of any other
+    bidegree raises ValueError."""
+    if set(eps.comps) - {(2, 0), (1, 1), (0, 2)}:
+        raise ValueError("element is not of pure degree two")
+    return eps.component(2, 0), eps.component(1, 1), eps.component(0, 2)
 
 
-def pi_star_transport(omega: MixedForm, sigma, tmax=None) -> MCElement:
+def pi_star_transport(omega: MixedForm, sigma, tmax=None) -> MVElement:
     """Transport a two-form into the polyvector complex along -sigma (+) id.
 
     The (2,0) part lands on the second exterior power of sigma, the (1,1)
     part on -sigma composed with the form, and the (0,2) part is carried
-    over unchanged.
+    over unchanged; a form whose transport is not of degree two raises
+    ValueError.
     """
     _reject_dt(omega, "transported forms")
     S = _holo_sigma(omega.model, sigma)
     # every coefficient passes a wedge mod t^{tmax+1} in pi_star
-    return MCElement.from_polyvector(pi_star(omega, S, tmax=tmax))
+    eps = pi_star(omega, S, tmax=tmax)
+    _split(eps)
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +171,12 @@ def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
     no t^0 block, so that identity has exactly one solution mod
     t^{order+1}, which the alternating partial sums beta - beta sigma beta
     + ... only restate.  ``check=True`` adds the flatness residual d omega
-    + (1/2)[omega, omega]_sigma.
+    + (1/2)[omega, omega]_sigma.  The flatness of the transported element
+    (:func:`mc_component_check`) does not imply it: pi_star is not
+    injective on 3-forms once n = 3 (for sigma = z1 d1^d2 it kills
+    dz3 ^ dzbar1 ^ dzbar2), so the dz3 part of this residual is invisible
+    on the polyvector side.  It is also the only caller of
+    ``brackets.koszul_bracket`` on the benchmark workloads.
     """
     if isinstance(beta, DeformSeries):
         beta = beta.beta_series()
@@ -292,7 +217,8 @@ def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
 # Graph deformation of L_sigma and the gauge identity
 # ---------------------------------------------------------------------------
 
-def deformation_frame(hp: HoloPoisson, eps: MCElement, tmax=None) -> DiracFrame:
+def deformation_frame(hp: HoloPoisson, eps: MVElement,
+                      tmax=None) -> DiracFrame:
     """The graph deformation of L_sigma by a degree-two element.
 
     Columns are ``X + phi X + gamma(X)`` over the antiholomorphic frame
@@ -304,17 +230,17 @@ def deformation_frame(hp: HoloPoisson, eps: MCElement, tmax=None) -> DiracFrame:
         raise UnsupportedSceneError(
             "the base frame must sit over the undeformed complex structure")
     n, dim = model.n, model.dim
-    shape = HoloPoisson(model, phi=eps.phi)
-    Mrho = bivector_matrix(eps.rho, size=dim)
-    gens = []
-    for b, v in enumerate(shape.antiholo_frame_columns()):
-        cov = [model.zero_poly() for _ in range(dim)]
-        if not eps.gamma.is_zero():
-            inner = eps.gamma.contract_vector(unit_vector(model, n + b))
-            for _key, table in inner.comps.items():
-                for (_i, (j,)), c in table.items():
-                    cov[n + j] = cov[n + j] + c
-        gens.append(GVField(model, vec=v, cov=cov))
+    rho, phi, gamma = _split(eps)
+    shape = HoloPoisson(model, phi=phi)
+    Mrho = bivector_matrix(rho, size=dim)
+    # gamma(d/dzbar_b): c dzbar_j ^ dzbar_k, j < k, gives c dzbar_k at
+    # b = j and -c dzbar_j at b = k
+    covs = [[model.zero_poly() for _ in range(dim)] for _ in range(n)]
+    for (_I, (j, k)), c in gamma.comps.get((0, 2), {}).items():
+        covs[j][n + k] = c
+        covs[k][n + j] = -c
+    gens = [GVField(model, vec=v, cov=cov)
+            for v, cov in zip(shape.antiholo_frame_columns(), covs)]
     for a, cov in enumerate(shape.holo_covector_columns()):
         v = hp.sigma.apply(unit_vector(model, a), tmax=tmax)
         for k in range(dim):
@@ -550,7 +476,7 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
 # Componentwise flatness
 # ---------------------------------------------------------------------------
 
-def mc_component_check(eps: MCElement, sigma, tmax=None) -> Report:
+def mc_component_check(eps: MVElement, sigma, tmax=None) -> Report:
     """Evaluate the flatness equation of ``eps`` componentwise.
 
     The named residuals are the bidegree pieces of the one residual
@@ -565,13 +491,14 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> Report:
     (partial_bar raises q by one, a bracket of (p1, q1) and (p2, q2) lands
     in (p1 + p2 - 1, q1 + q2), and [gamma, gamma] = 0), so the pieces sum
     to R by construction and no sum guard is needed; a piece of R under any
-    other key raises.  The t-linear part is additionally evaluated against
+    other key raises, as does a piece of ``eps`` that is not of degree two
+    (ValueError).  The t-linear part is additionally evaluated against
     the linearised equation alone (``stats["linear_ok"]``; it does not
     enter ``ok``).
     """
+    _split(eps)
     sig = _sigma_element(eps.model, sigma)
-    polyvector = eps.polyvector()
-    residual = mc_residual_dgla(polyvector, sig, tmax=tmax)
+    residual = mc_residual_dgla(eps, sig, tmax=tmax)
     keys = {(1, 2): "complex_structure", (2, 1): "holomorphicity",
             (3, 0): "jacobi", (0, 3): "form_part"}
     stray = set(residual.comps) - set(keys)
@@ -579,7 +506,7 @@ def mc_component_check(eps: MCElement, sigma, tmax=None) -> Report:
         raise CertificateError(
             f"flatness residual has pieces of bidegree {sorted(stray)}")
     comps = {name: residual.component(*key) for key, name in keys.items()}
-    eps1 = polyvector.t_coefficient(1)
+    eps1 = eps.t_coefficient(1)
     linear = eps1.partial_bar() + dgla_bracket(sig, eps1)
     return Report("mc_components",
                   {k: v.is_zero() for k, v in comps.items()},
@@ -639,14 +566,14 @@ def _lie_derivative_bivector(model, X, M, tmax=None, grad=None):
     return out
 
 
-def _deformed_dbar_function(model, h: Poly, eps: MCElement, tmax=None):
+def _deformed_dbar_function(model, h: Poly, phi: MVElement, tmax=None):
     """The (0,1)-form partial_bar h + [phi, h]."""
     lhs = MixedForm.function(model, h).partial_bar() + _form_of_bar_element(
-        dgla_bracket(eps.phi, MVElement.function(model, h), tmax=tmax))
+        dgla_bracket(phi, MVElement.function(model, h), tmax=tmax))
     return lhs.t_truncate(tmax)
 
 
-def deformed_holomorphic_lift(f: Poly, eps: MCElement, order: int) -> Poly:
+def deformed_holomorphic_lift(f: Poly, eps: MVElement, order: int) -> Poly:
     """Correct a background-holomorphic function until the deformed
     antiholomorphic frame kills it, mod t^{order+1}.
 
@@ -657,11 +584,12 @@ def deformed_holomorphic_lift(f: Poly, eps: MCElement, order: int) -> Poly:
     """
     model = eps.model
     n = model.n
+    _rho, phi, _gamma = _split(eps)
     if set(f.zbar_degree_split()) - {0} or f.t_degree() > 0:
         raise ValueError("seed function must be holomorphic and t-free")
     h = f
     for k in range(order):
-        resid = _deformed_dbar_function(model, h, eps, tmax=order)
+        resid = _deformed_dbar_function(model, h, phi, tmax=order)
         r = resid.t_coefficient(k + 1)
         if r.is_zero():
             continue
@@ -671,7 +599,7 @@ def deformed_holomorphic_lift(f: Poly, eps: MCElement, order: int) -> Poly:
                 "partial_bar-closed")
         corr = euler_homotopy(r).scale(_MINUS_ONE).coefficient()
         h = h + corr * Poly.t(n, k + 1)
-    if not _deformed_dbar_function(model, h, eps, tmax=order).is_zero():
+    if not _deformed_dbar_function(model, h, phi, tmax=order).is_zero():
         raise CertificateError("function lift failed to close its residual")
     return h
 
@@ -684,7 +612,7 @@ def _criterion_functions(model):
     return out
 
 
-def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
+def deformed_structures(eps: MVElement, hp: HoloPoisson, rng,
                         tmax=None) -> Report:
     """Build the complex structure and bivector deformed by ``eps``.
 
@@ -705,17 +633,18 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
     """
     model = eps.model
     hp = _background(model, hp)
-    if not eps.gamma.t_truncate(tmax).is_zero():
+    rho, phi, gamma = _split(eps)
+    if not gamma.t_truncate(tmax).is_zero():
         raise CertificateError(
             "a surviving (0,2) part obstructs the bivector picture")
     n, dim = model.n, model.dim
     # the projector and every product below are kept mod t^{tmax+1}
-    Phi = phi_geom_matrix(eps.phi)
+    Phi = phi_geom_matrix(phi)
     P = _holo_projector(Phi, tmax=tmax)
-    Msum = mat_add(hp.sigma.mat, bivector_matrix(eps.rho, size=dim))
+    Msum = mat_add(hp.sigma.mat, bivector_matrix(rho, size=dim))
     PM = mat_mul(P, Msum, tmax=tmax)
     newmat = mat_mul(PM, mat_transpose(P), tmax=tmax)
-    hp_new = HoloPoisson(model, sigma=Bivector(model, newmat), phi=eps.phi)
+    hp_new = HoloPoisson(model, sigma=Bivector(model, newmat), phi=phi)
     certs = hp_new.certificates(rng, tmax=tmax)
     if not certs.ok:
         raise CertificateError(
@@ -747,14 +676,14 @@ def deformed_structures(eps: MCElement, hp: HoloPoisson, rng,
     cols = [[row[n + b] for row in A] for b in range(n)]
     functions = []
     for f in _criterion_functions(model):
-        lhs = _deformed_dbar_function(model, f, eps, tmax=tmax)
+        lhs = _deformed_dbar_function(model, f, phi, tmax=tmax)
         # sum_b X_b(f) dzbar_b over the deformed antiholomorphic frame
         rhs = MixedForm(model, {(0, 1, 0): {
             ((), (b,)): Poly.sum(n, _along(col, f, tmax))
             for b, col in enumerate(cols)}})
         functions.append((f.render(), lhs == rhs, lhs.is_zero()))
 
-    sig_plus_eps = _sigma_element(model, hp) + eps.polyvector()
+    sig_plus_eps = _sigma_element(model, hp) + eps
     candidates = [(f"d/dz_{i + 1}", unit_vector(model, i)) for i in range(n)]
     seeds = [model.z(i) for i in range(n)]
     for h0 in seeds:
@@ -914,12 +843,13 @@ def _ham_complex(ds: DeformSeries, tmax) -> Report:
         return mat_is_zero(mat_t_truncate(Mx, cut))
 
     s_leg, sbar_leg = n, 2 * n + 1
-    P = _holo_projector(lift(phi_geom_matrix(ds.eps.phi)), tmax=order)
+    rho, phi, _gamma = _split(ds.eps)
+    P = _holo_projector(lift(phi_geom_matrix(phi)), tmax=order)
     Pbar = _conj_operator(model, P)
     I_t = mat_scale(mat_sub(mat_scale(P, Scalar(2)), mat_identity(dim, n + 1)),
                     Scalar(0, 1))
     Msum = lift(mat_add(ds.background.sigma.mat,
-                        bivector_matrix(ds.eps.rho, size=dim)))
+                        bivector_matrix(rho, size=dim)))
     Mt = mul(P, Msum, mat_transpose(P))
     Mtbar = _conj_operator(model, Mt)
     Walpha = dot(lift(form_matrix(ds.beta_series())), s_leg)

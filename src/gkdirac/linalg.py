@@ -86,6 +86,10 @@ __all__ = [
     "real_roots_in_interval",
 ]
 
+_RANK_SAMPLES = 5   # points drawn for a full-rank minor, here and in frames
+_PIVOT_SAMPLES = 8  # points drawn for a pivot block
+_BISECT_DEPTH = 64  # bisections before an interval of several roots is kept
+
 
 # ---------------------------------------------------------------------------
 # Scalar matrices
@@ -546,24 +550,25 @@ def _term_rank(cols):
     return sum(augment(j, set()) for j in range(len(cols)))
 
 
-def generic_rank(A, model, rng, samples=5, with_t=True):
-    """Maximal rank of a polynomial matrix over random exact sample points.
+def generic_rank(A, model, rng):
+    """Maximal rank of a polynomial matrix over random exact sample points,
+    t among the coordinates.
 
     No point can give more than the term rank of ``A``, so the search
     stops once a point reaches it; from the same ``rng`` state the rank
-    is the one all ``samples`` points give.
+    is the one all ``_RANK_SAMPLES`` points give.
     """
     bound = _term_rank(A)
     best = 0
-    for _ in range(samples):
-        pt = model.sample_point(rng, with_t=with_t)
+    for _ in range(_RANK_SAMPLES):
+        pt = model.sample_point(rng, with_t=True)
         best = max(best, scalar_rank(mat_eval(A, pt)))
         if best == bound:
             break
     return best
 
 
-def _pivot_block(cols, model, rng, samples=8, t_zero=False):
+def _pivot_block(cols, model, rng, t_zero=False):
     """Locate a maximal independent set of columns and matching rows.
 
     ``cols`` is a list of column vectors (lists of Poly).  Returns
@@ -587,8 +592,8 @@ def _pivot_block(cols, model, rng, samples=8, t_zero=False):
 
     No point can give a block larger than the term rank of the nonzero
     pattern (:func:`_term_rank`), so the search stops at the first point
-    that reaches it: the block is the one all ``samples`` points give,
-    from fewer points.
+    that reaches it: the block is the one all ``_PIVOT_SAMPLES`` points
+    give, from fewer points.
     """
     nrows = len(cols[0]) if cols else 0
     size = [[len(x) for x in c] for c in cols]
@@ -598,7 +603,7 @@ def _pivot_block(cols, model, rng, samples=8, t_zero=False):
     ordered = [cols[j] for j in col_order]
     bound = _term_rank(size)
     best = ([], [])
-    for _ in range(samples):
+    for _ in range(_PIVOT_SAMPLES):
         pt = model.sample_point(rng, with_t=True)
         if t_zero:
             pt = Point(pt.z, ZERO)
@@ -866,9 +871,10 @@ def count_real_roots(coeffs, a: Fraction, b: Fraction) -> int:
     return _sign_changes(chain, a) - _sign_changes(chain, b)
 
 
-def real_roots_in_interval(coeffs, a: Fraction, b: Fraction, depth=64):
+def real_roots_in_interval(coeffs, a: Fraction, b: Fraction):
     """Disjoint isolating intervals (lo, hi] for each distinct real root
-    in (a, b], refined by bisection to width <= (b-a)/2^8 or until isolated."""
+    in (a, b], refined by bisection to width <= (b-a)/2^8 or until isolated
+    (at most ``_BISECT_DEPTH`` bisections deep)."""
     chain = sturm_chain(coeffs)
 
     def count(lo, hi):
@@ -886,7 +892,7 @@ def real_roots_in_interval(coeffs, a: Fraction, b: Fraction, depth=64):
         if k == 1 and (d >= 8 or _poly_eval(chain[0], hi) == 0):
             out.append((lo, hi))
             continue
-        if d >= depth:
+        if d >= _BISECT_DEPTH:
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2

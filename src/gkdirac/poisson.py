@@ -369,9 +369,6 @@ class HoloPoisson:
                        "closure": closure},
                       witnesses=witnesses, stats=stats, frame=checked)
 
-    def frame(self, tmax=None, check=True) -> DiracFrame:
-        return build_L_sigma(self, tmax=tmax, check=check)
-
     def __eq__(self, other):
         if not isinstance(other, HoloPoisson):
             return NotImplemented

@@ -387,3 +387,17 @@ def test_pi_star_leg_replacement():
     assert (got + vec(M, 1)).is_zero()
     got2 = pi_star(dzbar(M, 0), S)
     assert (got2 - MVElement.monomial(M, M.poly(1), (), (0,))).is_zero()
+
+
+def test_pi_star_is_not_injective_on_three_forms_at_n_3():
+    # sigma = z1 @1^@2 kills dz3, so pi_star(dz3 ^ dzbar1 ^ dzbar2) = 0 while
+    # pi_star(dz1 ^ dzbar1 ^ dzbar2) = -z1 @2 ^ dzbar1 ^ dzbar2.  So the
+    # polyvector residual of a transported element cannot see the dz3 part
+    # of the form-side flatness residual, which is why the form-side check
+    # (mc_residual_koszul) stays beside it
+    M3 = Model(3)
+    S = legs(MVElement.monomial(M3, M3.z(0), (0, 1), ()))
+    blind = pi_star(dz(M3, 2).wedge(dzbar(M3, 0)).wedge(dzbar(M3, 1)), S)
+    assert blind.is_zero()
+    seen = pi_star(dz(M3, 0).wedge(dzbar(M3, 0)).wedge(dzbar(M3, 1)), S)
+    assert seen == MVElement.monomial(M3, -M3.z(0), (1,), (0, 1))

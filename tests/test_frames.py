@@ -27,7 +27,7 @@ from gkdirac.frames import (
     tangent_frame,
 )
 from gkdirac import frames, linalg
-from gkdirac.linalg import mat_apply
+from gkdirac.linalg import mat_add, mat_apply
 from gkdirac.model import Model
 from gkdirac.multivector import MVElement, bivector_matrix, form_matrix
 from gkdirac.poisson import Bivector, HoloPoisson, build_L_sigma
@@ -219,34 +219,78 @@ def _record_involutivity(monkeypatch, frame, rng, H, tmax):
     return rep, seen, brackets, d_calls, h_calls
 
 
+def _random_frame(rng, model):
+    """dim generators with random series entries: not isotropic."""
+    return DiracFrame(model, [
+        GVField(model, [_series(rng, model) for _ in range(model.dim)],
+                [_series(rng, model) for _ in range(model.dim)])
+        for _ in range(model.dim)])
+
+
+def _gauged_bivector_graph(rng, model):
+    """The graph of a random bivector, gauged by a random 2-form: a
+    Lagrangian frame whose vector and covector parts are both series."""
+    P = Bivector(model)
+    for a in range(model.dim):
+        for b in range(a + 1, model.dim):
+            P = Bivector(model, mat_add(P.mat, Bivector.wedge_pair(
+                model, a, b, _series(rng, model)).mat))
+    B = MixedForm.sum(model, [MixedForm.monomial(model, _series(rng, model),
+                                                 (i,), (j,))
+                              for i in range(model.n)
+                              for j in range(model.n)])
+    return gauge_frame(graph_bivector(model, P.mat), B)
+
+
+def _assert_refused(rep, seen, brackets, d_calls, h_calls):
+    """A frame that is not Lagrangian: one failed check, the reason as
+    its witness, and no bracket, span query, d or i_X H formed."""
+    assert rep.checks == {"lagrangian": False} and not rep.ok
+    assert rep.witnesses == {"failures": [],
+                             "not_lagrangian": "a generator pairing is "
+                                               "nonzero"}
+    assert rep.stats["route"] == "refused"
+    assert not (seen or brackets or d_calls or h_calls)
+
+
 @pytest.mark.parametrize("param, tmax", [(False, None), (True, None),
                                          (True, 1)])
 def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
         monkeypatch, param, tmax):
-    # random frames are not isotropic, so they take the span route
+    # random frames are not isotropic, so they are refused and bracket
+    # nothing; a gauged bivector graph is Lagrangian
     rng = random.Random(361)
     model = Model(1, param=param)
-    frame = DiracFrame(model, [
-        GVField(model, [_series(rng, model) for _ in range(model.dim)],
-                [_series(rng, model) for _ in range(model.dim)])
-        for _ in range(model.dim)])
+    H = _twist(rng, model)
+    _assert_refused(*_record_involutivity(
+        monkeypatch, _random_frame(rng, model), rng, H, tmax))
+    model = Model(2, param=param)
+    frame = _gauged_bivector_graph(rng, model)
     H = _twist(rng, model)
     rep, seen, brackets, d_calls, h_calls = _record_involutivity(
         monkeypatch, frame, rng, H, tmax)
-    assert rep.stats["route"] == "span"
+    assert rep.stats["route"] == "lagrangian"
     gens = frame.gens
-    k = len(gens)
-    # every pair goes through the public bracket
-    assert brackets == [(u, v) for i, u in enumerate(gens) for v in gens[i:]]
-    # fresh copies, which have not formed d of their 1-forms yet
+    r = len(gens)
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r - 1)]
+    # every pair goes through the public bracket, and no span query
+    assert brackets == [(gens[i], gens[j]) for i, j in pairs]
+    assert not seen
+    # fresh copies, which have not formed d of their 1-forms yet, give
+    # the same failing pairs
     fresh = [GVField(model, g.vec, g.cov) for g in gens]
-    want = [dorfman_bracket(u, v, H=H, tmax=tmax).stack()
-            for i, u in enumerate(fresh) for v in fresh[i:]]
-    assert seen == [w for w in want if any(w)]
-    # d of each generator's 1-form once, and d(eta(X)) once per pair
-    assert len(d_calls) == k + k * (k + 1) // 2
-    # i_X H once per generator
-    assert h_calls == [g.vec for g in gens]
+    want = []
+    for i, j in pairs:
+        w = dorfman_bracket(fresh[i], fresh[j], H=H, tmax=tmax)
+        hit = next(((k, T) for k in range(j + 1, r)
+                    for T in [w.pairing(fresh[k], tmax)] if T), None)
+        if hit is not None:
+            want.append((i, j, hit))
+    assert rep.witnesses["failures"] == want
+    # d of each bracketed generator's 1-form once, d(eta(X)) once per pair
+    assert len(d_calls) == (r - 1) + len(pairs)
+    # i_X H once per left generator
+    assert h_calls == [g.vec for g in gens[:r - 2]]
 
 
 @pytest.mark.parametrize("param, tmax", [(False, None), (True, None),
@@ -296,15 +340,15 @@ def test_involutivity_of_a_lagrangian_frame_brackets_i_lt_j_le_r_minus_2(
                                          (True, 1)])
 def test_involutivity_differentiates_each_vector_entry_once(monkeypatch,
                                                            param, tmax):
-    # every bracket of the span route reads the derivatives d_l of its two
-    # generators' vector entries; each is formed once per check
+    # every bracket reads the derivatives d_l of its two generators'
+    # vector entries; each is formed once per check, for the generators
+    # e_0 .. e_{r-2} that enter a bracket, and none on a refused frame
     rng = random.Random(365)
-    model = Model(1, param=param)
-    frame = DiracFrame(model, [
-        GVField(model, [_series(rng, model) for _ in range(model.dim)],
-                [_series(rng, model) for _ in range(model.dim)])
-        for _ in range(model.dim)])
-    entries = {id(e): e for g in frame.gens for e in g.vec if e}
+    refused = _random_frame(rng, Model(1, param=param))
+    model = Model(2, param=param)
+    frame = _gauged_bivector_graph(rng, model)
+    entries = {id(e): e for f in (refused, frame) for g in f.gens
+               for e in g.vec if e}
     calls = []
     derivative = Poly.derivative
 
@@ -314,11 +358,14 @@ def test_involutivity_differentiates_each_vector_entry_once(monkeypatch,
         return derivative(self, index)
 
     monkeypatch.setattr(Poly, "derivative", counted)
+    rep = involutivity_report.check(refused, rng, tmax=tmax)
+    assert rep.checks == {"lagrangian": False} and not calls
     rep = involutivity_report.check(frame, rng, H=_twist(rng, model),
                                     tmax=tmax)
     monkeypatch.undo()
-    assert rep.stats["route"] == "span"
-    assert sorted(calls) == sorted((key, l) for key in entries
+    assert rep.stats["route"] == "lagrangian"
+    assert sorted(calls) == sorted((id(e), l) for g in frame.gens[:-1]
+                                   for e in g.vec if e
                                    for l in range(model.dim))
 
 

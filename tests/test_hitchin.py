@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdirac import hitchin, linalg
+from gkdirac.brackets import mc_residual_dgla
 from gkdirac.errors import CertificateError, UnsupportedSceneError
 from gkdirac.forms import MixedForm, euler_homotopy
 from gkdirac.frames import frames_equal
-from gkdirac.hitchin import (DeformSeries, MCElement, deformation_frame,
+from gkdirac.hitchin import (DeformSeries, deformation_frame,
                              deformed_holomorphic_lift, deformed_structures,
                              formality_psi, hamiltonian_family_check,
                              mc_component_check, pi_star_transport,
@@ -20,7 +21,7 @@ from gkdirac.linalg import (mat_add, mat_div_right, mat_eval, mat_identity,
                             mat_mul, mat_neg, mat_t_truncate)
 from gkdirac.model import Model
 from gkdirac.multivector import (MVElement, bivector_matrix, form_from_matrix,
-                                 form_matrix)
+                                 form_matrix, mv_from_bivector_matrix)
 from gkdirac.poisson import (Bivector, HoloPoisson, RealPoisson,
                              build_L_sigma, gauge_real_poisson)
 from gkdirac.poly import Poly
@@ -50,33 +51,6 @@ def fubini_seed(model=M2):
 
 def mono(model, coeff, holo=(), anti=()):
     return MixedForm.monomial(model, model.poly(coeff), holo, anti)
-
-
-# ---------------------------------------------------------------------------
-# MCElement
-# ---------------------------------------------------------------------------
-
-def test_mc_element_type_enforcement():
-    rho = MVElement.monomial(M2, M2.poly(1), vecs=(0, 1))
-    phi = MVElement.monomial(M2, M2.poly(1), vecs=(0,), bars=(1,))
-    gamma = MixedForm.monomial(M2, M2.poly(1), anti=(0, 1))
-    MCElement(M2, rho=rho, phi=phi, gamma=gamma)
-    with pytest.raises(ValueError):
-        MCElement(M2, rho=phi)
-    with pytest.raises(ValueError):
-        MCElement(M2, phi=rho)
-    with pytest.raises(ValueError):
-        MCElement(M2, gamma=mono(M2, sc(1, 0), (0,), (1,)))
-
-
-def test_mc_element_polyvector_round_trip():
-    rho = MVElement.monomial(M2, M2.z(1), vecs=(0, 1))
-    phi = MVElement.monomial(M2, M2.zbar(0), vecs=(1,), bars=(0,))
-    gamma = MixedForm.monomial(M2, M2.z(0), anti=(0, 1))
-    eps = MCElement(M2, rho=rho, phi=phi, gamma=gamma)
-    back = MCElement.from_polyvector(eps.polyvector())
-    assert back == eps
-    assert MCElement.zero(M2).polyvector().is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +136,12 @@ def test_transport_splits_by_type():
     w02 = MixedForm.monomial(M2, M2.z(0), anti=(0, 1))
     w20 = MixedForm.monomial(M2, M2.poly(1), holo=(0, 1))
     e11 = pi_star_transport(w11, hp)
-    assert e11.rho.is_zero() and e11.gamma.is_zero()
-    assert not e11.phi.is_zero()
+    assert e11.degrees() == [(1, 1)]
     e02 = pi_star_transport(w02, hp)
-    assert e02.gamma == w02 and e02.phi.is_zero() and e02.rho.is_zero()
+    assert e02 == MVElement.monomial(M2, M2.z(0), bars=(0, 1))
     e20 = pi_star_transport(w20, hp)
-    assert e20.phi.is_zero() and e20.gamma.is_zero()
-    assert not e20.rho.is_zero()
-    total = pi_star_transport(w11 + w02 + w20, hp).polyvector()
-    split = (e11.polyvector() + e02.polyvector() + e20.polyvector())
-    assert total == split
+    assert e20.degrees() == [(2, 0)]
+    assert pi_star_transport(w11 + w02 + w20, hp) == e11 + e02 + e20
 
 
 def test_transport_first_order_representative():
@@ -180,9 +150,8 @@ def test_transport_first_order_representative():
     rep1 = pi_star_transport(fubini_seed().poly_mul(Poly.t(2)),
                              hp).t_coefficient(1)
     got = ds.eps.t_coefficient(1)
-    assert got.phi == rep1.phi
-    assert got.rho == rep1.rho
-    assert got.gamma.is_zero()
+    assert got == rep1
+    assert got.component(0, 2).is_zero()
 
 
 def test_transport_refuses_a_background_not_of_type_20():
@@ -192,7 +161,7 @@ def test_transport_refuses_a_background_not_of_type_20():
     with pytest.raises(UnsupportedSceneError):
         pi_star_transport(fubini_seed().poly_mul(Poly.t(2)), hp)
     with pytest.raises(UnsupportedSceneError):
-        MCElement.zero(M2).mc_residual(hp)
+        mc_component_check(MVElement.zero(M2), hp)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +535,10 @@ def test_deformation_frame_keeps_its_former_columns(n, with_t):
     model = Model(n)
     dim = model.dim
     for _ in range(3):
-        eps = MCElement(model, phi=_random_phi(rng, model, with_t))
+        eps = _random_phi(rng, model, with_t)
         gens = deformation_frame(HoloPoisson(model), eps).gens
         # the columns as deformation_frame built them inline before
-        Phi = phi_geom_matrix(eps.phi)
+        Phi = phi_geom_matrix(eps)
         for b in range(n):
             v = [model.zero_poly() for _ in range(dim)]
             v[n + b] = model.poly(1)
@@ -650,7 +619,7 @@ def test_graph_identity_pointwise_pencil_matches_the_former_loop():
 # ---------------------------------------------------------------------------
 
 def test_mc_components_zero_element():
-    rep = mc_component_check(MCElement.zero(M2), c2_background())
+    rep = mc_component_check(MVElement.zero(M2), c2_background())
     assert rep.ok and rep.stats["linear_ok"]
 
 
@@ -666,7 +635,7 @@ def test_mc_components_of_solved_series():
 def test_mc_components_flag_violations():
     phi_bad = MVElement.monomial(M2, M2.zbar(0) * M2.zbar(1),
                                  vecs=(0,), bars=(0,))
-    rep = mc_component_check(MCElement(M2, phi=phi_bad), c2_background())
+    rep = mc_component_check(phi_bad, c2_background())
     assert not rep.ok
     assert not rep.witnesses["residuals"]["complex_structure"].is_zero()
 
@@ -682,8 +651,8 @@ def test_mc_component_sum_consistency(a, b, c):
     rho = MVElement.monomial(M2, M2.z(0).scale(Scalar(a)), vecs=(0, 1))
     phi = MVElement.monomial(M2, M2.zbar(1).scale(Scalar(b)),
                              vecs=(0,), bars=(1,))
-    gamma = MixedForm.monomial(M2, M2.z(1).scale(Scalar(c)), anti=(0, 1))
-    eps = MCElement(M2, rho=rho, phi=phi, gamma=gamma)
+    gamma = MVElement.monomial(M2, M2.z(1).scale(Scalar(c)), bars=(0, 1))
+    eps = rho + phi + gamma
     rep = mc_component_check(eps, c2_background())
     assert set(rep.witnesses["residuals"]) == {
         "complex_structure", "holomorphicity", "jacobi", "form_part"}
@@ -696,7 +665,7 @@ def test_mc_component_sum_consistency(a, b, c):
 def test_deformed_structures_zero_element():
     rng = random.Random(53)
     hp = c2_background()
-    st_ = deformed_structures(MCElement.zero(M2), hp, rng)
+    st_ = deformed_structures(MVElement.zero(M2), hp, rng)
     assert st_.ok
     assert st_.poisson.sigma.mat == hp.sigma.mat
     P, UR, Q = st_.psi_blocks
@@ -709,9 +678,9 @@ def test_deformed_structures_pure_bivector_shift():
     rng = random.Random(59)
     hp = c2_background()
     rho = MVElement.monomial(M2, M2.poly(Fraction(1, 3)), vecs=(0, 1))
-    eps = MCElement(M2, rho=rho)
-    assert eps.mc_residual(hp).is_zero()
-    st_ = deformed_structures(eps, hp, rng)
+    assert mc_residual_dgla(rho, mv_from_bivector_matrix(M2, hp.sigma.mat)
+                            ).is_zero()
+    st_ = deformed_structures(rho, hp, rng)
     want = mat_add(hp.sigma.mat, bivector_matrix(rho, size=M2.dim))
     assert st_.poisson.sigma.mat == want
 
@@ -733,16 +702,23 @@ def test_deformed_structures_solved_series():
 
 def test_deformed_structures_rejects_surviving_gamma():
     rng = random.Random(67)
-    gamma = MixedForm.monomial(M2, M2.z(0), anti=(0, 1))
-    with pytest.raises(CertificateError):
-        deformed_structures(MCElement(M2, gamma=gamma), c2_background(), rng)
+    gamma = MVElement.monomial(M2, M2.z(0), bars=(0, 1))
+    with pytest.raises(CertificateError, match="surviving"):
+        deformed_structures(gamma, c2_background(), rng)
+    # beside a solved series, and at a t-order the cut keeps
+    hp = c2_background()
+    ds = solve_hitchin(hp, fubini_seed(), 2, mode="real")
+    late = gamma.poly_mul(Poly.t(2, 2))
+    with pytest.raises(CertificateError, match="surviving"):
+        deformed_structures(ds.eps + late, hp, rng, tmax=2)
 
 
 def test_deformed_holomorphic_lift_closes_residual():
     hp = c2_background()
     ds = solve_hitchin(hp, fubini_seed(), 4, mode="real")
     h = deformed_holomorphic_lift(M2.z(0), ds.eps, 4)
-    assert _deformed_dbar_function(M2, h, ds.eps, tmax=4).is_zero()
+    phi = ds.eps.component(1, 1)
+    assert _deformed_dbar_function(M2, h, phi, tmax=4).is_zero()
     assert h.t_coefficient(0) == M2.z(0)
     with pytest.raises(ValueError):
         deformed_holomorphic_lift(M2.zbar(0), ds.eps, 3)
@@ -851,7 +827,7 @@ def _former_ham_complex(ds, tmax):
     def wmul(A, B, bound=order):
         return wcut(mat_mul(A, B), bound)
 
-    Phi = lift_mat(phi_geom_matrix(ds.eps.phi))
+    Phi = lift_mat(phi_geom_matrix(ds.eps.component(1, 1)))
     Phibar = [[e.conj() for e in row] for row in Phi]
     A = mat_identity(dim, n1)
     for b in range(n):
@@ -876,7 +852,8 @@ def _former_ham_complex(ds, tmax):
     eye = mat_identity(dim, n1)
     I_t = mat_scale(mat_sub(mat_scale(P, Scalar(2)), eye), Scalar(0, 1))
     Msum = mat_add(lift_mat(ds.background.sigma.mat),
-                   lift_mat(bivector_matrix(ds.eps.rho, size=dim)))
+                   lift_mat(bivector_matrix(ds.eps.component(2, 0),
+                                            size=dim)))
     Mt = wmul(wmul(P, Msum), mat_transpose(P))
     Mtbar = _conj_operator(model, Mt)
     Wl = lift_mat(form_matrix(ds.beta_series()))

@@ -16,7 +16,9 @@ checks, and each family also has its own closed-form answer (dB + H = 0,
 
 Every involutivity witness ``(i, j, (k, T_ijk))`` is recomputed from a
 fresh bracket and the reference pairing, and must be the same for two
-seeds; a frame that is not Lagrangian makes ``frames_equal`` raise.
+seeds; a frame that is not Lagrangian makes ``frames_equal`` raise, and
+``involutivity_report.check`` refuse it, where the reference finds it not
+involutive (or not isotropic, or short of rank) too.
 """
 import random
 from fractions import Fraction
@@ -111,8 +113,12 @@ def _check_witnesses(frame, H, tmax, seeds):
 
 def _agree_on_involutivity(frame, H, tmax, seeds):
     rep = _check_witnesses(frame, H, tmax, seeds[:2])
-    assert rep.checks == _span_involutivity(frame, random.Random(seeds[2]),
-                                            H, tmax)
+    want = _span_involutivity(frame, random.Random(seeds[2]), H, tmax)
+    if rep.stats["route"] == "refused":
+        assert rep.checks == {"lagrangian": False}
+        assert not all(want.values())
+    else:
+        assert rep.checks == want
     return rep
 
 
@@ -276,7 +282,8 @@ def test_frames_of_holomorphic_poisson_structures(model, tmax, data, seeds):
     hp = data.draw(_holo_poisson(model, max_t))
     frame = _with_dt(build_L_sigma(hp, tmax=tmax, check=False))
     # on a parameter model with a cut the frame may be isotropic mod
-    # t^{tmax+1} only, which sends involutivity down the span route
+    # t^{tmax+1} only; it is refused, and the reference finds a bracket
+    # outside it
     _agree_on_involutivity(frame, None, tmax, seeds)
     other = hp
     if data.draw(st.booleans()):
@@ -287,6 +294,22 @@ def test_frames_of_holomorphic_poisson_structures(model, tmax, data, seeds):
                       f, tmax), tmax, seeds[0])
     if other is hp:
         assert equal
+
+
+@pytest.mark.parametrize("tmax", [None, 1, 2])
+@given(data=st.data(), seeds=_SEEDS)
+def test_frames_with_the_covector_dt(tmax, data, seeds):
+    # the frame HoloPoisson.certificates checks on a parameter model:
+    # build_L_sigma's generators and the covector dt, none with a d/dt leg,
+    # so X_c<a, b> keeps the t-order of <a, b> and the frame needs
+    # isotropy mod t^{tmax+1} only, like the reference
+    hp = data.draw(_holo_poisson(PARAM, 3 if tmax is not None else 1))
+    dt = GVField(PARAM, cov=[PARAM.zero_poly()] * 4 + [PARAM.poly(1)])
+    frame = DiracFrame(PARAM, build_L_sigma(hp, tmax=tmax, check=False).gens
+                       + [dt])
+    rep = _agree_on_involutivity(frame, None, tmax, seeds)
+    assert (rep.stats["route"] == "lagrangian") == (
+        not any(frame.isotropy_defect(tmax)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +373,18 @@ def test_a_parameter_model_needs_isotropy_one_order_further(model):
     a = T.gens[0] + GVField(model, cov=[model.t()] + T.gens[0].cov[1:])
     frame = DiracFrame(model, [a] + T.gens[1:])
     rep = _agree_on_involutivity(frame, None, 0, (13, 14, 15))
-    assert rep.stats["route"] == ("span" if model.param else "lagrangian")
-    assert rep.checks["isotropic"]
     assert rep.ok == (not model.param)
+    if model.param:
+        # refused, with no bracket formed: isotropic mod t only, where the
+        # reference finds [a, a] outside the frame
+        assert rep.stats["route"] == "refused"
+        assert rep.witnesses["not_lagrangian"] == \
+            "a generator pairing is nonzero"
+        assert _span_involutivity(frame, random.Random(15), None, 0) == {
+            "rank": True, "isotropic": True, "involutive": False}
+    else:
+        assert rep.stats["route"] == "lagrangian"
+        assert rep.checks["isotropic"]
 
 
 def test_frames_equal_refuses_frames_that_are_not_lagrangian():

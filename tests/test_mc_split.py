@@ -25,7 +25,7 @@ from gkdirac import brackets, hitchin
 from gkdirac.brackets import dgla_bracket, mc_residual_dgla
 from gkdirac.errors import CertificateError
 from gkdirac.forms import MixedForm
-from gkdirac.hitchin import MCElement, mc_component_check, solve_hitchin
+from gkdirac.hitchin import mc_component_check, solve_hitchin
 from gkdirac.model import Model
 from gkdirac.multivector import MVElement, mv_from_bivector_matrix
 from gkdirac.poisson import HoloPoisson
@@ -43,9 +43,7 @@ def _former_check(eps, sigma, tmax=None):
     the one-shot residual."""
     model = eps.model
     sig = mv_from_bivector_matrix(model, sigma.sigma.mat)
-    rho, phi = eps.rho, eps.phi
-    gam = MVElement(model, {(0, q): table
-                            for (_p, q, _r), table in eps.gamma.comps.items()})
+    rho, phi, gam = (eps.component(*key) for key in ((2, 0), (1, 1), (0, 2)))
 
     def bracket(x, y):
         return dgla_bracket(x, y, tmax=tmax)
@@ -63,11 +61,10 @@ def _former_check(eps, sigma, tmax=None):
         "form_part": total(gam.partial_bar(), bracket(phi, gam)),
     }
     acc = MVElement.sum(model, comps.values())
-    polyvector = eps.polyvector()
-    if acc != mc_residual_dgla(polyvector, sig, tmax=tmax):
+    if acc != mc_residual_dgla(eps, sig, tmax=tmax):
         raise CertificateError(
             "component split disagrees with the one-shot flatness residual")
-    eps1 = polyvector.t_coefficient(1)
+    eps1 = eps.t_coefficient(1)
     linear = eps1.partial_bar() + dgla_bracket(sig, eps1)
     return Report("mc_components",
                   {k: v.is_zero() for k, v in comps.items()},
@@ -155,18 +152,17 @@ def _elements(draw):
     phi = MVElement.sum(model, nonzero(
         lambda f, w: MVElement.monomial(model, f, vecs=w[:1], bars=w[1:]),
         [(i, j) for i in range(n) for j in range(n)]))
-    gamma = MixedForm.sum(model, nonzero(
-        lambda f, w: MixedForm.monomial(model, f, anti=w), pairs))
+    gamma = MVElement.sum(model, nonzero(
+        lambda f, w: MVElement.monomial(model, f, bars=w), pairs))
     coeffs = draw(st.lists(_COEFFS, min_size=n, max_size=n))
-    eps = MCElement(model, rho=rho, phi=phi, gamma=gamma)
+    eps = MVElement.sum(model, (rho, phi, gamma))
     return eps, _background(model, coeffs)
 
 
 @given(_elements(), st.sampled_from([None, 0, 1, 2, 3]))
 def test_non_flat_pieces_match_the_former_split(drawn, tmax):
     eps, hp = drawn
-    assert not (eps.rho.is_zero() or eps.phi.is_zero()
-                or eps.gamma.is_zero())
+    assert eps.degrees() == [(0, 2), (1, 1), (2, 0)]
     _assert_same(mc_component_check(eps, hp, tmax=tmax),
                  _former_check(eps, hp, tmax))
 
@@ -175,12 +171,10 @@ def test_one_call_makes_three_brackets(monkeypatch):
     model = Model(2)
     hp = _background(model, [1, 2])
     t = Poly.t(2)
-    eps = MCElement(
-        model,
-        rho=MVElement.monomial(model, model.zbar(0).mul(t), vecs=(0, 1)),
-        phi=MVElement.monomial(model, model.z(1).mul(t), vecs=(0,),
-                               bars=(1,)),
-        gamma=MixedForm.monomial(model, model.z(0).mul(t), anti=(0, 1)))
+    eps = (MVElement.monomial(model, model.zbar(0).mul(t), vecs=(0, 1))
+           + MVElement.monomial(model, model.z(1).mul(t), vecs=(0,),
+                                bars=(1,))
+           + MVElement.monomial(model, model.z(0).mul(t), bars=(0, 1)))
     calls = []
 
     def counted(a, b, tmax=None):
@@ -192,12 +186,12 @@ def test_one_call_makes_three_brackets(monkeypatch):
     rep = mc_component_check(eps, hp, tmax=2)
     assert not rep.ok
     sig = mv_from_bivector_matrix(model, hp.sigma.mat)
-    polyvector = eps.polyvector()
     assert len(calls) == 3
     (s1, e1, t1), (e2, e3, t2), (s2, lin, t3) = calls
-    assert s1 == sig and e1 == polyvector and t1 == 2
-    assert e2 is e3 and e2 == polyvector and t2 == 2
-    assert s2 == sig and lin == polyvector.t_coefficient(1) and t3 is None
+    # eps itself is bracketed, with no copy rebuilt from its pieces
+    assert s1 == sig and e1 is eps and t1 == 2
+    assert e2 is e3 is eps and t2 == 2
+    assert s2 == sig and lin == eps.t_coefficient(1) and t3 is None
 
 
 def test_a_piece_outside_the_four_bidegrees_raises(monkeypatch):
@@ -212,4 +206,4 @@ def test_a_piece_outside_the_four_bidegrees_raises(monkeypatch):
 
     monkeypatch.setattr(hitchin, "mc_residual_dgla", stray)
     with pytest.raises(CertificateError, match=r"\(1, 1\)"):
-        mc_component_check(MCElement.zero(model), hp)
+        mc_component_check(MVElement.zero(model), hp)

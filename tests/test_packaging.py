@@ -106,9 +106,21 @@ def test_unused_import_check_sees_a_stale_name():
     assert _unused_imports(source) == ["det (line 3)"]
 
 
+def _defined_names(top):
+    """The names a module-level statement binds by a def, a class or an
+    assignment."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = (top.targets if isinstance(top, ast.Assign) else
+               [top.target] if isinstance(top, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
 def _unused_private_helpers(sources):
-    """Private module-level functions and classes of ``sources`` (module
-    name -> source) that no code reads outside their own definition."""
+    """Private module-level functions, classes and assigned names of
+    ``sources`` (module name -> source) that no code reads outside their
+    own definition."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     reads = {}
     for module, tree in trees.items():
@@ -124,16 +136,16 @@ def _unused_private_helpers(sources):
     offenders = []
     for module, tree in trees.items():
         for top in tree.body:
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                    and top.name.startswith("_")
-                    and not top.name.startswith("__")
-                    and not reads.get(top.name, set()) - {(module, id(top))}):
-                offenders.append(f"{module}.{top.name}")
+            for name in _defined_names(top):
+                if (name.startswith("_") and not name.startswith("__")
+                        and not reads.get(name, set()) - {(module, id(top))}):
+                    offenders.append(f"{module}.{name}")
     return sorted(offenders)
 
 
-def test_no_unused_private_helpers():
-    # a private helper left behind by a deletion is caught here
+def test_private_helpers_have_a_reader():
+    # a private helper, shim or constant left behind by a deletion is
+    # caught here
     sources = {path.stem: path.read_text()
                for path in (ROOT / "src" / "gkdirac").glob("*.py")}
     assert not _unused_private_helpers(sources)
@@ -143,12 +155,15 @@ def test_unused_helper_check_sees_a_stale_helper():
     sources = {
         "a": ("def _used():\n    return 1\n"
               "def _recursive(k):\n    return _recursive(k - 1)\n"
-              "class _Stale:\n    pass\n"),
-        "b": ("from .a import _used, _Stale\n"
-              "def f(m):\n    return _used() + m._attr()\n"
-              "def _attr():\n    return 0\n"),
+              "class _Stale:\n    pass\n"
+              "_LIMIT = 5\n_ONCE, _TWICE = 1, 2\n__all__ = []\n"),
+        "b": ("from .a import _used, _Stale, _LIMIT\n"
+              "def f(m):\n    return _used() + m._attr() + _TWICE\n"
+              "def _attr():\n    return 0\n"
+              "_TABLE: dict = {}\n"),
     }
-    assert _unused_private_helpers(sources) == ["a._Stale", "a._recursive"]
+    assert _unused_private_helpers(sources) == [
+        "a._LIMIT", "a._ONCE", "a._Stale", "a._recursive", "b._TABLE"]
 
 
 def _load_tracer():

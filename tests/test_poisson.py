@@ -7,13 +7,15 @@ from gkdirac.errors import (CertificateError, SingularityError,
                             UnsupportedSceneError)
 from gkdirac.forms import MixedForm
 from gkdirac.frames import DiracFrame, GVField, involutivity_report
-from gkdirac.linalg import mat_apply
+from gkdirac.linalg import mat_apply, mat_mul, mat_transpose
 from gkdirac.model import Model
-from gkdirac.multivector import MVElement, mv_from_bivector_matrix
+from gkdirac.multivector import (MVElement, mv_from_bivector_matrix,
+                                 phi_geom_matrix)
 from gkdirac.poisson import (Bivector, HoloPoisson, RealPoisson,
                              build_L_sigma, check_gauge_equiv,
                              complex_structure_matrix, extract_holo_poisson,
-                             gauge_real_poisson, imag_Q, schouten_defect)
+                             gauge_real_poisson, imag_Q, schouten_defect,
+                             _holo_projector)
 from gkdirac.poly import Poly
 from gkdirac.scalars import Scalar, sc
 
@@ -637,3 +639,29 @@ def test_frame_closure_on_a_parameter_model_still_fails_with_a_witness(
                               "involutive": False}
         assert rep.witnesses["failures"] == [
             (1, 2, (3, Poly.const(2, Fraction(1, 2))))]
+
+
+@pytest.mark.parametrize("tmax", [1, 3])
+def test_a_frame_with_no_t_leg_is_decided_at_its_cut(tmax):
+    # phi = t d1 (x) dzbar1 and sigma = P (d1^d2) P^T kept mod t^{tmax+1}:
+    # a valid structure whose build_L_sigma frame pairs to zero mod
+    # t^{tmax+1} but not one order further.  No generator has a d/dt leg,
+    # so X_c<a, b> keeps the t-order of <a, b>, and closure is decided by
+    # pairings at the cut
+    model = Model(2, param=True)
+    zero = model.zero_poly()
+    P = _holo_projector(phi_geom_matrix(
+        MVElement.monomial(M2, M2.t(), vecs=(0,), bars=(0,))), tmax=tmax)
+    S = Bivector.wedge_pair(M2, 0, 1, 1).mat
+    mat = mat_mul(mat_mul(P, S, tmax=tmax), mat_transpose(P), tmax=tmax)
+    hp = HoloPoisson(model, sigma=Bivector(model, [row + [zero] for row in mat]
+                                           + [[zero] * model.dim]),
+                     phi=MVElement.monomial(model, model.t(), vecs=(0,),
+                                            bars=(0,)))
+    assert any(build_L_sigma(hp, tmax=tmax, check=False).isotropy_defect(
+        tmax + 1))
+    certs = hp.certificates(random.Random(59), tmax=tmax)
+    rep = certs.witnesses["involutivity"]
+    assert certs.ok and rep.stats["route"] == "lagrangian"
+    assert rep.checks == {"rank": True, "isotropic": True,
+                          "involutive": True}
