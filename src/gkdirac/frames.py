@@ -17,9 +17,8 @@ check names a nonzero Courant-tensor entry.  The rank is read at the
 origin first, with no random draw, and sampled only where it drops
 there; its nonzero minor is an exact lower bound, so no verdict depends
 on sampling luck.  A frame keeps the orders at which it was shown
-Lagrangian.  Involutivity of a frame that is not Lagrangian falls back on
-Cramer-style span certificates from :mod:`gkdirac.linalg`;
-``frames_equal`` refuses such a frame.
+Lagrangian.  A frame that is not Lagrangian is refused: its involutivity
+report fails the one check ``lagrangian``, and ``frames_equal`` raises.
 
 The bracket is the Dorfman bracket
 

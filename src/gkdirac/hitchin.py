@@ -14,15 +14,15 @@ L_sigma``.  The solver corrects an initial closed (1,1)+(2,0) seed
 order-by-order so that the transported gamma-part dies: at each order the
 (0,2) obstruction is certified ``partial_bar``-closed, contracted with the
 antiholomorphic Euler vector field into a primitive, and fed back as an
-exact correction.  The obstructions come from t-coefficient blocks of
-(1 + sigma beta)^{-1} that grow by one block per order (relaxed, or
-online, series arithmetic), so no order re-inverts the series; the
-finished series is proved closed once, as one assembled form, and its
-omega is solved once more, block by block, from (1 + beta sigma) omega =
-beta, which has one solution mod t^{order+1} and certifies it.  omega's
-(0,2) part is shown to vanish and its transport to be flat, each by one
-check.  Everything on the flat model is exact rational arithmetic, so each
-certificate is an identity, not an approximation.
+exact correction.  The obstruction is the (0,2) part of the t-block of
+omega that the earlier orders fix, and omega grows by one block per order
+(relaxed, or online, series arithmetic), so it is solved once and no order
+re-inverts the series.  The finished blocks are certified once: the
+assembled series is proved closed, omega satisfies (1 + beta sigma) omega
+= beta, which has one solution mod t^{order+1}, and omega's (0,2) part is
+shown to vanish and its transport to be flat.  Everything on the flat
+model is exact rational arithmetic, so each certificate is an identity,
+not an approximation.
 
 The same data read as a family in t supports two Hamiltonian-flow
 certificates.  For a real parameter, the gauged bivector family solves
@@ -164,32 +164,22 @@ def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
 
     ``beta`` must be closed with no constant t-term (a
     :class:`DeformSeries` is accepted and contributes its assembled
-    series); its closedness is proved here, on the assembled form.  Its
-    t-blocks come from a recurrence, not an inverse, and are certified by
-    the defining identity (1 + beta sigma) omega = beta on the assembled
-    matrices mod t^{order+1}, apart from the recurrence.  beta sigma has
-    no t^0 block, so that identity has exactly one solution mod
-    t^{order+1}, which the alternating partial sums beta - beta sigma beta
-    + ... only restate.  ``check=True`` adds the flatness residual d omega
-    + (1/2)[omega, omega]_sigma.  The flatness of the transported element
-    (:func:`mc_component_check`) does not imply it: pi_star is not
-    injective on 3-forms once n = 3 (for sigma = z1 d1^d2 it kills
-    dz3 ^ dzbar1 ^ dzbar2), so the dz3 part of this residual is invisible
-    on the polyvector side.  It is also the only caller of
-    ``brackets.koszul_bracket`` on the benchmark workloads.
+    series).  Its t-blocks come from a recurrence, not an inverse, and get
+    the certificate :func:`solve_hitchin` gives its own blocks
+    (:func:`_certified_inverse`); beta sigma has no t^0 block, so the
+    defining identity (1 + beta sigma) omega = beta has exactly one
+    solution mod t^{order+1}, which the alternating partial sums beta -
+    beta sigma beta + ... only restate.  ``check=True`` adds the flatness
+    residual.
     """
     if isinstance(beta, DeformSeries):
         beta = beta.beta_series()
     model = beta.model
     _reject_dt(beta, "the inverse series")
-    if not beta.d().is_zero():
-        raise CertificateError("input two-form must be closed")
     if not beta.t_coefficient(0).is_zero():
         raise CertificateError(
             "input has a constant t-term; the order-by-order inverse needs "
             "a form vanishing at t = 0")
-    if beta.is_zero():
-        return MixedForm.zero(model)
     M = _background(model, sigma).sigma.mat
     W = form_matrix(beta)
     A = mat_mul(W, M, tmax=order)
@@ -199,17 +189,33 @@ def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
     blocks = [Ws[0]]
     for j in range(1, order + 1):
         blocks.append(mat_sub(Ws[j], _mat_series_term(As, blocks, j)))
-    psi_op = _mat_from_t_blocks(blocks)
-    # the defining identity, on the assembled matrices
+    return _certified_inverse(beta, M, W, A, _mat_from_t_blocks(blocks),
+                              order, check)
+
+
+def _certified_inverse(beta, M, W, A, psi_op, order, check) -> MixedForm:
+    """The two-form of ``psi_op``, certified as the inverse series of the
+    closed ``beta`` (form matrix ``W``, ``A`` = W M by ``mat_mul``) against
+    sigma's matrix ``M``, mod t^{order+1}.
+
+    One d() of the assembled ``beta`` proves it closed, and the defining
+    identity (1 + A) psi = W is checked on the assembled matrices.  With
+    ``check`` the flatness residual d psi + (1/2)[psi, psi]_sigma must
+    vanish.  The flatness of the transported element
+    (:func:`mc_component_check`) does not imply it: pi_star is not
+    injective on 3-forms once n = 3 (for sigma = z1 d1^d2 it kills
+    dz3 ^ dzbar1 ^ dzbar2).  It is also the only caller of
+    ``brackets.koszul_bracket`` on the benchmark workloads.
+    """
+    if not beta.d().is_zero():
+        raise CertificateError("input two-form must be closed")
     lhs = mat_add(psi_op, mat_mul(A, psi_op, tmax=order))
     if mat_t_truncate(lhs, order) != mat_t_truncate(W, order):
         raise CertificateError("inverse series failed its defining identity")
-    psi = form_from_matrix(model, psi_op)
-    if check:
-        resid = mc_residual_koszul(psi, M, tmax=order)
-        if not resid.is_zero():
-            raise CertificateError(
-                "flatness residual of the inverse series is nonzero")
+    psi = form_from_matrix(beta.model, psi_op)
+    if check and not mc_residual_koszul(psi, M, tmax=order).is_zero():
+        raise CertificateError(
+            "flatness residual of the inverse series is nonzero")
     return psi
 
 
@@ -375,30 +381,32 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
                   mode: str = "complex") -> DeformSeries:
     """Correct t*omega1 order-by-order until the transported (0,2) part dies.
 
-    At each order k the obstruction is the t^{k+1} coefficient of the
-    (0,2) part of the inverse series W (1 + M W)^{-1}, with W the form
-    matrix of the series and M sigma's.  It is read from t-coefficient
-    blocks kept across orders: order k adds the block N_k = sum_a M_a
-    W_{k-a} of M W and the block X_k = -sum_{i=1..k} N_i X_{k-i} of
-    (1 + M W)^{-1} (its zbar columns only), and the obstruction is the
-    zbar-zbar block of sum_{i=1..k} W_i X_{k+1-i}.  It is certified
-    partial_bar-closed, contracted with the antiholomorphic Euler field
-    into a primitive gamma (so partial_bar gamma = -obstruction), and the
-    exact correction d(gamma) -- d(gamma + conj gamma) in real mode -- is
-    appended to the series as its block W_{k+1}.  Each fact about the
-    finished series is then certified once: :func:`formality_psi` proves
-    the assembled series closed (every coefficient is t-free with no dt
-    leg, so d of the series is sum_k t^k d(beta_k), zero exactly when each
-    coefficient is closed) and solves its omega afresh from (1 + W M)
-    omega = W, certified by that identity and by omega's flatness
-    residual; omega's (0,2) part is checked here to vanish mod
-    t^{order+1}; and the transported element's flatness is verified piece
-    by piece by :func:`mc_component_check`.  These certify every block the
-    loop used.
+    The inverse series omega = (1 + W M)^{-1} W of the form matrix W of
+    the series against sigma's M grows one t-block per order, with the
+    blocks of A = W M: at order k, A_k = sum_a W_{k-a} M_a, and the part
+    of omega_{k+1} that W_1..W_k fix is -sum_{i=1..k} A_i omega_{k+1-i}
+    (A_{k+1} meets only omega_0 = 0).  Its (0,2) part is the obstruction.
+    It is certified partial_bar-closed, contracted with the
+    antiholomorphic Euler field into a primitive gamma (so partial_bar
+    gamma = -obstruction), and the exact correction d(gamma) -- d(gamma +
+    conj gamma) in real mode -- is appended to the series as its block
+    W_{k+1}, which completes omega_{k+1}.  The finished blocks get the
+    certificate of :func:`formality_psi` (:func:`_certified_inverse`): the
+    assembled series is proved closed by one d() (every coefficient is
+    t-free with no dt leg, so that is zero exactly when each coefficient
+    is closed), omega satisfies (1 + W M) omega = W with W M formed apart
+    from the recurrence, and omega's flatness residual vanishes.  omega's
+    (0,2) part is checked here to vanish mod t^{order+1}, and the
+    transported element's flatness is verified piece by piece by
+    :func:`mc_component_check`.  These certify every block the loop used.
     """
     model = hp.model
     if mode not in ("complex", "real"):
         raise ValueError("mode must be 'complex' or 'real'")
+    if model.param:
+        raise UnsupportedSceneError(
+            "the solve needs the parameter-free model: there d(t omega1) "
+            "would carry dt ^ omega1")
     hp = _background(model, hp)
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -421,44 +429,38 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
     gammas = {}
     zero = MixedForm.zero(model)
     n, dim = model.n, model.dim
-    bars = range(n, 2 * n)
     series = omega1.poly_mul(Poly.t(n))
-    # t-coefficient blocks of M, W, M W and the zbar columns of
-    # (1 + M W)^{-1}; each list's block 0 is its t^0 block
+    # t-coefficient blocks of M, W, A = W M and omega; each list's block 0
+    # is its t^0 block, and W_0 = A_0 = omega_0 = 0
     Ms = _mat_t_blocks(M, max(0, *(e.t_degree() for row in M for e in row)))
     Ws = [mat_zero(dim, dim, n), form_matrix(omega1)]
-    Ns = [mat_zero(dim, dim, n)]
-    Xs = [[row[n:2 * n] for row in mat_identity(dim, n)]]
+    As, omegas = Ws[:1], Ws[:2]
     for k in range(1, order):
-        Ns.append(_mat_series_term(Ms, Ws, k))
-        Xs.append(mat_neg(_mat_series_term(Ns, Xs, k)))
-        # W has no t^{k+1} block yet, so only W_1..W_k enter
-        F = mat_zero(dim, dim, n)
-        block = _mat_series_term(Ws, Xs, k + 1, rows=bars)
-        for a, row in zip(bars, block):
-            F[a][n:2 * n] = row
-        r = form_from_matrix(model, F).component(0, 2)
+        As.append(_mat_series_term(Ws, Ms, k))
+        fixed = mat_neg(_mat_series_term(As, omegas, k + 1))
+        r = form_from_matrix(model, fixed).component(0, 2)
         residuals[k + 1] = r
-        if r.is_zero():
-            gammas[k + 1] = zero
-            betas.append(zero)
-            Ws.append(mat_zero(dim, dim, n))
-            continue
-        if not r.partial_bar().is_zero():
-            raise CertificateError(
-                f"order-{k + 1} obstruction is not partial_bar-closed; the "
-                "correction scheme does not apply")
-        gamma = euler_homotopy(r).scale(_MINUS_ONE)
-        if not (gamma.partial_bar() + r).is_zero():
-            raise CertificateError(
-                "homotopy primitive failed partial_bar(gamma) = "
-                "-obstruction")
-        step = gamma.d() if mode == "complex" else (gamma + gamma.conj()).d()
+        gamma = step = zero
+        if not r.is_zero():
+            if not r.partial_bar().is_zero():
+                raise CertificateError(
+                    f"order-{k + 1} obstruction is not partial_bar-closed; "
+                    "the correction scheme does not apply")
+            gamma = euler_homotopy(r).scale(_MINUS_ONE)
+            if not (gamma.partial_bar() + r).is_zero():
+                raise CertificateError(
+                    "homotopy primitive failed partial_bar(gamma) = "
+                    "-obstruction")
+            step = (gamma.d() if mode == "complex"
+                    else (gamma + gamma.conj()).d())
+            series = series + step.poly_mul(Poly.t(n, k + 1))
         gammas[k + 1] = gamma
         betas.append(step)
         Ws.append(form_matrix(step))
-        series = series + step.poly_mul(Poly.t(n, k + 1))
-    omega = formality_psi(series, hp, order)
+        omegas.append(mat_add(fixed, Ws[-1]))
+    W = form_matrix(series)
+    omega = _certified_inverse(series, M, W, mat_mul(W, M, tmax=order),
+                               _mat_from_t_blocks(omegas), order, True)
     if not omega.component(0, 2).is_zero():
         raise CertificateError(
             "corrected series kept a (0,2) part; the solve failed")
@@ -632,6 +634,9 @@ def deformed_structures(eps: MVElement, hp: HoloPoisson, rng,
     whose Lie derivative of the new bivector is certified zero.
     """
     model = eps.model
+    if model.param:
+        raise UnsupportedSceneError(
+            "the deformed structures live on the parameter-free frame")
     hp = _background(model, hp)
     rho, phi, gamma = _split(eps)
     if not gamma.t_truncate(tmax).is_zero():

@@ -335,18 +335,16 @@ def _mat_from_t_blocks(Bs):
              for c in range(len(Bs[0][0]))] for r in range(len(Bs[0]))]
 
 
-def _mat_series_term(As, Bs, j, rows=None):
+def _mat_series_term(As, Bs, j):
     """The t^j block of (sum_i As[i] t^i)(sum_i Bs[i] t^i), namely
-    sum_i As[i] Bs[j-i] over the blocks both lists hold, on the rows asked
-    for (all by default).  Each entry is one ``Poly.sum``; zero entries are
-    skipped."""
+    sum_i As[i] Bs[j-i] over the blocks both lists hold.  Each entry is one
+    ``Poly.sum``; zero entries are skipped."""
     lo, hi = max(0, j - len(Bs) + 1), min(j, len(As) - 1)
     pairs = [(As[i], Bs[j - i]) for i in range(lo, hi + 1)]
     n = As[0][0][0].n
-    rows = range(len(As[0])) if rows is None else rows
     cols = range(len(Bs[0][0]))
     out = []
-    for r in rows:
+    for r in range(len(As[0])):
         support = [(a, Bb[l]) for Ab, Bb in pairs
                    for l, a in enumerate(Ab[r]) if a]
         out.append([Poly.sum(n, (a.mul(Bl[c]) for a, Bl in support if Bl[c]))

@@ -561,17 +561,20 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     t = 0 slice with ``tmax``), and the identity is checked on every
     generator.  Its failure raises SingularityError with the exact witness
     (generator, b, entry); fewer than n pivots raise it with a witness
-    point.  The lifts of the eta_a (:func:`_covector_lifts`), projected onto
-    the deformed holomorphic bundle, give sigma, and the round trip through
-    :func:`build_L_sigma` is verified.  ``rng`` serves the pivot search,
-    the lifts and that round trip.
+    point.  The lifts of the eta_a (:func:`_covector_lifts`), projected by
+    P = K [1, -Phi] onto the deformed holomorphic bundle, are the columns
+    sigma(eta_a) of a matrix O, and sigma kills the deformed
+    (0,1)-covectors.  K = [[1], [conj Phi]] S^{-1} is also the first n
+    columns of (I - N)^{-1}: the vectors dual to the eta_a, which the
+    (0,1)-covectors kill.  So sigma = O K^T, with no further division.
+    The round trip through :func:`build_L_sigma` is verified.  ``rng``
+    serves the pivot search, the lifts and that round trip.
     """
     model = L.model
     if model.param:
         raise UnsupportedSceneError(
             "extraction requires the parameter-free frame")
     n = model.n
-    dim = model.dim
     top = [g.cov[:n] for g in L.gens]
     _, keep = _pivot_block(top, model, rng, t_zero=tmax is not None)
     if len(keep) < n:
@@ -593,18 +596,13 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
                     f"{entry.render()})")
     Phi = mat_transpose(PhiT)
     phi = mv_from_endo(model, Phi)
-    hp_shape = HoloPoisson(model, phi=phi)
-    etas = hp_shape.holo_covector_columns()
-    thetas = hp_shape.antiholo_covector_columns()
+    etas = HoloPoisson(model, phi=phi).holo_covector_columns()
     # the lifts, projected onto the deformed holomorphic bundle
-    outs = _covector_lifts(L, etas, _holo_projector(Phi, tmax=tmax), rng,
-                           "a deformed covector is outside the covector "
-                           "span of the frame", tmax=tmax)
-    # solve S [eta | theta] = [outs | 0]
-    Cbasis = [[(etas + thetas)[j][i] for j in range(dim)] for i in range(dim)]
-    Mout = [[outs[j][i] if j < n else model.zero_poly()
-             for j in range(dim)] for i in range(dim)]
-    S = mat_div_right(Mout, Cbasis, tmax=tmax)
+    P = _holo_projector(Phi, tmax=tmax)
+    outs = _covector_lifts(L, etas, P, rng, "a deformed covector is outside "
+                           "the covector span of the frame", tmax=tmax)
+    # sigma = O K^T, O the lifts as columns and K the first n columns of P
+    S = mat_transpose(mat_mul([row[:n] for row in P], outs, tmax=tmax))
     try:
         sigma = Bivector(model, S)
     except ValueError:

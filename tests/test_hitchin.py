@@ -281,6 +281,104 @@ def test_solve_matches_the_per_order_inverse_loop(scene, mode):
     assert any(not r.is_zero() for r in residuals.values())
 
 
+def _obstruction_reference(hp, omega1, order, mode):
+    """The former obstructions: blocks N_k = sum_a M_a W_{k-a} of M W and
+    X_k = -sum_{i=1..k} N_i X_{k-i} of (1 + M W)^{-1} (its zbar columns),
+    and the zbar-zbar block of sum_{i=1..k} W_i X_{k+1-i} of W (1 + M
+    W)^{-1}; returns the residuals by order."""
+    model = hp.model
+    n, dim = model.n, model.dim
+    M = hp.sigma.mat
+    residuals = {}
+    Ms = linalg._mat_t_blocks(M, max(0, *(e.t_degree() for row in M
+                                          for e in row)))
+    zero = [[Poly.zero(n)] * dim for _ in range(dim)]
+    Ws, Ns = [zero, form_matrix(omega1)], [zero]
+    Xs = [[row[n:2 * n] for row in mat_identity(dim, n)]]
+    for k in range(1, order):
+        Ns.append(linalg._mat_series_term(Ms, Ws, k))
+        Xs.append(mat_neg(linalg._mat_series_term(Ns, Xs, k)))
+        F = [row[:] for row in zero]
+        block = linalg._mat_series_term(Ws, Xs, k + 1)
+        for a in range(n, 2 * n):
+            F[a][n:2 * n] = block[a]
+        r = form_from_matrix(model, F).component(0, 2)
+        residuals[k + 1] = r
+        if r.is_zero():
+            Ws.append(zero)
+            continue
+        gamma = euler_homotopy(r).scale(Scalar(-1))
+        step = gamma.d() if mode == "complex" else (gamma + gamma.conj()).d()
+        Ws.append(form_matrix(step))
+    return residuals
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("scene", ["c2", "t_dependent", "c3"])
+def test_obstructions_match_the_former_block_route(scene, mode):
+    # the obstruction is the (0,2) part of the omega block that the
+    # earlier orders fix, since W (1 + M W)^{-1} = (1 + W M)^{-1} W
+    hp, seed = _SCENES[scene]()
+    top = 6 if scene != "c3" else 4
+    want = _obstruction_reference(hp, seed, top, mode)
+    for order in range(2, top + 1):
+        ds = solve_hitchin(hp, seed, order, mode=mode)
+        assert ds.residuals == {k: r for k, r in want.items() if k <= order}
+    assert any(not r.is_zero() for r in want.values())
+
+
+def test_solve_forms_omega_once(monkeypatch):
+    # one recurrence: two block products per order, and no second solve
+    # of omega by formality_psi
+    calls = {"psi": 0, "term": 0}
+    term = hitchin._mat_series_term
+
+    def counted_psi(*args, **kwargs):
+        calls["psi"] += 1
+        return formality_psi(*args, **kwargs)
+
+    def counted_term(*args):
+        calls["term"] += 1
+        return term(*args)
+
+    monkeypatch.setattr(hitchin, "formality_psi", counted_psi)
+    monkeypatch.setattr(hitchin, "_mat_series_term", counted_term)
+    for scene in sorted(_SCENES):
+        hp, seed = _SCENES[scene]()
+        for order in (1, 2, 4):
+            for mode in ("real", "complex"):
+                calls.update(psi=0, term=0)
+                solve_hitchin(hp, seed, order, mode=mode)
+                assert calls["psi"] == 0
+                assert calls["term"] <= 2 * (order - 1)
+
+
+@pytest.mark.parametrize("scene", sorted(_SCENES))
+def test_solve_certifies_its_last_omega_block(scene, monkeypatch):
+    # a wrong (1,1) entry in the last omega block of the recurrence, which
+    # no obstruction reads, is refused by the defining identity on the
+    # assembled matrices (an earlier wrong block already breaks the
+    # antisymmetry of the next one)
+    term = hitchin._mat_series_term
+    hp, seed = _SCENES[scene]()
+    model = hp.model
+    n = model.n
+    z = model.z(n - 1)
+    for order in range(2, 5):
+        def corrupted(As, Bs, j, order=order):
+            out = term(As, Bs, j)
+            if j == order and Bs is not As and len(Bs) == j:
+                out[0][n] = out[0][n] + z
+                out[n][0] = out[n][0] - z
+            return out
+
+        monkeypatch.setattr(hitchin, "_mat_series_term", corrupted)
+        with pytest.raises(CertificateError, match="defining identity"):
+            solve_hitchin(hp, seed, order)
+        monkeypatch.setattr(hitchin, "_mat_series_term", term)
+        solve_hitchin(hp, seed, order)
+
+
 def test_solve_and_psi_invert_nothing(monkeypatch):
     # formality_psi solves (1 + W M) psi = W by its block recurrence, and
     # solve_hitchin's loop grows its own blocks: neither inverts a matrix
@@ -423,8 +521,8 @@ def test_defining_identity_catches_a_wrong_block_at_every_order(
 
     monkeypatch.setattr(hitchin, "_mat_from_t_blocks", recorded)
     for k in range(1, order + 1):
-        def corrupted(As, Bs, j, rows=None, k=k):
-            out = series_term(As, Bs, j, rows=rows)
+        def corrupted(As, Bs, j, k=k):
+            out = series_term(As, Bs, j)
             if j == k:
                 out[0][model.n] = out[0][model.n] + model.z(1)
             return out
@@ -444,10 +542,11 @@ def test_defining_identity_catches_a_wrong_block_at_every_order(
 
 def test_series_closedness_is_proved_once_on_the_assembled_form(
         monkeypatch):
-    # DeformSeries takes no d() of its coefficients; formality_psi takes
-    # one of the assembled series, which is closed exactly when every
-    # t-free coefficient is.  From order 2 on omega differs from the
-    # series, so the flatness residual's d(omega) is not counted as well
+    # DeformSeries takes no d() of its coefficients; the certificate the
+    # solve shares with formality_psi takes one of the assembled series,
+    # which is closed exactly when every t-free coefficient is.  From
+    # order 2 on omega differs from the series, so the flatness
+    # residual's d(omega) is not counted as well
     seen = []
     inside = []
     d = MixedForm.d
@@ -496,13 +595,13 @@ def test_formality_rejects_one_non_closed_coefficient(k):
 
 def test_solve_refuses_an_omega_with_a_02_part(monkeypatch):
     # solve_hitchin holds the one check that omega's (0,2) part vanishes
-    psi = hitchin.formality_psi
+    certified = hitchin._certified_inverse
     extra = MixedForm.monomial(M2, M2.z(0) * Poly.t(2, 2), anti=(0, 1))
 
-    def with_02_part(*args, **kwargs):
-        return psi(*args, **kwargs) + extra
+    def with_02_part(*args):
+        return certified(*args) + extra
 
-    monkeypatch.setattr(hitchin, "formality_psi", with_02_part)
+    monkeypatch.setattr(hitchin, "_certified_inverse", with_02_part)
     for mode in ("real", "complex"):
         with pytest.raises(CertificateError, match=r"\(0,2\) part"):
             solve_hitchin(c2_background(), fubini_seed(), 3, mode=mode)
@@ -711,6 +810,25 @@ def test_deformed_structures_rejects_surviving_gamma():
     late = gamma.poly_mul(Poly.t(2, 2))
     with pytest.raises(CertificateError, match="surviving"):
         deformed_structures(ds.eps + late, hp, rng, tmax=2)
+
+
+@pytest.mark.parametrize("tmax", [1, 2, 3])
+def test_a_parameter_model_is_refused_up_front(tmax):
+    # P is 2n x 2n while sigma's leg matrix on a parameter model is
+    # (2n + 1) x (2n + 1), and d(t omega1) carries dt ^ omega1 there; both
+    # entry points refuse the model before any work, with a typed error
+    MP = Model(2, param=True)
+    hp = HoloPoisson(MP, sigma=MVElement.monomial(MP, MP.poly(1),
+                                                  vecs=(0, 1)))
+    eps = MVElement.monomial(MP, Poly.t(2), vecs=(0,), bars=(0,))
+    with pytest.raises(UnsupportedSceneError, match="parameter-free"):
+        deformed_structures(eps, hp, random.Random(tmax), tmax=tmax)
+    with pytest.raises(UnsupportedSceneError, match="parameter-free"):
+        solve_hitchin(hp, fubini_seed(MP), tmax)
+    # the shared background check still lets these answer on the model
+    assert mc_component_check(eps, hp, tmax=tmax).ok
+    lift = deformed_holomorphic_lift(MP.z(0), eps, tmax)
+    assert lift == MP.z(0) + MP.zbar(0) * Poly.t(2)
 
 
 def test_deformed_holomorphic_lift_closes_residual():

@@ -166,6 +166,36 @@ def test_unused_helper_check_sees_a_stale_helper():
         "a._LIMIT", "a._ONCE", "a._Stale", "a._recursive", "b._TABLE"]
 
 
+def _syntax_errors_before_3_11(sources):
+    """The files of ``sources`` (name -> source) whose grammar needs
+    Python 3.11 or later, with the parser's message."""
+    offenders = {}
+    for name, source in sources.items():
+        try:
+            ast.parse(source, feature_version=(3, 10))
+        except SyntaxError as err:
+            offenders[name] = f"line {err.lineno}: {err.msg}"
+    return offenders
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; this checks the
+    # grammar only (``except*``, ...), not the standard-library names a
+    # module uses, which a 3.10 interpreter would still have to run
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for top in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))}
+    assert len(sources) > 30
+    assert not _syntax_errors_before_3_11(sources)
+
+
+def test_syntax_guard_sees_an_except_star():
+    sources = {"group.py": ("try:\n    pass\n"
+                            "except* ValueError:\n    pass\n"),
+               "plain.py": "try:\n    pass\nexcept ValueError:\n    pass\n"}
+    assert list(_syntax_errors_before_3_11(sources)) == ["group.py"]
+
+
 def _load_tracer():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)

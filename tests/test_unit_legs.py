@@ -18,7 +18,11 @@ phi and sigma, rewritten in other generators and gauged by closed 2-forms,
 wherever the former route answers the new one gives the same (phi, sigma),
 so it never refuses a frame the former route accepts.  (c) The four gauge
 verdicts equal the span-certificate reference on positive and negative
-pairs, and each witness is the same for every seed.
+pairs, and each witness is the same for every seed.  (d) sigma = O K^T is
+read off the projector P = [K | -K Phi] that lifts the eta_a: on
+Phi = [[t, z1], [0, 0]], where det(1 - Phi conj(Phi)) = 1 - t^2 is no
+unit but S^{-1} is a t-series, the former division by the 2n x 2n
+covector basis refuses a frame whose projector exists.
 """
 import random
 from fractions import Fraction
@@ -26,7 +30,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gkdirac.errors import GkdError, SingularityError
+from gkdirac.errors import GkdError, SingularityError, UnsupportedSceneError
 from gkdirac.forms import MixedForm
 from gkdirac.frames import (DiracFrame, _conj_components, frames_equal,
                             gauge_frame)
@@ -380,3 +384,38 @@ def test_gauge_verdicts_match_the_span_reference(index):
             target, coordinate, residual = witness
             assert 0 <= target < N and 0 <= coordinate < M2.dim
             assert isinstance(residual, Poly) and residual
+
+
+# ---------------------------------------------------------------------------
+# (d) sigma read off the projector
+# ---------------------------------------------------------------------------
+
+def _projected_scene(Phi, tmax, check):
+    """L_sigma for sigma = P (d1^d2) P^T mod t^{tmax+1}, of deformed type
+    (2,0) for the phi of ``Phi``, and that structure."""
+    P = _holo_projector(Phi, tmax=tmax)
+    unit = Bivector.wedge_pair(M2, 0, 1, M2.poly(1)).mat
+    sigma = mat_mul(mat_mul(P, unit, tmax=tmax), mat_transpose(P), tmax=tmax)
+    hp = HoloPoisson(M2, sigma=Bivector(M2, sigma), phi=mv_from_endo(M2, Phi))
+    return build_L_sigma(hp, tmax, check=check), hp
+
+
+@pytest.mark.parametrize("tmax", [1, 2, 3])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_sigma_is_read_off_the_projector(tmax, transposed):
+    # Phi = [[t, z1], [0, 0]] is the nilpotent scene of the Schur
+    # projector, with a phi that is not flat (the frame is built unchecked;
+    # extraction reads only its shape); its transpose gives a flat phi
+    zero, z1, t = M2.zero_poly(), M2.z(0), Poly.t(N)
+    Phi = [[t, z1], [zero, zero]]
+    if transposed:
+        Phi = mat_transpose(Phi)
+    L, hp = _projected_scene(Phi, tmax, check=transposed)
+    # the random frames of (b) check agreement wherever the former answers
+    former, got = _both_routes(L, tmax, tmax)
+    assert former is None
+    assert got.sigma == hp.sigma and got.phi == hp.phi
+    assert not got.sigma.is_zero()
+    with pytest.raises(UnsupportedSceneError,
+                       match=r"not polynomial; determinant = .*t\^2"):
+        _former_extract(L, random.Random(tmax), tmax=tmax)
