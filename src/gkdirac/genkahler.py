@@ -62,6 +62,11 @@ _HALF_OVER_I = Scalar(0, Fraction(-1, 2))  # 1/(2i)
 # the failures a condition records as its reason rather than raises
 _REFUSALS = (SingularityError, UnsupportedSceneError, CertificateError)
 
+_SAMPLES = 5  # points sampled by gc_from_dirac and gk_check
+_FAMILY_SAMPLES = 4  # points sampled by gk_deform_family
+# the parameter values at which gk_deform_family checks its members
+_FAMILY_TS = (Fraction(1, 8), Fraction(-1, 8), Fraction(1, 16))
+
 
 def half_i_difference(f1: DiracFrame, f2: DiracFrame, rng, tmax=None):
     """The Dirac combination (1/2i)(f1 - f2)."""
@@ -73,9 +78,9 @@ def _frame_uses_t(frame: DiracFrame) -> bool:
     return any(p.t_degree() > 0 for g in frame.gens for p in g.stack())
 
 
-def _sample_points(model, rng, frames, count):
+def _sample_points(model, rng, frames):
     with_t = any(_frame_uses_t(f) for f in frames)
-    return model.sample_points(rng, count=count, with_t=with_t)
+    return model.sample_points(rng, count=_SAMPLES, with_t=with_t)
 
 
 class _RationalGraph(UnsupportedSceneError):
@@ -239,12 +244,13 @@ def _real_poisson(L: DiracFrame, conj: DiracFrame, rng,
     return pi
 
 
-def gc_from_dirac(L: DiracFrame, rng, tmax=None, sample_count=5) -> GCStruct:
+def gc_from_dirac(L: DiracFrame, rng, tmax=None) -> GCStruct:
     """Extract the generalized complex data carried by a Dirac frame.
 
     Certifies transversality with the conjugate frame both generically
-    (anchor spans) and pointwise (trivial intersection at sample points),
-    and recovers the real Poisson structure from (1/2i)(L - conj L).
+    (anchor spans) and pointwise (trivial intersection at ``_SAMPLES``, 5,
+    sample points), and recovers the real Poisson structure from
+    (1/2i)(L - conj L).
     """
     model = L.model
     conj = L.conj()
@@ -253,7 +259,7 @@ def gc_from_dirac(L: DiracFrame, rng, tmax=None, sample_count=5) -> GCStruct:
             "anchor images of the frame and its conjugate do not span the "
             "tangent space")
     pi = _real_poisson(L, conj, rng, tmax=tmax)
-    points = _sample_points(model, rng, [L], sample_count)
+    points = _sample_points(model, rng, [L])
     ranks = [L.eval_point(p).intersect(conj.eval_point(p)).rank()
              for p in points]
     if min(ranks) != 0:
@@ -292,8 +298,8 @@ class GKPair:
     __slots__ = ("model", "L1", "L2", "sigma_plus", "sigma_minus",
                  "pi1", "pi2", "gram_samples")
 
-    def __init__(self, model, L1, L2, sigma_plus, sigma_minus,
-                 pi1=None, pi2=None, gram_samples=None):
+    def __init__(self, model, L1, L2, sigma_plus, sigma_minus, pi1, pi2,
+                 gram_samples):
         self.model = model
         self.L1 = L1
         self.L2 = L2
@@ -301,7 +307,7 @@ class GKPair:
         self.sigma_minus = sigma_minus
         self.pi1 = pi1
         self.pi2 = pi2
-        self.gram_samples = gram_samples or []
+        self.gram_samples = gram_samples
 
     def __repr__(self):
         return f"GKPair(dim={self.model.dim})"
@@ -350,9 +356,10 @@ def _positivity(model, f1: DiracFrame, f2: DiracFrame, points):
     return bool(votes) and all(votes), samples
 
 
-def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
-             sample_count=5) -> Report:
+def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None) -> Report:
     """Run the four-condition generalized Kahler check on a frame pair.
+
+    Positivity is decided at ``_SAMPLES`` (5) sample points.
 
     Never raises for a mathematically meaningful failure -- each condition
     is reported with its reason.  Internal-consistency violations (a
@@ -410,7 +417,7 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
                 "real and holomorphic conditions hold but transversality "
                 "fails; the implication between them is broken")
 
-    points = _sample_points(model, rng, [L1, L2], sample_count)
+    points = _sample_points(model, rng, [L1, L2])
     conditions["positivity"], samples = _positivity(model, L1, L2, points)
     gram_samples = []
     spanning = []
@@ -438,8 +445,8 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None,
 
     pair = None
     if conditions["holomorphic_poisson_pair"]:
-        pair = GKPair(model, L1, L2, hp_plus, hp_minus, pi1=pi1, pi2=pi2,
-                      gram_samples=gram_samples)
+        pair = GKPair(model, L1, L2, hp_plus, hp_minus, pi1, pi2,
+                      gram_samples)
     return Report("gk_check", conditions, witnesses=witnesses, stats=stats,
                   model=model, conditions=dict(conditions),
                   verdict=_gk_verdict(conditions), pair=pair)
@@ -588,8 +595,7 @@ def _det_root_intervals(det: Poly, model, points):
     return out
 
 
-def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
-                     check_ts=None, sample_count=4) -> Report:
+def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax) -> Report:
     """Deform a pair by the family (e^{iF} L1, e^{-iF} L2) for a real
     closed t-dependent 2-form F with F(0) = 0.
 
@@ -598,13 +604,14 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
     unchanged as a frame identity.  Together these settle the holomorphic
     pair condition for the whole family.  The open conditions --
     transversality, real Poisson graphs, positivity -- genuinely depend
-    on the parameter value and are re-established at each entry of
-    ``check_ts``; ``checked`` records (t, conditions, verdict) triples,
-    with conditions None where a degenerate value was skipped.
-    Determinant root intervals for both real pencils are isolated at
-    sample points (``det_roots``), each refined until it excludes t = 0;
-    ``stats["t_window"]`` is the interval around 0 free of those roots.
-    It is not a bound on where the open conditions hold.
+    on the parameter value and are re-established at each t of
+    ``_FAMILY_TS`` (1/8, -1/8, 1/16); ``checked`` records (t, conditions,
+    verdict) triples, with conditions None where a degenerate value was
+    skipped.  Determinant root intervals for both real pencils are
+    isolated at ``_FAMILY_SAMPLES`` (4) sample points (``det_roots``),
+    each refined until it excludes t = 0; ``stats["t_window"]`` is the
+    interval around 0 free of those roots.  It is not a bound on where
+    the open conditions hold.
     """
     model = pair.model
     if not F.t_truncate(0).is_zero():
@@ -630,7 +637,7 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
         half_i_difference(L1t, L2t.conj(), rng),
         build_L_sigma(pair.sigma_minus, check=False), rng)
 
-    points = model.sample_points(rng, count=sample_count)
+    points = model.sample_points(rng, count=_FAMILY_SAMPLES)
     det_roots = {}
     dets = {}
     Fmat = form_matrix(F)
@@ -644,11 +651,9 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax,
         dets[tag] = det
         det_roots[tag] = _det_root_intervals(det, model, points)
 
-    if check_ts is None:
-        check_ts = [Fraction(1, 8), Fraction(-1, 8), Fraction(1, 16)]
     holo_ok = bool(minus_fixed)
     checked = []
-    for tv in check_ts:
+    for tv in _FAMILY_TS:
         sval = Scalar(tv)
         if any(det.substitute_t(sval).eval(pt).is_zero()
                for det in dets.values() for pt in points):

@@ -56,7 +56,7 @@ from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           form_from_matrix, mv_from_bivector_matrix,
                           phi_geom_matrix)
-from .poisson import (Bivector, HoloPoisson, RealPoisson, build_L_sigma,
+from .poisson import (Bivector, HoloPoisson, build_L_sigma,
                       _describe_zero_locus, _deformed_frame_change,
                       _holo_projector)
 from .poly import Poly
@@ -79,17 +79,19 @@ __all__ = [
 
 _MINUS_ONE = Scalar(-1)
 _HALF = Fraction(1, 2)
+_GRAPH_SAMPLES = 5  # points verify_graph_identity compares the frames at
 
 
 # ---------------------------------------------------------------------------
-# Input normalisation
+# Input checks
 # ---------------------------------------------------------------------------
 
 def _background(model, sigma) -> HoloPoisson:
-    """The background as a :class:`HoloPoisson` over the undeformed complex
-    structure; any other ``sigma`` goes to its constructor."""
+    """The background, a :class:`HoloPoisson` over the undeformed complex
+    structure; anything that is not a HoloPoisson is a TypeError."""
     if not isinstance(sigma, HoloPoisson):
-        sigma = HoloPoisson(model, sigma=sigma)
+        raise TypeError("the background must be a HoloPoisson, not a "
+                        + type(sigma).__name__)
     if not sigma.phi.is_zero():
         raise UnsupportedSceneError(
             "the background complex structure must be undeformed")
@@ -139,8 +141,10 @@ def _split(eps: MVElement):
     return eps.component(2, 0), eps.component(1, 1), eps.component(0, 2)
 
 
-def pi_star_transport(omega: MixedForm, sigma, tmax=None) -> MVElement:
-    """Transport a two-form into the polyvector complex along -sigma (+) id.
+def pi_star_transport(omega: MixedForm, sigma: HoloPoisson,
+                      tmax=None) -> MVElement:
+    """Transport a two-form into the polyvector complex along -sigma (+) id,
+    ``sigma`` being the background :class:`HoloPoisson`.
 
     The (2,0) part lands on the second exterior power of sigma, the (1,1)
     part on -sigma composed with the form, and the (0,2) part is carried
@@ -159,21 +163,20 @@ def pi_star_transport(omega: MixedForm, sigma, tmax=None) -> MVElement:
 # The inverse series of a two-form against the background bivector
 # ---------------------------------------------------------------------------
 
-def formality_psi(beta, sigma, order: int, check: bool = True) -> MixedForm:
+def formality_psi(beta: MixedForm, sigma: HoloPoisson, order: int,
+                  check: bool = True) -> MixedForm:
     """The inverse series (1 + beta sigma)^{-1} beta, mod t^{order+1}.
 
-    ``beta`` must be closed with no constant t-term (a
-    :class:`DeformSeries` is accepted and contributes its assembled
-    series).  Its t-blocks come from a recurrence, not an inverse, and get
-    the certificate :func:`solve_hitchin` gives its own blocks
+    ``beta`` must be closed with no constant t-term, and ``sigma`` is a
+    :class:`HoloPoisson` over the undeformed complex structure.  Its
+    t-blocks come from a recurrence, not an inverse, and get the
+    certificate :func:`solve_hitchin` gives its own blocks
     (:func:`_certified_inverse`); beta sigma has no t^0 block, so the
     defining identity (1 + beta sigma) omega = beta has exactly one
     solution mod t^{order+1}, which the alternating partial sums beta -
     beta sigma beta + ... only restate.  ``check=True`` adds the flatness
     residual.
     """
-    if isinstance(beta, DeformSeries):
-        beta = beta.beta_series()
     model = beta.model
     _reject_dt(beta, "the inverse series")
     if not beta.t_coefficient(0).is_zero():
@@ -265,14 +268,15 @@ def _matrix_uses_t(M) -> bool:
 
 
 def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
-                          order=None, sample_count=5) -> Report:
+                          order=None) -> Report:
     """Certify e^beta L_sigma = the graph deformation by the transported
     inverse series of beta.
 
-    The comparison runs pointwise-exactly at sample points -- there the
-    inverse is a scalar matrix inverse over Q(i), so no truncation enters
-    -- and, when ``order`` is given and beta vanishes at t = 0, once more
-    at series level mod t^{order+1}.  Points on the degeneracy locus of
+    The comparison runs pointwise-exactly at ``_GRAPH_SAMPLES`` (5) sample
+    points, drawn from at most ten times as many -- there the inverse is a
+    scalar matrix inverse over Q(i), so no truncation enters -- and, when
+    ``order`` is given and beta vanishes at t = 0, once more at series
+    level mod t^{order+1}.  Points on the degeneracy locus of
     1 + beta sigma are skipped; the locus itself is reported.  The
     sampled ``(point, agrees)`` pairs are in ``witnesses["points"]``.
     """
@@ -292,7 +296,7 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
     with_t = _matrix_uses_t(W) or _matrix_uses_t(M)
     points = []
     attempts = 0
-    while len(points) < sample_count and attempts < 10 * sample_count:
+    while len(points) < _GRAPH_SAMPLES and attempts < 10 * _GRAPH_SAMPLES:
         attempts += 1
         pt = model.sample_point(rng, with_t=with_t)
         if det.eval(pt).is_zero():
@@ -308,7 +312,7 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
         right = deformation_frame(hp_p, eps_p).eval_point(pt)
         left = moved.eval_point(pt)
         points.append((pt, left.equals(right)))
-    if len(points) < sample_count:
+    if len(points) < _GRAPH_SAMPLES:
         raise SingularityError(
             "could not sample enough points off the degeneracy locus; the "
             "determinant vanishes on: " + locus)
@@ -417,12 +421,10 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
         raise CertificateError("the seed form must be closed")
     if not omega1.component(0, 2).is_zero():
         raise CertificateError("the seed form must have no (0,2) part")
-    if mode == "real":
-        if not omega1.is_real():
-            raise CertificateError("real mode needs a real seed form")
-        if not omega1.component(2, 0).is_zero():
-            raise CertificateError("real mode needs a seed of pure type "
-                                   "(1,1)")
+    # a real seed's (2,0) part is the conjugate of its (0,2) part, so with
+    # no (0,2) part a real seed is of pure type (1,1)
+    if mode == "real" and not omega1.is_real():
+        raise CertificateError("real mode needs a real seed form")
     M = hp.sigma.mat
     betas = [omega1]
     residuals = {}
@@ -478,7 +480,8 @@ def solve_hitchin(hp: HoloPoisson, omega1: MixedForm, order: int,
 # Componentwise flatness
 # ---------------------------------------------------------------------------
 
-def mc_component_check(eps: MVElement, sigma, tmax=None) -> Report:
+def mc_component_check(eps: MVElement, sigma: HoloPoisson,
+                       tmax=None) -> Report:
     """Evaluate the flatness equation of ``eps`` componentwise.
 
     The named residuals are the bidegree pieces of the one residual
@@ -745,9 +748,9 @@ def hamiltonian_family_check(family, rng, mode: str = "real",
                              tmax=None) -> Report:
     """Certify the Hamiltonian-flow identities of a one-parameter family.
 
-    ``mode='real'`` takes ``family = (pi_t, B_t)`` -- a bivector family
-    (exact t-series) with the real closed gauge form driving it -- and
-    checks the velocity identity pi_dot = -pi B_dot pi, twisted
+    ``mode='real'`` takes ``family = (pi_t, B_t)`` -- a :class:`Bivector`
+    family (exact t-series) with the real closed gauge form driving it --
+    and checks the velocity identity pi_dot = -pi B_dot pi, twisted
     involutivity of the span {d/dt} u {pi xi + xi} on the
     parameter-extended frame, and recovery of the graph of pi as the
     frame difference against tangent (+) span{dt}.
@@ -764,12 +767,8 @@ def hamiltonian_family_check(family, rng, mode: str = "real",
 
 
 def _ham_real(family, rng, tmax) -> Report:
-    pi, B = family
-    if isinstance(pi, RealPoisson):
-        piv = pi.pi
-    elif isinstance(pi, Bivector):
-        piv = pi
-    else:
+    piv, B = family
+    if not isinstance(piv, Bivector):
         raise TypeError("family must pair a bivector with a two-form")
     model = piv.model
     if model.param:

@@ -89,6 +89,7 @@ __all__ = [
 _RANK_SAMPLES = 5   # points drawn for a full-rank minor, here and in frames
 _PIVOT_SAMPLES = 8  # points drawn for a pivot block
 _BISECT_DEPTH = 64  # bisections before an interval of several roots is kept
+_ATTEMPTS = 4       # pivot searches a span or kernel certificate may run
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +362,21 @@ def poly_mat_inverse(A, tmax):
     t^0 term, (I + N)^{-1} is built one t-coefficient block at a time by
     the recurrence X_0 = I, X_j = -sum_{i=1..j} N_i X_{j-i}, N_i the t^i
     block of N; each block costs j block products and none is recomputed.
-    Raises ArithmeticError when A0 is not constant, ZeroDivisionError when
-    it is singular, and CertificateError if the result fails ``A out = I``.
+    Raises UnsupportedSceneError when A0 is not constant, SingularityError
+    when it is singular, and CertificateError if the result fails
+    ``A out = I``.
     """
     size, n = len(A), A[0][0].n
     constant = _is_constant(A)
     A0 = A if constant else _mat_t_blocks(A, 0)[0]
     if not constant and not _is_constant(A0):
-        raise ArithmeticError(
+        raise UnsupportedSceneError(
             "t-degree-0 block is not constant; series inverse unsupported")
     values = _values(A0)
-    inv = scalar_inverse(values)
+    try:
+        inv = scalar_inverse(values)
+    except ZeroDivisionError as err:
+        raise SingularityError(str(err)) from None
     A0inv = [[Poly.const(n, c) for c in row] for row in inv]
     if constant:  # R = 0
         if _scalar_mul(values, inv) != [[int(i == j) for j in range(size)]
@@ -508,8 +513,8 @@ def mat_div_right(Num, Den, tmax=None):
     if tmax is not None or _is_constant(Den):
         try:
             inv = poly_mat_inverse(Den, tmax or 0)
-        except ArithmeticError:
-            pass  # the t^0 block is not constant, or is singular
+        except (SingularityError, UnsupportedSceneError):
+            pass  # the t^0 block is singular, or is not constant
         else:
             return mat_mul(Num, inv, tmax=tmax)
     det = poly_det(Den)
@@ -678,7 +683,7 @@ class Span:
         return den, full_nums
 
 
-def span_certificate(span, w, rng, attempts=4):
+def span_certificate(span, w, rng):
     """Decide whether w lies in a :class:`Span` over the rational-function
     field (or the t-series ring when the span has a ``tmax``).
 
@@ -689,7 +694,8 @@ def span_certificate(span, w, rng, attempts=4):
 
     When ``tmax`` is set the denominator must be invertible as a t-series
     (nonzero constant coefficient), so the identity certifies membership
-    over exact series, not just generically.
+    over exact series, not just generically.  After ``_ATTEMPTS`` (4) pivot
+    searches that settle nothing it raises SingularityError.
     """
     generators, model = span.generators, span.model
     n = model.n
@@ -698,7 +704,7 @@ def span_certificate(span, w, rng, attempts=4):
             return True, (Poly.const(n, ONE), [])
         pt = model.sample_point(rng, with_t=True)
         return False, pt
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         block = span._pivot(rng)
         if block is None:
             continue  # singular pivot block; search again
@@ -727,7 +733,7 @@ def span_certificate(span, w, rng, attempts=4):
                            "rank-degenerate along the sampled locus")
 
 
-def kernel_certificate(A, model, rng, tmax=None, attempts=4):
+def kernel_certificate(A, model, rng, tmax=None):
     """Symbolic basis of the generic right kernel of a polynomial matrix.
 
     Returns a list of column vectors of Poly with A v = 0 exactly (mod
@@ -739,7 +745,8 @@ def kernel_certificate(A, model, rng, tmax=None, attempts=4):
     the exact identity ``den*A[:, fc] = sum nums_j A[:, j]``.  The block
     takes the sparsest columns first, so unit columns (``[D | -I]``) are
     pivots and ``den`` is a constant there.  A failed identity drops the
-    block, and the next attempt searches afresh.
+    block, and the next attempt searches afresh; after ``_ATTEMPTS`` (4)
+    it raises SingularityError.
     """
     if _is_constant(A):  # an empty A too
         values = _values(A)
@@ -749,7 +756,7 @@ def kernel_certificate(A, model, rng, tmax=None, attempts=4):
         return [[Poly.const(model.n, x) for x in v] for v in basis]
     cols = mat_transpose(A)
     span = Span(cols, model)
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         block = span._pivot(rng)
         if block is None:
             continue

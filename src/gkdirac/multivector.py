@@ -196,7 +196,7 @@ def mv_from_bivector_matrix(model: Model, M) -> MVElement:
                                       for j in range(i + 1, n)}})
 
 
-def form_matrix(beta, size=None):
+def form_matrix(beta):
     """Leg matrix F of a 2-form (MixedForm of total degree 2, no dt unless
     the model has one): i_X beta = F X as a covector column.
 
@@ -206,8 +206,7 @@ def form_matrix(beta, size=None):
     """
     model = beta.model
     n = model.n
-    m = size if size is not None else model.dim
-    F = mat_zero(m, m, n)
+    F = mat_zero(model.dim, model.dim, n)
 
     def put(a, b, c):
         # c * e_a ^ e_b with a < b in leg order

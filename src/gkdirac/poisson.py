@@ -130,11 +130,11 @@ class Bivector:
         """pi(xi) as frame components."""
         return mat_apply(self.mat, covec, tmax=tmax)
 
-    def pair(self, xi, eta, tmax=None) -> Poly:
+    def pair(self, xi, eta) -> Poly:
         """pi(xi, eta) = eta(pi xi)."""
-        px = self.apply(xi, tmax=tmax)
-        return Poly.sum(self.model.n, [e.mul(v, tmax=tmax)
-                                       for e, v in zip(eta, px) if e and v])
+        px = self.apply(xi)
+        return Poly.sum(self.model.n, [e * v for e, v in zip(eta, px)
+                                       if e and v])
 
     # -- reality and type ------------------------------------------------
     def conj(self) -> "Bivector":
@@ -201,14 +201,15 @@ def schouten_defect(P: Bivector, tmax=None):
 
 
 class RealPoisson:
-    """A real bivector field, with the Poisson condition as a certificate."""
+    """A real bivector field, with the Poisson condition as a certificate;
+    a bivector that is not real is refused with CertificateError."""
 
     __slots__ = ("model", "pi")
 
-    def __init__(self, model: Model, pi: Bivector, check=True):
+    def __init__(self, model: Model, pi: Bivector):
         if pi.model != model:
             raise ValueError("bivector on a different model")
-        if check and not pi.is_real():
+        if not pi.is_real():
             raise CertificateError("bivector has a nonzero imaginary part")
         self.model = model
         self.pi = pi
@@ -471,15 +472,14 @@ def _describe_zero_locus(det: Poly) -> str:
 
 
 def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
-                       tmax=None, points=None) -> RealPoisson:
+                       tmax=None) -> RealPoisson:
     """Gauge-transform a real Poisson structure by a real closed 2-form.
 
     Computes pi1 = pi0 (1 + B pi0)^{-1} exactly (an exact polynomial
     quotient, or a t-series when ``tmax`` is given) and verifies
     independently that the graph of pi1 equals the 2-form gauge action on
-    the graph of pi0.
-    ``points``, when given, are checked against the zero locus of
-    det(1 + B pi0) and trigger a :class:`SingularityError` when hit.
+    the graph of pi0.  det(1 + B pi0) is formed only for the text of an
+    UnsupportedSceneError, when the quotient is not polynomial.
     """
     model = pi0.model
     if B.model != model:
@@ -492,23 +492,13 @@ def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
     P = pi0.pi.mat
     F = form_matrix(B)
     E = mat_add(mat_identity(dim, model.n), mat_mul(F, P, tmax=tmax))
-    # det(E) feeds only the point checks and the error texts
-    det = poly_det(E) if points else None
-    if det:
-        locus = _describe_zero_locus(det)
-        for pt in points:
-            if det.eval(pt).is_zero():
-                raise SingularityError(
-                    f"1 + B pi degenerates at the requested point {pt}; "
-                    f"det = {det.render()}; vanishes on: {locus}",
-                    determinant=det.render(), point=pt)
     try:
         M1 = mat_div_right(P, E, tmax=tmax)
     except SingularityError:
         raise SingularityError(
             "1 + B pi is everywhere degenerate", determinant="0")
     except UnsupportedSceneError:
-        det = det or poly_det(E)
+        det = poly_det(E)
         raise UnsupportedSceneError(
             "(1 + B pi)^{-1} is not polynomial; det = "
             f"{det.render()}; vanishes on: {_describe_zero_locus(det)}")
@@ -621,7 +611,7 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
 # ---------------------------------------------------------------------------
 
 def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
-                      mode="complex", rng=None, tmax=None) -> Report:
+                      mode="complex", *, rng, tmax=None) -> Report:
     """Decide gauge equivalence of two holomorphic Poisson structures.
 
     Four exact containment conditions characterise the equivalence, each
@@ -631,14 +621,12 @@ def check_gauge_equiv(hp0: HoloPoisson, hp1: HoloPoisson, beta: MixedForm,
     -Phi[a, :]) iff w = sum_a w[a] eta_a, and a vector x in the span of the
     v_b = (Phi[:, b], e_b) iff x = sum_b x[n + b] v_b, mod t^{tmax+1} with
     ``tmax``.  A failure's witness is the exact (target index, coordinate,
-    residual entry); ``rng`` serves only the frame identity.  In real mode
-    the shared imaginary part and its intertwining identities are checked
-    as exact matrix identities on top.
+    residual entry); ``rng``, a required keyword, serves only the frame
+    identity.  In real mode the shared imaginary part and its intertwining
+    identities are checked as exact matrix identities on top.
     """
     if mode not in ("complex", "real"):
         raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("an explicit rng is required for certificates")
     model = hp0.model
     if hp1.model != model or beta.model != model:
         raise ValueError("mixed models")

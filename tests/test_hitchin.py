@@ -9,7 +9,7 @@ from gkdirac import hitchin, linalg
 from gkdirac.brackets import mc_residual_dgla
 from gkdirac.errors import CertificateError, UnsupportedSceneError
 from gkdirac.forms import MixedForm, euler_homotopy
-from gkdirac.frames import frames_equal
+from gkdirac.frames import _conj_operator, frames_equal
 from gkdirac.hitchin import (DeformSeries, deformation_frame,
                              deformed_holomorphic_lift, deformed_structures,
                              formality_psi, hamiltonian_family_check,
@@ -25,6 +25,7 @@ from gkdirac.multivector import (MVElement, bivector_matrix, form_from_matrix,
 from gkdirac.poisson import (Bivector, HoloPoisson, RealPoisson,
                              build_L_sigma, gauge_real_poisson)
 from gkdirac.poly import Poly
+from gkdirac.report import Report
 from gkdirac.scalars import Scalar, sc
 
 M3 = Model(3)
@@ -79,16 +80,14 @@ def test_formality_rejects_constant_term():
         formality_psi(fubini_seed(), c2_background(), 4)
 
 
-def test_formality_background_forms_agree_and_a_bare_matrix_is_refused():
-    # any background that is not a HoloPoisson goes to HoloPoisson, which
-    # takes a Bivector or a (2,0) MVElement but not a bare leg matrix
+def test_formality_refuses_a_background_that_is_not_a_holo_poisson():
+    # the background is a HoloPoisson; its Bivector, its (2,0) MVElement
+    # and its bare leg matrix are each refused, not converted
     beta = fubini_seed().poly_mul(Poly.t(2))
-    want = formality_psi(beta, c2_background(), 3)
-    assert formality_psi(beta, c2_sigma(), 3) == want
-    assert formality_psi(beta, MVElement.monomial(M2, M2.z(0), vecs=(0, 1)),
-                         3) == want
-    with pytest.raises(TypeError):
-        formality_psi(beta, c2_sigma().mat, 3)
+    for sigma in (c2_sigma(), MVElement.monomial(M2, M2.z(0), vecs=(0, 1)),
+                  c2_sigma().mat):
+        with pytest.raises(TypeError, match="must be a HoloPoisson"):
+            formality_psi(beta, sigma, 3)
 
 
 def test_formality_flat_family_terminates():
@@ -102,12 +101,6 @@ def test_formality_flat_family_terminates():
     seed = fubini_seed(rep.model).scale(sc(0, 2)).poly_mul(Poly.t(2))
     assert psi == seed
     assert psi.component(0, 2).is_zero()
-
-
-def test_formality_accepts_series_object():
-    hp = c2_background()
-    ds = solve_hitchin(hp, fubini_seed(), 3, mode="real")
-    assert formality_psi(ds, hp, 3) == ds.omega
 
 
 def test_formality_random_closed_forms_are_flat():
@@ -190,6 +183,34 @@ def test_solve_rejects_bad_seeds():
         solve_hitchin(hp, fubini_seed(), 0)
     with pytest.raises(ValueError):
         solve_hitchin(hp, fubini_seed(), 3, mode="formal")
+
+
+def test_solve_refuses_a_real_seed_with_a_20_part():
+    # a real seed's (0,2) part is the conjugate of its (2,0) part, so the
+    # (0,2) refusal is the one that a (2,0) part meets in real mode
+    vol = MixedForm.monomial(M2, M2.poly(1), (0, 1), ())
+    for seed in (vol + vol.conj(), fubini_seed() + vol + vol.conj()):
+        assert seed.is_real() and seed.d().is_zero()
+        assert seed.component(0, 2) == vol.conj()
+        with pytest.raises(CertificateError, match="no \\(0,2\\) part"):
+            solve_hitchin(c2_background(), seed, 3, mode="real")
+    # without its (0,2) part the seed is no longer real
+    with pytest.raises(CertificateError, match="needs a real seed form"):
+        solve_hitchin(c2_background(), fubini_seed() + vol, 3, mode="real")
+
+
+def test_solve_guards_the_flatness_of_the_transported_element(monkeypatch):
+    real_check = hitchin.mc_component_check
+
+    def corrupted(eps, sigma, tmax=None):
+        rep = real_check(eps, sigma, tmax=tmax)
+        return Report(rep.name, dict(rep.checks, jacobi=False),
+                      witnesses=rep.witnesses, stats=rep.stats)
+
+    monkeypatch.setattr(hitchin, "mc_component_check", corrupted)
+    with pytest.raises(CertificateError,
+                       match="transported element fails its flatness"):
+        solve_hitchin(c2_background(), fubini_seed(), 3, mode="real")
 
 
 def test_solve_c2_real_quadratic_obstruction():
@@ -395,8 +416,8 @@ def test_solve_and_psi_invert_nothing(monkeypatch):
         for order in range(2, 7):
             for mode in ("real", "complex"):
                 ds = solve_hitchin(hp, fubini_seed(), order, mode=mode)
-                formality_psi(ds, hp, order)
-                formality_psi(ds, hp, order, check=False)
+                formality_psi(ds.beta_series(), hp, order)
+                formality_psi(ds.beta_series(), hp, order, check=False)
                 assert calls == []
     # the patch is live: the former division route does invert
     _psi_division_reference(ds.beta_series(), hp, 2)
@@ -588,7 +609,7 @@ def test_formality_rejects_one_non_closed_coefficient(k):
     broken = DeformSeries(ds.model, ds.background, ds.mode, ds.order, betas,
                           ds.residuals, ds.gammas, ds.omega, ds.eps)
     with pytest.raises(CertificateError, match="closed"):
-        formality_psi(broken, hp, 4)
+        formality_psi(broken.beta_series(), hp, 4)
     with pytest.raises(CertificateError, match="closed"):
         formality_psi(_closed_series(M2) + bad.poly_mul(Poly.t(2, k)), hp, 4)
 
@@ -668,7 +689,7 @@ def test_graph_identity_constant_scene():
             + mono(M2, sc(-1, 0), (1,), (0,))
             + mono(M2, sc(0, 2), (0,), (0,)))
     assert beta.d().is_zero()
-    rep = verify_graph_identity(beta, hp, rng, sample_count=6)
+    rep = verify_graph_identity(beta, hp, rng)
     assert rep.ok and all(flag for _p, flag in rep.witnesses["points"])
 
 
@@ -797,6 +818,27 @@ def test_deformed_structures_solved_series():
     assert frames_equal(
         deformation_frame(hp, ds.eps, tmax=4),
         build_L_sigma(st_.poisson, tmax=4, check=False), rng, tmax=4)
+
+
+@pytest.mark.parametrize("corrupt, text", [
+    (lambda P: mat_add(P, P), "not idempotent"),
+    (lambda P: mat_identity(M2.dim, M2.n), "not complementary"),
+    # the conjugate projector is idempotent and complementary to P, but it
+    # fixes the antiholomorphic frame, not the holomorphic one
+    (lambda P: _conj_operator(M2, P), "does not fix the deformed holomorphic"),
+])
+def test_deformed_structures_guards_the_projector(monkeypatch, corrupt,
+                                                  text):
+    # with sigma = 0 and eps = 0 the bivector P sigma P^T, its certificates
+    # and the frame identity do not see P, so each corrupted projector
+    # reaches the identities that guard it
+    real_projector = hitchin._holo_projector
+    monkeypatch.setattr(hitchin, "_holo_projector",
+                        lambda Phi, tmax=None: corrupt(
+                            real_projector(Phi, tmax=tmax)))
+    with pytest.raises(CertificateError, match=text):
+        deformed_structures(MVElement.zero(M2), HoloPoisson(M2),
+                            random.Random(71))
 
 
 def test_deformed_structures_rejects_surviving_gamma():

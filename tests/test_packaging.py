@@ -106,6 +106,43 @@ def test_unused_import_check_sees_a_stale_name():
     assert _unused_imports(source) == ["det (line 3)"]
 
 
+def _settable_values(source):
+    """The defaulted parameters of every function and lambda in
+    ``source``: each is a value a caller may set or leave alone."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            count += len(args.defaults) + sum(
+                d is not None for d in args.kw_defaults)
+    return count
+
+
+# A change that adds an option raises this on purpose and says why; an
+# option is justified when two callers outside the tests need different
+# values of it
+_SETTABLE_VALUES_CEILING = 122
+
+
+def test_settable_values_stay_under_the_ceiling():
+    count = sum(_settable_values(path.read_text())
+                for path in (ROOT / "src" / "gkdirac").glob("*.py"))
+    assert count <= _SETTABLE_VALUES_CEILING, count
+
+
+def test_settable_value_count_sees_every_default():
+    source = ("def f(a, b=1, *args, c, d=2, **kw):\n"
+              "    g = lambda x, y=0: x + y\n"
+              "    return g(a)\n"
+              "class C:\n"
+              "    def m(self, /, p=None, *, q, r=3):\n"
+              "        pass\n"
+              "    async def n(self, s=4):\n"
+              "        pass\n")
+    assert _settable_values(source) == 6
+
+
 def _defined_names(top):
     """The names a module-level statement binds by a def, a class or an
     assignment."""

@@ -6,8 +6,9 @@ import pytest
 from gkdirac.errors import (CertificateError, SingularityError,
                             UnsupportedSceneError)
 from gkdirac.forms import MixedForm
-from gkdirac.frames import DiracFrame, GVField, involutivity_report
-from gkdirac.linalg import mat_apply, mat_mul, mat_transpose
+from gkdirac.frames import (DiracFrame, GVField, graph_bivector,
+                            involutivity_report)
+from gkdirac.linalg import mat_apply, mat_mul, mat_scale, mat_transpose
 from gkdirac.model import Model
 from gkdirac.multivector import (MVElement, mv_from_bivector_matrix,
                                  phi_geom_matrix)
@@ -121,9 +122,9 @@ def test_schouten_defect_agrees_with_graph_involutivity():
     bad_b = (Bivector(M2, [[x * M2.zbar(0) for x in row]
                            for row in Bivector.wedge_pair(M2, 1, 2, 1).mat])
              + Bivector.wedge_pair(M2, 2, 0, 1))
-    bad = RealPoisson(M2, bad_b, check=False)
-    assert bad.certify()
-    assert not involutivity_report.check(bad.graph(), rng).ok
+    assert schouten_defect(bad_b)
+    assert not involutivity_report.check(graph_bivector(M2, bad_b.mat),
+                                         rng).ok
 
 
 def test_holo_poisson_rejects_a_bare_matrix():
@@ -193,15 +194,31 @@ def test_gauge_nonconstant_form_outside_polynomial_fragment():
     assert "det" in str(err.value)
 
 
-def test_gauge_requested_point_on_zero_locus_reported():
+def test_gauge_refuses_a_form_that_is_not_real_or_not_closed():
     rng = random.Random(16)
-    xpoly = (M1.z(0) + M1.zbar(0)).scale(Scalar(Fraction(1, 2)))
-    from gkdirac.model import Point
-    bad_pt = Point([Scalar(1, 0)])  # x = 1 there
-    with pytest.raises(SingularityError) as err:
-        gauge_real_poisson(planar_poisson(M1), area_form(M1, xpoly), rng,
-                           points=[bad_pt])
-    assert err.value.point is bad_pt
+    imaginary = area_form(M1, Poly.const(1, Scalar(0, 1)))
+    assert imaginary.d().is_zero()
+    with pytest.raises(CertificateError, match="gauge form must be real"):
+        gauge_real_poisson(planar_poisson(M1), imaginary, rng)
+    # x2 dx1^dy1 is real, and d of it is dx2^dx1^dy1
+    x2 = (M2.z(1) + M2.zbar(1)).scale(Scalar(Fraction(1, 2)))
+    open_form = area_form(M2, x2)
+    assert open_form.is_real()
+    with pytest.raises(CertificateError, match="gauge form must be closed"):
+        gauge_real_poisson(planar_poisson(M2), open_form, rng)
+
+
+def test_gauge_guards_the_defining_identity_of_the_inverse(monkeypatch):
+    # a quotient that is off by a factor 2 is real and antisymmetric, so
+    # only the identity pi1 (1 + B pi0) = pi0 stops it
+    from gkdirac import poisson
+    real_div = poisson.mat_div_right
+    monkeypatch.setattr(poisson, "mat_div_right",
+                        lambda Num, Den, tmax=None: mat_scale(
+                            real_div(Num, Den, tmax=tmax), Scalar(2)))
+    with pytest.raises(CertificateError, match="defining identity"):
+        gauge_real_poisson(planar_poisson(M1), area_form(M1, Fraction(1, 3)),
+                           random.Random(20))
 
 
 def test_gauge_t_series_mode():
@@ -230,9 +247,9 @@ def test_gauge_additivity_of_constant_forms():
 
 
 def test_gauge_takes_the_determinant_only_where_needed(monkeypatch):
-    # det(1 + B pi) feeds the point checks and the error texts; the
-    # division needs none on the series route, nor for a constant
-    # 1 + B pi (one Q(i) inverse), only on the adjugate route
+    # det(1 + B pi) feeds only the error texts; the division needs none on
+    # the series route, nor for a constant 1 + B pi (one Q(i) inverse),
+    # only on the adjugate route
     from gkdirac import linalg, poisson
     calls = []
 
