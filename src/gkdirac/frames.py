@@ -20,6 +20,23 @@ on sampling luck.  A frame keeps the orders at which it was shown
 Lagrangian.  A frame that is not Lagrangian is refused: its involutivity
 report fails the one check ``lagrangian``, and ``frames_equal`` raises.
 
+Most frames are Lagrangian by construction, and record it where they are
+built (``DiracFrame.built``), so that neither verdict pairs them again.
+Each is a graph over a block that is the identity, or unitriangular, in
+suitable legs: the tangent frame, the graphs of a 2-form and of an
+antisymmetric bivector, ``poisson.build_L_sigma`` on a parameter-free
+model, ``hitchin.deformation_frame`` when sigma is of type (2,0), and the
+flow-span frame of ``hitchin.hamiltonian_family_check``.
+Such a frame has rank dim at every point, on the t = 0 slice too, and its
+pairings are the symmetric part of its defining block, which vanishes
+identically; so it is Lagrangian over the rational functions and mod
+every t^{k+1}.  Cut mod t^{k+1}, it keeps the proof at the orders up to k
+only; the rational graph {N xi + d xi} of ``genkahler._graph_quotient``
+has rank dim only where d does not vanish, so its proof holds over the
+rational functions only.  The gauge action, the conjugation, a nonzero
+rescaling of the covectors and a cut carry the record over: each keeps
+every pairing zero that was zero and is invertible at every point.
+
 The bracket is the Dorfman bracket
 
     [X + xi, Y + eta]_H = [X, Y] + i_X d eta + d(eta(X)) - i_Y d xi
@@ -36,6 +53,7 @@ which is the fibrewise sum L_1 + L_2 = {X + xi + eta}.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .brackets import unit_vector
@@ -79,6 +97,33 @@ __all__ = [
 
 _HALF = Scalar(Fraction(1, 2))
 _UNPROVED = frozenset()  # shared by every frame not yet shown Lagrangian
+
+
+class _Orders:
+    """The orders a construction proof covers: the rational functions
+    (``tmax`` None) when ``rational``, and every ``tmax`` up to ``top``,
+    which is ``math.inf`` for an exact identity and -1 for no order."""
+
+    __slots__ = ("rational", "top")
+
+    def __init__(self, rational, top):
+        self.rational = rational
+        self.top = top
+
+    def __contains__(self, tmax):
+        return self.rational if tmax is None else tmax <= self.top
+
+    def cut(self, tmax):
+        """The orders kept mod t^{tmax+1}: those up to ``tmax``, and not
+        the rational functions; ``self`` for None."""
+        if tmax is None:
+            return self
+        return _Orders(False, min(self.top, tmax))
+
+
+_NOT_BUILT = _Orders(False, -1)
+_EVERY_ORDER = _Orders(True, math.inf)
+_RATIONAL_ONLY = _Orders(True, -1)
 
 
 class GVField:
@@ -306,17 +351,22 @@ class DiracFrame:
     """A finite generating family for a candidate Dirac subbundle.
 
     ``lagrangian`` holds the orders ``tmax`` (None for the rational
-    functions) at which :func:`_not_lagrangian` accepted the frame; the
-    generators are never changed, so the proof lasts, at those orders.
+    functions) at which :func:`_not_lagrangian` accepted the frame;
+    ``built`` holds those at which the frame is Lagrangian by its
+    construction (see the module docstring): a constructor that proves it
+    sets ``built``, and a frame made by ``DiracFrame`` itself has none.
+    The generators are never changed, so either proof lasts, at its
+    orders.
     """
 
-    __slots__ = ("model", "gens", "label", "lagrangian")
+    __slots__ = ("model", "gens", "label", "lagrangian", "built")
 
     def __init__(self, model: Model, gens, label=""):
         self.model = model
         self.gens = list(gens)
         self.label = label
         self.lagrangian = _UNPROVED
+        self.built = _NOT_BUILT
         for g in self.gens:
             if g.model != model:
                 raise ValueError("generator on a different model")
@@ -328,12 +378,13 @@ class DiracFrame:
         return len(self.gens)
 
     def t_truncate(self, tmax):
-        """Every generator mod t^{tmax+1}; ``self`` for None."""
+        """Every generator mod t^{tmax+1}; ``self`` for None.  A
+        construction proof is kept at the orders up to ``tmax``."""
         if tmax is None:
             return self
-        return DiracFrame(self.model,
-                          [g.t_truncate(tmax) for g in self.gens],
-                          label=self.label)
+        return _built(DiracFrame(self.model,
+                                 [g.t_truncate(tmax) for g in self.gens],
+                                 label=self.label), self.built.cut(tmax))
 
     def substitute_t(self, tval):
         """Freeze the deformation parameter at a rational value."""
@@ -344,8 +395,9 @@ class DiracFrame:
         return DiracFrame(self.model, gens, label=self.label)
 
     def conj(self):
-        return DiracFrame(self.model, [g.conj() for g in self.gens],
-                          label=f"conj({self.label})" if self.label else "")
+        return _built(DiracFrame(
+            self.model, [g.conj() for g in self.gens],
+            label=f"conj({self.label})" if self.label else ""), self.built)
 
     def eval_point(self, point: Point) -> "PointDirac":
         return PointDirac(self.model, [[c.eval(point) for c in g.stack()]
@@ -360,10 +412,23 @@ class DiracFrame:
     def is_isotropic(self) -> bool:
         return all(not p for p in self.isotropy_defect())
 
+    def proved(self, tmax) -> bool:
+        """Whether the frame is known Lagrangian at ``tmax``, by its
+        construction or by :func:`_not_lagrangian`."""
+        return tmax in self.built or tmax in self.lagrangian
+
+
+def _built(frame: DiracFrame, orders: _Orders) -> DiracFrame:
+    """``frame`` with the construction proof ``orders`` recorded."""
+    frame.built = orders
+    return frame
+
 
 def tangent_frame(model: Model) -> DiracFrame:
-    return DiracFrame(model, [GVField(model, vec=unit_vector(model, k))
-                              for k in range(model.dim)], label="T")
+    """The coordinate tangent frame: Lagrangian at every order."""
+    return _built(DiracFrame(model, [GVField(model, vec=unit_vector(model, k))
+                                     for k in range(model.dim)], label="T"),
+                  _EVERY_ORDER)
 
 
 def cotangent_frame(model: Model) -> DiracFrame:
@@ -372,26 +437,40 @@ def cotangent_frame(model: Model) -> DiracFrame:
 
 
 def graph_two_form(B: MixedForm) -> DiracFrame:
-    """Sections X + i_X B over the coordinate tangent frame."""
+    """Sections X + i_X B over the coordinate tangent frame.
+
+    Lagrangian at every order: the leg matrix of a 2-form is antisymmetric
+    and the vector block is the identity."""
     from .multivector import form_matrix
 
     model = B.model
     cols = mat_transpose(form_matrix(B))
-    return DiracFrame(model, [
+    return _built(DiracFrame(model, [
         GVField(model, vec=unit_vector(model, k), cov=col)
-        for k, col in enumerate(cols)], label="graph(B)")
+        for k, col in enumerate(cols)], label="graph(B)"), _EVERY_ORDER)
 
 
 def graph_bivector(model: Model, P) -> DiracFrame:
     """Sections P xi + xi over the coordinate cotangent frame; ``P`` is a
-    leg matrix acting on covector columns."""
-    return DiracFrame(model, [
+    leg matrix acting on covector columns.
+
+    Generators k and l pair to (P[k][l] + P[l][k]) / 2, and the covector
+    block is the identity; so the frame is recorded Lagrangian at every
+    order when ``P`` is antisymmetric entry by entry, and not otherwise."""
+    frame = DiracFrame(model, [
         GVField(model, vec=col, cov=unit_vector(model, k))
         for k, col in enumerate(mat_transpose(P))], label="graph(P)")
+    if all(not (P[i][j] + P[j][i])
+           for i in range(len(P)) for j in range(i, len(P))):
+        frame.built = _EVERY_ORDER
+    return frame
 
 
 def gauge_frame(frame: DiracFrame, B: MixedForm, tmax=None) -> DiracFrame:
-    """The 2-form gauge action: X + xi  |->  X + xi + i_X B."""
+    """The 2-form gauge action: X + xi  |->  X + xi + i_X B, mod
+    t^{tmax+1} with ``tmax``.  It adds B(X, Y) + B(Y, X) = 0 to each
+    pairing and is invertible at every point, so the construction proof
+    of ``frame`` is kept (at the orders up to ``tmax``)."""
     from .multivector import form_matrix
 
     model = frame.model
@@ -401,16 +480,19 @@ def gauge_frame(frame: DiracFrame, B: MixedForm, tmax=None) -> DiracFrame:
         extra = mat_apply(F, g.vec, tmax=tmax)
         cov = [a + b for a, b in zip(g.cov, extra)]
         gens.append(GVField(model, vec=list(g.vec), cov=cov))
-    return DiracFrame(model, gens, label=frame.label).t_truncate(tmax)
+    return _built(DiracFrame(model, gens, label=frame.label),
+                  frame.built).t_truncate(tmax)
 
 
 def dirac_scale(frame: DiracFrame, lam) -> DiracFrame:
-    """Scale the covector parts: {X + lam * xi}."""
+    """Scale the covector parts: {X + lam * xi}.  Every pairing is scaled
+    by ``lam``, so for ``lam`` nonzero the construction proof is kept."""
     if isinstance(lam, (int, Fraction)):
         lam = Scalar(lam)
     gens = [GVField(frame.model, list(g.vec),
                     [c.scale(lam) for c in g.cov]) for g in frame.gens]
-    return DiracFrame(frame.model, gens, label=frame.label)
+    return _built(DiracFrame(frame.model, gens, label=frame.label),
+                  frame.built if lam else _NOT_BUILT)
 
 
 def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
@@ -559,22 +641,30 @@ class involutivity_report:
         ``(i, j, (k, T_ijk))`` with the first k whose entry is nonzero,
         in ``witnesses["failures"]``; no witness depends on ``rng``.
 
-        A frame that is not Lagrangian forms no bracket: its report fails
-        the one check ``lagrangian``, with the reason in
-        ``witnesses["not_lagrangian"]`` and ``stats["route"]`` "refused".
+        A frame Lagrangian by construction at the order the pairings need
+        (``frame.built``) is not paired or ranked again;
+        ``stats["lagrangian_proof"]`` says which proof was used,
+        "construction" or "pairings".  A frame that is not Lagrangian
+        forms no bracket: its report fails the one check ``lagrangian``,
+        with the reason in ``witnesses["not_lagrangian"]`` and
+        ``stats["route"]`` "refused".
         """
         model = frame.model
         gens = frame.gens
         dim = model.dim
         skew = tmax + 1 if tmax is not None and model.param and any(
             g.vec[-1] for g in gens) else tmax
-        reason = _not_lagrangian(frame, frame.isotropy_defect(skew), rng,
-                                 tmax)
+        # the cuts covered by a construction proof are downward closed, so
+        # a proof at skew holds at tmax too
+        proof = "construction" if skew in frame.built else "pairings"
+        reason = None if proof == "construction" else _not_lagrangian(
+            frame, frame.isotropy_defect(skew), rng, tmax)
         if reason is not None:
             return Report("involutivity", {"lagrangian": False},
                           witnesses={"failures": [],
                                      "not_lagrangian": reason},
-                          stats={"route": "refused", "expected_rank": dim})
+                          stats={"route": "refused", "expected_rank": dim,
+                                 "lagrangian_proof": proof})
         failures = []
         for i, u in enumerate(gens):
             for j in range(i + 1, len(gens) - 1):
@@ -589,37 +679,47 @@ class involutivity_report:
                        "involutive": not failures},
                       witnesses={"failures": failures},
                       stats={"rank": dim, "route": "lagrangian",
-                             "expected_rank": dim})
+                             "expected_rank": dim,
+                             "lagrangian_proof": proof})
 
 
 def frames_equal(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> bool:
     """Equality of two Lagrangian frames (mod t^{tmax+1} with ``tmax``):
     ``<a, b> = 0`` for every generator a of ``f1`` and b of ``f2``.
 
-    ``f1`` is first shown Lagrangian (:func:`_not_lagrangian`: isotropic,
-    and of rank dim at the origin or a sample point, on the t = 0 slice
-    with ``tmax``), unless it already was at this ``tmax``; so L1^perp = L1
-    over the rational functions, or over the t-series ring with ``tmax``.
-    Then f1 is paired with each generator of ``f2`` that is not already a
-    generator of f1 (equal vector and covector parts), which lies in L1.
-    If every pairing vanishes, f2 lies in L1^perp = L1 and so is
+    One frame, the host, is first shown Lagrangian
+    (:func:`_not_lagrangian`: isotropic, and of rank dim at the origin or
+    a sample point, on the t = 0 slice with ``tmax``), unless it already
+    is at this ``tmax`` (:meth:`DiracFrame.proved`); so L^perp = L over the
+    rational functions, or over the t-series ring with ``tmax``.  The host
+    is ``f1``, or ``f2`` when only ``f2`` is proved.  Then the host is
+    paired with each generator of the other frame that is not already one
+    of its own (equal vector and covector parts), which lies in L.  If
+    every pairing vanishes, the other frame lies in L^perp = L and so is
     isotropic, and only its rank is left to read; two direct summands of
     rank dim, one inside the other, are equal.  Otherwise the frames
-    differ, once f2 too is shown Lagrangian by its own isotropy and rank;
-    conversely equal frames pair to zero by isotropy.  Raises ValueError
-    for frames over different models, and UnsupportedSceneError, naming
-    the frame and the reason, for a frame that is not Lagrangian.
+    differ, once the other frame too is shown Lagrangian by its own
+    isotropy and rank; conversely equal frames pair to zero by isotropy.
+    Raises ValueError for frames over different models, and
+    UnsupportedSceneError, naming the frame by its argument position and
+    label, and the reason, for a frame that is not Lagrangian.
     """
     if f2.model != f1.model:
         raise ValueError("mixed models")
-    if tmax not in f1.lagrangian:
-        _require_lagrangian("first", f1, f1.isotropy_defect(tmax), rng, tmax)
-    outside = [b for b in f2.gens
-               if not any(a.vec == b.vec and a.cov == b.cov for a in f1.gens)]
-    inside = not any(a.pairing(b, tmax) for a in f1.gens for b in outside)
-    if tmax not in f2.lagrangian:
-        _require_lagrangian("second", f2,
-                            () if inside else f2.isotropy_defect(tmax),
+    named = [("first", f1), ("second", f2)]
+    if f2.proved(tmax) and not f1.proved(tmax):
+        named.reverse()
+    (host_name, host), (guest_name, guest) = named
+    if not host.proved(tmax):
+        _require_lagrangian(host_name, host, host.isotropy_defect(tmax), rng,
+                            tmax)
+    outside = [b for b in guest.gens
+               if not any(a.vec == b.vec and a.cov == b.cov
+                          for a in host.gens)]
+    inside = not any(a.pairing(b, tmax) for a in host.gens for b in outside)
+    if not guest.proved(tmax):
+        _require_lagrangian(guest_name, guest,
+                            () if inside else guest.isotropy_defect(tmax),
                             rng, tmax)
     return inside
 

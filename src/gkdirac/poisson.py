@@ -22,8 +22,8 @@ from itertools import combinations
 from .brackets import unit_vector
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
-from .frames import (DiracFrame, GVField, _conj_operator, _along,
-                     _covector_lifts, graph_bivector, gauge_frame,
+from .frames import (DiracFrame, GVField, _EVERY_ORDER, _conj_operator,
+                     _along, _covector_lifts, graph_bivector, gauge_frame,
                      frames_equal, involutivity_report)
 from .linalg import (mat_add, mat_apply, mat_div_right, mat_identity,
                      mat_is_zero, mat_mul, mat_neg, mat_scale, mat_sub,
@@ -331,8 +331,8 @@ class HoloPoisson:
         ``stats["closure_method"]``).
 
         ``report.frame`` is the :func:`build_L_sigma` frame whose
-        involutivity decided ``closure``, with its Lagrangian proof if it
-        got one (``frames_equal`` reuses it); None on the direct route,
+        involutivity decided ``closure``, Lagrangian by construction
+        (``frames_equal`` reuses the proof); None on the direct route,
         which builds none, and on a parameter model, where the checked
         frame also carries the covector dt."""
         mc_ok = self.mc_phi_residual(tmax=tmax).is_zero()
@@ -523,6 +523,15 @@ def build_L_sigma(hp: HoloPoisson, tmax=None, check=True) -> DiracFrame:
     of sigma) are verified first and a CertificateError is raised on
     failure; involutivity of the result is the closure certificate and is
     checked separately.
+
+    On a parameter-free model the frame is Lagrangian by construction,
+    for any phi and sigma (``DiracFrame.built``): the deformed (1,0)
+    covectors [I, -Phi] annihilate the deformed antiholomorphic vectors
+    [Phi; I], sigma's matrix is antisymmetric, and the dzbar legs of the
+    vectors and the dz legs of the covectors form a unitriangular block.
+    Cut with ``tmax``, it is proved at the orders up to ``tmax``.  A
+    parameter model has one leg more than the 2n generators, so nothing
+    is recorded there.
     """
     model = hp.model
     if check:
@@ -538,7 +547,10 @@ def build_L_sigma(hp: HoloPoisson, tmax=None, check=True) -> DiracFrame:
     for eta in hp.holo_covector_columns():
         vec = hp.sigma.apply(eta, tmax=tmax)
         gens.append(GVField(model, vec=vec, cov=eta))
-    return DiracFrame(model, gens, label="L_sigma").t_truncate(tmax)
+    frame = DiracFrame(model, gens, label="L_sigma")
+    if not model.param:
+        frame.built = _EVERY_ORDER
+    return frame.t_truncate(tmax)
 
 
 def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:

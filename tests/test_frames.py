@@ -250,6 +250,7 @@ def _assert_refused(rep, seen, brackets, d_calls, h_calls):
                              "not_lagrangian": "a generator pairing is "
                                                "nonzero"}
     assert rep.stats["route"] == "refused"
+    assert rep.stats["lagrangian_proof"] == "pairings"
     assert not (seen or brackets or d_calls or h_calls)
 
 
@@ -270,6 +271,8 @@ def test_involutivity_brackets_equal_dorfman_bracket_pair_by_pair(
     rep, seen, brackets, d_calls, h_calls = _record_involutivity(
         monkeypatch, frame, rng, H, tmax)
     assert rep.stats["route"] == "lagrangian"
+    # a gauged graph is Lagrangian by construction, and is not paired
+    assert rep.stats["lagrangian_proof"] == "construction"
     gens = frame.gens
     r = len(gens)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r - 1)]
@@ -334,6 +337,14 @@ def test_involutivity_of_a_lagrangian_frame_brackets_i_lt_j_le_r_minus_2(
     # per pair, and i_X H for the left generators e_0 .. e_{r-3}
     assert len(d_calls) == (r - 1) + len(brackets)
     assert h_calls == [g.vec for g in gens[:r - 2]]
+    # the same generators with no record are proved by pairings, to the
+    # same report
+    assert rep.stats["lagrangian_proof"] == "construction"
+    again = involutivity_report.check(DiracFrame(model, gens), rng, H=H,
+                                      tmax=tmax)
+    assert again.stats["lagrangian_proof"] == "pairings"
+    assert (again.checks, again.witnesses["failures"]) == \
+        (rep.checks, rep.witnesses["failures"])
 
 
 @pytest.mark.parametrize("param, tmax", [(False, None), (True, None),
@@ -409,21 +420,29 @@ def test_frames_equal_pairs_generators_with_no_pivot_search(monkeypatch):
 
     monkeypatch.setattr(linalg, "_pivot_block", counted)
     monkeypatch.setattr(GVField, "pairing", pairing_counted)
+    # gauged tangent frames are Lagrangian by construction, and share
+    # their generators: nothing is paired
     assert frames_equal(once, both, rng)
-    # 4 + 3 + 2 + 1 pairings show the first frame isotropic; the second
-    # frame's generators are the first's, so no cross pairing is needed
+    assert not pairs
+    # the same generators with no record: 4 + 3 + 2 + 1 pairings show the
+    # first frame isotropic; the second frame's generators are the
+    # first's, so no cross pairing is needed
+    once_, both_ = (DiracFrame(M, f.gens) for f in (once, both))
+    assert frames_equal(once_, both_, rng)
     assert len(pairs) == 10
-    assert once.lagrangian == both.lagrangian == {None}
-    # rescaled generators are new: the first frame keeps its proof, the
-    # 4 x 4 cross pairings decide, and then the second frame lies in the
-    # first and needs no isotropy check
-    del pairs[:]
-    assert frames_equal(once, scaled, rng)
-    monkeypatch.undo()
-    assert not searches
+    assert once_.lagrangian == both_.lagrangian == {None}
+    # rescaled generators are new: the recorded frame hosts them in either
+    # argument position, the 4 x 4 cross pairings decide, and then the
+    # second frame lies in the first and needs no isotropy check
     cross = [(a, b) for a in once.gens for b in scaled.gens]
     assert len(cross) == 16
-    assert pairs == cross
+    for swap in (False, True):
+        guest = DiracFrame(M, scaled.gens)
+        del pairs[:]
+        assert frames_equal(*((guest, once) if swap else (once, guest)), rng)
+        assert pairs == cross and guest.lagrangian == {None}
+    monkeypatch.undo()
+    assert not searches
 
 
 def test_dirac_scale_and_conjugate():

@@ -9,6 +9,9 @@ draws any sample point.  A frame keeps the orders ``tmax`` at which it was
 shown Lagrangian, and ``frames_equal`` does not repeat the proof at those
 orders; ``HoloPoisson.certificates`` hands back the frame it checked, so
 ``deformed_structures`` compares against it instead of building it again.
+Frames Lagrangian by construction record that proof instead
+(``tests/test_built_lagrangian.py``); so the routes are compared here on
+unrecorded copies of the frames.
 
 The former routes are kept here as references: both frames shown
 Lagrangian, then every cross pairing, with the rank read at sample points
@@ -352,10 +355,13 @@ def test_a_proof_over_the_rational_functions_is_not_one_mod_t():
 def test_a_recorded_first_frame_is_not_paired_again(monkeypatch):
     rng = random.Random(13)
     B = MixedForm.monomial(PLAIN, PLAIN.z(0), (0,), (1,))
-    f1 = graph_two_form(B)
+    # the graph's generators without its construction proof, so that the
+    # involutivity check proves it by pairings and records the order
+    f1 = _fresh(graph_two_form(B))
     f2 = DiracFrame(PLAIN, [g.scale(2) for g in reversed(f1.gens)])
     rep = involutivity_report.check(f1, rng, tmax=1)
     assert rep.stats["route"] == "lagrangian" and f1.lagrangian == {1}
+    assert rep.stats["lagrangian_proof"] == "pairings"
     pairs = []
     pairing = GVField.pairing
 
@@ -414,8 +420,11 @@ def test_certificates_hand_back_the_frame_they_checked(monkeypatch, tmax):
     rep = _phi_scene(PLAIN).certificates(random.Random(29), tmax=tmax)
     assert rep.checks["closure"] and rep.stats["closure_method"] == "frame"
     assert checked == [rep.frame]
-    assert rep.witnesses["involutivity"].stats["route"] == "lagrangian"
-    assert rep.frame.lagrangian == {tmax}
+    # the frame is Lagrangian by construction at tmax, and is not paired
+    inv = rep.witnesses["involutivity"]
+    assert inv.stats["route"] == "lagrangian"
+    assert inv.stats["lagrangian_proof"] == "construction"
+    assert tmax in rep.frame.built and not rep.frame.lagrangian
     want = build_L_sigma(_phi_scene(PLAIN), tmax=tmax, check=False)
     assert [(g.vec, g.cov) for g in rep.frame] == \
         [(g.vec, g.cov) for g in want]
@@ -424,6 +433,8 @@ def test_certificates_hand_back_the_frame_they_checked(monkeypatch, tmax):
     del checked[:]
     rep = _phi_scene(PARAM).certificates(random.Random(29), tmax=tmax)
     assert len(checked) == 1 and rep.frame is None
+    assert rep.witnesses["involutivity"].stats["lagrangian_proof"] == \
+        "pairings"
     direct = HoloPoisson(PLAIN, sigma=Bivector.wedge_pair(PLAIN, 0, 1,
                                                           PLAIN.z(0)))
     rep = direct.certificates(random.Random(29), tmax=tmax)
@@ -456,4 +467,7 @@ def test_deformed_structures_builds_the_frame_only_in_its_certificates(
     monkeypatch.undo()
     assert rep.ok and rep.checks["frame_match"]
     assert built == [3]
-    assert rep.certificates.frame.lagrangian == {3}
+    # proved by construction mod t^4, and not over the rational functions
+    frame = rep.certificates.frame
+    assert 3 in frame.built and None not in frame.built
+    assert not frame.lagrangian
