@@ -32,10 +32,11 @@ from .forms import MixedForm
 from .frames import (DiracFrame, GVField, _RATIONAL_ONLY, _along,
                      conj_stack, dirac_scale, dirac_sum, frames_equal,
                      gauge_frame, graph_bivector, point_pairing)
-from .linalg import (_isolate_real_roots, _pivot_block, _sign_changes,
-                     generic_rank, mat_add, mat_div_right, mat_identity,
-                     mat_mul, mat_transpose, poly_adjugate, poly_det,
-                     scalar_det, scalar_rank, sturm_chain)
+from .linalg import (_is_constant, _is_t_only, _isolate_real_roots,
+                     _pivot_block, _sign_changes, generic_rank, mat_add,
+                     mat_div_right, mat_identity, mat_mul, mat_transpose,
+                     poly_adjugate, poly_det, scalar_det, scalar_rank,
+                     sturm_chain)
 from .model import Model
 from .multivector import form_matrix
 from .poisson import (Bivector, RealPoisson, build_L_sigma,
@@ -78,9 +79,21 @@ def _frame_uses_t(frame: DiracFrame) -> bool:
     return any(p.t_degree() > 0 for g in frame.gens for p in g.stack())
 
 
+def _frame_rows(frame: DiracFrame):
+    """The vector and the covector block of every generator, as rows."""
+    return [part for g in frame.gens for part in (g.vec, g.cov)]
+
+
 def _sample_points(model, rng, frames):
+    """The points the pointwise conditions are read at, and their route:
+    the origin alone, "constant", with no draw from ``rng`` when every
+    frame is constant, and so the same at every point; else ``_SAMPLES``
+    (5) sample points, "sampled"."""
+    if all(_is_constant(_frame_rows(f)) for f in frames):
+        return [model.origin()], "constant"
     with_t = any(_frame_uses_t(f) for f in frames)
-    return model.sample_points(rng, count=_SAMPLES, with_t=with_t)
+    return (model.sample_points(rng, count=_SAMPLES, with_t=with_t),
+            "sampled")
 
 
 class _RationalGraph(UnsupportedSceneError):
@@ -111,14 +124,15 @@ def _graph_quotient(frame: DiracFrame, rng, tmax=None):
     Raises SingularityError when the frame has fewer than dim generators
     or det C vanishes identically: the covector block then has rank below
     dim at every point, so some coordinate covector is outside its span
-    and any sample point is a witness.
+    and any point is a witness.  A constant block has one rank everywhere,
+    so its witness is the origin, with no draw from ``rng``.
     """
     model = frame.model
     dim = model.dim
     gens = frame.gens
+    covs = [g.cov for g in gens]
     if len(gens) > dim:
-        _, keep = _pivot_block([g.cov for g in gens], model, rng,
-                               t_zero=tmax is not None)
+        _, keep = _pivot_block(covs, model, rng, t_zero=tmax is not None)
         gens = [gens[j] for j in keep]
     N = d = None
     if len(gens) == dim:
@@ -137,7 +151,8 @@ def _graph_quotient(frame: DiracFrame, rng, tmax=None):
             N = [[x * dbar for x in row]
                  for row in mat_mul(V, poly_adjugate(C))]
     if N is None:
-        pt = model.sample_point(rng, with_t=True)
+        pt = (model.origin() if _is_constant(covs)
+              else model.sample_point(rng, with_t=True))
         raise SingularityError(
             "frame is not a bivector graph: a coordinate covector is "
             f"outside the covector span (witness point {pt})", point=pt)
@@ -175,7 +190,11 @@ def graph_to_bivector(frame: DiracFrame, rng, tmax=None) -> Bivector:
 
 class GCStruct:
     """A generalized complex structure: a Dirac frame plus its real Poisson
-    bivector and the pointwise transversality certificate."""
+    bivector and the pointwise transversality certificate.
+
+    ``checked_points`` are the points the trivial intersection with the
+    conjugate was read at: ``_SAMPLES`` (5) sample points, or the origin
+    alone for a constant frame."""
 
     __slots__ = ("model", "L", "pi", "checked_points")
 
@@ -253,8 +272,9 @@ def gc_from_dirac(L: DiracFrame, rng, tmax=None) -> GCStruct:
 
     Certifies transversality with the conjugate frame both generically
     (anchor spans) and pointwise (trivial intersection at ``_SAMPLES``, 5,
-    sample points), and recovers the real Poisson structure from
-    (1/2i)(L - conj L).
+    sample points; at the origin alone for a constant frame, whose
+    intersection is the same at every point), and recovers the real
+    Poisson structure from (1/2i)(L - conj L).
     """
     model = L.model
     conj = L.conj()
@@ -263,7 +283,7 @@ def gc_from_dirac(L: DiracFrame, rng, tmax=None) -> GCStruct:
             "anchor images of the frame and its conjugate do not span the "
             "tangent space")
     pi = _real_poisson(L, conj, rng, tmax=tmax)
-    points = _sample_points(model, rng, [L])
+    points, _route = _sample_points(model, rng, [L])
     ranks = [L.eval_point(p).intersect(conj.eval_point(p)).rank()
              for p in points]
     if min(ranks) != 0:
@@ -297,7 +317,11 @@ def gc_deform(g: GCStruct, beta: MixedForm, rng, tmax=None) -> GCStruct:
 # ---------------------------------------------------------------------------
 
 class GKPair:
-    """A pair of Dirac frames with its extracted Poisson data."""
+    """A pair of Dirac frames with its extracted Poisson data.
+
+    ``gram_samples`` holds ``(point, minors)`` for each point of
+    :func:`gk_check` where L1 cap L2 has rank n: one entry at most, the
+    origin, for constant frames."""
 
     __slots__ = ("model", "L1", "L2", "sigma_plus", "sigma_minus",
                  "pi1", "pi2", "gram_samples")
@@ -363,7 +387,12 @@ def _positivity(model, f1: DiracFrame, f2: DiracFrame, points):
 def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None) -> Report:
     """Run the four-condition generalized Kahler check on a frame pair.
 
-    Positivity is decided at ``_SAMPLES`` (5) sample points.
+    Positivity is decided at ``_SAMPLES`` (5) sample points.  When both
+    frames are constant, it is decided at the origin alone, with no draw
+    from ``rng``: a constant frame is the same at every point, so the
+    intersection and its Gram minors there are those of every point.
+    ``stats["points_route"]`` says which ("constant" or "sampled"), and
+    ``stats["points"]`` how many points were read.
 
     Never raises for a mathematically meaningful failure -- each condition
     is reported with its reason.  Internal-consistency violations (a
@@ -421,7 +450,8 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None) -> Report:
                 "real and holomorphic conditions hold but transversality "
                 "fails; the implication between them is broken")
 
-    points = _sample_points(model, rng, [L1, L2])
+    points, stats["points_route"] = _sample_points(model, rng, [L1, L2])
+    stats["points"] = len(points)
     conditions["positivity"], samples = _positivity(model, L1, L2, points)
     gram_samples = []
     spanning = []
@@ -616,6 +646,14 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax) -> Report:
     each refined until it excludes t = 0; ``stats["t_window"]`` is the
     interval around 0 free of those roots.  It is not a bound on where
     the open conditions hold.
+
+    When every entry of both deformed frames and of both pencil
+    determinants depends on t alone, each member and each determinant at
+    a value of t is constant, so the roots, the "determinant vanishes"
+    skip and each member's positivity are decided at the origin alone,
+    with no draw from ``rng``.  ``stats["points_route"]`` says which
+    ("constant" or "sampled") and ``stats["points"]`` how many points
+    were read.
     """
     model = pair.model
     if not F.t_truncate(0).is_zero():
@@ -641,19 +679,19 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax) -> Report:
         half_i_difference(L1t, L2t.conj(), rng),
         build_L_sigma(pair.sigma_minus, check=False), rng)
 
-    points = model.sample_points(rng, count=_FAMILY_SAMPLES)
-    det_roots = {}
     dets = {}
     Fmat = form_matrix(F)
     for tag, rp in (("first", pair.pi1), ("second", pair.pi2)):
-        if rp is None:
-            det_roots[tag] = None
-            continue
-        # the pencil 1 + F pi
-        det = poly_det(mat_add(mat_identity(model.dim, model.n),
-                               mat_mul(Fmat, rp.pi.mat)))
-        dets[tag] = det
-        det_roots[tag] = _det_root_intervals(det, model, points)
+        if rp is not None:  # the pencil 1 + F pi
+            dets[tag] = poly_det(mat_add(mat_identity(model.dim, model.n),
+                                         mat_mul(Fmat, rp.pi.mat)))
+    if _is_t_only(_frame_rows(L1t) + _frame_rows(L2t) + [dets.values()]):
+        points, route = [model.origin()], "constant"
+    else:
+        points = model.sample_points(rng, count=_FAMILY_SAMPLES)
+        route = "sampled"
+    det_roots = {tag: _det_root_intervals(dets[tag], model, points)
+                 if tag in dets else None for tag in ("first", "second")}
 
     holo_ok = bool(minus_fixed)
     checked = []
@@ -684,7 +722,8 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax) -> Report:
     return Report("gk_deform_family",
                   {"minus_fixed": minus_fixed,
                    "members_generalized_kahler": members_gk},
-                  stats={"t_window": _t_window(det_roots)},
+                  stats={"t_window": _t_window(det_roots),
+                         "points_route": route, "points": len(points)},
                   model=model, L1=L1t, L2=L2t, sigma_plus_family=hp_family,
                   minus_fixed=minus_fixed, det_roots=det_roots,
                   checked=checked)

@@ -9,7 +9,8 @@ Three layers:
 * Polynomial matrices (lists of lists of :class:`~gkdirac.poly.Poly`):
   arithmetic helpers, truncated t-series inverses, generic rank via random
   evaluation, and exact solves.  A constant matrix takes one elimination
-  over Q(i), checked on its values, with no sample point; every other
+  over Q(i), checked on its values, with no sample point, for its rank,
+  its pivot block, its kernel and its inverse alike; every other
   solve reads one minor table (:class:`_Minors`), the memoised Laplace
   expansion of a square block keyed by a row and a column mask, whose
   sub-minors the determinant, the adjugate and each Cramer numerator
@@ -296,7 +297,15 @@ def mat_is_zero(A) -> bool:
 
 
 def _is_constant(A) -> bool:
+    """Whether every entry is constant: the matrix then has one value, and
+    so one rank and one elimination, at every point."""
     return all(a.is_constant() for row in A for a in row)
+
+
+def _is_t_only(A) -> bool:
+    """Whether every entry depends on t alone (each t-coefficient is
+    constant): the matrix is then constant on each slice t = const."""
+    return all(a.is_t_only() for row in A for a in row)
 
 
 def _values(A):
@@ -557,10 +566,14 @@ def generic_rank(A, model, rng):
     """Maximal rank of a polynomial matrix over random exact sample points,
     t among the coordinates.
 
-    No point can give more than the term rank of ``A``, so the search
-    stops once a point reaches it; from the same ``rng`` state the rank
-    is the one all ``_RANK_SAMPLES`` points give.
+    A constant ``A`` has the same value at every point, so the rank of its
+    Q(i) values is exact and no point is drawn from ``rng``.  Otherwise no
+    point can give more than the term rank of ``A``, so the search stops
+    once a point reaches it; from the same ``rng`` state the rank is the
+    one all ``_RANK_SAMPLES`` points give.
     """
+    if _is_constant(A):
+        return scalar_rank(_values(A))
     bound = _term_rank(A)
     best = 0
     for _ in range(_RANK_SAMPLES):
@@ -597,6 +610,12 @@ def _pivot_block(cols, model, rng, t_zero=False):
     pattern (:func:`_term_rank`), so the search stops at the first point
     that reaches it: the block is the one all ``_PIVOT_SAMPLES`` points
     give, from fewer points.
+
+    Columns that are constant on the points searched (constant, or with
+    ``t_zero`` of t alone, as on the unit covector rows of a family) give
+    every point the same matrix, their constant terms, and so the same
+    elimination: one :func:`_forward_pivots` on those values is the block
+    the sampled search returns, with no point drawn from ``rng``.
     """
     nrows = len(cols[0]) if cols else 0
     size = [[len(x) for x in c] for c in cols]
@@ -604,18 +623,22 @@ def _pivot_block(cols, model, rng, t_zero=False):
     row_size = [sum(r) for r in zip(*size)]
     row_order = sorted(range(nrows), key=row_size.__getitem__)
     ordered = [cols[j] for j in col_order]
-    bound = _term_rank(size)
-    best = ([], [])
-    for _ in range(_PIVOT_SAMPLES):
-        pt = model.sample_point(rng, with_t=True)
-        if t_zero:
-            pt = Point(pt.z, ZERO)
-        M = [[c[i].eval(pt) for c in ordered] for i in row_order]
-        rows, piv = _forward_pivots(M)
-        if len(piv) > len(best[1]):
-            best = (rows, piv)
-        if len(piv) == bound:
-            break
+    if _is_t_only(cols) if t_zero else _is_constant(cols):
+        best = _forward_pivots([[c[i].constant_term() for c in ordered]
+                                for i in row_order])
+    else:
+        bound = _term_rank(size)
+        best = ([], [])
+        for _ in range(_PIVOT_SAMPLES):
+            pt = model.sample_point(rng, with_t=True)
+            if t_zero:
+                pt = Point(pt.z, ZERO)
+            M = [[c[i].eval(pt) for c in ordered] for i in row_order]
+            rows, piv = _forward_pivots(M)
+            if len(piv) > len(best[1]):
+                best = (rows, piv)
+            if len(piv) == bound:
+                break
     pairs = sorted((col_order[c], row_order[r]) for r, c in zip(*best))
     return [r for _c, r in pairs], [c for c, _r in pairs]
 

@@ -95,6 +95,11 @@ class Model:
         return f"Model(n={self.n}, param={self.param})"
 
     # sampling ------------------------------------------------------------
+    def origin(self) -> Point:
+        """The point z = 0, t = 0, where constant data is read with no
+        draw: a constant frame or matrix has the same value everywhere."""
+        return Point([ZERO] * self.n)
+
     def sample_point(self, rng: random.Random, with_t: bool = False) -> Point:
         """A random point with small nonzero rational coordinates: each
         real coordinate is ``num / den``, ``num`` drawn from

@@ -581,6 +581,11 @@ class Poly:
         c = self._c
         return not c or (len(c) == 1 and 0 in c)
 
+    def is_t_only(self) -> bool:
+        """Whether every monomial is a power of t, so that each
+        ``t_coefficient(k)`` is constant."""
+        return all(e <= _FIELD for e in self._c)
+
     def constant_value(self) -> Scalar:
         c = self._c
         if not c:

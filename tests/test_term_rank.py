@@ -7,6 +7,8 @@ leave one of its columns empty is zero, so the minor table returns it
 without expanding it.  Neither changes a result: from the same rng state
 the searches return what the full-sample loops return, and every minor,
 cofactor and Cramer numerator is the one a plain Laplace expansion gives.
+A constant matrix (on the t = 0 slice, one of t alone) has the same value
+at every point searched, so both searches read it once and draw nothing.
 """
 import random
 from fractions import Fraction
@@ -181,9 +183,12 @@ def _arrow():
     return A
 
 
-@pytest.mark.parametrize("A", [[[M.zero_poly()] * 4 for _ in range(4)],
-                               _arrow()], ids=["zero", "term_rank_2"])
-def test_a_deficient_pattern_draws_one_point(A):
+@pytest.mark.parametrize("A, draws",
+                         [([[M.zero_poly()] * 4 for _ in range(4)], 0),
+                          (_arrow(), 1)], ids=["zero", "term_rank_2"])
+def test_a_deficient_pattern_draws_one_point(A, draws):
+    # the all-zero matrix is constant: both searches read its values and
+    # draw nothing; the arrow is not, and reaches its term rank at once
     cols = [list(c) for c in zip(*A)]
     assert _term_rank(cols) == (2 if any(map(any, A)) else 0)
     for search, full, samples in ((_pivot_block, _pivot_block_full, 8),
@@ -192,7 +197,50 @@ def test_a_deficient_pattern_draws_one_point(A):
         fast, slow = _CountingModel(M), _CountingModel(M)
         got = search(args, fast, random.Random(1509))
         assert got == full(args, slow, random.Random(1509))
-        assert (fast.points, slow.points) == (1, samples)
+        assert (fast.points, slow.points) == (draws, samples)
+
+
+_value = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 3), Scalar(0, 1),
+                          Scalar(1, -2)])
+
+
+@st.composite
+def _constant_matrix(draw):
+    """A matrix of constant Poly entries, 1..5 by 1..5, often deficient."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    A = [[Poly.const(M.n, draw(_value)) for _ in range(ncols)]
+         for _ in range(nrows)]
+    if ncols > 1 and draw(st.booleans()):
+        for row in A:  # a repeated column
+            row[-1] = row[0]
+    return A
+
+
+@given(A=_constant_matrix(), t_terms=st.booleans(),
+       seed=st.integers(0, 10 ** 6))
+def test_constant_matrices_draw_nothing(A, t_terms, seed):
+    cols = [list(c) for c in zip(*A)]
+    fast, slow = _CountingModel(M), _CountingModel(M)
+    assert generic_rank(A, fast, random.Random(seed)) == \
+        _generic_rank_full(A, slow, random.Random(seed))
+    for t_zero in (False, True):
+        got = _pivot_block(cols, fast, random.Random(seed), t_zero=t_zero)
+        assert got == _pivot_block_full(cols, slow, random.Random(seed),
+                                        t_zero=t_zero)
+    assert fast.points == 0 and slow.points > 0
+    if t_terms:
+        # t-terms on some entries, keeping their constant terms: such
+        # columns are constant on the t = 0 slice only
+        tcols = [[x + _poly(k + 1, t=1 + k % 2) if (j + k) % 2 else x
+                  for k, x in enumerate(c)] for j, c in enumerate(cols)]
+        for t_zero in (True, False):
+            got = _pivot_block(tcols, fast, random.Random(seed),
+                               t_zero=t_zero)
+            assert got == _pivot_block_full(tcols, slow, random.Random(seed),
+                                            t_zero=t_zero)
+            # off the slice they are not constant, and the search samples
+            constant = all(x.is_constant() for c in tcols for x in c)
+            assert (fast.points == 0) == (t_zero or constant)
 
 
 # ---------------------------------------------------------------------------
