@@ -79,17 +79,12 @@ def _frame_uses_t(frame: DiracFrame) -> bool:
     return any(p.t_degree() > 0 for g in frame.gens for p in g.stack())
 
 
-def _frame_rows(frame: DiracFrame):
-    """The vector and the covector block of every generator, as rows."""
-    return [part for g in frame.gens for part in (g.vec, g.cov)]
-
-
 def _sample_points(model, rng, frames):
     """The points the pointwise conditions are read at, and their route:
     the origin alone, "constant", with no draw from ``rng`` when every
     frame is constant, and so the same at every point; else ``_SAMPLES``
     (5) sample points, "sampled"."""
-    if all(_is_constant(_frame_rows(f)) for f in frames):
+    if all(_is_constant([g.stack() for g in f.gens]) for f in frames):
         return [model.origin()], "constant"
     with_t = any(_frame_uses_t(f) for f in frames)
     return (model.sample_points(rng, count=_SAMPLES, with_t=with_t),
@@ -124,15 +119,15 @@ def _graph_quotient(frame: DiracFrame, rng, tmax=None):
     Raises SingularityError when the frame has fewer than dim generators
     or det C vanishes identically: the covector block then has rank below
     dim at every point, so some coordinate covector is outside its span
-    and any point is a witness.  A constant block has one rank everywhere,
-    so its witness is the origin, with no draw from ``rng``.
+    and any point is a witness: the refusal reports the origin, for every
+    block, constant or not, with no draw from ``rng``.
     """
     model = frame.model
     dim = model.dim
     gens = frame.gens
-    covs = [g.cov for g in gens]
     if len(gens) > dim:
-        _, keep = _pivot_block(covs, model, rng, t_zero=tmax is not None)
+        _, keep = _pivot_block([g.cov for g in gens], model, rng,
+                               t_zero=tmax is not None)
         gens = [gens[j] for j in keep]
     N = d = None
     if len(gens) == dim:
@@ -151,8 +146,7 @@ def _graph_quotient(frame: DiracFrame, rng, tmax=None):
             N = [[x * dbar for x in row]
                  for row in mat_mul(V, poly_adjugate(C))]
     if N is None:
-        pt = (model.origin() if _is_constant(covs)
-              else model.sample_point(rng, with_t=True))
+        pt = model.origin()
         raise SingularityError(
             "frame is not a bivector graph: a coordinate covector is "
             f"outside the covector span (witness point {pt})", point=pt)
@@ -685,7 +679,8 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax) -> Report:
         if rp is not None:  # the pencil 1 + F pi
             dets[tag] = poly_det(mat_add(mat_identity(model.dim, model.n),
                                          mat_mul(Fmat, rp.pi.mat)))
-    if _is_t_only(_frame_rows(L1t) + _frame_rows(L2t) + [dets.values()]):
+    if (_is_t_only([g.stack() for g in L1t.gens + L2t.gens])
+            and all(d.is_t_only() for d in dets.values())):
         points, route = [model.origin()], "constant"
     else:
         points = model.sample_points(rng, count=_FAMILY_SAMPLES)

@@ -28,7 +28,7 @@ from .frames import (DiracFrame, GVField, _EVERY_ORDER, _conj_operator,
 from .linalg import (mat_add, mat_apply, mat_div_right, mat_identity,
                      mat_is_zero, mat_mul, mat_neg, mat_scale, mat_sub,
                      mat_transpose, mat_t_truncate, mat_zero, poly_det,
-                     _is_constant, _isolate_real_roots, _pivot_block)
+                     _isolate_real_roots, _pivot_block)
 from .model import Model
 from .multivector import (MVElement, bivector_matrix, form_matrix,
                           mv_from_endo, phi_geom_matrix)
@@ -562,14 +562,14 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     generators whose top covector rows a pivot search selects (on the
     t = 0 slice with ``tmax``), and the identity is checked on every
     generator.  Its failure raises SingularityError with the exact witness
-    (generator, b, entry); fewer than n pivots raise it with a witness
-    point, the origin when those rows are constant.  The lifts of the
-    eta_a (:func:`_covector_lifts`), projected by P = K [1, -Phi] onto the
-    deformed holomorphic bundle, are the columns sigma(eta_a) of a matrix
-    O, and sigma kills the deformed (0,1)-covectors.
-    K = [[1], [conj Phi]] S^{-1} is also the first n columns of
-    (I - N)^{-1}: the vectors dual to the eta_a, which the (0,1)-covectors
-    kill.  So sigma = O K^T, with no further division.
+    (generator, b, entry); fewer than n pivots raise it with the origin as
+    witness point, as those rows then have rank below n at every point.
+    The lifts of the eta_a (:func:`_covector_lifts`), projected by
+    P = K [1, -Phi] onto the deformed holomorphic bundle, are the columns
+    sigma(eta_a) of a matrix O, and sigma kills the deformed
+    (0,1)-covectors.  K = [[1], [conj Phi]] S^{-1} is also the first n
+    columns of (I - N)^{-1}: the vectors dual to the eta_a, which the
+    (0,1)-covectors kill.  So sigma = O K^T, with no further division.
     The round trip through :func:`build_L_sigma` is verified.  ``rng``
     serves the pivot search, the lifts and that round trip.
     """
@@ -581,9 +581,8 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     top = [g.cov[:n] for g in L.gens]
     _, keep = _pivot_block(top, model, rng, t_zero=tmax is not None)
     if len(keep) < n:
-        # a constant block has one rank everywhere: the origin witnesses it
-        pt = (model.origin() if _is_constant(top)
-              else model.sample_point(rng, with_t=True))
+        # the block has rank below n at every point: the origin witnesses it
+        pt = model.origin()
         raise SingularityError(
             "a deformed covector is outside the covector span of the frame "
             f"(witness point {pt})", point=pt)
