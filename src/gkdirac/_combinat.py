@@ -86,9 +86,6 @@ class GradedTable:
             return NotImplemented
         return self.model == other.model and not (self - other).comps
 
-    def degrees(self):
-        return sorted(self.comps.keys())
-
     def _component(self, key):
         out = type(self)(self.model)
         table = self.comps.get(key)

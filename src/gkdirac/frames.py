@@ -82,12 +82,10 @@ __all__ = [
     "PointDirac",
     "covec_to_form",
     "form_to_covec",
-    "lie_bracket_components",
     "dorfman_bracket",
     "graph_two_form",
     "graph_bivector",
     "tangent_frame",
-    "cotangent_frame",
     "gauge_frame",
     "dirac_sum",
     "dirac_scale",
@@ -315,12 +313,6 @@ def _gradient(u: GVField):
     return u._grad
 
 
-def lie_bracket_components(model: Model, X, Y, tmax=None):
-    """[X, Y]^k = X(Y^k) - Y(X^k) over the frame legs."""
-    return dorfman_bracket(GVField(model, X), GVField(model, Y),
-                           tmax=tmax).vec
-
-
 def dorfman_bracket(u: GVField, v: GVField, H: MixedForm = None,
                     tmax=None) -> GVField:
     model = u.model
@@ -409,9 +401,6 @@ class DiracFrame:
         return [u.pairing(v, tmax)
                 for i, u in enumerate(self.gens) for v in self.gens[i:]]
 
-    def is_isotropic(self) -> bool:
-        return all(not p for p in self.isotropy_defect())
-
     def proved(self, tmax) -> bool:
         """Whether the frame is known Lagrangian at ``tmax``, by its
         construction or by :func:`_not_lagrangian`."""
@@ -429,11 +418,6 @@ def tangent_frame(model: Model) -> DiracFrame:
     return _built(DiracFrame(model, [GVField(model, vec=unit_vector(model, k))
                                      for k in range(model.dim)], label="T"),
                   _EVERY_ORDER)
-
-
-def cotangent_frame(model: Model) -> DiracFrame:
-    return DiracFrame(model, [GVField(model, cov=unit_vector(model, k))
-                              for k in range(model.dim)], label="T*")
 
 
 def graph_two_form(B: MixedForm) -> DiracFrame:
@@ -738,7 +722,11 @@ def _require_lagrangian(name, frame, defect, rng, tmax):
 # ---------------------------------------------------------------------------
 
 class PointDirac:
-    """A subspace of the fibre (T (+) T*)_x given by scalar columns."""
+    """A subspace of the fibre (T (+) T*)_x given by scalar columns, as
+    :meth:`DiracFrame.eval_point` builds it.  Any other fibre is the value
+    of a frame, e.g. ``L.conj().eval_point(pt)`` for the conjugate of L at
+    a point (``Poly.eval`` reads zbar as conj(z), and t is real) and
+    ``tangent_frame(model).eval_point(pt)`` for the tangent fibre."""
 
     __slots__ = ("model", "columns")
 
@@ -753,10 +741,6 @@ class PointDirac:
                 for i in range(2 * self.model.dim)]
         return scalar_rank(rows)
 
-    def is_isotropic(self) -> bool:
-        return not any(point_pairing(self.model, a, b)
-                       for a in self.columns for b in self.columns)
-
     def equals(self, other: "PointDirac") -> bool:
         rank = self.rank()
         if rank != other.rank():
@@ -764,31 +748,6 @@ class PointDirac:
         rows = [[col[i] for col in self.columns + other.columns]
                 for i in range(2 * self.model.dim)]
         return scalar_rank(rows) == rank
-
-    @classmethod
-    def tangent(cls, model: Model) -> "PointDirac":
-        dim = model.dim
-        cols = []
-        for k in range(dim):
-            c = [ZERO] * (2 * dim)
-            c[k] = Scalar(1)
-            cols.append(c)
-        return cls(model, cols)
-
-    @classmethod
-    def cotangent(cls, model: Model) -> "PointDirac":
-        dim = model.dim
-        cols = []
-        for k in range(dim):
-            c = [ZERO] * (2 * dim)
-            c[dim + k] = Scalar(1)
-            cols.append(c)
-        return cls(model, cols)
-
-    def conj(self) -> "PointDirac":
-        """The conjugate subspace at the same (real) base point."""
-        return PointDirac(self.model,
-                          [conj_stack(self.model, c) for c in self.columns])
 
     def intersect(self, other: "PointDirac") -> "PointDirac":
         """Exact fibrewise intersection via the kernel of [A | -B].

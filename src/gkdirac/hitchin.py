@@ -249,7 +249,7 @@ def deformation_frame(hp: HoloPoisson, eps: MVElement,
     n, dim = model.n, model.dim
     rho, phi, gamma = _split(eps)
     shape = HoloPoisson(model, phi=phi)
-    Mrho = bivector_matrix(rho, size=dim)
+    Mrho = bivector_matrix(rho)
     # gamma(d/dzbar_b): c dzbar_j ^ dzbar_k, j < k, gives c dzbar_k at
     # b = j and -c dzbar_j at b = k
     covs = [[model.zero_poly() for _ in range(dim)] for _ in range(n)]
@@ -659,7 +659,7 @@ def deformed_structures(eps: MVElement, hp: HoloPoisson, rng,
     # the projector and every product below are kept mod t^{tmax+1}
     Phi = phi_geom_matrix(phi)
     P = _holo_projector(Phi, tmax=tmax)
-    Msum = mat_add(hp.sigma.mat, bivector_matrix(rho, size=dim))
+    Msum = mat_add(hp.sigma.mat, bivector_matrix(rho))
     PM = mat_mul(P, Msum, tmax=tmax)
     newmat = mat_mul(PM, mat_transpose(P), tmax=tmax)
     hp_new = HoloPoisson(model, sigma=Bivector(model, newmat), phi=phi)
@@ -867,7 +867,7 @@ def _ham_complex(ds: DeformSeries, tmax) -> Report:
     I_t = mat_scale(mat_sub(mat_scale(P, Scalar(2)), mat_identity(dim, n + 1)),
                     Scalar(0, 1))
     Msum = lift(mat_add(ds.background.sigma.mat,
-                        bivector_matrix(rho, size=dim)))
+                        bivector_matrix(rho)))
     Mt = mul(P, Msum, mat_transpose(P))
     Mtbar = _conj_operator(model, Mt)
     Walpha = dot(lift(form_matrix(ds.beta_series())), s_leg)

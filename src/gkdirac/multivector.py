@@ -47,14 +47,12 @@ from .poly import Poly
 
 __all__ = [
     "MVElement",
-    "vec",
     "phi_geom_matrix",
     "mv_from_endo",
     "bivector_matrix",
     "mv_from_bivector_matrix",
     "form_matrix",
     "form_from_matrix",
-    "vector_components",
 ]
 
 
@@ -139,13 +137,6 @@ class MVElement(GradedTable):
         return out.finish()
 
 
-# -- single-leg builders -------------------------------------------------
-
-def vec(model: Model, i: int) -> MVElement:
-    """The coordinate vector field d/dz_i as a (1,0) element."""
-    return MVElement.monomial(model, model.poly(1), vecs=(i,))
-
-
 # -- tensor-evaluation bridges ------------------------------------------
 
 def phi_geom_matrix(phi: MVElement):
@@ -171,16 +162,13 @@ def mv_from_endo(model: Model, M) -> MVElement:
                                       if M[i][b]}})
 
 
-def bivector_matrix(sigma: MVElement, size=None):
-    """Antisymmetric leg matrix of a (2,0) element (rows/cols over the full
-    frame when ``size`` is given, else over the holomorphic legs alone)."""
+def bivector_matrix(sigma: MVElement):
+    """Antisymmetric leg matrix of a (2,0) element, over the full frame."""
     model = sigma.model
-    n = model.n
     for key in sigma.comps:
         if key != (2, 0):
             raise ValueError("input must be purely of type (2,0)")
-    m = size if size is not None else n
-    M = mat_zero(m, m, n)
+    M = mat_zero(model.dim, model.dim, model.n)
     for ((i, j), _), c in sigma.comps.get((2, 0), {}).items():
         M[j][i] = M[j][i] + c
         M[i][j] = M[i][j] - c
@@ -258,17 +246,3 @@ def form_from_matrix(model: Model, F):
                 else:
                     out.add((0, 1, 1), ((), (a - n,)), c, -1)
     return out.finish()
-
-
-def vector_components(x: MVElement):
-    """Frame components of a (1,0) element (length dim, zbar and dt slots 0)."""
-    model = x.model
-    n = model.n
-    for key in x.comps:
-        if key != (1, 0):
-            raise ValueError("input must be a vector field")
-    out = [Poly.zero(n) for _ in range(model.dim)]
-    for ((i,), _), c in x.comps.get((1, 0), {}).items():
-        out[i] = c
-    return out
-

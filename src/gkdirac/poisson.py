@@ -41,7 +41,6 @@ __all__ = [
     "RealPoisson",
     "HoloPoisson",
     "schouten_defect",
-    "complex_structure_matrix",
     "gauge_real_poisson",
     "build_L_sigma",
     "extract_holo_poisson",
@@ -72,24 +71,7 @@ class Bivector:
     @classmethod
     def from_mv(cls, mv: MVElement) -> "Bivector":
         """Embed a purely holomorphic (2,0) polyvector."""
-        return cls(mv.model, bivector_matrix(mv, size=mv.model.dim))
-
-    @classmethod
-    def from_decomposable(cls, model, u, v, coeff=None) -> "Bivector":
-        """coeff * u ^ v from two frame-component columns."""
-        dim = model.dim
-        mat = mat_zero(dim, dim, model.n)
-        for i in range(dim):
-            for j in range(dim):
-                term = model.zero_poly()
-                if u[j] and v[i]:
-                    term = term + u[j] * v[i]
-                if u[i] and v[j]:
-                    term = term - u[i] * v[j]
-                if coeff is not None and term:
-                    term = term * coeff
-                mat[i][j] = term
-        return cls(model, mat)
+        return cls(mv.model, bivector_matrix(mv))
 
     @classmethod
     def wedge_pair(cls, model, a, b, coeff) -> "Bivector":
@@ -214,10 +196,6 @@ class RealPoisson:
         self.model = model
         self.pi = pi
 
-    def certify(self, tmax=None):
-        """Nonzero Jacobiator entries; empty dict means Poisson."""
-        return schouten_defect(self.pi, tmax=tmax)
-
     def graph(self) -> DiracFrame:
         """The Dirac frame {pi(xi) + xi} over the coordinate covectors."""
         return graph_bivector(self.model, self.pi.mat)
@@ -290,10 +268,6 @@ class HoloPoisson:
         """Columns spanning the deformed antiholomorphic tangent bundle."""
         return self._legs(self.model.n)
 
-    def holo_frame_columns(self):
-        """Columns spanning the deformed holomorphic tangent bundle."""
-        return self._legs(0)
-
     def holo_covector_columns(self):
         """Columns spanning the annihilator of the deformed antiholomorphic
         tangent bundle (the deformed (1,0)-covectors)."""
@@ -304,8 +278,29 @@ class HoloPoisson:
         return self._legs(self.model.n, covectors=True)
 
     def complex_structure(self, tmax=None):
-        """The deformed complex structure as a frame endomorphism matrix."""
-        return complex_structure_matrix(self.model, self.phi, tmax=tmax)
+        """The deformed complex structure as a frame endomorphism matrix.
+
+        Built as i(2 P - 1) with P the projector onto the deformed
+        holomorphic bundle along the antiholomorphic one; needs the usual
+        invertibility of (1 - phi phibar), checked exactly (hard error when
+        it fails).  With phi zero it is diag(i, -i), read off directly.
+        """
+        model = self.model
+        if model.param:
+            raise UnsupportedSceneError(
+                "complex structures live on the parameter-free frame")
+        n = model.n
+        dim = model.dim
+        eye = Scalar(0, 1)
+        if self.phi.is_zero():
+            M = mat_zero(dim, dim, n)
+            for i in range(n):
+                M[i][i] = Poly.const(n, eye)
+                M[n + i][n + i] = Poly.const(n, -eye)
+            return M
+        P10 = _holo_projector(self.phi_matrix(), tmax=tmax)
+        return mat_scale(mat_sub(mat_scale(P10, Scalar(2)),
+                                 mat_identity(dim, n)), eye)
 
     # -- certificates ----------------------------------------------------
     def mc_phi_residual(self, tmax=None) -> MVElement:
@@ -375,31 +370,6 @@ class HoloPoisson:
             return NotImplemented
         return (self.model == other.model and self.phi == other.phi
                 and self.sigma == other.sigma)
-
-
-def complex_structure_matrix(model: Model, phi: MVElement, tmax=None):
-    """Frame endomorphism of the complex structure deformed by phi.
-
-    Built as i(2 P - 1) with P the projector onto the deformed holomorphic
-    bundle along the antiholomorphic one; needs the usual invertibility of
-    (1 - phi phibar), checked exactly (hard error when it fails).
-    """
-    if model.param:
-        raise UnsupportedSceneError(
-            "complex structures live on the parameter-free frame")
-    n = model.n
-    dim = model.dim
-    eye = Scalar(0, 1)
-    if phi is None or phi.is_zero():
-        M = mat_zero(dim, dim, n)
-        for i in range(n):
-            M[i][i] = Poly.const(n, eye)
-            M[n + i][n + i] = Poly.const(n, -eye)
-        return M
-    Phi = phi_geom_matrix(phi)
-    P10 = _holo_projector(Phi, tmax=tmax)
-    return mat_scale(mat_sub(mat_scale(P10, Scalar(2)), mat_identity(dim, n)),
-                     eye)
 
 
 def _deformed_frame_change(Phi):

@@ -612,6 +612,9 @@ class Poly:
                 and self._c == other._c)
 
     def __hash__(self):
+        # a constant equals its value, so it hashes like that Scalar
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.n, self.d,
                      frozenset((k, a, b) for k, (a, b) in self._c.items())))
 

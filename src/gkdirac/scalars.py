@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["Scalar", "ZERO", "ONE", "I", "sc"]
+__all__ = ["Scalar", "ZERO", "ONE", "sc"]
 
 _RATIONAL = (int, Fraction)  # the operand types coerced to Scalar
 
@@ -135,12 +135,6 @@ class Scalar:
         return hash((self.a, self.b, self.d))
 
     # -- rendering -------------------------------------------------------
-    def render(self) -> str:
-        """Canonical text form ``a/b+c/d*i`` used in scene files and reports."""
-        if self.im < 0:
-            return f"{self.re}-{-self.im}*i"
-        return f"{self.re}+{self.im}*i"
-
     def __str__(self):
         if self.im == 0:
             return str(self.re)
@@ -151,28 +145,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
-
-    @staticmethod
-    def parse(text: str) -> "Scalar":
-        """Inverse of :meth:`render`; also accepts bare rationals and ``c*i``."""
-        s = text.strip().replace(" ", "")
-        if s in ("i", "+i"):
-            return Scalar(0, 1)
-        if s == "-i":
-            return Scalar(0, -1)
-        if s.endswith("*i"):
-            body = s[:-2]
-            # split at the last +/- that is not a leading sign or inside a fraction
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-" and body[k - 1] not in "+-/*":
-                    re_part, im_part = body[:k], body[k:]
-                    if im_part in ("+", "-"):
-                        im_part += "1"
-                    return Scalar(Fraction(re_part), Fraction(im_part))
-            if body in ("", "+", "-"):
-                body += "1"
-            return Scalar(0, Fraction(body))
-        return Scalar(Fraction(s), 0)
 
 
 def _new(a: int, b: int, d: int) -> Scalar:
@@ -198,4 +170,3 @@ def sc(re=0, im=0) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)

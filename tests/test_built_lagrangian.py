@@ -215,7 +215,7 @@ def _deformation_reference(hp, eps, tmax):
     G = form_matrix(MixedForm.sum(model, [
         MixedForm.monomial(model, c, (), J)
         for (_I, J), c in gamma.comps.get((0, 2), {}).items()]))
-    S = mat_add(hp.sigma.mat, bivector_matrix(rho, size=model.dim))
+    S = mat_add(hp.sigma.mat, bivector_matrix(rho))
     gens = [GVField(model, vec=X, cov=mat_apply(G, X))
             for X in shape.antiholo_frame_columns()]
     gens += [GVField(model, vec=mat_apply(S, zeta), cov=zeta)

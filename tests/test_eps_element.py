@@ -80,7 +80,7 @@ def _former_frame(hp, eps, tmax=None):
     model = hp.model
     n, dim = model.n, model.dim
     shape = HoloPoisson(model, phi=eps.phi)
-    Mrho = bivector_matrix(eps.rho, size=dim)
+    Mrho = bivector_matrix(eps.rho)
     gens = []
     for b, v in enumerate(shape.antiholo_frame_columns()):
         cov = [model.zero_poly() for _ in range(dim)]
@@ -148,7 +148,7 @@ def _former_structures(eps, hp, rng, tmax=None):
     n, dim = model.n, model.dim
     Phi = phi_geom_matrix(eps.phi)
     P = _holo_projector(Phi, tmax=tmax)
-    Msum = mat_add(hp.sigma.mat, bivector_matrix(eps.rho, size=dim))
+    Msum = mat_add(hp.sigma.mat, bivector_matrix(eps.rho))
     PM = mat_mul(P, Msum, tmax=tmax)
     newmat = mat_mul(PM, mat_transpose(P), tmax=tmax)
     hp_new = HoloPoisson(model, sigma=Bivector(model, newmat), phi=eps.phi)

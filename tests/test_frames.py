@@ -10,9 +10,7 @@ from gkdirac.frames import (
     _conj_operator,
     DiracFrame,
     GVField,
-    PointDirac,
     conj_stack,
-    cotangent_frame,
     covec_to_form,
     dirac_scale,
     dirac_sum,
@@ -23,11 +21,11 @@ from gkdirac.frames import (
     graph_bivector,
     graph_two_form,
     involutivity_report,
-    lie_bracket_components,
+    point_pairing,
     tangent_frame,
 )
 from gkdirac import frames, linalg
-from gkdirac.linalg import mat_add, mat_apply
+from gkdirac.linalg import mat_add, mat_apply, mat_zero
 from gkdirac.model import Model
 from gkdirac.multivector import MVElement, bivector_matrix, form_matrix
 from gkdirac.poisson import Bivector, HoloPoisson, build_L_sigma
@@ -81,14 +79,12 @@ def test_covec_form_roundtrip():
 def test_lie_bracket_jacobi():
     rng = random.Random(303)
     for _ in range(5):
-        X, Y, Z = ([rand_poly(rng, M, nterms=1) for _ in range(M.dim)]
+        X, Y, Z = (GVField(M, [rand_poly(rng, M, nterms=1)
+                               for _ in range(M.dim)])
                    for _ in range(3))
-        lhs = lie_bracket_components(
-            M, X, lie_bracket_components(M, Y, Z))
-        m1 = lie_bracket_components(
-            M, lie_bracket_components(M, X, Y), Z)
-        m2 = lie_bracket_components(
-            M, Y, lie_bracket_components(M, X, Z))
+        lhs = dorfman_bracket(X, dorfman_bracket(Y, Z)).vec
+        m1 = dorfman_bracket(dorfman_bracket(X, Y), Z).vec
+        m2 = dorfman_bracket(Y, dorfman_bracket(X, Z)).vec
         for a, b, c in zip(lhs, m1, m2):
             assert a == b + c
 
@@ -98,23 +94,26 @@ def test_pairing_isotropy_of_graphs():
     for _ in range(4):
         B = rand_two_form(rng, M)
         fr = graph_two_form(B)
-        assert fr.is_isotropic()
+        assert not any(fr.isotropy_defect())
         assert len(fr) == M.dim
     sigma = MVElement.monomial(M, M.z(0), (0, 1), ())
-    P = bivector_matrix(sigma, size=M.dim)
+    P = bivector_matrix(sigma)
     fp = graph_bivector(M, P)
-    assert fp.is_isotropic()
+    assert not any(fp.isotropy_defect())
 
 
 def test_tangent_and_cotangent_frames():
     rng = random.Random(311)
     t = tangent_frame(M)
-    c = cotangent_frame(M)
-    assert t.is_isotropic() and c.is_isotropic()
+    # the cotangent frame is the graph of the zero bivector; its unrecorded
+    # copy is shown Lagrangian by its pairings
+    c = graph_bivector(M, mat_zero(M.dim, M.dim, M.n))
+    assert not any(t.isotropy_defect()) and not any(c.isotropy_defect())
     rep = involutivity_report.check(t, rng)
     assert rep.ok and rep.stats["rank"] == M.dim
-    rep2 = involutivity_report.check(c, rng)
-    assert rep2.ok
+    for frame in (c, DiracFrame(M, c.gens)):
+        rep2 = involutivity_report.check(frame, rng)
+        assert rep2.ok and rep2.stats["rank"] == M.dim
 
 
 def test_graph_closed_two_form_involutive():
@@ -394,7 +393,7 @@ def test_truncated_isotropy_is_decided_mod_the_same_order(tmax):
     assert rep.checks["isotropic"]
     # the truncated frame is isotropic mod t^2 only
     assert not any(p.t_truncate(1) for p in L.isotropy_defect())
-    assert L.is_isotropic() == (tmax is None)
+    assert (not any(L.isotropy_defect())) == (tmax is None)
 
 
 def test_frames_equal_pairs_generators_with_no_pivot_search(monkeypatch):
@@ -482,14 +481,15 @@ def test_point_dirac_equality_and_rank():
     pt = M.sample_point(rng)
     pd = fr.eval_point(pt)
     assert pd.rank() == M.dim
-    assert pd.is_isotropic()
+    assert not any(point_pairing(M, a, b)
+                   for a in pd.columns for b in pd.columns)
     assert pd.equals(fr.eval_point(pt))
     assert not pd.equals(tangent_frame(M).eval_point(pt)) or B.is_zero()
 
 
 def test_point_dirac_isotropy_matches_the_pairing_sum():
-    # the isotropy of a point subspace is decided through point_pairing;
-    # the reference is the plain sum xi(Y) + eta(X) over every column pair
+    # point_pairing against the plain sum xi(Y) + eta(X) over every column
+    # pair of a point subspace
     rng = random.Random(348)
     pt = M.sample_point(rng)
     dim = M.dim
@@ -499,14 +499,17 @@ def test_point_dirac_isotropy_matches_the_pairing_sum():
     skew = DiracFrame(M, [T.gens[0] + GVField(M, cov=T.gens[1].vec),
                           T.gens[1] - GVField(M, cov=T.gens[0].vec)])
     verdicts = []
-    for fr in (T, cotangent_frame(M), graph_two_form(rand_two_form(rng, M)),
+    cotangent = graph_bivector(M, mat_zero(dim, dim, M.n))
+    for fr in (T, cotangent, graph_two_form(rand_two_form(rng, M)),
                mixed, skew):
         pd = fr.eval_point(pt)
         sums = [sum((a[dim + i] * b[i] + b[dim + i] * a[i]
                      for i in range(dim)), Scalar(0))
                 for a in pd.columns for b in pd.columns]
-        assert pd.is_isotropic() == all(x.is_zero() for x in sums)
-        verdicts.append(pd.is_isotropic())
+        pairings = [point_pairing(M, a, b)
+                    for a in pd.columns for b in pd.columns]
+        assert [not x for x in pairings] == [x.is_zero() for x in sums]
+        verdicts.append(not any(pairings))
     assert verdicts == [True, True, True, False, True]
 
 
@@ -575,8 +578,11 @@ def std_hermitian_form(model):
 
 
 def test_pointwise_intersection_of_tangent_and_cotangent():
-    assert PointDirac.tangent(M).intersect(PointDirac.cotangent(M)).rank() == 0
-    assert PointDirac.tangent(M).rank() == M.dim
+    pt = M.origin()
+    tangent = tangent_frame(M).eval_point(pt)
+    cotangent = graph_bivector(M, mat_zero(M.dim, M.dim, M.n)).eval_point(pt)
+    assert tangent.intersect(cotangent).rank() == 0
+    assert tangent.rank() == cotangent.rank() == M.dim
 
 
 def test_symplectic_type_meets_conjugate_trivially():
@@ -584,7 +590,11 @@ def test_symplectic_type_meets_conjugate_trivially():
     L = graph_two_form(std_hermitian_form(M).scale(sc(0, 1)))
     for pt in M.sample_points(rng, count=4):
         pd = L.eval_point(pt)
-        assert pd.intersect(pd.conj()).rank() == 0
+        # the conjugate frame's value is the pointwise conjugate of L's:
+        # Poly.eval reads zbar as conj(z), and t is real
+        conj = L.conj().eval_point(pt)
+        assert conj.columns == [conj_stack(M, c) for c in pd.columns]
+        assert pd.intersect(conj).rank() == 0
 
 
 def test_intersection_dimension_matches_anchor_image():
@@ -598,7 +608,7 @@ def test_intersection_dimension_matches_anchor_image():
         for pt in M.sample_points(rng, count=3):
             lhs = L1.eval_point(pt).intersect(L2.eval_point(pt)).rank()
             rhs = diff.eval_point(pt).intersect(
-                PointDirac.tangent(M)).rank()
+                tangent_frame(M).eval_point(pt)).rank()
             assert lhs == rhs
 
 
@@ -609,7 +619,7 @@ def test_point_conjugation_fixes_real_graphs():
     L = graph_two_form(B)
     for pt in M.sample_points(rng, count=3):
         pd = L.eval_point(pt)
-        assert pd.conj().equals(pd)
+        assert L.conj().eval_point(pt).equals(pd)
 
 
 def _conj_operator_reference(model, M):

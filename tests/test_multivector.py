@@ -15,8 +15,6 @@ from gkdirac.multivector import (
     mv_from_bivector_matrix,
     mv_from_endo,
     phi_geom_matrix,
-    vec,
-    vector_components,
 )
 from gkdirac.poly import Poly
 from gkdirac.scalars import sc
@@ -27,15 +25,16 @@ MP = Model(2, param=True)
 
 
 def test_wedge_anticommutes_on_vectors():
-    a = vec(M, 0)
-    b = vec(M, 1)
+    a = MVElement.monomial(M, M.poly(1), vecs=(0,))
+    b = MVElement.monomial(M, M.poly(1), vecs=(1,))
     assert (a.wedge(b) + b.wedge(a)).is_zero()
     assert a.wedge(a).is_zero()
 
 
 def test_wedge_mixed_block_sign():
     # dzbar ^ @z stored as @z ^ dzbar with a minus sign
-    w = MVElement.monomial(M, M.poly(1), bars=(0,)).wedge(vec(M, 0))
+    w = MVElement.monomial(M, M.poly(1), bars=(0,)).wedge(
+        MVElement.monomial(M, M.poly(1), vecs=(0,)))
     assert w.coefficient(vecs=(0,), bars=(0,)).constant_value() == sc(-1)
 
 
@@ -68,12 +67,15 @@ def test_phi_geom_sign():
 
 
 def test_bivector_matrix_contraction_convention():
-    # sigma = @1^@2: sigma(dz1) = @2 so column 0 is (0,1)
+    # sigma = @1^@2: sigma(dz1) = @2 so column 0 is (0,1,0,0) over the
+    # full frame
     sigma = MVElement.monomial(M, M.poly(1), (0, 1), ())
     Mx = bivector_matrix(sigma)
-    xi = [M.poly(1), M.zero_poly()]
+    assert len(Mx) == M.dim and all(len(row) == M.dim for row in Mx)
+    xi = [M.poly(1)] + [M.zero_poly()] * (M.dim - 1)
     out = mat_apply(Mx, xi)
     assert not out[0] and out[1].constant_value() == sc(1)
+    assert not any(out[2:])
     assert mv_from_bivector_matrix(M, Mx) == sigma
 
 
@@ -105,21 +107,12 @@ def test_form_matrix_dt_leg():
     assert out[0].constant_value() == sc(1)
 
 
-def test_vector_components_roundtrip():
-    x = vec(M, 0).poly_mul(M.z(1)) + vec(M, 1).poly_mul(M.poly(5))
-    comps = vector_components(x)
-    assert comps[0] == M.z(1)
-    assert comps[1] == M.poly(5)
-    assert not comps[2] and not comps[3]
-
-
 def test_type_guards():
+    vector = MVElement.monomial(M, M.poly(1), vecs=(0,))
     with pytest.raises(ValueError):
-        phi_geom_matrix(vec(M, 0))
+        phi_geom_matrix(vector)
     with pytest.raises(ValueError):
-        bivector_matrix(vec(M, 0))
-    with pytest.raises(ValueError):
-        vector_components(MVElement.monomial(M, M.poly(1), bars=(0,)))
+        bivector_matrix(vector)
 
 
 # -- storage shared with MixedForm -------------------------------------------

@@ -122,7 +122,7 @@ def _settable_values(source):
 # A change that adds an option raises this on purpose and says why; an
 # option is justified when two callers outside the tests need different
 # values of it
-_SETTABLE_VALUES_CEILING = 122
+_SETTABLE_VALUES_CEILING = 117
 
 
 def test_settable_values_stay_under_the_ceiling():
@@ -201,6 +201,99 @@ def test_unused_helper_check_sees_a_stale_helper():
     }
     assert _unused_private_helpers(sources) == [
         "a._LIMIT", "a._ONCE", "a._Stale", "a._recursive", "b._TABLE"]
+
+
+def _unread_exports(sources, outside, kept):
+    """The ``__all__`` names of ``sources`` (module name -> source) that
+    no code reads, as ``module.name``.  An export is read by another
+    module's ``from .module import name``, by its own module's code outside
+    its definition, or by a name, an attribute or a dotted part of a string
+    in the ``outside`` sources (the benchmark reaches the package through
+    ``gk.module.name`` chains and names the attributes it traces by
+    string).  A name in ``kept`` may go unread, and is reported when it is
+    read after all, so that the list stays true."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    imported = {(node.module, alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    seen = set()
+    for source in outside:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                seen.update(node.value.split("."))
+    offenders = []
+    for module, tree in trees.items():
+        exports, own = (), set()
+        for top in tree.body:
+            if isinstance(top, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in top.targets):
+                exports = ast.literal_eval(top.value)
+                continue
+            defined = _defined_names(top)
+            own.update(node.id for node in ast.walk(top)
+                       if isinstance(node, ast.Name)
+                       and node.id not in defined)
+        for name in exports:
+            read = (module, name) in imported or name in own or name in seen
+            if read == (f"{module}.{name}" in kept):
+                offenders.append(f"{module}.{name}")
+    return sorted(offenders)
+
+
+# Exports that nothing in src/gkdirac or perfbench reads, each kept for the
+# reason given
+_UNREAD_EXPORTS_KEPT = {
+    "forms.dz": "shorthand for the 1-form dz_i, used throughout the tests",
+    "forms.dzbar": "shorthand for the 1-form dzbar_i, beside dz",
+    "genkahler.gc_deform": "a paper operation: the deformation of a "
+                           "generalized complex structure by a closed 2-form",
+    "genkahler.gk_lift": "a paper operation: the lift of gauge deformations "
+                         "of (sigma_+, sigma_-) to the generalized Kahler pair",
+    "genkahler.graph_to_bivector": "a paper operation: the bivector P of a "
+                                   "graph frame {P xi + xi}",
+    "scalars.sc": "shorthand constructor for Scalar, used throughout the "
+                  "tests",
+}
+
+
+def test_every_export_has_a_reader():
+    # an export left behind by a deletion, or one that only the tests
+    # read, is caught here
+    sources = {path.stem: path.read_text()
+               for path in (ROOT / "src" / "gkdirac").glob("*.py")}
+    outside = [path.read_text()
+               for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert not _unread_exports(sources, outside, _UNREAD_EXPORTS_KEPT)
+
+
+def test_unread_export_check_sees_a_stale_export():
+    sources = {
+        "a": ("__all__ = ['f', 'g', 'K', 'rec', 'traced', 'stale', 'kept',"
+              " 'listed']\n"
+              "def f():\n    return g()\n"
+              "def g():\n    return 1\n"
+              "class K:\n    pass\n"
+              "def rec(k):\n    return rec(k - 1)\n"
+              "def traced():\n    pass\n"
+              "def stale(m):\n    return m.stale\n"
+              "def kept():\n    pass\n"
+              "def listed():\n    pass\n"),
+        "b": ("from .a import K, listed\n"
+              "__all__ = ['run']\n"
+              "def run():\n    return K(), listed()\n"),
+    }
+    outside = ["def bench(gk):\n    return gk.a.f(), gk.b.run()\n"
+               "SPANS = ((\"a\", \"traced\", \"a.layer\"),)\n"]
+    kept = {"a.kept": "reason", "a.listed": "reason"}
+    assert _unread_exports(sources, outside, kept) == [
+        "a.listed", "a.rec", "a.stale"]
 
 
 def _syntax_errors_before_3_11(sources):

@@ -14,9 +14,8 @@ from gkdirac.multivector import (MVElement, mv_from_bivector_matrix,
                                  phi_geom_matrix)
 from gkdirac.poisson import (Bivector, HoloPoisson, RealPoisson,
                              build_L_sigma, check_gauge_equiv,
-                             complex_structure_matrix, extract_holo_poisson,
-                             gauge_real_poisson, imag_Q, schouten_defect,
-                             _holo_projector)
+                             extract_holo_poisson, gauge_real_poisson, imag_Q,
+                             schouten_defect, _holo_projector)
 from gkdirac.poly import Poly
 from gkdirac.scalars import Scalar, sc
 
@@ -69,13 +68,6 @@ def test_bivector_reality():
     assert (holo + holo.conj()).is_real()
 
 
-def test_bivector_decomposable_matches_wedge_pair():
-    u = [M2.poly(1), M2.zero_poly(), M2.zero_poly(), M2.zero_poly()]
-    v = [M2.zero_poly(), M2.poly(1), M2.zero_poly(), M2.zero_poly()]
-    assert Bivector.from_decomposable(M2, u, v) == Bivector.wedge_pair(
-        M2, 0, 1, 1)
-
-
 def test_bivector_antisymmetry_enforced():
     bad = [[M2.zero_poly() for _ in range(4)] for _ in range(4)]
     bad[0][1] = M2.poly(1)
@@ -117,7 +109,7 @@ def test_schouten_defect_detects_failure():
 def test_schouten_defect_agrees_with_graph_involutivity():
     rng = random.Random(41)
     good = planar_poisson(M1)
-    assert not good.certify()
+    assert not schouten_defect(good.pi)
     assert involutivity_report.check(good.graph(), rng).ok
     bad_b = (Bivector(M2, [[x * M2.zbar(0) for x in row]
                            for row in Bivector.wedge_pair(M2, 1, 2, 1).mat])
@@ -156,7 +148,7 @@ def test_gauge_constant_area_form_scales_inverse():
     pi1 = gauge_real_poisson(pi0, area_form(M1, c), rng)
     assert pi1.pi == pi0.pi.scale(Scalar(Fraction(1, 1) / (1 - c)))
     assert pi1.pi.is_real()
-    assert not pi1.certify()
+    assert not schouten_defect(pi1.pi)
 
 
 def test_gauge_singular_at_unit_coefficient():
@@ -399,7 +391,11 @@ def test_frame_columns_keep_their_former_outputs(n, with_t):
         model = Model(n, param=param)
         for _ in range(3):
             hp = HoloPoisson(model, phi=_rand_phi(rng, model, with_t))
-            new = (hp.antiholo_frame_columns(), hp.holo_frame_columns(),
+            # the holomorphic frame vectors are the conjugates of the
+            # antiholomorphic ones
+            antiholo = hp.antiholo_frame_columns()
+            new = (antiholo,
+                   [GVField(model, vec=v).conj().vec for v in antiholo],
                    hp.holo_covector_columns(),
                    hp.antiholo_covector_columns())
             assert new == _former_columns(hp)
@@ -414,10 +410,13 @@ def test_frame_columns_keep_their_former_outputs(n, with_t):
 
 
 def test_complex_structure_matrix_background():
-    I = complex_structure_matrix(M2, None)
+    I = HoloPoisson(M2).complex_structure()
     for i in range(2):
         assert I[i][i] == Poly.const(2, sc(0, 1))
         assert I[2 + i][2 + i] == Poly.const(2, sc(0, -1))
+    assert sum(1 for row in I for x in row if x) == 4
+    with pytest.raises(UnsupportedSceneError, match="parameter-free frame"):
+        HoloPoisson(Model(2, param=True)).complex_structure()
 
 
 def test_complex_structure_matrix_deformed_eigenvectors():
@@ -428,12 +427,10 @@ def test_complex_structure_matrix_deformed_eigenvectors():
     from gkdirac.linalg import mat_mul, mat_identity, mat_add, mat_is_zero
     sq = mat_add(mat_mul(I, I), mat_identity(4, 2))
     assert mat_is_zero(sq)
-    for col in hp.antiholo_frame_columns():
-        out = mat_apply(I, col)
-        assert out == [c.scale(sc(0, -1)) for c in col]
-    for col in hp.holo_frame_columns():
-        out = mat_apply(I, col)
-        assert out == [c.scale(sc(0, 1)) for c in col]
+    for v in hp.antiholo_frame_columns():
+        assert mat_apply(I, v) == [c.scale(sc(0, -1)) for c in v]
+        u = GVField(M2, vec=v).conj().vec  # a deformed (1,0) vector
+        assert mat_apply(I, u) == [c.scale(sc(0, 1)) for c in u]
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +465,13 @@ def test_extract_round_trip_with_phi_and_sigma():
     rng = random.Random(32)
     phi = MVElement.monomial(M2, M2.poly(Fraction(1, 4)), vecs=(0,), bars=(0,))
     shape = HoloPoisson(M2, phi=phi)
-    u1, u2 = shape.holo_frame_columns()
-    sigma = Bivector.from_decomposable(M2, u1, u2,
-                                       coeff=M2.poly(Fraction(2, 3)))
+    # (2/3) u1 ^ u2 over the deformed (1,0) vectors, the conjugates of the
+    # deformed (0,1) ones
+    u1, u2 = (GVField(M2, vec=v).conj().vec
+              for v in shape.antiholo_frame_columns())
+    sigma = sum((Bivector.wedge_pair(M2, a, b, u1[a] * u2[b] * Fraction(2, 3))
+                 for a in range(4) for b in range(4) if a != b),
+                Bivector(M2))
     hp = HoloPoisson(M2, sigma=sigma, phi=phi)
     certs = hp.certificates(rng)
     assert certs.ok
@@ -585,8 +586,11 @@ def test_imag_q_with_deformed_structure():
     rng = random.Random(45)
     phi = MVElement.monomial(M2, M2.poly(Fraction(1, 4)), vecs=(0,), bars=(0,))
     shape = HoloPoisson(M2, phi=phi)
-    u1, u2 = shape.holo_frame_columns()
-    sigma = Bivector.from_decomposable(M2, u1, u2)
+    u1, u2 = (GVField(M2, vec=v).conj().vec
+              for v in shape.antiholo_frame_columns())
+    sigma = sum((Bivector.wedge_pair(M2, a, b, u1[a] * u2[b])
+                 for a in range(4) for b in range(4) if a != b),
+                Bivector(M2))
     hp = HoloPoisson(M2, sigma=sigma, phi=phi)
     Q = imag_Q(hp)
     assert Q.is_real()

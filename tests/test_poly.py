@@ -640,6 +640,30 @@ def test_kernel_ring_ops_match_reference(pairs, k, c):
         _same(p, rp)
 
 
+def test_a_constant_poly_hashes_like_its_value():
+    # a constant Poly equals its value, so a set or a dict must see one key
+    assert Poly.const(2, 3) == 3
+    assert len({Poly.const(2, 3), 3}) == 1
+    assert len({Poly.zero(2), 0, ZERO, Fraction(0)}) == 1
+    assert {Fraction(1, 2): "v"}[Poly.const(1, Fraction(1, 2))] == "v"
+    assert {sc(1, -2): "v"}[Poly.const(2, sc(1, -2))] == "v"
+
+
+@given(st.integers(1, 2).flatmap(poly_pairs), multipliers)
+def test_equal_values_hash_alike(pair, c):
+    p, _ = pair
+    n = p.n
+    value = c if isinstance(c, Scalar) else Scalar(c)
+    candidates = [c, value, Poly.const(n, c), Poly.const(n, value) + p - p,
+                  p, p + c - c]
+    if p.is_constant():
+        candidates.append(p.constant_value())
+    for x in candidates:
+        for y in candidates:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+
+
 @given(poly_pairs(), st.integers(0, 5))
 def test_kernel_calculus_and_series_match_reference(pair, k):
     a, ra = pair

@@ -240,12 +240,15 @@ def _phis(draw, tmax):
 @st.composite
 def _structures(draw, tmax):
     """(phi, sigma) with sigma = c u_1 ^ u_2 over the deformed
-    holomorphic frame, so of deformed type (2,0)."""
+    holomorphic frame, so of deformed type (2,0); u_b is the conjugate of
+    the deformed antiholomorphic frame vector b."""
     phi = mv_from_endo(M2, draw(_phis(tmax)))
-    u1, u2 = HoloPoisson(M2, phi=phi).holo_frame_columns()
+    u1, u2 = (_conj_components(M2, v)
+              for v in HoloPoisson(M2, phi=phi).antiholo_frame_columns())
     c = draw(_polys(tmax or 0))
-    return HoloPoisson(M2, phi=phi,
-                       sigma=Bivector.from_decomposable(M2, u1, u2, coeff=c))
+    sigma = sum((Bivector.wedge_pair(M2, a, b, c * u1[a] * u2[b])
+                 for a in range(4) for b in range(4) if a != b), Bivector(M2))
+    return HoloPoisson(M2, phi=phi, sigma=sigma)
 
 
 @st.composite
@@ -347,9 +350,11 @@ def _pairs():
     """(hp0, hp1, beta, tmax, verdict): gauge-equivalent pairs, and pairs
     that break each containment."""
     shaped = HoloPoisson(M2, phi=_PHI)
-    u1, u2 = shaped.holo_frame_columns()
-    deformed = HoloPoisson(M2, phi=_PHI, sigma=Bivector.from_decomposable(
-        M2, u1, u2, coeff=M2.poly(2)))
+    u1, u2 = (_conj_components(M2, v)
+              for v in shaped.antiholo_frame_columns())
+    deformed = HoloPoisson(M2, phi=_PHI, sigma=sum(
+        (Bivector.wedge_pair(M2, a, b, 2 * u1[a] * u2[b])
+         for a in range(4) for b in range(4) if a != b), Bivector(M2)))
     t_beta = _BETA.poly_mul(Poly.t(N))
     return [
         (_HP, _HP, MixedForm.zero(M2), None, True),
