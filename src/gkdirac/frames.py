@@ -31,11 +31,9 @@ Such a frame has rank dim at every point, on the t = 0 slice too, and its
 pairings are the symmetric part of its defining block, which vanishes
 identically; so it is Lagrangian over the rational functions and mod
 every t^{k+1}.  Cut mod t^{k+1}, it keeps the proof at the orders up to k
-only; the rational graph {N xi + d xi} of ``genkahler._graph_quotient``
-has rank dim only where d does not vanish, so its proof holds over the
-rational functions only.  The gauge action, the conjugation, a nonzero
-rescaling of the covectors and a cut carry the record over: each keeps
-every pairing zero that was zero and is invertible at every point.
+only.  The gauge action, the conjugation, a nonzero rescaling of the
+covectors and a cut carry the record over: each keeps every pairing zero
+that was zero and is invertible at every point.
 
 The bracket is the Dorfman bracket
 
@@ -74,7 +72,7 @@ from .linalg import (
 from .model import Model, Point
 from .poly import Poly
 from .report import Report
-from .scalars import Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO
 
 __all__ = [
     "GVField",
@@ -98,30 +96,28 @@ _UNPROVED = frozenset()  # shared by every frame not yet shown Lagrangian
 
 
 class _Orders:
-    """The orders a construction proof covers: the rational functions
-    (``tmax`` None) when ``rational``, and every ``tmax`` up to ``top``,
-    which is ``math.inf`` for an exact identity and -1 for no order."""
+    """The orders a construction proof covers: every ``tmax`` up to
+    ``top``, and the rational functions too when ``top`` is ``math.inf``
+    (an exact identity); -1 covers no order."""
 
-    __slots__ = ("rational", "top")
+    __slots__ = ("top",)
 
-    def __init__(self, rational, top):
-        self.rational = rational
+    def __init__(self, top):
         self.top = top
 
     def __contains__(self, tmax):
-        return self.rational if tmax is None else tmax <= self.top
+        return self.top == math.inf if tmax is None else tmax <= self.top
 
     def cut(self, tmax):
         """The orders kept mod t^{tmax+1}: those up to ``tmax``, and not
         the rational functions; ``self`` for None."""
         if tmax is None:
             return self
-        return _Orders(False, min(self.top, tmax))
+        return _Orders(min(self.top, tmax))
 
 
-_NOT_BUILT = _Orders(False, -1)
-_EVERY_ORDER = _Orders(True, math.inf)
-_RATIONAL_ONLY = _Orders(True, -1)
+_NOT_BUILT = _Orders(-1)
+_EVERY_ORDER = _Orders(math.inf)
 
 
 class GVField:
@@ -481,7 +477,12 @@ def dirac_scale(frame: DiracFrame, lam) -> DiracFrame:
 
 def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
     """Fibrewise sum along matching vector parts:
-    {X + xi + eta : X + xi in L1, X + eta in L2}.
+    {X + xi + eta : X + xi in L1, X + eta in L2}."""
+    return _weighted_sum(f1, f2, ONE, ONE, rng, tmax)
+
+
+def _weighted_sum(f1: DiracFrame, f2: DiracFrame, w1, w2, rng, tmax):
+    """{X + w1 xi + w2 eta : X + xi in L1, X + eta in L2}.
 
     Built from an exact kernel certificate of the vector-part difference
     matrix, so each output generator satisfies the matching identity as a
@@ -489,8 +490,9 @@ def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
     which draws no sample point and so does not depend on ``rng``.  For a
     kernel vector v, component i of the output is one ``Poly.sum`` of the
     products v_j g_j[i] (mod t^{tmax+1}) over the L1 generators g_j, and
-    for the covector part the L2 generators too: a zero v_j or a zero
-    component g_j[i] is skipped, not multiplied.
+    for the covector part of (w v_j) g_j[i], w the weight of g_j's frame,
+    over the L2 generators too: a zero v_j or a zero component g_j[i] is
+    skipped, not multiplied.
     """
     model = f1.model
     if f2.model != model:
@@ -506,11 +508,12 @@ def dirac_sum(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> DiracFrame:
         return [Poly.sum(n, (c[i].mul(x, tmax=tmax) for x, c in parts if c[i]))
                 for i in range(dim)]
 
+    weights = [w1] * r1 + [w2] * r2
     gens = []
     for v in basis:
         vec = combine([(x, g.vec) for x, g in zip(v, f1.gens) if x])
-        cov = combine([(x, g.cov) for x, g in zip(v, f1.gens + f2.gens)
-                       if x])
+        cov = combine([(x.scale(w), g.cov) for x, w, g
+                       in zip(v, weights, f1.gens + f2.gens) if x])
         if any(vec) or any(cov):
             gens.append(GVField(model, vec, cov))
     return DiracFrame(model, gens, label=f"{f1.label}+{f2.label}")
@@ -709,7 +712,8 @@ def frames_equal(f1: DiracFrame, f2: DiracFrame, rng, tmax=None) -> bool:
 
 
 def _require_lagrangian(name, frame, defect, rng, tmax):
-    """:func:`_not_lagrangian`, raising for ``frames_equal``."""
+    """:func:`_not_lagrangian`, raising for ``frames_equal`` and for
+    ``genkahler._graph_quotient``, which compares a frame with a graph."""
     reason = _not_lagrangian(frame, defect, rng, tmax)
     if reason is not None:
         raise UnsupportedSceneError(

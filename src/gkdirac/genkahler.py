@@ -29,19 +29,18 @@ from itertools import combinations
 
 from .errors import CertificateError, SingularityError, UnsupportedSceneError
 from .forms import MixedForm
-from .frames import (DiracFrame, GVField, _RATIONAL_ONLY, _along,
-                     conj_stack, dirac_scale, dirac_sum, frames_equal,
-                     gauge_frame, graph_bivector, point_pairing)
-from .linalg import (_is_constant, _is_t_only, _isolate_real_roots,
+from .frames import (DiracFrame, _along, _require_lagrangian, _weighted_sum,
+                     conj_stack, frames_equal, gauge_frame, point_pairing)
+from .linalg import (_adjugate_quotient, _inverse_quotient, _is_constant,
+                     _is_t_only, _isolate_real_roots, _not_polynomial,
                      _pivot_block, _sign_changes, generic_rank, mat_add,
-                     mat_div_right, mat_identity, mat_mul, mat_transpose,
-                     poly_adjugate, poly_det, scalar_det, scalar_rank,
-                     sturm_chain)
+                     mat_apply, mat_identity, mat_mul, mat_transpose,
+                     poly_det, scalar_det, scalar_rank, sturm_chain)
 from .model import Model
 from .multivector import form_matrix
 from .poisson import (Bivector, RealPoisson, build_L_sigma,
                       check_gauge_equiv, extract_holo_poisson,
-                      gauge_real_poisson, imag_Q, schouten_defect)
+                      gauge_real_poisson, schouten_defect)
 from .poly import Poly
 from .report import Report
 from .scalars import Scalar
@@ -70,9 +69,10 @@ _FAMILY_TS = (Fraction(1, 8), Fraction(-1, 8), Fraction(1, 16))
 
 
 def half_i_difference(f1: DiracFrame, f2: DiracFrame, rng, tmax=None):
-    """The Dirac combination (1/2i)(f1 - f2)."""
-    total = dirac_sum(f1, dirac_scale(f2, Scalar(-1)), rng, tmax=tmax)
-    return dirac_scale(total, _HALF_OVER_I)
+    """The Dirac combination (1/2i)(f1 - f2): one fibrewise sum, the
+    covectors of ``f1`` weighted by 1/(2i) and those of ``f2`` by -1/(2i)
+    (:func:`~gkdirac.frames._weighted_sum`)."""
+    return _weighted_sum(f1, f2, _HALF_OVER_I, -_HALF_OVER_I, rng, tmax)
 
 
 def _frame_uses_t(frame: DiracFrame) -> bool:
@@ -106,16 +106,20 @@ def _graph_quotient(frame: DiracFrame, rng, tmax=None):
 
     With V and C the vector and covector blocks of dim generators, each
     generator V e_j + C e_j is P (C e_j) + C e_j, so P C = V and
-    P = V C^{-1}: one exact division (:func:`mat_div_right`, mod t^{tmax+1}
-    with ``tmax``) gives ``(P, None)``.  Without ``tmax`` a quotient that
-    is not polynomial is N = V adj(C) conj(det C) over d = |det C|^2, which
-    is real, so P is real exactly when N is.  A frame with more generators
-    keeps the dim whose covector columns a pivot search selects (on the
-    t = 0 slice with ``tmax``).  The antisymmetry of N and a frame identity
-    (:func:`frames_equal`) with the graph {N xi + d xi} confirm the result.
-    That graph is Lagrangian by construction, as N is antisymmetric: at
-    every order when d is None, and otherwise over the rational functions
-    only, where its covector block d I is invertible.
+    P = V C^{-1}: one exact division, mod t^{tmax+1} with ``tmax``, gives
+    ``(P, None)``.  Without ``tmax`` a quotient that is not polynomial is
+    N = V adj(C) conj(det C) over d = |det C|^2, which is real, so P is
+    real exactly when N is.  A frame with more generators keeps the dim
+    whose covector columns a pivot search selects (on the t = 0 slice with
+    ``tmax``).  The division proves the graph: N C = d V puts the kept
+    generators in {N xi + d xi}, certified by the inverse on the inverse
+    routes (:func:`~gkdirac.linalg._inverse_quotient`) and checked on the
+    adjugate routes (CertificateError), and each other generator is
+    checked against it.  That graph is Lagrangian, N being antisymmetric
+    (:class:`Bivector` checks it), so only the frame's rank is left to
+    read (:func:`~gkdirac.frames._not_lagrangian`, unless it is proved).
+    A generator off the graph, or a rank below dim, is refused with the
+    texts of :func:`frames_equal` comparing the frame with the graph.
     Raises SingularityError when the frame has fewer than dim generators
     or det C vanishes identically: the covector block then has rank below
     dim at every point, so some coordinate covector is outside its span
@@ -123,28 +127,31 @@ def _graph_quotient(frame: DiracFrame, rng, tmax=None):
     block, constant or not, with no draw from ``rng``.
     """
     model = frame.model
-    dim = model.dim
     gens = frame.gens
-    if len(gens) > dim:
+    keep = range(len(gens))
+    if len(gens) > model.dim:
         _, keep = _pivot_block([g.cov for g in gens], model, rng,
                                t_zero=tmax is not None)
-        gens = [gens[j] for j in keep]
     N = d = None
-    if len(gens) == dim:
-        V = mat_transpose([g.vec for g in gens])
-        C = mat_transpose([g.cov for g in gens])
-        try:
-            N = mat_div_right(V, C, tmax=tmax)
-        except SingularityError:
-            pass  # det C is identically zero
-        except UnsupportedSceneError:
-            if tmax is not None:
-                raise
-            det = poly_det(C)
-            dbar = det.conj()
-            d = det * dbar
-            N = [[x * dbar for x in row]
-                 for row in mat_mul(V, poly_adjugate(C))]
+    certified = ()  # the generators the inverse's certificate covers
+    if len(keep) == model.dim:
+        V = mat_transpose([gens[j].vec for j in keep])
+        C = mat_transpose([gens[j].cov for j in keep])
+        N = _inverse_quotient(V, C, tmax)
+        if N is not None:
+            certified = keep
+        else:
+            try:
+                N, det = _adjugate_quotient(V, C, tmax)
+            except SingularityError:
+                pass  # det C is identically zero
+            else:
+                if det is not None:
+                    if tmax is not None:
+                        raise _not_polynomial(det)
+                    dbar = det.conj()
+                    d = det * dbar
+                    N = [[x * dbar for x in row] for row in N]
     if N is None:
         pt = model.origin()
         raise SingularityError(
@@ -155,13 +162,16 @@ def _graph_quotient(frame: DiracFrame, rng, tmax=None):
     except ValueError:
         raise CertificateError(
             "graph matrix is not antisymmetric; the frame is not isotropic")
-    graph = graph_bivector(model, N)
-    if d is not None:
-        graph = DiracFrame(model, [GVField(model, g.vec,
-                                           [c * d for c in g.cov])
-                                   for g in graph.gens])
-        graph.built = _RATIONAL_ONLY
-    if not frames_equal(frame, graph, rng, tmax=tmax):
+    off = [j for j, g in enumerate(gens) if j not in certified
+           and mat_apply(N, g.cov, tmax=tmax) != [
+               (x if d is None else x * d).t_truncate(tmax) for x in g.vec]]
+    if any(j in keep for j in off):
+        raise CertificateError("graph division failed its identity N C = d V")
+    if not frame.proved(tmax):
+        _require_lagrangian("first", frame,
+                            frame.isotropy_defect(tmax) if off else (), rng,
+                            tmax)
+    if off:
         raise SingularityError(
             "frame does not coincide with the graph of its candidate "
             "bivector; it meets the tangent bundle on a generic locus")
@@ -393,6 +403,11 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None) -> Report:
     passing extraction with mismatched imaginary parts, or a passing
     pair that fails the implied transversality) do raise CertificateError,
     since they would indicate broken arithmetic rather than a bad input.
+    The imaginary parts Q = -2i(sigma - conj sigma) of sigma_+ and sigma_-
+    are compared directly: each sigma has passed its ``type_20``
+    certificate, so Q is the bivector of ``poisson.imag_Q``, and its
+    reconstruction sigma = (1/4)(I Q + i Q), which holds exactly when
+    sigma is of type (2,0), is not proved a second time.
     """
     model = L1.model
     if L2.model != model:
@@ -433,7 +448,9 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None) -> Report:
                                               and hp_minus is not None)
 
     if conditions["holomorphic_poisson_pair"]:
-        if imag_Q(hp_plus, tmax=tmax) != imag_Q(hp_minus, tmax=tmax):
+        # each Q = -2i(sigma - conj sigma), compared before the factor -2i
+        if (hp_plus.sigma - hp_plus.sigma.conj()
+                != hp_minus.sigma - hp_minus.sigma.conj()):
             raise CertificateError(
                 "extracted structures do not share an imaginary part; this "
                 "contradicts the half-difference identities")

@@ -239,8 +239,8 @@ def mat_zero(rows, cols, n):
 
 
 def mat_identity(size, n):
-    return [[Poly.const(n, ONE if i == j else ZERO) for j in range(size)]
-            for i in range(size)]
+    return [[Poly.const(n, ONE) if i == j else Poly.zero(n)
+             for j in range(size)] for i in range(size)]
 
 
 def mat_add(A, B):
@@ -505,6 +505,40 @@ def poly_adjugate(A, tmax=None):
     return _Minors(A, A[0][0].n if A else 0, tmax).adjugate()
 
 
+def _inverse_quotient(Num, Den, tmax):
+    """Num * Den^{-1} by :func:`poly_mat_inverse`, or None where that route
+    does not apply.  The inverse is checked, Den Den^{-1} = 1, so it is a
+    left inverse too (square matrices over a commutative ring): the
+    quotient Q satisfies Q Den = Num."""
+    if tmax is None and not _is_constant(Den):
+        return None
+    try:
+        inv = poly_mat_inverse(Den, tmax or 0)
+    except (SingularityError, UnsupportedSceneError):
+        return None  # the t^0 block is singular, or is not constant
+    return mat_mul(Num, inv, tmax=tmax)
+
+
+def _adjugate_quotient(Num, Den, tmax):
+    """``(Num adj(Den) / det(Den), None)``, or ``(Num adj(Den), det(Den))``
+    where that division is not exact; SingularityError when det(Den) is 0.
+    """
+    det = poly_det(Den)
+    if not det:
+        raise SingularityError("matrix is singular", determinant="0")
+    N = mat_mul(Num, poly_adjugate(Den))
+    try:
+        return mat_t_truncate([[x.divexact(det) for x in row] for row in N],
+                              tmax), None
+    except ArithmeticError:
+        return N, det
+
+
+def _not_polynomial(det):
+    return UnsupportedSceneError(
+        "matrix division is not polynomial; determinant = " + det.render())
+
+
 def mat_div_right(Num, Den, tmax=None):
     """Num * Den^{-1} for polynomial matrices, exact or raising.
 
@@ -519,23 +553,12 @@ def mat_div_right(Num, Den, tmax=None):
     UnsupportedSceneError when the quotient is not polynomial, and
     CertificateError when the inverse fails its check.
     """
-    if tmax is not None or _is_constant(Den):
-        try:
-            inv = poly_mat_inverse(Den, tmax or 0)
-        except (SingularityError, UnsupportedSceneError):
-            pass  # the t^0 block is singular, or is not constant
-        else:
-            return mat_mul(Num, inv, tmax=tmax)
-    det = poly_det(Den)
-    if not det:
-        raise SingularityError("matrix is singular", determinant="0")
-    N = mat_mul(Num, poly_adjugate(Den))
-    try:
-        out = [[x.divexact(det) for x in row] for row in N]
-    except ArithmeticError:
-        raise UnsupportedSceneError(
-            "matrix division is not polynomial; determinant = " + det.render())
-    return mat_t_truncate(out, tmax)
+    out = _inverse_quotient(Num, Den, tmax)
+    if out is None:
+        out, det = _adjugate_quotient(Num, Den, tmax)
+        if det is not None:
+            raise _not_polynomial(det)
+    return out
 
 
 # ---------------------------------------------------------------------------

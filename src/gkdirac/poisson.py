@@ -217,10 +217,12 @@ class HoloPoisson:
     ``sigma`` is stored over the full frame so that it can be of type (2,0)
     for the deformed structure even when that differs from the background.
     It is given as a :class:`Bivector`, as a (2,0) :class:`MVElement`, or
-    as None for zero; anything else is a TypeError.
+    as None for zero; anything else is a TypeError.  The frame change A
+    (:func:`_deformed_frame_change`) that every deformed leg is read from
+    is formed on the first read, once, and never changed.
     """
 
-    __slots__ = ("model", "phi", "sigma")
+    __slots__ = ("model", "phi", "sigma", "_A")
 
     def __init__(self, model: Model, sigma=None, phi=None):
         self.model = model
@@ -241,6 +243,7 @@ class HoloPoisson:
         if sigma.model != model:
             raise ValueError("sigma on a different model")
         self.sigma = sigma
+        self._A = None
 
     # -- frames of the deformed structure --------------------------------
     def phi_matrix(self):
@@ -253,7 +256,9 @@ class HoloPoisson:
         ``covectors`` n deformed covectors, the rows of I - N from row
         ``first``; a parameter model's t leg is zero."""
         n = self.model.n
-        A = _deformed_frame_change(self.phi_matrix())
+        if self._A is None:
+            self._A = _deformed_frame_change(self.phi_matrix())
+        A = self._A
         if covectors:
             legs = [[x if j == i else -x for j, x in enumerate(A[i])]
                     for i in range(first, first + n)]

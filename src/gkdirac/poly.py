@@ -608,8 +608,9 @@ class Poly:
             if not isinstance(other, (int, Fraction, Scalar)):
                 return NotImplemented
             other = Poly.const(self.n, other)
-        return (self.n == other.n and self.d == other.d
-                and self._c == other._c)
+        # constants compare by value across rings, as they hash
+        return (self.d == other.d and self._c == other._c
+                and (self.n == other.n or self.is_constant()))
 
     def __hash__(self):
         # a constant equals its value, so it hashes like that Scalar

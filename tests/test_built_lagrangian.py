@@ -4,8 +4,7 @@ A constructor that proves its frame Lagrangian records the orders it
 covers in ``DiracFrame.built``: the graphs of a 2-form and of an
 antisymmetric bivector, the tangent frame, ``build_L_sigma`` on a
 parameter-free model, ``deformation_frame`` when sigma is of type (2,0),
-the rational graph {N xi + d xi} of ``genkahler._graph_quotient`` and the
-flow-span frame of ``hamiltonian_family_check``; the gauge action, the
+and the flow-span frame of ``hamiltonian_family_check``; the gauge action, the
 conjugation, a nonzero rescaling of the covectors and a cut carry the
 record over.  ``frames_equal`` and ``involutivity_report.check`` then pair
 no such frame again at a covered order.
@@ -16,9 +15,11 @@ vanishes and an unrecorded copy passes ``_not_lagrangian``.  Hypothesis
 draws the scenes: 2-forms, antisymmetric and other bivector matrices,
 sigma with and without phi at each cut, degree-two elements with a gamma
 part, and real families.  A record is exact: a frame cut mod t^{k+1}
-covers the orders up to k and not the rational functions, the rational
-graph covers the rational functions only, and a frame whose hypothesis
-fails records nothing and keeps its refusal.  Verdicts and refusal texts
+covers the orders up to k and not the rational functions, and a frame
+whose hypothesis fails records nothing and keeps its refusal.  A rational
+graph {N xi + d xi} is proved a graph by ``genkahler._graph_quotient``'s
+division, which builds no graph frame, and Lagrangian by one rank read at
+the order asked.  Verdicts and refusal texts
 on recorded frames are those of the pairing route, which names a frame by
 its argument position.
 """
@@ -249,22 +250,6 @@ def _flow_span(piv, tmax, seed):
     return found
 
 
-def _quotient_graph(frame, seed):
-    """The graph {N xi + d xi} that ``_graph_quotient`` compares ``frame``
-    with, and the denominator d it returns."""
-    seen = []
-    equal = genkahler.frames_equal
-
-    def recording(f1, f2, rng, tmax=None):
-        seen.append(f2)
-        return equal(f1, f2, rng, tmax=tmax)
-
-    with mock.patch.object(genkahler, "frames_equal", recording):
-        _bi, d = genkahler._graph_quotient(frame, random.Random(seed))
-    [graph] = seen
-    return graph, d
-
-
 # ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------
@@ -439,12 +424,28 @@ def test_the_flow_span_frame_covers_the_order_past_its_cut(data, tmax, seed):
 def test_the_rational_graph_is_lagrangian_over_the_rational_functions_only(
         bivector, seed):
     # {N xi + d xi} with d = 1 + z1 zbar1: N / d is not polynomial unless
-    # d divides N
+    # d divides N.  The division proves the frame the graph of P / den, with
+    # no graph frame built, and the rank read records the proof at the order
+    # asked, the rational functions, only
     d = PLAIN.poly(1) + PLAIN.z(0) * PLAIN.zbar(0)
     frame = DiracFrame(PLAIN, [GVField(PLAIN, vec=col,
                                        cov=[d if k == j else PLAIN.zero_poly()
                                             for k in range(PLAIN.dim)])
                                for j, col in enumerate(zip(*bivector.mat))])
-    graph, den = _quotient_graph(frame, seed)
-    assert _covered(graph) == (ORDERS if den is None else [None])
-    _proved_by_pairings(graph, seed)
+    P, den = genkahler._graph_quotient(frame, random.Random(seed))
+    scale = PLAIN.poly(1) if den is None else den
+    for g in frame:
+        assert mat_apply(P.mat, g.cov) == [x * scale for x in g.vec]
+    assert _covered(frame) == [] and frame.lagrangian == {None}
+    copy = _fresh(frame)
+    defect = copy.isotropy_defect(None)
+    assert not any(defect)
+    assert _not_lagrangian(copy, defect, random.Random(seed), None) is None
+    for k in range(4):
+        if den is None:
+            assert genkahler.graph_to_bivector(frame, random.Random(seed),
+                                               tmax=k) == P.t_truncate(k)
+        else:
+            with pytest.raises(UnsupportedSceneError, match="not polynomial"):
+                genkahler.graph_to_bivector(frame, random.Random(seed),
+                                            tmax=k)

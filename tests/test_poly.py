@@ -1,6 +1,7 @@
 """Polynomial ring in z, zbar, t over exact Gaussian rationals."""
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 from operator import add
 
@@ -647,6 +648,49 @@ def test_a_constant_poly_hashes_like_its_value():
     assert len({Poly.zero(2), 0, ZERO, Fraction(0)}) == 1
     assert {Fraction(1, 2): "v"}[Poly.const(1, Fraction(1, 2))] == "v"
     assert {sc(1, -2): "v"}[Poly.const(2, sc(1, -2))] == "v"
+
+
+def test_constants_compare_by_value_across_rings():
+    # == agrees with the hash: a constant equals its value in every ring
+    assert Poly.const(2, 3) == Poly.const(3, 3) == 3
+    assert Poly.zero(1) == Poly.zero(3) == 0
+    assert len({Poly.const(2, 3), 3, Poly.const(3, 3)}) == 1
+    assert len({3, Poly.const(2, 3), Poly.const(3, 3)}) == 1
+    assert Poly.const(2, 3) != Poly.const(3, 4)
+    # a non-constant Poly is not equal to one of another ring
+    assert Poly.z(2, 0) != Poly.z(3, 0)
+    assert Poly.t(2) != Poly.t(3)
+
+
+def _ring_values():
+    """Constants and small polynomials of the rings n = 1..3, with ints,
+    Fractions and Scalars of the same values."""
+    value = st.sampled_from([0, 1, 3, Fraction(-1, 2), sc(1, -2), sc(0, 1)])
+    ring = st.integers(1, 3)
+    const = st.builds(Poly.const, ring, value)
+    linear = st.builds(lambda n, c, t: Poly.const(n, c) + (
+        Poly.t(n) if t else Poly.z(n, 0)), ring, value, st.booleans())
+    plain = value.flatmap(lambda v: st.sampled_from(
+        [v, v if isinstance(v, Scalar) else Scalar(v)]))
+    return st.one_of(const, linear, plain)
+
+
+@given(st.lists(_ring_values(), min_size=3, max_size=3))
+def test_equality_is_transitive_across_rings(values):
+    a, b, c = values
+    if a == b and b == c:
+        assert a == c
+    for x in values:
+        for y in values:
+            assert (x == y) == (y == x)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+@given(st.lists(_ring_values(), max_size=4))
+@example([Poly.const(2, 3), 3, Poly.const(3, 3)])
+def test_a_set_size_does_not_depend_on_insertion_order(values):
+    assert len({len(set(order)) for order in permutations(values)}) == 1
 
 
 @given(st.integers(1, 2).flatmap(poly_pairs), multipliers)
