@@ -75,6 +75,19 @@ def half_i_difference(f1: DiracFrame, f2: DiracFrame, rng, tmax=None):
     return _weighted_sum(f1, f2, _HALF_OVER_I, -_HALF_OVER_I, rng, tmax)
 
 
+def _certified(frame: DiracFrame, rng, tmax):
+    """The holomorphic Poisson structure of ``frame``
+    (:func:`~gkdirac.poisson.extract_holo_poisson`), certified by
+    :meth:`~gkdirac.poisson.HoloPoisson.certificates`; a failing
+    certificate raises CertificateError."""
+    hp = extract_holo_poisson(frame, rng, tmax=tmax)
+    certs = hp.certificates(rng, tmax=tmax)
+    if not certs.ok:
+        raise CertificateError(
+            f"extracted structure failed its certificates: {certs!r}")
+    return hp
+
+
 def _frame_uses_t(frame: DiracFrame) -> bool:
     return any(p.t_degree() > 0 for g in frame.gens for p in g.stack())
 
@@ -433,12 +446,8 @@ def gk_check(L1: DiracFrame, L2: DiracFrame, rng, tmax=None) -> Report:
     hps = []
     for tag, other in (("plus", L2), ("minus", conj2)):
         try:
-            hp = extract_holo_poisson(
-                half_i_difference(L1, other, rng, tmax=tmax), rng, tmax=tmax)
-            certs = hp.certificates(rng, tmax=tmax)
-            if not certs.ok:
-                raise CertificateError(
-                    f"extracted structure failed certificates: {certs!r}")
+            hp = _certified(half_i_difference(L1, other, rng, tmax=tmax),
+                            rng, tmax)
         except _REFUSALS as err:
             witnesses[f"holomorphic_{tag}"] = str(err)
             hp = None
@@ -528,17 +537,13 @@ def gk_lift(beta_plus: MixedForm, beta_minus: MixedForm, pair: GKPair,
         base = build_L_sigma(hp, tmax=tmax, check=False)
         moved = gauge_frame(base, beta, tmax=tmax)
         try:
-            hp_new = extract_holo_poisson(moved, rng, tmax=tmax)
+            hp_new = _certified(moved, rng, tmax)
         except SingularityError as exc:
             # hypothesis of the lift: each gauge form must carry its
             # structure to another holomorphic Poisson structure
             raise CertificateError(
                 f"the {tag} gauge form does not produce a holomorphic "
                 f"Poisson structure: {exc}")
-        certs = hp_new.certificates(rng, tmax=tmax)
-        if not certs.ok:
-            raise CertificateError(
-                f"gauged {tag} structure failed its Poisson certificates")
         equiv = check_gauge_equiv(hp, hp_new, beta, rng=rng, tmax=tmax)
         if not equiv.ok:
             raise CertificateError(
@@ -646,13 +651,14 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax) -> Report:
 
     The series-level work is done once: the deformed sigma_+ family is
     re-extracted and certified to order tmax, and sigma_- is certified
-    unchanged as a frame identity.  Together these settle the holomorphic
-    pair condition for the whole family.  The open conditions --
-    transversality, real Poisson graphs, positivity -- genuinely depend
-    on the parameter value and are re-established at each t of
-    ``_FAMILY_TS`` (1/8, -1/8, 1/16); ``checked`` records (t, conditions,
-    verdict) triples, with conditions None where a degenerate value was
-    skipped.  Determinant root intervals for both real pencils are
+    unchanged as a frame identity, both from the L_sigma frames that
+    :func:`gk_check` built and ``pair``'s structures keep.  Together these
+    settle the holomorphic pair condition for the whole family.  The open
+    conditions -- transversality, real Poisson graphs, positivity --
+    genuinely depend on the parameter value and are re-established at
+    each t of ``_FAMILY_TS`` (1/8, -1/8, 1/16); ``checked`` records (t,
+    conditions, verdict) triples, with conditions None where a degenerate
+    value was skipped.  Determinant root intervals for both real pencils are
     isolated at ``_FAMILY_SAMPLES`` (4) sample points (``det_roots``),
     each refined until it excludes t = 0; ``stats["t_window"]`` is the
     interval around 0 free of those roots.  It is not a bound on where
@@ -678,14 +684,9 @@ def gk_deform_family(pair: GKPair, F: MixedForm, rng, tmax) -> Report:
     L1t = gauge_frame(pair.L1, iF)
     L2t = gauge_frame(pair.L2, iF.scale(Scalar(-1)))
 
-    base_plus = build_L_sigma(pair.sigma_plus, check=False)
-    hp_family = extract_holo_poisson(gauge_frame(base_plus, F), rng,
-                                     tmax=tmax)
-    certs = hp_family.certificates(rng, tmax=tmax)
-    if not certs.ok:
-        raise CertificateError(
-            "deformed structure failed its order-by-order certificates")
-
+    hp_family = _certified(
+        gauge_frame(build_L_sigma(pair.sigma_plus, check=False), F), rng,
+        tmax)
     minus_fixed = frames_equal(
         half_i_difference(L1t, L2t.conj(), rng),
         build_L_sigma(pair.sigma_minus, check=False), rng)

@@ -57,8 +57,7 @@ from .multivector import (MVElement, bivector_matrix, form_matrix,
                           form_from_matrix, mv_from_bivector_matrix,
                           phi_geom_matrix)
 from .poisson import (Bivector, HoloPoisson, build_L_sigma,
-                      _describe_zero_locus, _deformed_frame_change,
-                      _holo_projector)
+                      _describe_zero_locus, _holo_projector)
 from .poly import Poly
 from .report import Report
 from .scalars import Scalar
@@ -632,12 +631,12 @@ def deformed_structures(eps: MVElement, hp: HoloPoisson, rng,
     """Build the complex structure and bivector deformed by ``eps``.
 
     The projector onto the deformed holomorphic bundle conjugates
-    sigma + rho into the new bivector P (sigma + rho) P^T; the resulting
-    pair must pass the usual flatness/type/closure certificates, and the
-    graph frame of eps is certified equal to the frame of the new
-    structure: the frame those certificates checked (``certs.frame``),
-    whose construction proof ``frames_equal`` reuses, or on the direct
-    route and on a parameter model a fresh ``build_L_sigma`` frame.  The
+    sigma + rho into the new bivector P (sigma + rho) P^T.  Two checks
+    read the new pair: ``certificates``, its flatness/type/closure
+    certificates, and ``frame_match``, that the graph frame of eps equals
+    the structure's kept :func:`build_L_sigma` frame (the one
+    ``closure`` read, on the frame route).  A failing one is reported
+    with its witness, the certificate Report or the two frames.  The
     returned block map (P, P(sigma+rho)conj(P)^T, conj(P)^T) is upper
     triangular by construction; its typing identities (P idempotent,
     conj(P) complementary, deformed holomorphic frame fixed) are
@@ -664,17 +663,12 @@ def deformed_structures(eps: MVElement, hp: HoloPoisson, rng,
     newmat = mat_mul(PM, mat_transpose(P), tmax=tmax)
     hp_new = HoloPoisson(model, sigma=Bivector(model, newmat), phi=phi)
     certs = hp_new.certificates(rng, tmax=tmax)
-    if not certs.ok:
-        raise CertificateError(
-            "deformed structure failed its certificates: " + repr(certs))
-    # the frame closure was decided on, if any, is already shown Lagrangian
-    certified = certs.frame if certs.frame is not None else \
-        build_L_sigma(hp_new, tmax=tmax, check=False)
-    frame_match = frames_equal(certified, deformation_frame(hp, eps, tmax),
-                               rng, tmax=tmax)
+    frames = (build_L_sigma(hp_new, tmax=tmax, check=False),
+              deformation_frame(hp, eps, tmax))
+    frame_match = frames_equal(*frames, rng, tmax=tmax)
+    witnesses = {} if certs.ok else {"certificates": certs}
     if not frame_match:
-        raise CertificateError(
-            "graph frame and deformed-structure frame disagree")
+        witnesses["frame_match"] = frames
 
     # P is kept mod t^{tmax+1}, so each identity compares two truncated
     # matrices; Poly is canonical, so == is exact equality
@@ -685,13 +679,13 @@ def deformed_structures(eps: MVElement, hp: HoloPoisson, rng,
         raise CertificateError("conjugate projector is not complementary")
     upper_right = mat_mul(PM, mat_transpose(Pbar), tmax=tmax)
     psi_blocks = (P, upper_right, mat_transpose(Pbar))
-    A = _deformed_frame_change(Phi)
-    holo_cols = [row[:n] for row in A]
+    # the deformed holomorphic frame: the columns of hp_new's frame change
+    holo_cols = mat_transpose(hp_new._legs(0))
     if mat_mul(P, holo_cols, tmax=tmax) != mat_t_truncate(holo_cols, tmax):
         raise CertificateError(
             "projector does not fix the deformed holomorphic frame")
 
-    cols = [[row[n + b] for row in A] for b in range(n)]
+    cols = hp_new.antiholo_frame_columns()
     functions = []
     for f in _criterion_functions(model):
         lhs = _deformed_dbar_function(model, f, phi, tmax=tmax)
@@ -736,8 +730,8 @@ def deformed_structures(eps: MVElement, hp: HoloPoisson, rng,
                    "holomorphic_functions": all(f[1] for f in functions),
                    "poisson_fields": all(ok for _lbl, qual, ok in fields
                                          if qual)},
-                  witnesses={"holomorphic_functions": functions,
-                             "poisson_fields": fields},
+                  witnesses=dict(witnesses, holomorphic_functions=functions,
+                                 poisson_fields=fields),
                   model=model, projector=P, poisson=hp_new,
                   psi_blocks=psi_blocks, frame_match=frame_match,
                   certificates=certs)
@@ -905,7 +899,9 @@ def twistor_demo(order: int = 2, rng=None) -> Report:
     correction is the conjugate volume form, every higher correction
     vanishes, and the deformed bivector family inverts Omega(t) =
     Omega_1 + 2it omega_1 + t^2 conj(Omega_1) -- as a series identity and
-    exactly at rational parameter values.  Any failed assertion raises.
+    exactly at rational parameter values, where each
+    :func:`deformed_structures` report passes.  Any failed assertion
+    raises.
     """
     rng = rng or random.Random(20260825)
     model = Model(2)
@@ -962,6 +958,7 @@ def twistor_demo(order: int = 2, rng=None) -> Report:
     omega_t = Omega1 + series.beta_series()
 
     structures = deformed_structures(series.eps, hp, rng, tmax=order)
+    structures_ok = structures.ok
     Mt = structures.poisson.sigma.mat
     WOt = form_matrix(omega_t)
     E = mat_mul(Mt, WOt, tmax=order)
@@ -971,6 +968,7 @@ def twistor_demo(order: int = 2, rng=None) -> Report:
         sval = Scalar(tv)
         eps_t = series.eps.substitute_t(sval)
         st = deformed_structures(eps_t, hp, rng)
+        structures_ok = structures_ok and st.ok
         Mtv = st.poisson.sigma.mat
         Wv = [[e.substitute_t(sval) for e in row] for row in WOt]
         pt = model.sample_point(rng)
@@ -984,6 +982,7 @@ def twistor_demo(order: int = 2, rng=None) -> Report:
         if mat_mul(Ev, Mtv) != Mtv:
             inverse_ok = False
     checks["family_inverse"] = inverse_ok
+    checks["deformed_structures"] = structures_ok
     report = Report("twistor_demo", checks, model=model, sigma1=sigma1,
                     series=series, omega_t=omega_t)
     if not report.ok:

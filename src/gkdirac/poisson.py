@@ -219,10 +219,11 @@ class HoloPoisson:
     It is given as a :class:`Bivector`, as a (2,0) :class:`MVElement`, or
     as None for zero; anything else is a TypeError.  The frame change A
     (:func:`_deformed_frame_change`) that every deformed leg is read from
-    is formed on the first read, once, and never changed.
+    is formed on the first read, once, and never changed; the Dirac frame
+    L_sigma is kept beside it by :func:`build_L_sigma`.
     """
 
-    __slots__ = ("model", "phi", "sigma", "_A")
+    __slots__ = ("model", "phi", "sigma", "_A", "_L")
 
     def __init__(self, model: Model, sigma=None, phi=None):
         self.model = model
@@ -243,7 +244,7 @@ class HoloPoisson:
         if sigma.model != model:
             raise ValueError("sigma on a different model")
         self.sigma = sigma
-        self._A = None
+        self._A = self._L = None
 
     # -- frames of the deformed structure --------------------------------
     def phi_matrix(self):
@@ -328,18 +329,14 @@ class HoloPoisson:
         """Checks ``mc_phi`` (phi is flat), ``type_20`` (sigma has no
         deformed antiholomorphic legs) and ``closure`` (sigma is a
         holomorphic Poisson bivector, by the method in
-        ``stats["closure_method"]``).
-
-        ``report.frame`` is the :func:`build_L_sigma` frame whose
-        involutivity decided ``closure``, Lagrangian by construction
-        (``frames_equal`` reuses the proof); None on the direct route,
-        which builds none, and on a parameter model, where the checked
-        frame also carries the covector dt."""
+        ``stats["closure_method"]``).  On the frame route ``closure`` is
+        the involutivity of the kept :func:`build_L_sigma` frame, with the
+        covector dt added on a parameter model; the direct route reads no
+        frame."""
         mc_ok = self.mc_phi_residual(tmax=tmax).is_zero()
         type_ok = not self.type_defects(tmax=tmax)
         witnesses = {}
         stats = {}
-        checked = None
         if self.phi.is_zero():
             stats["closure_method"] = "direct"
             n = self.model.n
@@ -360,15 +357,13 @@ class HoloPoisson:
                 dt = GVField(model, cov=unit_vector(model, model.dim - 1))
                 frame = DiracFrame(model, frame.gens + [dt],
                                    label=frame.label)
-            else:
-                checked = frame
             rep = involutivity_report.check(frame, rng, tmax=tmax)
             witnesses["involutivity"] = rep
             closure = rep.ok
         return Report("poisson_certificates",
                       {"mc_phi": mc_ok, "type_20": type_ok,
                        "closure": closure},
-                      witnesses=witnesses, stats=stats, frame=checked)
+                      witnesses=witnesses, stats=stats)
 
     def __eq__(self, other):
         if not isinstance(other, HoloPoisson):
@@ -451,10 +446,12 @@ def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
     """Gauge-transform a real Poisson structure by a real closed 2-form.
 
     Computes pi1 = pi0 (1 + B pi0)^{-1} exactly (an exact polynomial
-    quotient, or a t-series when ``tmax`` is given) and verifies
-    independently that the graph of pi1 equals the 2-form gauge action on
-    the graph of pi0.  det(1 + B pi0) is formed only for the text of an
-    UnsupportedSceneError, when the quotient is not polynomial.
+    quotient, or a t-series when ``tmax`` is given) and certifies it by
+    one identity: the graph of pi1 equals the gauged graph of pi0.  As
+    both bivectors are antisymmetric (:class:`Bivector` checks pi1), their
+    generators pair to ((E^T pi1)_kl + (pi0)_lk) / 2, E = 1 + B pi0, so
+    they agree exactly when pi1 E = pi0.  det E is formed only for the
+    text of an UnsupportedSceneError, when the quotient is not polynomial.
     """
     model = pi0.model
     if B.model != model:
@@ -477,13 +474,12 @@ def gauge_real_poisson(pi0: RealPoisson, B: MixedForm, rng,
         raise UnsupportedSceneError(
             "(1 + B pi)^{-1} is not polynomial; det = "
             f"{det.render()}; vanishes on: {_describe_zero_locus(det)}")
-    if mat_mul(M1, E, tmax=tmax) != mat_t_truncate(P, tmax):
-        raise CertificateError("gauge inverse failed its defining identity")
     pi1 = RealPoisson(model, Bivector(model, M1))
     moved = gauge_frame(graph_bivector(model, P), B, tmax=tmax)
     if not frames_equal(moved, pi1.graph(), rng, tmax=tmax):
         raise CertificateError(
-            "gauged graph does not match the graph of the computed bivector")
+            "gauged graph does not match the graph of the computed bivector: "
+            "pi1 (1 + B pi0) = pi0, the defining identity, fails")
     return pi1
 
 
@@ -506,7 +502,8 @@ def build_L_sigma(hp: HoloPoisson, tmax=None, check=True) -> DiracFrame:
     vectors and the dz legs of the covectors form a unitriangular block.
     Cut with ``tmax``, it is proved at the orders up to ``tmax``.  A
     parameter model has one leg more than the 2n generators, so nothing
-    is recorded there.
+    is recorded there.  The frame is kept on ``hp``, for the last ``tmax``
+    asked, and returned again; ``check`` runs on every call.
     """
     model = hp.model
     if check:
@@ -516,16 +513,17 @@ def build_L_sigma(hp: HoloPoisson, tmax=None, check=True) -> DiracFrame:
         if hp.type_defects(tmax=tmax):
             raise CertificateError(
                 "sigma has legs along the deformed antiholomorphic bundle")
-    gens = []
-    for col in hp.antiholo_frame_columns():
-        gens.append(GVField(model, vec=col))
-    for eta in hp.holo_covector_columns():
-        vec = hp.sigma.apply(eta, tmax=tmax)
-        gens.append(GVField(model, vec=vec, cov=eta))
-    frame = DiracFrame(model, gens, label="L_sigma")
-    if not model.param:
-        frame.built = _EVERY_ORDER
-    return frame.t_truncate(tmax)
+    if hp._L is None or hp._L[0] != tmax:
+        gens = [GVField(model, vec=col)
+                for col in hp.antiholo_frame_columns()]
+        for eta in hp.holo_covector_columns():
+            vec = hp.sigma.apply(eta, tmax=tmax)
+            gens.append(GVField(model, vec=vec, cov=eta))
+        frame = DiracFrame(model, gens, label="L_sigma")
+        if not model.param:
+            frame.built = _EVERY_ORDER
+        hp._L = (tmax, frame.t_truncate(tmax))
+    return hp._L[1]
 
 
 def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
@@ -545,8 +543,9 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
     (0,1)-covectors.  K = [[1], [conj Phi]] S^{-1} is also the first n
     columns of (I - N)^{-1}: the vectors dual to the eta_a, which the
     (0,1)-covectors kill.  So sigma = O K^T, with no further division.
-    The round trip through :func:`build_L_sigma` is verified.  ``rng``
-    serves the pivot search, the lifts and that round trip.
+    The round trip through :func:`build_L_sigma` is verified; the result
+    keeps A and that frame, and is not certified here.  ``rng`` serves
+    the pivot search, the lifts and that round trip.
     """
     model = L.model
     if model.param:
@@ -574,8 +573,8 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
                     f"deformed (1,0)-covectors (generator {j}, entry {b}: "
                     f"{entry.render()})")
     Phi = mat_transpose(PhiT)
-    phi = mv_from_endo(model, Phi)
-    etas = HoloPoisson(model, phi=phi).holo_covector_columns()
+    result = HoloPoisson(model, phi=mv_from_endo(model, Phi))
+    etas = result.holo_covector_columns()
     # the lifts, projected onto the deformed holomorphic bundle
     P = _holo_projector(Phi, tmax=tmax)
     outs = _covector_lifts(L, etas, P, rng, "a deformed covector is outside "
@@ -588,7 +587,7 @@ def extract_holo_poisson(L: DiracFrame, rng, tmax=None) -> HoloPoisson:
         raise CertificateError(
             "recovered bivector is not antisymmetric; the frame is not "
             "isotropic in the expected way")
-    result = HoloPoisson(model, sigma=sigma, phi=phi)
+    result.sigma = sigma  # A depends on phi alone; no L_sigma is kept yet
     if not frames_equal(build_L_sigma(result, tmax=tmax, check=False), L,
                         rng, tmax=tmax):
         raise CertificateError("extraction failed its round-trip identity")

@@ -154,10 +154,8 @@ def _former_structures(eps, hp, rng, tmax=None):
     hp_new = HoloPoisson(model, sigma=Bivector(model, newmat), phi=eps.phi)
     certs = hp_new.certificates(rng, tmax=tmax)
     assert certs.ok
-    certified = certs.frame if certs.frame is not None else \
-        build_L_sigma(hp_new, tmax=tmax, check=False)
-    frame_match = frames_equal(certified, _former_frame(hp, eps, tmax), rng,
-                               tmax=tmax)
+    frame_match = frames_equal(build_L_sigma(hp_new, tmax=tmax, check=False),
+                               _former_frame(hp, eps, tmax), rng, tmax=tmax)
     assert frame_match
     Pbar = _conj_operator(model, P)
     upper_right = mat_mul(PM, mat_transpose(Pbar), tmax=tmax)

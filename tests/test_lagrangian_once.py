@@ -7,8 +7,9 @@ frame then lies in L1^perp = L1, so it is isotropic.  ``_not_lagrangian``
 ranks the generators' constant terms, the frame at z = 0, t = 0, before it
 draws any sample point.  A frame keeps the orders ``tmax`` at which it was
 shown Lagrangian, and ``frames_equal`` does not repeat the proof at those
-orders; ``HoloPoisson.certificates`` hands back the frame it checked, so
-``deformed_structures`` compares against it instead of building it again.
+orders; ``build_L_sigma`` keeps the frame on its structure, so
+``deformed_structures`` compares against the frame that
+``HoloPoisson.certificates`` checked instead of building it again.
 Frames Lagrangian by construction record that proof instead
 (``tests/test_built_lagrangian.py``); so the routes are compared here on
 unrecorded copies of the frames.
@@ -395,7 +396,7 @@ def test_equal_generators_are_compared_on_both_parts():
 
 
 # ---------------------------------------------------------------------------
-# The certified frame, handed on
+# The certified frame, kept on its structure
 # ---------------------------------------------------------------------------
 
 def _phi_scene(model):
@@ -407,7 +408,7 @@ def _phi_scene(model):
 
 
 @pytest.mark.parametrize("tmax", [None, 2])
-def test_certificates_hand_back_the_frame_they_checked(monkeypatch, tmax):
+def test_certificates_check_the_kept_frame(monkeypatch, tmax):
     checked = []
     check = involutivity_report.check
 
@@ -417,32 +418,36 @@ def test_certificates_hand_back_the_frame_they_checked(monkeypatch, tmax):
 
     monkeypatch.setattr(involutivity_report, "check",
                         staticmethod(recording))
-    rep = _phi_scene(PLAIN).certificates(random.Random(29), tmax=tmax)
+    hp = _phi_scene(PLAIN)
+    rep = hp.certificates(random.Random(29), tmax=tmax)
     assert rep.checks["closure"] and rep.stats["closure_method"] == "frame"
-    assert checked == [rep.frame]
+    kept = build_L_sigma(hp, tmax=tmax, check=False)
+    assert len(checked) == 1 and checked[0] is kept
     # the frame is Lagrangian by construction at tmax, and is not paired
     inv = rep.witnesses["involutivity"]
     assert inv.stats["route"] == "lagrangian"
     assert inv.stats["lagrangian_proof"] == "construction"
-    assert tmax in rep.frame.built and not rep.frame.lagrangian
+    assert tmax in kept.built and not kept.lagrangian
     want = build_L_sigma(_phi_scene(PLAIN), tmax=tmax, check=False)
-    assert [(g.vec, g.cov) for g in rep.frame] == \
-        [(g.vec, g.cov) for g in want]
-    # on a parameter model the checked frame carries dt, and none is
-    # handed back; the direct route checks no frame
+    assert want is not kept
+    assert [(g.vec, g.cov) for g in kept] == [(g.vec, g.cov) for g in want]
+    # on a parameter model the checked frame is the kept one with dt
+    # added; the direct route checks no frame and keeps none
     del checked[:]
-    rep = _phi_scene(PARAM).certificates(random.Random(29), tmax=tmax)
-    assert len(checked) == 1 and rep.frame is None
+    hp = _phi_scene(PARAM)
+    rep = hp.certificates(random.Random(29), tmax=tmax)
+    kept = build_L_sigma(hp, tmax=tmax, check=False)
+    assert len(checked) == 1 and checked[0].gens[:-1] == kept.gens
+    assert checked[0].gens[-1].cov[-1] == PARAM.poly(1)
     assert rep.witnesses["involutivity"].stats["lagrangian_proof"] == \
         "pairings"
     direct = HoloPoisson(PLAIN, sigma=Bivector.wedge_pair(PLAIN, 0, 1,
                                                           PLAIN.z(0)))
     rep = direct.certificates(random.Random(29), tmax=tmax)
-    assert rep.stats["closure_method"] == "direct" and rep.frame is None
+    assert rep.stats["closure_method"] == "direct" and direct._L is None
 
 
-def test_deformed_structures_builds_the_frame_only_in_its_certificates(
-        monkeypatch):
+def test_deformed_structures_builds_the_frame_once(monkeypatch):
     model = Model(2)
     hp = HoloPoisson(model, sigma=MVElement.monomial(
         model, model.z(0).scale(Scalar(Fraction(1, 2), 1)), vecs=(0, 1)))
@@ -452,22 +457,19 @@ def test_deformed_structures_builds_the_frame_only_in_its_certificates(
             model, Poly.const(2, Scalar(0, w / 2)), (k,), (k,))
     ds = hitchin.solve_hitchin(hp, seed, 3, mode="real")
     built = []
-    original = poisson.build_L_sigma
 
-    def counted(*args, **kwargs):
-        built.append(kwargs.get("tmax"))
-        return original(*args, **kwargs)
+    class Counted(DiracFrame):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.label)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("deformed_structures built L_sigma itself")
-
-    monkeypatch.setattr(poisson, "build_L_sigma", counted)
-    monkeypatch.setattr(hitchin, "build_L_sigma", refused)
+    monkeypatch.setattr(poisson, "DiracFrame", Counted)
     rep = hitchin.deformed_structures(ds.eps, hp, random.Random(31), tmax=3)
     monkeypatch.undo()
     assert rep.ok and rep.checks["frame_match"]
-    assert built == [3]
+    assert built == ["L_sigma"]
+    assert rep.certificates.stats["closure_method"] == "frame"
     # proved by construction mod t^4, and not over the rational functions
-    frame = rep.certificates.frame
+    frame = build_L_sigma(rep.poisson, tmax=3, check=False)
     assert 3 in frame.built and None not in frame.built
     assert not frame.lagrangian
