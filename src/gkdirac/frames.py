@@ -164,8 +164,6 @@ class GVField:
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Scalar(c)
         return GVField(self.model, [a.scale(c) for a in self.vec],
                        [a.scale(c) for a in self.cov])
 
@@ -467,8 +465,6 @@ def gauge_frame(frame: DiracFrame, B: MixedForm, tmax=None) -> DiracFrame:
 def dirac_scale(frame: DiracFrame, lam) -> DiracFrame:
     """Scale the covector parts: {X + lam * xi}.  Every pairing is scaled
     by ``lam``, so for ``lam`` nonzero the construction proof is kept."""
-    if isinstance(lam, (int, Fraction)):
-        lam = Scalar(lam)
     gens = [GVField(frame.model, list(g.vec),
                     [c.scale(lam) for c in g.cov]) for g in frame.gens]
     return _built(DiracFrame(frame.model, gens, label=frame.label),
@@ -739,8 +735,6 @@ class PointDirac:
         self.columns = [list(c) for c in columns]
 
     def rank(self) -> int:
-        if not self.columns:
-            return 0
         rows = [[col[i] for col in self.columns]
                 for i in range(2 * self.model.dim)]
         return scalar_rank(rows)
@@ -760,8 +754,6 @@ class PointDirac:
         product (:func:`~gkdirac.linalg._scalar_mul`)."""
         if other.model != self.model:
             raise ValueError("mixed models")
-        if not self.columns or not other.columns:
-            return PointDirac(self.model, [])
         size = 2 * self.model.dim
         rows = [[col[i] for col in self.columns] +
                 [-col[i] for col in other.columns]

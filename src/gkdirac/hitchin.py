@@ -176,6 +176,8 @@ def formality_psi(beta: MixedForm, sigma: HoloPoisson, order: int,
     beta sigma beta + ... only restate.  ``check=True`` adds the flatness
     residual.
     """
+    if order < 0:
+        raise ValueError("order must be at least 0")
     model = beta.model
     _reject_dt(beta, "the inverse series")
     if not beta.t_coefficient(0).is_zero():
@@ -286,9 +288,11 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
     points, drawn from at most ten times as many -- there the inverse is a
     scalar matrix inverse over Q(i), so no truncation enters -- and, when
     ``order`` is given and beta vanishes at t = 0, once more at series
-    level mod t^{order+1}.  Points on the degeneracy locus of
-    1 + beta sigma are skipped; the locus itself is reported.  The
-    sampled ``(point, agrees)`` pairs are in ``witnesses["points"]``.
+    level mod t^{order+1}, as ``checks["series"]``, which is absent when
+    no series comparison ran (``series_equal`` None).  Points on the
+    degeneracy locus of 1 + beta sigma are skipped; the locus itself is
+    reported.  The sampled ``(point, agrees)`` pairs are in
+    ``witnesses["points"]``.
     """
     model = beta.model
     hp = _background(model, hp)
@@ -326,17 +330,15 @@ def verify_graph_identity(beta: MixedForm, hp: HoloPoisson, rng,
         raise SingularityError(
             "could not sample enough points off the degeneracy locus; the "
             "determinant vanishes on: " + locus)
+    checks = {"points_agree": all(flag for _pt, flag in points)}
     series_equal = None
     if order is not None and not beta.is_zero() \
             and beta.t_coefficient(0).is_zero():
         psi = formality_psi(beta, hp, order, check=False)
         eps = pi_star_transport(psi, hp, tmax=order)
-        series_equal = frames_equal(moved,
-                                    deformation_frame(hp, eps, tmax=order),
-                                    rng, tmax=order)
-    return Report("graph_identity",
-                  {"points_agree": all(flag for _pt, flag in points),
-                   "series": series_equal in (None, True)},
+        series_equal = checks["series"] = frames_equal(
+            moved, deformation_frame(hp, eps, tmax=order), rng, tmax=order)
+    return Report("graph_identity", checks,
                   witnesses={"points": points, "det_locus": locus},
                   stats={"series_order": order},
                   model=model, series_equal=series_equal)
@@ -510,6 +512,8 @@ def mc_component_check(eps: MVElement, sigma: HoloPoisson,
     the linearised equation alone (``stats["linear_ok"]``; it does not
     enter ``ok``).
     """
+    if tmax is not None and tmax < 0:
+        raise ValueError("tmax must be at least 0")
     _split(eps)
     sig = _sigma_element(eps.model, sigma)
     residual = mc_residual_dgla(eps, sig, tmax=tmax)
@@ -645,6 +649,8 @@ def deformed_structures(eps: MVElement, hp: HoloPoisson, rng,
     kills f', and corrected coordinate functions feed Hamiltonian fields
     whose Lie derivative of the new bivector is certified zero.
     """
+    if tmax is not None and tmax < 0:
+        raise ValueError("tmax must be at least 0")
     model = eps.model
     if model.param:
         raise UnsupportedSceneError(
@@ -762,7 +768,14 @@ def hamiltonian_family_check(family, rng, mode: str = "real",
     ``mode='complex'`` takes a :class:`DeformSeries` and checks the three
     derivative identities of the deformed structure family after
     substituting the parameter for a fresh holomorphic coordinate.
+
+    Each identity takes one d/dt, so ``tmax`` must be at least 1, and the
+    certified order (``stats["certified_order"]``) is ``tmax - 1`` (in
+    complex mode at most the series order less one); a smaller ``tmax``
+    certifies nothing and raises ValueError.
     """
+    if tmax is not None and tmax < 1:
+        raise ValueError("tmax must be at least 1: one order goes to d/dt")
     if mode == "real":
         return _ham_real(family, rng, tmax)
     if mode == "complex":

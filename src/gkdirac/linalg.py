@@ -742,28 +742,16 @@ def span_certificate(span, w, rng):
     (nonzero constant coefficient), so the identity certifies membership
     over exact series, not just generically.  After ``_ATTEMPTS`` (4) pivot
     searches that settle nothing it raises SingularityError.
+
+    An empty pivot block (no generators, or none that is nonzero on the
+    points searched) has ``den = 1`` and no numerators, so its identity
+    holds for w = 0 alone; any other w goes to the witness search, which
+    refutes it when every generator vanishes identically.
     """
     generators, model = span.generators, span.model
-    n = model.n
-    if not generators:
-        if all(not x for x in w):
-            return True, (Poly.const(n, ONE), [])
-        pt = model.sample_point(rng, with_t=True)
-        return False, pt
     for _ in range(_ATTEMPTS):
-        block = span._pivot(rng)
-        if block is None:
+        if span._pivot(rng) is None:
             continue  # singular pivot block; search again
-        rows, *_, den = block
-        if not rows:
-            # all generators vanish generically; w must vanish too
-            if all(not x for x in w):
-                return True, (den, [Poly.zero(n)] * len(generators))
-            pt = model.sample_point(rng, with_t=True)
-            if any(x.eval(pt) for x in w):
-                return False, pt
-            span._block = None
-            continue
         cert = span._solve(w)
         if cert is not None:
             return True, cert
@@ -931,11 +919,8 @@ def real_roots_in_interval(coeffs, a: Fraction, b: Fraction):
     def count(lo, hi):
         return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
-    total = count(a, b)
-    if total == 0:
-        return []
     out = []
-    stack = [(Fraction(a), Fraction(b), total, 0)]
+    stack = [(Fraction(a), Fraction(b), count(a, b), 0)]
     while stack:
         lo, hi, k, d = stack.pop()
         if k == 0:

@@ -75,11 +75,8 @@ class Bivector:
 
     @classmethod
     def wedge_pair(cls, model, a, b, coeff) -> "Bivector":
-        """coeff * e_a ^ e_b in the leg order (a != b)."""
-        if isinstance(coeff, (int, Fraction)):
-            coeff = Scalar(coeff)
-        if isinstance(coeff, Scalar):
-            coeff = Poly.const(model.n, coeff)
+        """coeff * e_a ^ e_b in the leg order (a != b); ``coeff`` is a
+        Poly, or a constant that Poly addition coerces."""
         if a == b:
             raise ValueError("wedge of a leg with itself")
         out = cls(model)
@@ -289,24 +286,17 @@ class HoloPoisson:
         Built as i(2 P - 1) with P the projector onto the deformed
         holomorphic bundle along the antiholomorphic one; needs the usual
         invertibility of (1 - phi phibar), checked exactly (hard error when
-        it fails).  With phi zero it is diag(i, -i), read off directly.
+        it fails).  With phi zero, S = 1 - phi phibar is 1 and P is
+        diag(1, 0), so the same route gives diag(i, -i).
         """
         model = self.model
         if model.param:
             raise UnsupportedSceneError(
                 "complex structures live on the parameter-free frame")
-        n = model.n
-        dim = model.dim
-        eye = Scalar(0, 1)
-        if self.phi.is_zero():
-            M = mat_zero(dim, dim, n)
-            for i in range(n):
-                M[i][i] = Poly.const(n, eye)
-                M[n + i][n + i] = Poly.const(n, -eye)
-            return M
         P10 = _holo_projector(self.phi_matrix(), tmax=tmax)
         return mat_scale(mat_sub(mat_scale(P10, Scalar(2)),
-                                 mat_identity(dim, n)), eye)
+                                 mat_identity(model.dim, model.n)),
+                         Scalar(0, 1))
 
     # -- certificates ----------------------------------------------------
     def mc_phi_residual(self, tmax=None) -> MVElement:
@@ -333,6 +323,8 @@ class HoloPoisson:
         the involutivity of the kept :func:`build_L_sigma` frame, with the
         covector dt added on a parameter model; the direct route reads no
         frame."""
+        if tmax is not None and tmax < 0:
+            raise ValueError("tmax must be at least 0")
         mc_ok = self.mc_phi_residual(tmax=tmax).is_zero()
         type_ok = not self.type_defects(tmax=tmax)
         witnesses = {}

@@ -6,7 +6,8 @@
   extraction's round trip, ``deformed_structures``, ``gk_deform_family``,
   ``gk_lift`` and ``check_gauge_equiv`` read the kept frame, and
   ``extract_holo_poisson`` forms its frame change A once, on the structure
-  it returns.
+  it returns.  ``gk_lift`` extracts each gauged structure once, in the
+  ``gk_check`` of the lifted pair.
 * ``deformed_structures`` reports a failing certificate or frame match as a
   False check with its witness; ``twistor_demo`` refuses such a report.
 * ``gauge_real_poisson`` certifies its quotient by the graph identity
@@ -20,7 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdirac import hitchin, poisson
+from gkdirac import genkahler, hitchin, poisson
 from gkdirac.errors import CertificateError
 from gkdirac.forms import MixedForm
 from gkdirac.frames import (DiracFrame, frames_equal, gauge_frame,
@@ -185,9 +186,30 @@ def test_one_frame_per_structure_across_gk_check_and_the_family(
         build_L_sigma(hp, tmax=tmax, check=False)
     assert len(made) == len(structures)
     # gk_lift and check_gauge_equiv read the kept frames too: one frame
-    # more for each structure the lift and its gk_check extract
+    # more for each structure the lift's gk_check extracts
     gk_lift(MixedForm.zero(M2), MixedForm.zero(M2), pair, rng)
-    assert len(made) == len(structures) + 4
+    assert len(made) == len(structures) + 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gk_lift_extracts_each_gauged_structure_once(monkeypatch, seed):
+    # the lifted pair's own gk_check extracts sigma'_+ and sigma'_-, and
+    # check_gauge_equiv proves each the gauge of the original: the lift
+    # extracts nothing itself
+    (L1, L2), _F = _flat_family_pair(random.Random(seed))
+    rng = random.Random(100 + seed)
+    pair = gk_check(L1, L2, rng).pair
+    calls = []
+
+    def counted(frame, rng, tmax=None):
+        calls.append(tmax)
+        return extract_holo_poisson(frame, rng, tmax=tmax)
+
+    monkeypatch.setattr(genkahler, "extract_holo_poisson", counted)
+    beta = hermitian_form(M2).scale(Scalar(Fraction(1, 5)))
+    report = gk_lift(beta, MixedForm.zero(M2), pair, rng)
+    assert report.pair is not None
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -723,6 +723,44 @@ def test_span_certificate_matches_column_replacement(tmax):
     assert members
 
 
+def _nowhere_zero(model, rng, with_t):
+    """A random entry that is nonzero at every point: c (1 + |z1|^2) or
+    c (1 + t^2), so a sampled point always refutes a target holding it."""
+    c = model.poly(sc(rng.randint(1, 5), rng.randint(-3, 3)))
+    z1 = model.z(0)
+    bump = model.t() * model.t() if with_t else z1 * z1.conj()
+    return c * (model.poly(1) + bump)
+
+
+@pytest.mark.parametrize("tmax", [None, 2])
+@pytest.mark.parametrize("ngens", [0, 1, 3])
+def test_empty_spans_match_the_reference(tmax, ngens):
+    # no generators, or generators that vanish identically: the pivot
+    # block is empty (den = 1, no numerators), the identity accepts w = 0
+    # alone and the witness search refutes every other w, with the
+    # reference's verdict, den, numerators and witness point
+    rng = random.Random(271 + ngens)
+    for dim in (1, 2, 4):
+        gens = [[M.zero_poly()] * dim for _ in range(ngens)]
+        targets = [[M.zero_poly()] * dim]
+        for _ in range(3):
+            w = [M.zero_poly()] * dim
+            w[rng.randrange(dim)] = _nowhere_zero(M, rng, tmax is not None)
+            targets.append(w)
+        for w in targets:
+            seed = rng.randrange(10 ** 6)
+            got = span_certificate(Span(gens, M, tmax), w,
+                                   random.Random(seed))
+            want = _span_certificate_reference(gens, w, M,
+                                               random.Random(seed),
+                                               tmax=tmax)
+            _same_verdict(got, want)
+            assert got[0] == (not any(w))
+            if got[0]:
+                assert got[1][0] == M.poly(1)
+                assert got[1][1] == [M.zero_poly()] * ngens
+
+
 def _pivot_block_reference(cols, model, rng, samples=8, t_zero=False):
     """The former pivot search, on the matrix with its rows and columns
     ordered by term count (fewest first, ties in index order): the rows

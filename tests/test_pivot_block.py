@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gkdirac.errors import SingularityError
 from gkdirac.frames import graph_bivector
 from gkdirac.linalg import (Span, generic_rank, kernel_certificate, mat_apply,
                             scalar_solve, span_certificate)
@@ -159,11 +160,15 @@ def test_every_span_identity_holds(tmax, data, seed):
         assert scalar_solve(Mp, [x.eval(cert) for x in w]) is None
 
 
-@pytest.mark.xfail(strict=True, reason="the tmax pivot block is found on "
-                   "the t = 0 slice, where these generators lose rank")
+@pytest.mark.xfail(strict=True, raises=SingularityError,
+                   reason="the tmax pivot block is found on the t = 0 "
+                   "slice, where these generators lose rank")
 def test_span_membership_survives_rank_loss_at_t_zero():
     # w is the generator itself; the scene of _span_scene keeps away from
-    # this case by making its t-generators unit lower triangular at t = 0
+    # this case by making its t-generators unit lower triangular at t = 0.
+    # The empty block's identity fails and no point refutes w, so the
+    # search ends in SingularityError; a wrong False, or any other error,
+    # fails the run
     t, z1 = M.t(), M.z(0)
     ok, _ = span_certificate(Span([[t, t * z1]], M, 1), [t, t * z1],
                              random.Random(0))
